@@ -3,8 +3,9 @@ lattice operations, check chains, and run the axiom checker and measure
 reconstruction against built-in or external functionals.
 
 Exit codes: 0 when every asserted certificate or axiom holds, 1 when a check
-fails, 2 on usage, parse or protocol errors.  All randomness is seeded and
-recorded in the report header, so reports are byte-identical across runs.
+fails, 2 on usage, parse or protocol errors and on geometry beyond desk scale.
+All randomness is seeded and recorded in the report header, so reports are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .axioms import (
     verify_representation,
 )
 from .cone import ValidationError
+from .ddm import GeometryError
 from .integral import (
     ParametricChain,
     aumann_integral,
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
     try:
         ws = parse_workspace(args.workspace)
         return args.fn(ws, args)
-    except (WorkspaceError, ValidationError, ProtocolError) as exc:
+    except (WorkspaceError, ValidationError, GeometryError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ddm import dual_cone_vrep
+from .ddm import cone_vrep
 from .linalg import Vec, dot, format_vector, is_zero, primitive, vec
 
 MAX_DIMENSION = 8
@@ -39,7 +39,7 @@ def dual_cone(generators: list, dim: int | None = None) -> list[Vec]:
         check_dim(dim, g, "generator")
     if all(is_zero(g) for g in gens):
         raise ValidationError("all generators are zero")
-    lineality, rays = dual_cone_vrep(gens, dim)
+    lineality, rays = cone_vrep(gens, dim)
     if lineality:
         raise ValidationError(
             "cone has empty interior (its span is not the whole space); dual is not pointed"

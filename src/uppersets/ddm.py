@@ -5,16 +5,27 @@ V-representation (lineality basis + extreme rays) of ``{x : <row, x> >= 0}``.
 Dual cones use it directly; polyhedron conversions go through the usual
 homogenization in one extra dimension.
 
-Rays are kept as primitive integer vectors throughout, so the inner loops run
-on machine ints.  Adjacency of rays uses the combinatorial zero-set test,
-which is valid because the description is kept minimal at every step.
+Inside ``cone_vrep`` every row, lineality vector and ray is a primitive
+integer vector, and so is every combination of them, so the inner loops run
+on machine ints; ``Fraction`` appears only at the edges, in ``rref_basis`` and
+where ``hrep_to_vrep`` and ``vrep_to_hrep`` dehomogenize.
+
+Each ray carries its zero set, a bitmask of the processed rows it is tight
+at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
+(both are >= 0 on every processed row and both coefficients are positive), so
+its mask is the parents' meet plus the current row.  A ray projected along a
+lineality vector keeps its mask: that vector is orthogonal to every processed
+row.  Adjacency uses the combinatorial zero-set test of Fukuda & Prodon,
+valid because the description is kept minimal at every step; a pair whose
+meet has fewer rows than a two-dimensional face needs skips that scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .linalg import Vec, dot, is_zero, primitive, vneg, vscale, vsub
+from .linalg import Vec, is_zero, primitive, vneg, vscale, vsub
 
 
 class GeometryError(ValueError):
@@ -61,12 +72,10 @@ def cone_vrep(rows, dim: int) -> tuple[list[Vec], list[Vec]]:
     prows = sorted({primitive(tuple(r)) for r in rows if not is_zero(tuple(r))})
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
     rays: list[list] = []  # [vector, zero-set bitmask over processed rows]
-    processed: list[Vec] = []
 
-    for a in prows:
-        bit = 1 << len(processed)
-        full_mask = bit - 1
-        lin_vals = [dot(a, v) for v in lin]
+    for k, a in enumerate(prows):
+        bit = 1 << k
+        lin_vals = [sum(map(mul, a, v)) for v in lin]
         pivot = next((i for i, val in enumerate(lin_vals) if val != 0), None)
         if pivot is not None:
             v0, val0 = lin[pivot], lin_vals[pivot]
@@ -81,56 +90,40 @@ def cone_vrep(rows, dim: int) -> tuple[list[Vec], list[Vec]]:
                 else:
                     new_lin.append(primitive(vsub(vscale(val0, v), vscale(lin_vals[i], v0))))
             for entry in rays:
-                val = dot(a, entry[0])
+                val = sum(map(mul, a, entry[0]))
                 if val != 0:
                     entry[0] = primitive(vsub(vscale(val0, entry[0]), vscale(val, v0)))
                 entry[1] |= bit  # projected rays are tight at the new row
             lin = new_lin
-            rays.append([primitive(v0), full_mask])
+            rays.append([primitive(v0), bit - 1])  # tight at every earlier row
         else:
-            vals = [dot(a, entry[0]) for entry in rays]
-            pos = [entry for entry, v in zip(rays, vals) if v > 0]
+            vals = [sum(map(mul, a, entry[0])) for entry in rays]
+            pos = [(entry, v) for entry, v in zip(rays, vals) if v > 0]
+            neg = [(entry, v) for entry, v in zip(rays, vals) if v < 0]
             zero = [entry for entry, v in zip(rays, vals) if v == 0]
-            neg = [entry for entry, v in zip(rays, vals) if v < 0]
             for entry in zero:
                 entry[1] |= bit
+            # two adjacent rays span a face of dimension len(lin) + 2, so the
+            # rows tight on both have rank, hence count, at least this
+            face_rank = dim - len(lin) - 2
             combined: dict[Vec, list] = {}
-            if pos and neg:
-                val_of = {id(entry): v for entry, v in zip(rays, vals)}
-                for p in pos:
-                    for n in neg:
-                        meet = p[1] & n[1]
-                        adjacent = True
-                        for other in rays:
-                            if other is p or other is n:
-                                continue
-                            if meet & other[1] == meet:
-                                adjacent = False
-                                break
-                        if not adjacent:
-                            continue
-                        vecq = primitive(
-                            vsub(vscale(val_of[id(p)], n[0]), vscale(val_of[id(n)], p[0]))
-                        )
-                        if is_zero(vecq) or vecq in combined:
-                            continue
-                        mask = bit  # tight at the current row by construction
-                        for j, row in enumerate(processed):
-                            if dot(row, vecq) == 0:
-                                mask |= 1 << j
-                        combined[vecq] = [vecq, mask]
-            rays = pos + zero + list(combined.values())
+            for p, val_p in pos:
+                for n, val_n in neg:
+                    meet = p[1] & n[1]
+                    if meet.bit_count() < face_rank:
+                        continue
+                    if any(meet & o[1] == meet for o in rays if o is not p and o is not n):
+                        continue
+                    vecq = primitive(vsub(vscale(val_p, n[0]), vscale(val_n, p[0])))
+                    if is_zero(vecq) or vecq in combined:
+                        continue
+                    combined[vecq] = [vecq, meet | bit]
+            rays = [entry for entry, _ in pos] + zero + list(combined.values())
             if len(rays) > MAX_RAYS:
                 raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
-        processed.append(a)
 
     out_rays = sorted(entry[0] for entry in rays)
     return rref_basis(lin, dim), out_rays
-
-
-def dual_cone_vrep(generators, dim: int) -> tuple[list[Vec], list[Vec]]:
-    """V-rep of the positive dual {w : <g, w> >= 0 for every generator g}."""
-    return cone_vrep(generators, dim)
 
 
 def hrep_to_vrep(ineqs, dim: int) -> tuple[list[Vec], list[Vec], list[Vec]]:

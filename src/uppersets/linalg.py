@@ -1,14 +1,19 @@
 """Exact rational vectors and the small linear-algebra helpers the geometry needs.
 
-Vectors are plain tuples of ``fractions.Fraction`` (or ``int``, which
-interoperates); everything here is pure and allocation-light because the
-double description method calls these in tight loops.
+Vectors are plain tuples of ``fractions.Fraction`` or ``int``, which
+interoperate; everything here is pure and allocation-light because the
+double description method calls these in tight loops.  ``dot`` and the
+vector operations keep integer inputs integer.  ``primitive`` and
+``clear_denominators`` always return integers: they read every entry through
+its ``numerator`` and ``denominator`` (an ``int`` has denominator 1) and never
+build a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple
@@ -26,7 +31,7 @@ def vec(entries: Iterable) -> Vec:
 def dot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b)) or Fraction(0)
+    return sum(map(mul, a, b)) or Fraction(0)
 
 
 def vadd(a: Sequence, b: Sequence) -> Vec:
@@ -56,17 +61,15 @@ def primitive(a: Sequence) -> Vec:
     canonical form for rays and normals: two vectors are positive multiples
     of each other iff their primitive forms are equal.
     """
-    fracs = [Fraction(x) for x in a]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for n in ints:
-        g = gcd(g, n)
-    return tuple(n // g for n in ints)
+    _, (ints,) = clear_denominators([a])
+    g = gcd(*ints)
+    return tuple(n // g for n in ints) if g else ints
+
+
+def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list[Vec]]:
+    """(m, [m·v for v in vectors]) for the least m > 0 that makes them integer."""
+    m = lcm(*(x.denominator for v in vectors for x in v))
+    return m, [tuple(x.numerator * (m // x.denominator) for x in v) for v in vectors]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -129,15 +132,6 @@ def ext_add(a, b):
     if a == NEG_INF or b == NEG_INF:
         return NEG_INF
     return a + b
-
-
-def ext_sum(values) -> Fraction | float:
-    total: Fraction | float = Fraction(0)
-    for v in values:
-        total = ext_add(total, v)
-        if total == POS_INF:
-            return POS_INF
-    return total
 
 
 def ext_scale(k, a):

@@ -129,9 +129,6 @@ class ScalarFunction:
     def is_finite(self) -> bool:
         return all(v != NEG_INF for v in self.values)
 
-    def is_nonnegative(self) -> bool:
-        return all(v != NEG_INF and v >= 0 for v in self.values)
-
     def integral(self, mu: AtomicMeasure) -> Fraction:
         """Σ μ(x)·ξ(x); zero-weight atoms contribute nothing, even at -inf."""
         total = Fraction(0)

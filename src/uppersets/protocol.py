@@ -87,7 +87,8 @@ class ExternalFunctional:
 def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:
     """Answer protocol requests; helper for implementing external functionals.
 
-    ``evaluate`` maps a SimpleSetFunction to an UpperSet.
+    ``evaluate`` maps a SimpleSetFunction to an UpperSet.  A malformed
+    request raises ``ProtocolError``.
     """
     while True:
         header = stdin.readline()
@@ -98,17 +99,27 @@ def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:
             continue
         if not header.startswith("eval "):
             raise ProtocolError(f"bad request header {header!r}")
-        count = int(header.split()[1])
+        try:
+            count = int(header.split()[1])
+        except ValueError as exc:
+            raise ProtocolError(f"bad atom count in {header!r}") from exc
         values = {}
         for _ in range(count):
             line = stdin.readline()
             if not line:
                 raise ProtocolError("truncated request")
             atom, _, literal = line.strip().partition(" ")
-            values[atom] = parse_set_literal(literal, cone)
+            if atom not in space.atoms:
+                raise ProtocolError(f"unknown atom {atom!r}")
+            try:
+                values[atom] = parse_set_literal(literal, cone)
+            except ValueError as exc:
+                raise ProtocolError(f"unparsable value for {atom!r}: {exc}") from exc
         trailer = stdin.readline()
         if trailer.strip() != "end":
             raise ProtocolError("missing request trailer")
+        if len(values) != len(space.atoms):
+            raise ProtocolError("request does not give every atom a value")
         F = SimpleSetFunction(space, tuple(values[a] for a in space.atoms))
         stdout.write(evaluate(F).literal() + "\n")
         stdout.flush()

@@ -23,6 +23,7 @@ from .linalg import (
     NEG_INF,
     POS_INF,
     Vec,
+    clear_denominators,
     dot,
     format_rational,
     is_zero,
@@ -86,6 +87,11 @@ class UpperSet:
         basis = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
         return UpperSet(cone, FULL, points=(tuple(Fraction(0) for _ in range(dim)),), lineality=basis)
 
+    @functools.cached_property
+    def _integer_points(self) -> tuple[int, list[Vec]]:
+        """(d, numerators): the stored points as integer vectors over one d > 0."""
+        return clear_denominators(self.points)
+
     def support(self, w) -> Fraction | float:
         """inf over the set of <y, w>: +inf on empty, -inf when unbounded below."""
         w = vec(w)
@@ -94,15 +100,17 @@ class UpperSet:
             raise ValidationError("support direction must be nonzero")
         if self.is_empty:
             return POS_INF
+        e, (wi,) = clear_denominators([w])  # wi = e·w, integer
         for l in self.lineality:
-            if dot(l, w) != 0:
+            if dot(l, wi) != 0:
                 return NEG_INF
         for r in self.rays:
-            if dot(r, w) < 0:
+            if dot(r, wi) < 0:
                 return NEG_INF
         if not self.points:
             return NEG_INF
-        return min(dot(p, w) for p in self.points)
+        d, numerators = self._integer_points
+        return Fraction(min(dot(p, wi) for p in numerators), d * e)
 
     def member(self, y) -> bool:
         y = vec(y)

@@ -437,12 +437,4 @@ def parse_workspace(path: str) -> Workspace:
 
 def _require_atom(space: AtomicSpace, key: str, path: str, lineno: int) -> None:
     if key not in space.atoms:
-        _reject_atom(key, path, lineno)
-
-
-def _reject_atom(key: str, path: str, lineno: int):
-    raise WorkspaceError(f"unknown atom {key!r}", path, lineno)
-
-
-def format_set_function(F: SimpleSetFunction) -> list[str]:
-    return [f"{atom}: {value.literal()}" for atom, value in zip(F.space.atoms, F.values)]
+        raise WorkspaceError(f"unknown atom {key!r}", path, lineno)

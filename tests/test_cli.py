@@ -208,3 +208,43 @@ def test_round_trip_of_printed_values(ws_path, capsys):
     literal = value_line[len("value: ") :]
     parsed = parse_set_literal(literal, orthant(2))
     assert parsed.literal() == literal
+
+
+def test_geometry_error_exits_2(ws_path, capsys, monkeypatch):
+    # A ray cap hit inside a command is an out-of-scale input, not a crash.
+    import uppersets.cli as cli
+    import uppersets.ddm as ddm
+
+    parse_workspace = cli.parse_workspace
+
+    def parse_then_cap(path):
+        ws = parse_workspace(path)
+        monkeypatch.setattr(ddm, "MAX_RAYS", 0)
+        return ws
+
+    monkeypatch.setattr(cli, "parse_workspace", parse_then_cap)
+    code, out, err = run(capsys, "integrate", ws_path, "G", "mu")
+    assert code == 2
+    assert err.startswith("error: ray count exceeded desk scale")
+
+
+@pytest.mark.parametrize(
+    "request_text",
+    [
+        "eval 2\nx1 cone\nx9 cone\nend\n",  # unknown atom
+        "eval 1\nx1 cone\nend\n",  # missing atom
+        "eval two\n",  # non-integer count
+        "eval 2\nx1 cone\nx2 [1, 2\nend\n",  # unparsable value
+    ],
+)
+def test_serve_rejects_malformed_requests(request_text):
+    import io
+
+    from uppersets import orthant
+    from uppersets.measure_space import AtomicSpace
+    from uppersets.protocol import ProtocolError, serve
+
+    out = io.StringIO()
+    with pytest.raises(ProtocolError):
+        serve(None, orthant(2), AtomicSpace(("x1", "x2")), io.StringIO(request_text), out)
+    assert out.getvalue() == ""

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -93,6 +93,86 @@ def test_cone_vrep_rays_are_extreme(seed):
         sol_dim = dim - rank(tight) if tight else dim
         assert sol_dim == len(lin) + 1, (rows, r)
         assert in_cone_by_rows(rows, r)
+
+
+def null_space(rows, dim):
+    # Basis of {x : <row, x> = 0 for every row}, by Fraction elimination.
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(dim):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                mat[i] = [x - mat[i][col] * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(dim) if c not in pivots):
+        x = [Fraction(0)] * dim
+        x[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            x[col] = -mat[r][free]
+        basis.append(x)
+    return basis
+
+
+def extreme_zero_sets(rows, dim):
+    # Brute force: every extreme ray (modulo lineality) of {x : rows.x >= 0}
+    # is cut out by rank(rows) - 1 independent rows; identify each by the
+    # set of rows it is tight at.
+    k = rank(rows) - 1
+    found = set()
+    for subset in combinations(range(len(rows)), k):
+        tight = [rows[i] for i in subset]
+        if rank(tight) != k:
+            continue
+        for v in null_space(tight, dim):
+            vals = [dot(row, v) for row in rows]
+            if any(vals):
+                break
+        if all(x <= 0 for x in vals):
+            vals = [-x for x in vals]
+        if all(x >= 0 for x in vals):
+            found.add(frozenset(i for i, x in enumerate(vals) if x == 0))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
+    # Dims 5-6 with 6-12 rows.  On odd seeds the rows that involve the last
+    # coordinate sort last, so the run removes that lineality direction only
+    # after rays were combined, and projects rays with parent-derived masks.
+    rng = random.Random(300 + seed)
+    dim = 5 + seed % 2 if seed < 8 else rng.choice([5, 6])
+    if seed % 2:
+        late = rng.randint(1, 2)
+        rows = [
+            tuple(rng.randint(-2, 2) for _ in range(dim - 1)) + (0,)
+            for _ in range(rng.randint(dim + 1, 12 - late))
+        ]
+        rows += [
+            (3,) + tuple(rng.randint(-2, 2) for _ in range(dim - 2)) + (rng.choice([-1, 1]),)
+            for _ in range(late)
+        ]
+    else:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(6, 12))]
+    rows = sorted({primitive(r) for r in rows if any(r)})
+    lin, rays = cone_vrep(rows, dim)
+    assert len(lin) == dim - rank(rows)
+    for l in lin:
+        assert all(dot(row, l) == 0 for row in rows)
+    zero_sets = set()
+    for r in rays:
+        assert in_cone_by_rows(rows, r)
+        tight = [i for i, row in enumerate(rows) if dot(row, r) == 0]
+        assert dim - rank([rows[i] for i in tight]) == len(lin) + 1, (rows, r)
+        zero_sets.add(frozenset(tight))
+    assert len(zero_sets) == len(rays)
+    assert zero_sets == extreme_zero_sets(rows, dim), (rows, rays)
 
 
 def test_hrep_to_vrep_simplex():

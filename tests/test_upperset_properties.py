@@ -1,11 +1,12 @@
 """Algebraic and order laws of the upper-set lattice, property-based."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from uppersets import Cone, orthant
-from uppersets.linalg import NEG_INF, dot, ext_add, ext_scale
+from uppersets.linalg import NEG_INF, dot, ext_add, ext_scale, primitive
 from uppersets.upperset import (
     UpperSet,
     canonicalize,
@@ -185,3 +186,69 @@ def test_recession_contains_cone(d):
 @given(upper_sets(allow_special=False))
 def test_canonicalize_is_fixed_point(d):
     assert canonicalize(d.cone, halfspaces=d.hrep_rows()) == d
+
+
+def primitive_by_fractions(a):
+    # The reference definition: clear denominators in Fraction arithmetic,
+    # then divide by the gcd of the numerators.
+    fracs = [Fraction(x) for x in a]
+    if all(f == 0 for f in fracs):
+        return tuple(0 for _ in fracs)
+    denom_lcm = 1
+    for f in fracs:
+        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
+    ints = [int(f * denom_lcm) for f in fracs]
+    g = 0
+    for n in ints:
+        g = gcd(g, n)
+    return tuple(n // g for n in ints)
+
+
+mixed_entries = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.builds(
+        Fraction, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=12)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(mixed_entries, min_size=1, max_size=8))
+def test_primitive_matches_fraction_definition(entries):
+    got = primitive(tuple(entries))
+    assert got == primitive_by_fractions(entries)
+    assert all(type(x) is int for x in got)
+
+
+def plain_support(d, w):
+    return min(sum(Fraction(x) * Fraction(y) for x, y in zip(p, w)) for p in d.points)
+
+
+@st.composite
+def sets_and_dual_directions(draw):
+    cone = draw(st.sampled_from(CONES))
+    d = canonicalize(cone, points=draw(points_for(cone)))
+    image = draw(st.sampled_from(["same", "translate", "scale"]))
+    if image == "translate":
+        d = d.translate(draw(st.tuples(*[rationals] * cone.dim)))
+    elif image == "scale":
+        d = d.scale(draw(st.sampled_from([Fraction(1, 3), Fraction(2), Fraction(7, 4)])))
+    coefficient = st.one_of(
+        st.integers(0, 4), st.builds(Fraction, st.integers(0, 6), st.integers(1, 5))
+    )
+    n = len(cone.dual_generators)
+    weights = draw(st.lists(coefficient, min_size=n, max_size=n))
+    if not any(weights):
+        weights[0] = 1
+    w = tuple(
+        sum((k * g[i] for k, g in zip(weights, cone.dual_generators)), 0) for i in range(cone.dim)
+    )
+    return d, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets_and_dual_directions())
+def test_support_matches_plain_fraction_minimum(pair):
+    # Directions in C+ keep the support finite: it is attained at a point.
+    d, w = pair
+    assert d.support(w) == plain_support(d, w)
