@@ -30,7 +30,7 @@ from .integral import (
     harmonic_cone_chain,
     monotone_limit_check,
 )
-from .linalg import Vec, dot, format_rational, format_vector
+from .linalg import NEG_INF, Vec, dot, format_rational, format_vector
 from .measure_space import (
     AtomicMeasure,
     AtomicSpace,
@@ -47,7 +47,6 @@ from .upperset import (
     canonicalize,
     cone_upper_set,
     halfspace_set,
-    point_plus_cone,
     sup_set,
 )
 
@@ -133,24 +132,29 @@ def is_constant_zero_halfspace(F: SimpleSetFunction) -> bool:
     return all(v == first for v in F.values)
 
 
+def cone_translate_scalar(S: UpperSet, cone: Cone) -> Fraction | None:
+    """The λ with S = λc + C, or None.
+
+    The candidate is support(S, w)/<c, w> at one dual generator w; c interior
+    makes the representation unique, and the candidate is verified against
+    the whole set before being returned.
+    """
+    if S.kind != "proper":
+        return None
+    c, w = cone.interior_point, cone.dual_generators[0]
+    sigma = S.support(w)
+    if sigma == NEG_INF:
+        return None
+    lam = sigma / dot(c, w)
+    if not S.set_equal(cone_upper_set(cone).translate(tuple(lam * x for x in c))):
+        return None
+    return lam
+
+
 def cone_translate_coefficients(F: SimpleSetFunction) -> list[Fraction] | None:
     """The ξ with F = ξc + C, or None when F is not of that shape."""
-    cone = F.cone
-    c = cone.interior_point
-    base = cone_upper_set(cone)
-    coeffs = []
-    for v in F.values:
-        if v.kind != "proper" or len(v.points) != 1:
-            return None
-        p = v.points[0]
-        nz = next((i for i, x in enumerate(c) if x != 0), None)
-        lam = Fraction(p[nz]) / c[nz]
-        if tuple(lam * x for x in c) != p:
-            return None
-        if not v.set_equal(base.translate(p)):
-            return None
-        coeffs.append(lam)
-    return coeffs
+    coeffs = [cone_translate_scalar(v, F.cone) for v in F.values]
+    return None if None in coeffs else coeffs
 
 
 def is_nonconstant_cone_translate(F: SimpleSetFunction) -> bool:
@@ -387,27 +391,11 @@ def check_nullity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
 
 
 def extract_scalar(S: UpperSet, cone: Cone):
-    """The k >= 0 with S = k·c + C, or 'empty', or 'not_of_form'.
-
-    The candidate is support(S, w*)/<c, w*> at one dual generator; c interior
-    makes the representation unique, and the candidate is verified against
-    the whole set before being returned.
-    """
+    """The k >= 0 with S = k·c + C, or 'empty', or 'not_of_form'."""
     if S.is_empty:
         return "empty"
-    if S.is_full:
-        return "not_of_form"
-    w = cone.dual_generators[0]
-    sigma = S.support(w)
-    if isinstance(sigma, float):
-        return "not_of_form"
-    k = sigma / dot(cone.interior_point, w)
-    if k < 0:
-        return "not_of_form"
-    candidate = point_plus_cone(cone, tuple(k * x for x in cone.interior_point))
-    if not S.set_equal(candidate):
-        return "not_of_form"
-    return k
+    k = cone_translate_scalar(S, cone)
+    return "not_of_form" if k is None or k < 0 else k
 
 
 def check_indicator(phi: SetFunctional, samples: SampleSet):
@@ -666,8 +654,6 @@ def representation_suite(space: AtomicSpace, cone: Cone, seed: int = 0):
         suite.append(
             (f"halfspace-offsets #{k}", halfspace_function(space, cone, w, ScalarFunction(space, values)))
         )
-    from .linalg import NEG_INF
-
     w = cone.dual_generators[0]
     absent = [NEG_INF] + [Fraction(rng.randint(-2, 2)) for _ in range(len(space) - 1)]
     suite.append(

@@ -18,6 +18,12 @@ lineality vector keeps its mask: that vector is orthogonal to every processed
 row.  Adjacency uses the combinatorial zero-set test of Fukuda & Prodon,
 valid because the description is kept minimal at every step; a pair whose
 meet has fewer rows than a two-dimensional face needs skips that scan.
+
+Asked for its ``incidence``, ``cone_vrep`` also returns each output ray's
+zero set over the input rows, which is enough to drop redundant input rows
+without a second run: one run over a V-rep yields the facets and the
+irredundant points, rays and lineality, one run over a full-dimensional H-rep
+its V-rep and its facets.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .linalg import Vec, is_zero, primitive, vneg, vscale, vsub
+from .linalg import Vec, is_zero, primitive, primitive_halfspace, vneg, vscale, vsub
 
 
 class GeometryError(ValueError):
@@ -42,7 +48,6 @@ def _unit(dim: int, i: int) -> Vec:
 def rref_basis(vectors, dim: int) -> list[Vec]:
     """Canonical (reduced row echelon, primitive) basis of span(vectors)."""
     mat = [[Fraction(x) for x in v] for v in vectors if not is_zero(v)]
-    basis: list[list[Fraction]] = []
     r = 0
     for col in range(dim):
         pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
@@ -58,16 +63,17 @@ def rref_basis(vectors, dim: int) -> list[Vec]:
         r += 1
         if r == len(mat):
             break
-    for row in mat[:r]:
-        basis.append(list(row))
-    return [primitive(tuple(row)) for row in basis]
+    return [primitive(tuple(row)) for row in mat[:r]]
 
 
-def cone_vrep(rows, dim: int) -> tuple[list[Vec], list[Vec]]:
+def cone_vrep(rows, dim: int, *, incidence: bool = False):
     """Minimal V-rep (lineality basis, extreme rays) of {x : <row,x> >= 0 ∀rows}.
 
     Extreme rays are modulo the lineality space; both come back as sorted
-    primitive integer vectors.  The zero cone yields ([], []).
+    primitive integer vectors.  The zero cone yields ([], []).  With
+    ``incidence``, two lists follow: for each ray the bitmask of the rows
+    tight at it, and those rows, the sorted primitive forms of the nonzero
+    input rows (bit k stands for the k-th).
     """
     prows = sorted({primitive(tuple(r)) for r in rows if not is_zero(tuple(r))})
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
@@ -122,42 +128,41 @@ def cone_vrep(rows, dim: int) -> tuple[list[Vec], list[Vec]]:
             if len(rays) > MAX_RAYS:
                 raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
 
-    out_rays = sorted(entry[0] for entry in rays)
+    rays.sort()  # by vector first
+    out_rays = [entry[0] for entry in rays]
+    if incidence:
+        return rref_basis(lin, dim), out_rays, [entry[1] for entry in rays], prows
     return rref_basis(lin, dim), out_rays
 
 
-def hrep_to_vrep(ineqs, dim: int) -> tuple[list[Vec], list[Vec], list[Vec]]:
+def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
     """V-rep (points, rays, lineality) of {z : <z, w> >= b for (w, b) in ineqs}.
 
     Points come back as Fraction tuples, one per minimal face; rays and
     lineality as primitive integer vectors.  An infeasible system yields no
-    points.
+    points.  ``with_facets`` appends the irredundant inequalities as sorted
+    facets (w, b), which requires a full-dimensional polyhedron.
     """
     rows = [tuple(w) + (-Fraction(b),) for w, b in ineqs]
     rows.append(_unit(dim + 1, dim))  # homogenization variable >= 0
-    lin, rays = cone_vrep(rows, dim + 1)
-    points: list[Vec] = []
-    rec: list[Vec] = []
-    for r in rays:
-        t = r[dim]
-        if t > 0:
-            points.append(tuple(Fraction(x, t) for x in r[:dim]))
-        else:
-            rec.append(primitive(r[:dim]))
-    lin_out = []
-    for v in lin:
-        if v[dim] != 0:
-            raise GeometryError("homogenization lineality with nonzero level")
-        lin_out.append(primitive(v[:dim]))
-    return sorted(points), sorted(rec), sorted(lin_out)
+    lin, rays, *incidence = cone_vrep(rows, dim + 1, incidence=with_facets)
+    if any(v[dim] != 0 for v in lin):
+        raise GeometryError("homogenization lineality with nonzero level")
+    vrep = (*_dehomogenize(rays, dim), sorted(v[:dim] for v in lin))
+    if not with_facets:
+        return vrep
+    keep, _ = _irredundant(*incidence)
+    return (*vrep, _halfspaces(keep, dim))  # the level row has a zero normal
 
 
-def vrep_to_hrep(points, rays, lineality, dim: int) -> list[tuple[Vec, Fraction]]:
+def vrep_to_hrep(points, rays, lineality, dim: int, *, with_vrep: bool = False):
     """Irredundant facets (w, b) of conv(points) + cone(rays) + span(lineality).
 
     Requires at least one point and a full-dimensional result; facets mean
     {z : <z, w> >= b} with primitive integer normals.  A full-space input
-    yields an empty facet list.
+    yields an empty facet list.  ``with_vrep`` appends the irredundant input
+    points and rays, one per minimal face and extreme ray (modulo lineality),
+    and the reduced basis of the lineality space.
     """
     if not points:
         raise GeometryError("vrep_to_hrep needs at least one point")
@@ -166,19 +171,61 @@ def vrep_to_hrep(points, rays, lineality, dim: int) -> list[tuple[Vec, Fraction]
     for l in lineality:
         rows.append(tuple(l) + (0,))
         rows.append(vneg(l) + (0,))
-    lin, facet_rays = cone_vrep(rows, dim + 1)
+    lin, facet_rays, *incidence = cone_vrep(rows, dim + 1, incidence=with_vrep)
     if lin:
         raise GeometryError("facet enumeration on a lower-dimensional polyhedron")
-    facets = []
-    for f in facet_rays:
-        normal, shift = f[:dim], f[dim]
-        if is_zero(normal):
-            continue  # the trivial valid inequality 1 >= 0
-        prim = primitive(normal)
-        i = next(i for i, x in enumerate(prim) if x != 0)
-        factor = Fraction(normal[i], prim[i])  # positive
-        facets.append((prim, Fraction(-shift) / factor))
-    return sorted(facets)
+    facets = _halfspaces(facet_rays, dim)
+    if not with_vrep:
+        return facets
+    keep, lineal = _irredundant(*incidence)
+    return (facets, *_dehomogenize(keep, dim), rref_basis([v[:dim] for v in lineal], dim))
+
+
+def _dehomogenize(vectors, dim: int) -> tuple[list[Vec], list[Vec]]:
+    """Sorted points (level t > 0, divided by t) and rays (level 0)."""
+    points = [tuple(Fraction(x, v[dim]) for x in v[:dim]) for v in vectors if v[dim] > 0]
+    return sorted(points), sorted(v[:dim] for v in vectors if v[dim] == 0)
+
+
+def _halfspaces(vectors, dim: int) -> list[tuple[Vec, Fraction]]:
+    """Sorted facets (w, b) of homogeneous rows (w, -b), skipping w = 0."""
+    return sorted(primitive_halfspace(v[:dim], -v[dim]) for v in vectors if not is_zero(v[:dim]))
+
+
+def _irredundant(masks, rows) -> tuple[list[Vec], list[Vec]]:
+    """Redundancy removal from the incidence of one ``cone_vrep`` run.
+
+    ``masks[j]`` holds the rows tight at output ray j.  A row tight at every
+    ray lies in the lineality part of the other description.  Any other row k
+    is irredundant iff every row tight at all rays k is tight at shares k's
+    zero set or is such a lineality row (Fukuda & Prodon, 1996); one row is
+    kept per zero set.  Returns the kept rows and the lineality rows, in time
+    linear in the number of incidences.
+    """
+    zero_sets = [0] * len(rows)  # per row: the rays tight at it
+    for j, mask in enumerate(masks):
+        for k in _bits(mask):
+            zero_sets[k] |= 1 << j
+    classes: dict[int, int] = {}
+    for k, zero in enumerate(zero_sets):
+        classes[zero] = classes.get(zero, 0) | 1 << k
+    lineal = classes.pop((1 << len(masks)) - 1, 0)
+    keep = []
+    for zero, members in classes.items():
+        meet = (1 << len(rows)) - 1
+        for j in _bits(zero):
+            meet &= masks[j]
+        if not meet & ~(members | lineal):
+            keep.append(rows[(members & -members).bit_length() - 1])
+    return keep, [rows[k] for k in _bits(lineal)]
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def hrep_feasible(ineqs, dim: int) -> bool:

@@ -66,6 +66,13 @@ def primitive(a: Sequence) -> Vec:
     return tuple(n // g for n in ints) if g else ints
 
 
+def primitive_halfspace(normal: Sequence, offset) -> tuple[Vec, Fraction]:
+    """{z : <z, normal> >= offset} rescaled to a primitive normal, as (w, b)."""
+    w = primitive(normal)
+    i = next(i for i, x in enumerate(w) if x != 0)
+    return w, Fraction(offset) * w[i] / normal[i]
+
+
 def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list[Vec]]:
     """(m, [m·v for v in vectors]) for the least m > 0 that makes them integer."""
     m = lcm(*(x.denominator for v in vectors for x in v))

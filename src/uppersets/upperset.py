@@ -8,6 +8,15 @@ facets, structural equality of canonical forms is set equality.
 Both representations are kept: the H-rep (facets) identifies the set, the
 V-rep (points on minimal faces, extreme rays, lineality basis) makes
 Minkowski sums and support queries exact.
+
+A canonical form costs one double-description run.  Over a V-rep plus C's
+generators the run yields the facets, and its incidence the irredundant
+points and rays and the lineality space.  An H-rep with all normals in C+ is
+closed under C already: the run yields the V-rep, and its incidence the
+facets among the inequalities.  Any other H-rep is converted to a V-rep
+first, a second run.  Modulo the lineality space L, each point and ray is
+stored as the representative that is zero at L's pivot columns (pivots taken
+from the last column leftwards), so the stored V-rep depends only on the set.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .cone import Cone, ValidationError, check_dim
-from .ddm import hrep_to_vrep, vrep_to_hrep
+from . import ddm
 from .linalg import (
     NEG_INF,
     POS_INF,
@@ -28,6 +37,7 @@ from .linalg import (
     format_rational,
     is_zero,
     primitive,
+    primitive_halfspace,
     vadd,
     vec,
 )
@@ -238,27 +248,6 @@ def _check_same_cone(a: UpperSet, b: UpperSet) -> None:
         raise ValidationError("operands belong to different ordering cones")
 
 
-def _build_proper(cone: Cone, facets) -> UpperSet:
-    halfspaces = []
-    for w, b in facets:
-        if not in_dual_cone(cone, w):
-            raise ValidationError(
-                f"facet normal {w} escaped the dual cone; input was not closed under C"
-            )
-        halfspaces.append(Halfspace(w, Fraction(b)))
-    points, rays, lineality = hrep_to_vrep(facets, cone.dim)
-    if not points:
-        raise ValidationError("internal: proper set with empty vertex enumeration")
-    return UpperSet(
-        cone,
-        PROPER,
-        tuple(sorted(halfspaces)),
-        tuple(points),
-        tuple(rays),
-        tuple(lineality),
-    )
-
-
 def canonicalize(
     cone: Cone,
     halfspaces: Iterable | None = None,
@@ -277,10 +266,8 @@ def canonicalize(
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
-    result_h = _canonicalize_hrep(cone, halfspaces) if has_h else None
-    result_v = (
-        _canonicalize_vrep(cone, points or (), rays or (), lineality or ()) if has_v else None
-    )
+    result_h = _from_hrep(cone, halfspaces) if has_h else None
+    result_v = _from_vrep(cone, points or (), rays or (), lineality or ()) if has_v else None
     if result_h is not None and result_v is not None:
         if not result_h.set_equal(result_v):
             raise ValidationError(
@@ -291,8 +278,8 @@ def canonicalize(
     return result_h if result_h is not None else result_v
 
 
-def _canonicalize_hrep(cone: Cone, pairs) -> UpperSet:
-    rows = []
+def _from_hrep(cone: Cone, pairs) -> UpperSet:
+    ineqs = []
     for w, b in pairs:
         w = vec(w)
         check_dim(cone.dim, w, "halfspace normal")
@@ -302,21 +289,20 @@ def _canonicalize_hrep(cone: Cone, pairs) -> UpperSet:
             continue  # absent constraint
         if b == POS_INF:
             return UpperSet.empty(cone)
-        rows.append((primitive(w), Fraction(b) / _primitive_factor(w)))
-    pts, rys, lin = hrep_to_vrep(rows, cone.dim)
+        ineqs.append(primitive_halfspace(w, b))
+    if all(in_dual_cone(cone, w) for w, _ in ineqs):
+        # closed under C already, hence nonempty and full-dimensional
+        if not ineqs:
+            return UpperSet.full(cone)
+        pts, rys, lin, facets = ddm.hrep_to_vrep(ineqs, cone.dim, with_facets=True)
+        return _proper(cone, facets, pts, rys, lin)
+    pts, rys, lin = ddm.hrep_to_vrep(ineqs, cone.dim)
     if not pts:
         return UpperSet.empty(cone)
-    return _canonicalize_vrep(cone, pts, rys, lin)
+    return _from_vrep(cone, pts, rys, lin)
 
 
-def _primitive_factor(w) -> Fraction:
-    """The positive k with primitive(w) = w / k."""
-    p = primitive(w)
-    i = next(i for i, x in enumerate(p) if x != 0)
-    return Fraction(w[i], p[i])
-
-
-def _canonicalize_vrep(cone: Cone, points, rays, lineality) -> UpperSet:
+def _from_vrep(cone: Cone, points, rays, lineality) -> UpperSet:
     pts = sorted({vec(p) for p in points})
     for p in pts:
         check_dim(cone.dim, p, "point")
@@ -327,10 +313,44 @@ def _canonicalize_vrep(cone: Cone, points, rays, lineality) -> UpperSet:
     lin = [vec(l) for l in lineality if not is_zero(vec(l))]
     for r in ray_set:
         check_dim(cone.dim, r, "ray")
-    facets = vrep_to_hrep(pts, sorted(ray_set), sorted(lin), cone.dim)
+    facets, pts, rys, lin = ddm.vrep_to_hrep(pts, sorted(ray_set), lin, cone.dim, with_vrep=True)
     if not facets:
         return UpperSet.full(cone)
-    return _build_proper(cone, facets)
+    for w, _ in facets:
+        if not in_dual_cone(cone, w):
+            raise ValidationError(
+                f"facet normal {w} escaped the dual cone; input was not closed under C"
+            )
+    return _proper(cone, facets, pts, rys, lin)
+
+
+def _proper(cone: Cone, facets, points, rays, lineality) -> UpperSet:
+    """The canonical proper set.  With lineality L, each point and ray becomes
+    its representative modulo L that is zero at L's pivot columns, pivots
+    taken from the last column leftwards."""
+    if lineality:
+        basis = [b[::-1] for b in ddm.rref_basis([v[::-1] for v in lineality], cone.dim)]
+        pivots = [(max(i for i, x in enumerate(b) if x != 0), b) for b in basis]
+
+        def representative(x: Vec) -> Vec:
+            for c, b in pivots:
+                if x[c] != 0:
+                    f = Fraction(x[c]) / b[c]
+                    x = tuple(xi - f * bi for xi, bi in zip(x, b))
+            return x
+
+        points = {representative(p) for p in points}
+        rays = {primitive(representative(r)) for r in rays}
+    if not points:
+        raise ValidationError("internal: proper set with empty vertex enumeration")
+    return UpperSet(
+        cone,
+        PROPER,
+        tuple(Halfspace(w, Fraction(b)) for w, b in sorted(facets)),
+        tuple(sorted(points)),
+        tuple(sorted(rays)),
+        tuple(sorted(lineality)),
+    )
 
 
 @functools.lru_cache(maxsize=None)

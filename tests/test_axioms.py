@@ -11,6 +11,7 @@ from uppersets.axioms import (
     SampleSet,
     SetFunctional,
     check_additivity,
+    cone_translate_coefficients,
     check_indicator,
     check_interchange,
     check_nullity,
@@ -27,6 +28,7 @@ from uppersets.integral import aumann_integral
 from uppersets.measure_space import (
     AtomicMeasure,
     ScalarFunction,
+    SimpleSetFunction,
     VectorFunction,
     cone_translates,
     space,
@@ -303,3 +305,25 @@ def test_run_axiom_checks_skips_parametric_without_measure(samples):
     assert report.result("I").status == "fail"
     c_result = report.result("C")
     assert c_result.skipped >= 1 or c_result.status == "fail"
+
+
+def test_cone_translate_coefficients_over_a_half_plane_cone():
+    # C = {z1 + z2 >= 0} has a lineality line, so the stored point of ξc + C
+    # is one representative of a line rather than ξc itself
+    half_plane = Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 1))
+    F = cone_translates(ScalarFunction(X2, (1, Fraction(-1, 2))), half_plane)
+    assert F.values[0].points == ((2, 0),)
+    assert cone_translate_coefficients(F) == [1, Fraction(-1, 2)]
+    G = SimpleSetFunction(X2, (halfspace_set(half_plane, (1, 1), 3), UpperSet.full(half_plane)))
+    assert cone_translate_coefficients(G) is None
+    H = SimpleSetFunction(X2, (halfspace_set(half_plane, (1, 1), 3), cone_upper_set(half_plane)))
+    assert cone_translate_coefficients(H) == [Fraction(3, 2), 0]
+
+
+def test_cone_translate_coefficients_over_a_pointed_cone():
+    F = cone_translates(ScalarFunction(X2, (3, Fraction(-2, 5))), R2)
+    assert cone_translate_coefficients(F) == [3, Fraction(-2, 5)]
+    G = SimpleSetFunction(X2, (F.values[0], point_plus_cone(R2, (1, 2))))
+    assert cone_translate_coefficients(G) is None
+    H = SimpleSetFunction(X2, (F.values[0], halfspace_set(R2, (1, 1), 1)))
+    assert cone_translate_coefficients(H) is None

@@ -255,3 +255,47 @@ def test_primitive_normalization():
     assert primitive((Fraction(2, 3), Fraction(-4, 3))) == (1, -2)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-2, -4)) == (-1, -2)
+
+
+def same_modulo(a, b, lineality):
+    # a - b lies in span(lineality)
+    diff = tuple(x - y for x, y in zip(a, b))
+    return rank(list(lineality) + [diff]) == rank(lineality)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_one_run_redundancy_removal_matches_a_second_run(seed):
+    # The incidence of one run names what a second run would recompute: the
+    # vertices and extreme rays among repeated and redundant generators, and
+    # the facets among repeated, rescaled and redundant inequalities.
+    rng = random.Random(3000 + seed)
+    dim = rng.choice([2, 3, 4])
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    points = [
+        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
+        for _ in range(rng.randint(1, 6))
+    ]
+    rays = units + [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+    lineality = []
+    if seed % 3 == 0:  # a line orthogonal to (1, ..., 1): the set stays a proper subset
+        i, j = rng.sample(range(dim), 2)
+        lineality = [tuple(1 if k == i else -1 if k == j else 0 for k in range(dim))]
+    facets, pts, rys, lin = vrep_to_hrep(
+        points + points[:1], rays + [(2,) * dim], lineality, dim, with_vrep=True
+    )
+    assert facets == vrep_to_hrep(points, rays, lineality, dim)
+    assert lin == rref_basis(lineality, dim)
+    v_points, v_rays, v_lin = hrep_to_vrep(facets, dim)
+    assert v_lin == sorted(lin)
+    if not lineality:
+        assert (pts, rys) == (v_points, v_rays)
+    assert len(pts) == len(v_points) and len(rys) == len(v_rays)
+    assert all(any(same_modulo(p, q, lin) for q in v_points) for p in pts)
+    assert all(any(same_modulo(r, s, lin) for s in v_rays) for r in rys)
+    assert all(p in points for p in pts) and all(r in rays for r in rys)
+
+    rescaled = [(tuple(3 * x for x in w), 3 * b) for w, b in facets]
+    looser = [(w, b - 1) for w, b in facets]
+    ineqs = looser + facets + rescaled
+    rng.shuffle(ineqs)
+    assert hrep_to_vrep(ineqs, dim, with_facets=True) == (v_points, v_rays, v_lin, facets)

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from uppersets import Cone, ValidationError, orthant
+from uppersets import Cone, ValidationError, ddm, orthant
 from uppersets.linalg import NEG_INF, POS_INF, dot, vec
 from uppersets.upperset import (
     UpperSet,
@@ -246,3 +246,43 @@ def test_lineality_vrep_for_halfspace():
     assert dot(h.lineality[0], (1, 1)) == 0
     assert len(h.points) == 1
     assert dot(h.points[0], (1, 1)) == 5
+
+
+HALF_PLANE = Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 1))
+
+
+@pytest.fixture
+def ddm_runs(monkeypatch):
+    """The calls made to the module attribute ``ddm.cone_vrep`` from now on."""
+    calls = []
+    original = ddm.cone_vrep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ddm, "cone_vrep", counted)
+    return calls
+
+
+def runs_of(calls, make):
+    before = len(calls)
+    make()
+    return len(calls) - before
+
+
+def test_one_ddm_run_per_canonical_form(ddm_runs):
+    a = point_plus_cone(R2, (1, 2))
+    b = hs(R2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 3)])
+    w = (1, 2)
+    assert runs_of(ddm_runs, lambda: point_plus_cone(R2, (3, 1))) == 1
+    assert runs_of(ddm_runs, lambda: a.oplus(b)) == 1
+    assert runs_of(ddm_runs, lambda: inf_set(R2, [a, b])) == 1
+    assert runs_of(ddm_runs, lambda: halfspace_set(R2, w, 5)) == 1
+    assert runs_of(ddm_runs, lambda: halfspace_set(HALF_PLANE, (1, 1), 5)) == 1
+    assert runs_of(ddm_runs, lambda: b.supporting_halfspace(w)) == 1
+    assert runs_of(ddm_runs, lambda: sup_set(R2, [a, b])) == 1
+    outside = [((1, 1), 0), ((-1, 0), 0)]  # (-1, 0) is not in C+
+    assert runs_of(ddm_runs, lambda: hs(R2, outside)) == 2
+    both = dict(halfspaces=[((1, 0), 1), ((0, 1), 2)], points=[(1, 2)])
+    assert runs_of(ddm_runs, lambda: canonicalize(R2, **both)) == 2

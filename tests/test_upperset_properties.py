@@ -5,7 +5,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from uppersets import Cone, orthant
+from uppersets import Cone, ddm, orthant
 from uppersets.linalg import NEG_INF, dot, ext_add, ext_scale, primitive
 from uppersets.upperset import (
     UpperSet,
@@ -252,3 +252,58 @@ def test_support_matches_plain_fraction_minimum(pair):
     # Directions in C+ keep the support finite: it is attained at a point.
     d, w = pair
     assert d.support(w) == plain_support(d, w)
+
+
+POINTED = CONES + [orthant(4)]
+HALF_PLANE = Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 1))
+
+
+def dual_direction(draw, cone):
+    weights = draw(st.lists(st.integers(0, 2), min_size=len(cone.dual_generators),
+                            max_size=len(cone.dual_generators)))
+    if not any(weights):
+        weights[0] = 1
+    return tuple(
+        sum((k * g[i] for k, g in zip(weights, cone.dual_generators)), 0) for i in range(cone.dim)
+    )
+
+
+@st.composite
+def one_pass_sets(draw, cones):
+    """Proper sets from every input kind: points, halfspace families, sums."""
+    cone = draw(st.sampled_from(cones))
+    choice = draw(st.integers(0, 3))
+    if choice == 0:
+        return canonicalize(cone, points=draw(points_for(cone)))
+    if choice == 1:
+        return halfspace_set(cone, dual_direction(draw, cone), draw(rationals))
+    if choice == 2:
+        n = draw(st.integers(1, 3))
+        rows = [(dual_direction(draw, cone), draw(rationals)) for _ in range(n)]
+        return canonicalize(cone, halfspaces=rows)
+    a = canonicalize(cone, points=draw(points_for(cone)))
+    return a.oplus(halfspace_set(cone, dual_direction(draw, cone), draw(rationals)))
+
+
+def stored_v(d):
+    return repr((d.points, d.rays, d.lineality))
+
+
+@settings(**SETTINGS)
+@given(one_pass_sets(POINTED))
+def test_one_pass_vrep_matches_vertex_enumeration_of_facets(d):
+    if d.lineality:
+        return
+    points, rays, lineality = ddm.hrep_to_vrep(d.hrep_rows(), d.dim)
+    assert lineality == []
+    assert repr((d.points, d.rays)) == repr((tuple(points), tuple(rays)))
+
+
+@settings(**SETTINGS)
+@given(one_pass_sets(POINTED + [HALF_PLANE]))
+def test_one_pass_vrep_depends_only_on_the_set(d):
+    from_h = canonicalize(d.cone, halfspaces=d.hrep_rows())
+    from_v = canonicalize(d.cone, points=d.points, rays=d.rays, lineality=d.lineality)
+    assert from_h == d and from_v == d
+    assert stored_v(from_h) == stored_v(d)
+    assert stored_v(from_v) == stored_v(d)
