@@ -83,7 +83,10 @@ class SetFunctional:
         return cached
 
     def close(self) -> None:
-        pass
+        """Close the evaluator when it holds a resource, such as a child process."""
+        close = getattr(self._evaluator, "close", None)
+        if close is not None:
+            close()
 
 
 def integral_functional(mu: AtomicMeasure, name: str | None = None) -> SetFunctional:
@@ -337,35 +340,25 @@ def check_continuity_from_above(
     checked = skipped = 0
     details: list[str] = []
     for chain in samples.chains:
-        if isinstance(chain, ExplicitChain):
-            if phi(chain.steps[0]).is_empty:
-                skipped += 1
-                details.append("explicit chain skipped: phi(F_1) is empty")
-                continue
-            report = monotone_limit_check(chain, _dummy_measure(samples.space), phi)
-        else:
-            if schedule_measure is None:
-                skipped += 1
-                details.append(
-                    "parametric chain skipped: no candidate measure for the deviation schedule"
-                )
-                continue
-            if phi(chain.factory(chain.indices[0])).is_empty:
-                skipped += 1
-                details.append("parametric chain skipped: phi(F_1) is empty")
-                continue
-            report = monotone_limit_check(chain, schedule_measure, phi)
+        explicit = isinstance(chain, ExplicitChain)
+        kind = "explicit" if explicit else "parametric"
+        if not explicit and schedule_measure is None:
+            skipped += 1
+            details.append(f"{kind} chain skipped: no candidate measure for the deviation schedule")
+            continue
+        first = chain.steps[0] if explicit else chain.factory(chain.indices[0])
+        if phi(first).is_empty:
+            skipped += 1
+            details.append(f"{kind} chain skipped: phi(F_1) is empty")
+            continue
+        # an explicit chain never reads the measure, so None is fine there
+        report = monotone_limit_check(chain, schedule_measure, phi)
         checked += 1
         if not report.ok:
             return CheckResult(
                 "C", "fail", checked, skipped, tuple([f"{report.mode} chain:"] + list(report.lines))
             )
     return CheckResult("C", "pass", checked, skipped, tuple(details))
-
-
-def _dummy_measure(space: AtomicSpace) -> AtomicMeasure:
-    # explicit chains never consult the measure when a functional is supplied
-    return AtomicMeasure(space, tuple(Fraction(1) for _ in space.atoms))
 
 
 def check_nullity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
@@ -783,14 +776,14 @@ def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFuncti
         raise ValidationError("the mutant catalog needs at least two atoms")
     if not cone.is_pointed() or cone.dim < 2:
         raise ValidationError("the mutant catalog needs a pointed cone in dimension >= 2")
-    base = lambda F: aumann_integral(F, mu).value
+    base = integral_functional(mu)
 
     f_shift = samples.pair_sums[(0, 1)]
     f_translate = samples.scaled[(2, Fraction(3))]
     f_jump = samples.stabilizing_limit
     w0 = cone.dual_generators[0]
 
-    _assert_isolation(samples, mu, f_shift, f_translate, f_jump)
+    _assert_isolation(samples, base, f_shift, f_translate, f_jump)
 
     def additivity_shift(F):
         v = base(F)
@@ -832,8 +825,9 @@ def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFuncti
     return {name: SetFunctional(f"mutant:{name}", fn) for name, fn in evaluators.items()}
 
 
-def _assert_isolation(samples: SampleSet, mu, f_shift, f_translate, f_jump) -> None:
-    """The trigger families must not collide with the other checks' samples."""
+def _assert_isolation(samples: SampleSet, base: SetFunctional, f_shift, f_translate, f_jump) -> None:
+    """The trigger families must not collide with the other checks' samples;
+    ``base`` is the integral the mutants corrupt."""
     groups: list[tuple[str, SimpleSetFunction]] = []
     groups += [("functions", F) for F in samples.functions]
     groups += [("pair-sums", F) for F in samples.pair_sums.values()]
@@ -896,7 +890,7 @@ def _assert_isolation(samples: SampleSet, mu, f_shift, f_translate, f_jump) -> N
     binding = False
     for i in range(samples.count):
         F = samples.functions[i]
-        value = aumann_integral(F, mu).value
+        value = base(F)
         facets = set(value.facet_normals())
         for w in interchange_directions(F, value, samples.cone):
             Fw = F.supporting(w)

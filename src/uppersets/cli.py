@@ -11,11 +11,13 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
 from .axioms import (
     SampleSet,
+    SetFunctional,
     integral_functional,
     mutant_catalog,
     reconstruct_measure,
@@ -38,20 +40,19 @@ from .workspace import Workspace, WorkspaceError, parse_workspace
 
 
 def _flags_line(args, extra: str = "") -> str:
-    parts = []
-    for key in ("seed", "trials", "w_samples", "sample_count", "epsilon_schedule"):
-        if hasattr(args, key):
-            parts.append(f"{key.replace('_', '-')}={getattr(args, key)}")
-    if hasattr(args, "serial_functional"):
-        parts.append(f"serial-functional={'on' if args.serial_functional else 'off'}")
+    parts = [
+        f"{key.replace('_', '-')}={getattr(args, key)}"
+        for key in ("seed", "trials", "w_samples", "sample_count", "epsilon_schedule")
+        if hasattr(args, key)
+    ]
     if extra:
         parts.append(extra)
     return "flags: " + " ".join(parts)
 
 
-def _build_functional(ws: Workspace, name: str, args):
+def _build_functional(ws: Workspace, name: str, samples: SampleSet) -> SetFunctional:
     """Resolve a functional: a workspace name or inline integral:MU /
-    mutant:NAME:MU."""
+    mutant:NAME:MU.  Mutants are built on ``samples``."""
     if name in ws.functionals:
         spec = ws.functional_spec(name)
         kind, measure, mutant, command = spec.kind, spec.measure, spec.mutant, spec.command
@@ -71,23 +72,19 @@ def _build_functional(ws: Workspace, name: str, args):
     if kind == "integral":
         return integral_functional(ws.measure(measure), f"integral:{measure}")
     if kind == "mutant":
-        samples = _samples(ws, args)
         catalog = mutant_catalog(samples, ws.measure(measure))
         if mutant not in catalog:
             raise ValidationError(
                 f"unknown mutant {mutant!r} (available: {', '.join(sorted(catalog))})"
             )
         return catalog[mutant]
-    return ExternalFunctional(command, ws.cone)
+    external = ExternalFunctional(command, ws.cone)
+    return SetFunctional(external.name, external)
 
 
 def _samples(ws: Workspace, args) -> SampleSet:
     return SampleSet(
-        ws.space,
-        ws.cone,
-        seed=args.seed,
-        count=getattr(args, "sample_count", 20),
-        extra_directions=getattr(args, "w_samples", 2),
+        ws.space, ws.cone, seed=args.seed, count=args.sample_count, extra_directions=args.w_samples
     )
 
 
@@ -102,30 +99,30 @@ def _override_schedule(chain, spec: str):
     return ParametricChain(chain.factory, chain.limit, schedule, chain.indices)
 
 
-def cmd_integrate(ws: Workspace, args) -> int:
-    F = ws.setfunction(args.function)
-    mu = ws.measure(args.measure)
-    res = aumann_integral(F, mu)
-    print(f"integral of {args.function} with respect to {args.measure}")
+def _print_integral(res, *head: str) -> int:
+    for line in head:
+        print(line)
     print(f"value: {res.value.literal()}")
     print(res.certificate_table())
     ok = res.certificate_ok()
     print(f"certificate: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
+
+
+def cmd_integrate(ws: Workspace, args) -> int:
+    res = aumann_integral(ws.setfunction(args.function), ws.measure(args.measure))
+    return _print_integral(res, f"integral of {args.function} with respect to {args.measure}")
 
 
 def cmd_integrate_over(ws: Workspace, args) -> int:
-    F = ws.setfunction(args.function)
-    mu = ws.measure(args.measure)
+    F, mu = ws.setfunction(args.function), ws.measure(args.measure)
     res = integral_over(F, mu, args.atoms)
     subset = "{" + ", ".join(args.atoms) + "}"
-    print(f"integral of {args.function} over {subset} with respect to {args.measure}")
-    print(f"mass of subset: {format_rational(mu.mass_of(args.atoms))}")
-    print(f"value: {res.value.literal()}")
-    print(res.certificate_table())
-    ok = res.certificate_ok()
-    print(f"certificate: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _print_integral(
+        res,
+        f"integral of {args.function} over {subset} with respect to {args.measure}",
+        f"mass of subset: {format_rational(mu.mass_of(args.atoms))}",
+    )
 
 
 def cmd_oracle(ws: Workspace, args) -> int:
@@ -140,31 +137,22 @@ def cmd_oracle(ws: Workspace, args) -> int:
 def cmd_lattice(ws: Workspace, args) -> int:
     names = args.functions
     fs = [ws.setfunction(n) for n in names]
-    cone, space = ws.cone, ws.space
     if args.operation == "oplus":
         if len(fs) < 2:
             raise ValidationError("oplus needs at least two set functions")
         out = fs[0]
         for g in fs[1:]:
             out = out.oplus(g)
+        values = out.values
     elif args.operation == "scale":
         if args.scalar is None or len(fs) != 1:
             raise ValidationError("scale needs --scalar and exactly one set function")
-        out = fs[0].scale(Fraction(args.scalar))
-    elif args.operation in ("inf", "sup"):
-        op = inf_set if args.operation == "inf" else sup_set
-        values = tuple(
-            op(cone, [f.values[i] for f in fs]) for i in range(len(space))
-        )
-        out = None
-        print(f"pointwise {args.operation} of {', '.join(names)}:")
-        for atom, value in zip(space.atoms, values):
-            print(f"{atom}: {value.literal()}")
-        return 0
+        values = fs[0].scale(Fraction(args.scalar)).values
     else:
-        raise ValidationError(f"unknown lattice operation {args.operation!r}")
+        op = inf_set if args.operation == "inf" else sup_set
+        values = [op(ws.cone, [f.values[i] for f in fs]) for i in range(len(ws.space))]
     print(f"pointwise {args.operation} of {', '.join(names)}:")
-    for atom, value in zip(space.atoms, out.values):
+    for atom, value in zip(ws.space.atoms, values):
         print(f"{atom}: {value.literal()}")
     return 0
 
@@ -178,26 +166,27 @@ def cmd_chain_check(ws: Workspace, args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_check_axioms(ws: Workspace, args) -> int:
+@contextlib.contextmanager
+def _axiom_checks(ws: Workspace, args):
+    """Print the flags line and the axiom report on one sample set; yields
+    the functional and whether every check passed, and closes the functional
+    afterwards."""
     samples = _samples(ws, args)
-    phi = _build_functional(ws, args.functional, args)
-    try:
+    with contextlib.closing(_build_functional(ws, args.functional, samples)) as phi:
         print(_flags_line(args, extra=f"functional={args.functional}"))
         report = run_axiom_checks(phi, samples)
         print(report.describe())
-        return 0 if report.passed else 1
-    finally:
-        phi.close()
+        yield phi, report.passed
+
+
+def cmd_check_axioms(ws: Workspace, args) -> int:
+    with _axiom_checks(ws, args) as (_, passed):
+        return 0 if passed else 1
 
 
 def cmd_reconstruct(ws: Workspace, args) -> int:
-    samples = _samples(ws, args)
-    phi = _build_functional(ws, args.functional, args)
-    try:
-        print(_flags_line(args, extra=f"functional={args.functional}"))
-        report = run_axiom_checks(phi, samples)
-        print(report.describe())
-        if not report.passed:
+    with _axiom_checks(ws, args) as (phi, passed):
+        if not passed:
             print("reconstruction skipped: axiom checks failed")
             return 1
         rec = reconstruct_measure(phi, ws.space, ws.cone)
@@ -207,8 +196,6 @@ def cmd_reconstruct(ws: Workspace, args) -> int:
         rep = verify_representation(phi, rec.measure, ws.space, ws.cone, seed=args.seed)
         print(rep.describe())
         return 0 if rep.passed else 1
-    finally:
-        phi.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--sample-count", type=int, default=20)
         p.add_argument("--w-samples", type=int, default=2, help="extra random dual directions")
-        p.add_argument("--epsilon-schedule", default="auto")
-        p.add_argument(
-            "--serial-functional",
-            action="store_true",
-            help="force serialized evaluation (always on in this implementation)",
-        )
         p.set_defaults(fn=fn)
     return parser
 

@@ -81,15 +81,15 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
 
 
 def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:
-    """⊕ over atoms of μ(x)·F(x); zero-weight atoms contribute C."""
+    """⊕ over atoms of μ(x)·F(x); zero-weight atoms contribute C, the
+    neutral element, and are skipped."""
     if mu.space != F.space:
         raise ValidationError("measure and set function live on different spaces")
     if mu.total() == 0:
         raise ValidationError("the measure must be nonzero")
-    cone = F.cone
-    value = cone_upper_set(cone)
-    for weight, piece in zip(mu.weights, F.values):
-        value = value.oplus(piece.scale(weight))
+    value, *rest = [piece.scale(weight) for weight, piece in zip(mu.weights, F.values) if weight]
+    for piece in rest:
+        value = value.oplus(piece)
     certificate = tuple(
         (w, value.support(w), weighted_support_sum(F, mu, w)) for w in value.facet_normals()
     )
@@ -352,13 +352,14 @@ def _chain_precondition_explicit(chain: ExplicitChain) -> list[str]:
     return problems
 
 
-def monotone_limit_check(chain, mu: AtomicMeasure, functional=None) -> ChainReport:
+def monotone_limit_check(chain, mu: AtomicMeasure | None, functional=None) -> ChainReport:
     """Monotone convergence of integrals along a decreasing chain.
 
     Explicit chains are checked exactly; parametric chains check the declared
     support-deviation schedule at every facet normal of the limit integral.
     ``functional`` defaults to the Aumann integral for the given measure and
-    may be any map from set functions to upper sets.
+    may be any map from set functions to upper sets; an explicit chain given
+    a functional never reads ``mu``.
     """
     evaluate = functional or (lambda F: aumann_integral(F, mu).value)
     lines: list[str] = []

@@ -1,7 +1,8 @@
 """Line protocol for driving an external set-valued functional.
 
-One evaluation per request, ordering preserved, always serialized.  The
-runner writes
+One evaluation per request, ordering preserved, always serialized.  The CLI
+wraps an ``ExternalFunctional`` in an ``axioms.SetFunctional``, whose memo
+sends each distinct input once.  For each evaluation the runner writes
 
     eval <number-of-atoms>
     <atom> <set literal>
@@ -37,7 +38,6 @@ class ExternalFunctional:
         self.command = tuple(command)
         self.cone = cone
         self._proc: subprocess.Popen | None = None
-        self._memo: dict[SimpleSetFunction, UpperSet] = {}
 
     def _ensure_process(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
@@ -51,9 +51,7 @@ class ExternalFunctional:
         return self._proc
 
     def __call__(self, F: SimpleSetFunction) -> UpperSet:
-        cached = self._memo.get(F)
-        if cached is not None:
-            return cached
+        """One round trip: send F, parse the answer."""
         proc = self._ensure_process()
         lines = [f"eval {len(F.space)}"]
         for atom, value in zip(F.space.atoms, F.values):
@@ -68,11 +66,9 @@ class ExternalFunctional:
         if not answer:
             raise ProtocolError("external functional closed its output")
         try:
-            result = parse_set_literal(answer.strip(), self.cone)
+            return parse_set_literal(answer.strip(), self.cone)
         except (ValueError, ValidationError) as exc:
             raise ProtocolError(f"unparsable response {answer.strip()!r}: {exc}") from exc
-        self._memo[F] = result
-        return result
 
     def close(self) -> None:
         if self._proc is not None and self._proc.poll() is None:

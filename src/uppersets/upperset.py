@@ -158,11 +158,10 @@ class UpperSet:
         check_dim(self.dim, v)
         if self.kind != PROPER:
             return self
-        return UpperSet(
+        return _proper(
             self.cone,
-            PROPER,
-            tuple(Halfspace(h.normal, h.offset + dot(v, h.normal)) for h in self.halfspaces),
-            tuple(vadd(p, v) for p in self.points),
+            [(h.normal, h.offset + dot(v, h.normal)) for h in self.halfspaces],
+            [vadd(p, v) for p in self.points],
             self.rays,
             self.lineality,
         )

@@ -248,3 +248,105 @@ def test_serve_rejects_malformed_requests(request_text):
     with pytest.raises(ProtocolError):
         serve(None, orthant(2), AtomicSpace(("x1", "x2")), io.StringIO(request_text), out)
     assert out.getvalue() == ""
+
+
+def ext_workspace(tmp_path, ws_path) -> str:
+    fixture = FIXTURES / "external_integral.py"
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(
+        WS + f"functional ext:\n    kind: external\n"
+        f"    command: {sys.executable} {fixture} {ws_path} mu\n"
+    )
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "reconstruct"])
+def test_mutant_verdict_builds_one_sample_set(ws_path, capsys, monkeypatch, command):
+    from uppersets.axioms import SampleSet
+
+    built = []
+    init = SampleSet.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampleSet, "__init__", counted)
+    code, out, _ = run(capsys, command, ws_path, "mutant:nullity-pad:mu", "--sample-count", "8")
+    assert code == 1 and "(N) nullity on homogeneous halfspaces: FAIL" in out
+    assert len(built) == 1
+
+
+def test_mutant_verdict_integrates_each_set_function_once(ws_path, capsys, monkeypatch):
+    # the catalog's isolation check and all six mutants share one memoized integral
+    from collections import Counter
+
+    import uppersets.axioms as axioms
+    import uppersets.integral as integral
+
+    inputs = Counter()
+    original = integral.aumann_integral
+
+    def counted(F, mu):
+        inputs[F] += 1
+        return original(F, mu)
+
+    monkeypatch.setattr(axioms, "aumann_integral", counted)
+    monkeypatch.setattr(integral, "aumann_integral", counted)
+    code, _, _ = run(
+        capsys, "check-axioms", ws_path, "mutant:nullity-pad:mu", "--sample-count", "8"
+    )
+    assert code == 1
+    assert inputs and max(inputs.values()) == 1
+
+
+def test_external_functional_sends_each_input_once(ws_path, capsys, tmp_path, monkeypatch):
+    from uppersets.protocol import ExternalFunctional
+
+    sent, children = [], set()
+    call = ExternalFunctional.__call__
+
+    def counted(self, F):
+        sent.append(F)
+        result = call(self, F)
+        children.add(self._proc)
+        return result
+
+    monkeypatch.setattr(ExternalFunctional, "__call__", counted)
+    code, out, _ = run(
+        capsys, "reconstruct", ext_workspace(tmp_path, ws_path), "ext", "--sample-count", "6"
+    )
+    assert code == 0, out
+    assert sent and len(sent) == len(set(sent))
+    assert len(children) == 1
+    assert all(child.poll() is not None for child in children)
+
+
+@pytest.mark.parametrize("flag", [["--serial-functional"], ["--epsilon-schedule", "1"]])
+@pytest.mark.parametrize("command", ["check-axioms", "reconstruct"])
+def test_removed_functional_flags_are_usage_errors(ws_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, ws_path, "phi", *flag])
+    assert exc.value.code == 2
+
+
+def test_readme_cli_block_lists_every_long_option():
+    import argparse
+    import re
+
+    from uppersets.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", block)) == options

@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from uppersets import Cone, ValidationError, ddm, orthant
+from uppersets import AtomicMeasure, Cone, SimpleSetFunction, ValidationError, ddm, orthant, space
+from uppersets.integral import aumann_integral
 from uppersets.linalg import NEG_INF, POS_INF, dot, vec
 from uppersets.upperset import (
     UpperSet,
@@ -286,3 +287,15 @@ def test_one_ddm_run_per_canonical_form(ddm_runs):
     assert runs_of(ddm_runs, lambda: hs(R2, outside)) == 2
     both = dict(halfspaces=[((1, 0), 1), ((0, 1), 2)], points=[(1, 2)])
     assert runs_of(ddm_runs, lambda: canonicalize(R2, **both)) == 2
+    # the fold starts at the first positive-weight piece and skips weight 0
+    atoms = space("x1", "x2", "x3")
+    F = SimpleSetFunction(atoms, (a, b, a))
+    mu = AtomicMeasure(atoms, (1, 2, 0))
+    assert runs_of(ddm_runs, lambda: aumann_integral(F, mu)) == 1
+
+
+def test_translate_is_canonical_over_a_cone_with_lineality():
+    c = Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 0))
+    moved = cone_upper_set(c).translate((0, 1))
+    assert moved.points == point_plus_cone(c, (0, 1)).points == ((1, 0),)
+    assert moved == point_plus_cone(c, (0, 1))

@@ -300,10 +300,13 @@ def test_one_pass_vrep_matches_vertex_enumeration_of_facets(d):
 
 
 @settings(**SETTINGS)
-@given(one_pass_sets(POINTED + [HALF_PLANE]))
-def test_one_pass_vrep_depends_only_on_the_set(d):
-    from_h = canonicalize(d.cone, halfspaces=d.hrep_rows())
-    from_v = canonicalize(d.cone, points=d.points, rays=d.rays, lineality=d.lineality)
-    assert from_h == d and from_v == d
-    assert stored_v(from_h) == stored_v(d)
-    assert stored_v(from_v) == stored_v(d)
+@given(one_pass_sets(POINTED + [HALF_PLANE]), st.data())
+def test_one_pass_vrep_depends_only_on_the_set(d, data):
+    # translate images are one more input: D + v must be stored canonically too
+    shift = data.draw(points_for(d.cone))[0]
+    for s in (d, d.translate(shift)):
+        from_h = canonicalize(s.cone, halfspaces=s.hrep_rows())
+        from_v = canonicalize(s.cone, points=s.points, rays=s.rays, lineality=s.lineality)
+        assert from_h == s and from_v == s
+        assert stored_v(from_h) == stored_v(s)
+        assert stored_v(from_v) == stored_v(s)
