@@ -10,14 +10,16 @@ seeded, replayable sample set, reconstructs the measure from the singleton
 indicators, and re-verifies the representation on a suite that mirrors how a
 general function decomposes into halfspace and point-plus-cone pieces.
 
-Six built-in mutants each corrupt the integral in a way that trips exactly
-one check on the default samples; the catalog constructor asserts the
-isolation preconditions (pointed cone, at least two atoms, no collisions
-between trigger families and the other checks' samples).
+Six built-in mutants each corrupt the integral where a trigger fires, so that
+exactly one check fails on the default samples.  One table holds each
+mutant's trigger, corruption and home sample family, and the catalog
+constructor asserts one isolation rule: no trigger fires on a default input
+outside its home.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +45,7 @@ from .measure_space import (
     vector_plus_cone,
 )
 from .upperset import (
+    Halfspace,
     UpperSet,
     canonicalize,
     cone_upper_set,
@@ -138,18 +141,15 @@ def is_constant_zero_halfspace(F: SimpleSetFunction) -> bool:
 def cone_translate_scalar(S: UpperSet, cone: Cone) -> Fraction | None:
     """The λ with S = λc + C, or None.
 
-    The candidate is support(S, w)/<c, w> at one dual generator w; c interior
-    makes the representation unique, and the candidate is verified against
-    the whole set before being returned.
+    λc + C has the facets of C with each offset raised by <λc, w>; c interior
+    makes <c, w> > 0, so the first facet fixes λ and the others verify it.
     """
-    if S.kind != "proper":
+    facets = cone_upper_set(cone).halfspaces
+    if S.kind != "proper" or len(S.halfspaces) != len(facets):
         return None
-    c, w = cone.interior_point, cone.dual_generators[0]
-    sigma = S.support(w)
-    if sigma == NEG_INF:
-        return None
-    lam = sigma / dot(c, w)
-    if not S.set_equal(cone_upper_set(cone).translate(tuple(lam * x for x in c))):
+    c = cone.interior_point
+    lam = S.halfspaces[0].offset / dot(c, facets[0].normal)
+    if S.halfspaces != tuple(Halfspace(w, b + lam * dot(c, w)) for w, b in facets):
         return None
     return lam
 
@@ -186,6 +186,8 @@ class SampleSet:
         extra_directions: int = 2,
         chain_indices: Sequence[int] = (1, 2, 4, 8),
     ):
+        if count < 1:
+            raise ValidationError("the sample set needs at least one function")
         self.space = space
         self.cone = cone
         self.seed = seed
@@ -208,9 +210,7 @@ class SampleSet:
             if min_facets > 1 and cone_translate_coefficients(F) is not None:
                 continue
             self.functions.append(F)
-        self.pairs = [
-            (i, j) for i in range(count) for j in range(i + 1, count)
-        ]
+        self.pairs = list(itertools.combinations(range(count), 2))
         self.pair_sums = {
             (i, j): self.functions[i].oplus(self.functions[j]) for i, j in self.pairs
         }
@@ -222,9 +222,7 @@ class SampleSet:
         self.nullity_normals = list(cone.dual_generators) + [
             random_dual_direction(rng, cone) for _ in range(extra_directions)
         ]
-        singletons = [
-            ScalarFunction.indicator(space, [atom]) for atom in space.atoms
-        ]
+        singletons = [ScalarFunction.indicator(space, [atom]) for atom in space.atoms]
         randoms = [
             ScalarFunction(
                 space, tuple(Fraction(rng.randint(0, 4), rng.choice((1, 2))) for _ in space.atoms)
@@ -598,7 +596,7 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
     zero = phi_of([])
     if zero != 0:
         failures.append(f"phi(1_∅) = {zero!r}, expected 0")
-    subsets = [list(pair) for pair in _pairs(space.atoms)] + [list(space.atoms)]
+    subsets = [list(pair) for pair in itertools.combinations(space.atoms, 2)] + [list(space.atoms)]
     finite = not infinite and not failures
     if finite:
         for names in subsets:
@@ -619,10 +617,6 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
         else:
             failures.append("reconstructed measure has zero total mass")
     return ReconstructedMeasure(space, tuple(weights), measure, tuple(table), tuple(failures))
-
-
-def _pairs(atoms):
-    return [(a, b) for i, a in enumerate(atoms) for b in atoms[i + 1 :]]
 
 
 # ---------------------------------------------------------------------------
@@ -761,155 +755,94 @@ MUTANT_NAMES = (
 )
 
 
-def _shifted(value: UpperSet, cone: Cone) -> UpperSet:
-    return value.translate(cone.interior_point)
-
-
 def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFunctional]:
     """Six corruptions of the integral, each tripping exactly one check.
 
-    Every defect is local to an input family that only the targeted check's
-    default samples probe; `_assert_isolation` verifies the preconditions.
+    Each row of the table is name -> (trigger, corruption, home): the mutant
+    answers corruption(∫F dμ) where trigger(F) holds and ∫F dμ elsewhere.  A
+    home is a sample family, or one (family, key) sample of it, and
+    `_assert_isolation` verifies that no trigger fires outside its home.
     """
     cone, space = samples.cone, samples.space
     if len(space) < 2:
         raise ValidationError("the mutant catalog needs at least two atoms")
     if not cone.is_pointed() or cone.dim < 2:
         raise ValidationError("the mutant catalog needs a pointed cone in dimension >= 2")
+    if samples.count < 3:
+        raise ValidationError("the mutant catalog needs at least three sample functions")
     base = integral_functional(mu)
-
+    c, w0 = cone.interior_point, cone.dual_generators[0]
     f_shift = samples.pair_sums[(0, 1)]
-    f_translate = samples.scaled[(2, Fraction(3))]
+    f_scaled = samples.scaled[(2, Fraction(3))]
     f_jump = samples.stabilizing_limit
-    w0 = cone.dual_generators[0]
 
-    _assert_isolation(samples, base, f_shift, f_translate, f_jump)
+    def shifted(v: UpperSet) -> UpperSet:
+        return v.translate(c)
 
-    def additivity_shift(F):
-        v = base(F)
-        return _shifted(v, cone) if F == f_shift else v
-
-    def homogeneity_translate(F):
-        v = base(F)
-        return _shifted(v, cone) if F == f_translate else v
-
-    def continuity_jump(F):
-        if F == f_jump:
-            return UpperSet.empty(cone)
-        return base(F)
-
-    def nullity_pad(F):
-        v = base(F)
-        return _shifted(v, cone) if is_constant_zero_halfspace(F) else v
-
-    def indicator_deform(F):
-        v = base(F)
-        if is_nonconstant_cone_translate(F):
-            return v.supporting_halfspace(w0)
-        return v
-
-    def interchange_tighten(F):
-        v = base(F)
-        if is_halfspace_valued(F) and not is_constant_zero_halfspace(F):
-            return _shifted(v, cone)
-        return v
-
-    evaluators = {
-        "additivity-shift": additivity_shift,
-        "homogeneity-translate": homogeneity_translate,
-        "continuity-jump": continuity_jump,
-        "nullity-pad": nullity_pad,
-        "indicator-deform": indicator_deform,
-        "interchange-tighten": interchange_tighten,
+    table = {
+        "additivity-shift": (lambda F: F == f_shift, shifted, ("pair-sums", (0, 1))),
+        "homogeneity-translate": (lambda F: F == f_scaled, shifted, ("scaled", (2, Fraction(3)))),
+        "continuity-jump": (
+            lambda F: F == f_jump, lambda v: UpperSet.empty(cone), ("stabilizing-chain", None)
+        ),
+        "nullity-pad": (is_constant_zero_halfspace, shifted, ("nullity", None)),
+        "indicator-deform": (
+            is_nonconstant_cone_translate,
+            lambda v: v.supporting_halfspace(w0),
+            ("indicators", None),
+        ),
+        "interchange-tighten": (
+            lambda F: is_halfspace_valued(F) and not is_constant_zero_halfspace(F),
+            shifted,
+            ("supporting-halfspace", None),
+        ),
     }
-    return {name: SetFunctional(f"mutant:{name}", fn) for name, fn in evaluators.items()}
-
-
-def _assert_isolation(samples: SampleSet, base: SetFunctional, f_shift, f_translate, f_jump) -> None:
-    """The trigger families must not collide with the other checks' samples;
-    ``base`` is the integral the mutants corrupt."""
-    groups: list[tuple[str, SimpleSetFunction]] = []
-    groups += [("functions", F) for F in samples.functions]
-    groups += [("pair-sums", F) for F in samples.pair_sums.values()]
-    groups += [("scaled", F) for F in samples.scaled.values()]
-    groups += [("stabilizing-chain", F) for F in samples.stabilizing_chain.steps]
-    groups += [("stabilizing-chain", samples.stabilizing_chain.limit)]
-    groups += [
-        ("parametric-chain", samples.parametric_chain.factory(n))
-        for n in samples.parametric_chain.indices
-    ]
-    groups += [("parametric-chain", samples.parametric_chain.limit)]
-    groups += [
-        ("indicators", cone_translates(xi, samples.cone)) for xi in samples.indicator_xis
-    ]
-    groups += [
-        ("nullity", constant_function(samples.space, halfspace_set(samples.cone, w, 0)))
-        for w in samples.nullity_normals
-    ]
-
-    allowed_groups = {
-        "additivity-shift": (f_shift, {"pair-sums"}),
-        "homogeneity-translate": (f_translate, {"scaled"}),
-        "continuity-jump": (f_jump, {"stabilizing-chain"}),
+    _assert_isolation(samples, base, table)
+    return {
+        name: SetFunctional(
+            f"mutant:{name}",
+            lambda F, hit=trigger, bad=corruption: bad(base(F)) if hit(F) else base(F),
+        )
+        for name, (trigger, corruption, _) in table.items()
     }
-    for name, (target, allowed) in allowed_groups.items():
-        seen = {g for g, F in groups if F == target}
-        if not seen <= allowed:
-            raise ValidationError(
-                f"mutant {name}: trigger function also appears in {sorted(seen - allowed)}"
-            )
-    if f_shift != samples.pair_sums[(0, 1)] or [
-        k for k, F in samples.pair_sums.items() if F == f_shift
-    ] != [(0, 1)]:
-        raise ValidationError("mutant additivity-shift: another pair sum equals the trigger")
-    if [k for k, F in samples.scaled.items() if F == f_translate] != [(2, Fraction(3))]:
-        raise ValidationError("mutant homogeneity-translate: another scaled sample equals the trigger")
 
-    indicator_functions = [cone_translates(xi, samples.cone) for xi in samples.indicator_xis]
-    nullity_functions = [
-        constant_function(samples.space, halfspace_set(samples.cone, w, 0))
-        for w in samples.nullity_normals
+
+def _assert_isolation(samples: SampleSet, base: SetFunctional, table) -> None:
+    """No trigger of ``table`` fires on a default input outside its home.
+
+    The inputs are every sample family the checks probe, with the supporting
+    halfspaces of each sample function under ``base``, the integral the
+    mutants corrupt.  A tightened direction must also bind on sample #0.
+    """
+    cone, space = samples.cone, samples.space
+    stabilizing, parametric = samples.stabilizing_chain, samples.parametric_chain
+    entries = [("functions", i, F) for i, F in enumerate(samples.functions)]
+    entries += [("pair-sums", k, F) for k, F in samples.pair_sums.items()]
+    entries += [("scaled", k, F) for k, F in samples.scaled.items()]
+    entries += [("stabilizing-chain", k, F) for k, F in enumerate(stabilizing.steps)]
+    entries += [("stabilizing-chain", "limit", stabilizing.limit)]
+    entries += [("parametric-chain", n, parametric.factory(n)) for n in parametric.indices]
+    entries += [("parametric-chain", "limit", parametric.limit)]
+    entries += [
+        ("indicators", k, cone_translates(xi, cone)) for k, xi in enumerate(samples.indicator_xis)
     ]
-    for group, p in groups:
-        if is_nonconstant_cone_translate(p) and p not in indicator_functions:
-            raise ValidationError(
-                f"mutant indicator-deform: a {group} sample is a nonconstant cone translate"
-            )
-        if is_constant_zero_halfspace(p) and p not in nullity_functions:
-            raise ValidationError(
-                f"mutant nullity-pad: a {group} sample is a constant zero halfspace"
-            )
-        if is_halfspace_valued(p) and not is_constant_zero_halfspace(p):
-            raise ValidationError(
-                f"mutant interchange-tighten: a {group} sample is halfspace-valued"
-            )
-
-    # supporting-halfspace families probed by (S) must avoid the nullity and
-    # indicator triggers, and for sample #0 at least one tightened direction
-    # must bind so the interchange mutant is detectable
+    entries += [
+        ("nullity", k, constant_function(space, halfspace_set(cone, w, 0)))
+        for k, w in enumerate(samples.nullity_normals)
+    ]
+    tightened = table["interchange-tighten"][0]
     binding = False
-    for i in range(samples.count):
-        F = samples.functions[i]
+    for i, F in enumerate(samples.functions):
         value = base(F)
         facets = set(value.facet_normals())
-        for w in interchange_directions(F, value, samples.cone):
+        for w in interchange_directions(F, value, cone):
             Fw = F.supporting(w)
-            if is_constant_zero_halfspace(Fw):
-                raise ValidationError(
-                    "mutant nullity-pad: a supporting-halfspace family hits the trigger"
-                )
-            if is_nonconstant_cone_translate(Fw):
-                raise ValidationError(
-                    "mutant indicator-deform: a supporting-halfspace family hits the trigger"
-                )
-            if (
-                i == 0
-                and w in facets
-                and is_halfspace_valued(Fw)
-                and not is_constant_zero_halfspace(Fw)
-            ):
-                binding = True
+            entries.append(("supporting-halfspace", (i, w), Fw))
+            binding = binding or (i == 0 and w in facets and tightened(Fw))
+
+    for family, key, F in entries:
+        for name, (trigger, _, home) in table.items():
+            if trigger(F) and home not in ((family, None), (family, key)):
+                raise ValidationError(f"mutant {name}: trigger fires on a {family} sample")
     if not binding:
-        raise ValidationError(
-            "mutant interchange-tighten: no tightened direction binds on sample #0"
-        )
+        raise ValidationError("mutant interchange-tighten: no tightened direction binds on sample #0")

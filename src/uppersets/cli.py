@@ -88,10 +88,19 @@ def _samples(ws: Workspace, args) -> SampleSet:
     )
 
 
+def _rational(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{option} expects a rational number, got {text!r}") from None
+
+
 def _override_schedule(chain, spec: str):
-    if spec == "auto" or not isinstance(chain, ParametricChain):
+    if spec == "auto":
         return chain
-    rate = Fraction(spec)
+    rate = _rational(spec, "--epsilon-schedule")
+    if not isinstance(chain, ParametricChain):
+        return chain
 
     def schedule(n, w, mu):
         return rate / n
@@ -147,7 +156,7 @@ def cmd_lattice(ws: Workspace, args) -> int:
     elif args.operation == "scale":
         if args.scalar is None or len(fs) != 1:
             raise ValidationError("scale needs --scalar and exactly one set function")
-        values = fs[0].scale(Fraction(args.scalar)).values
+        values = fs[0].scale(_rational(args.scalar, "--scalar")).values
     else:
         op = inf_set if args.operation == "inf" else sup_set
         values = [op(ws.cone, [f.values[i] for f in fs]) for i in range(len(ws.space))]

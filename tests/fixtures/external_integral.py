@@ -7,6 +7,10 @@ interior point, which breaks most of the axioms on purpose.
 """
 
 import sys
+from pathlib import Path
+
+# the checkout's own sources come first, whatever PYTHONPATH the child inherits
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from uppersets.integral import aumann_integral
 from uppersets.protocol import serve

@@ -1,5 +1,6 @@
 """Axiom checks, measure reconstruction, representation and the mutants."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,8 @@ from uppersets.measure_space import (
     SimpleSetFunction,
     VectorFunction,
     cone_translates,
+    constant_function,
+    halfspace_function,
     space,
 )
 from uppersets.upperset import (
@@ -267,6 +270,74 @@ def test_mutant_catalog_requires_pointed_cone(samples):
     flat_samples = SampleSet(sp, halfplane, seed=1, count=4)
     with pytest.raises(ValidationError):
         mutant_catalog(flat_samples, mu)
+
+
+def _replaced(samples, family, key, F):
+    """A copy of ``samples`` whose ``family`` dict holds F at ``key``."""
+    out = copy.copy(samples)
+    setattr(out, family, {**getattr(samples, family), key: F})
+    return out
+
+
+def _trigger_inputs(samples):
+    """Per mutant: an input its trigger fires on and a foreign slot for it."""
+    return {
+        "additivity-shift": ("scaled", (5, 1), samples.pair_sums[(0, 1)]),
+        "homogeneity-translate": ("pair_sums", (3, 4), samples.scaled[(2, Fraction(3))]),
+        "continuity-jump": ("scaled", (5, 1), samples.stabilizing_limit),
+        "nullity-pad": ("pair_sums", (3, 4), constant_function(X2, halfspace_set(R2, (1, 0), 0))),
+        "indicator-deform": ("scaled", (5, 1), cone_translates(ScalarFunction(X2, (1, 2)), R2)),
+        "interchange-tighten": (
+            "pair_sums",
+            (3, 4),
+            halfspace_function(X2, R2, (1, 1), ScalarFunction(X2, (1, 2))),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", MUTANT_NAMES)
+def test_mutant_catalog_refuses_a_trigger_in_a_foreign_family(samples, name):
+    mutant_catalog(samples, MU)  # the unmodified samples are isolated
+    family, key, F = _trigger_inputs(samples)[name]
+    with pytest.raises(ValidationError, match=f"mutant {name}:"):
+        mutant_catalog(_replaced(samples, family, key, F), MU)
+
+
+def test_mutant_catalog_refuses_a_second_pair_sum_equal_to_the_shift_trigger(samples):
+    trigger = samples.pair_sums[(0, 1)]
+    with pytest.raises(ValidationError, match="mutant additivity-shift:"):
+        mutant_catalog(_replaced(samples, "pair_sums", (3, 4), trigger), MU)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_mutant_catalog_refuses_a_pair_sum_equal_to_an_indicator_input(seed):
+    # (p + C, q + C) ⊕ (c - p + C, -q + C) = 1_{x1} c + C, which is also an
+    # input of the indicator check; indicator-deform would corrupt it inside
+    # (A) as well as (I), so the catalog must refuse the sample set
+    mu = AtomicMeasure.from_map(X2, {"x1": 1, "x2": 2})
+    samples = SampleSet(X2, R2, seed=seed)
+    mutant_catalog(samples, mu)
+    p, q, c = (3, -2), (2, 5), R2.interior_point
+    F = SimpleSetFunction(X2, (point_plus_cone(R2, p), point_plus_cone(R2, q)))
+    G = SimpleSetFunction(
+        X2,
+        (
+            point_plus_cone(R2, tuple(ci - pi for ci, pi in zip(c, p))),
+            point_plus_cone(R2, tuple(-qi for qi in q)),
+        ),
+    )
+    indicator = cone_translates(ScalarFunction.indicator(X2, ["x1"]), R2)
+    assert F.oplus(G) == indicator and indicator in [
+        cone_translates(xi, R2) for xi in samples.indicator_xis
+    ]
+    modified = copy.copy(samples)
+    modified.functions = samples.functions[:3] + [F, G] + samples.functions[5:]
+    modified.pair_sums = {
+        (i, j): modified.functions[i].oplus(modified.functions[j]) for i, j in samples.pairs
+    }
+    modified.scaled = {(i, lam): modified.functions[i].scale(lam) for i, lam in samples.scaled}
+    with pytest.raises(ValidationError, match="mutant indicator-deform: .* pair-sums"):
+        mutant_catalog(modified, mu)
 
 
 def test_report_renders_deterministically(samples):

@@ -112,6 +112,27 @@ def test_chain_check_schedule_override(ws_path, capsys):
     assert "exceeds schedule" in out
     code, _, _ = run(capsys, "chain-check", ws_path, "h", "mu", "--epsilon-schedule", "3")
     assert code == 0
+    code, out, _ = run(capsys, "chain-check", ws_path, "h", "mu", "--epsilon-schedule", "6/2")
+    assert code == 0
+    assert "epsilon-schedule=6/2" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain-check", "WS", "h", "mu", "--epsilon-schedule", "abc"],
+        ["chain-check", "WS", "h", "mu", "--epsilon-schedule", "1/0"],
+        ["lattice", "WS", "scale", "F", "--scalar", "abc"],
+        ["lattice", "WS", "scale", "F", "--scalar", "1/0"],
+        ["check-axioms", "WS", "phi", "--sample-count", "0"],
+        ["check-axioms", "WS", "mutant:nullity-pad:mu", "--sample-count", "2"],
+    ],
+)
+def test_bad_option_values_exit_2(ws_path, capsys, argv):
+    code, out, err = run(capsys, *(ws_path if a == "WS" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_axioms_integral(ws_path, capsys):
