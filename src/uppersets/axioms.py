@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .cone import Cone, ValidationError
 from .integral import (
@@ -176,6 +176,7 @@ class SampleSet:
     """
 
     LAMBDA_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3))
+    CHAIN_INDICES = (1, 2, 4, 8)
 
     def __init__(
         self,
@@ -184,10 +185,11 @@ class SampleSet:
         seed: int = 0,
         count: int = 20,
         extra_directions: int = 2,
-        chain_indices: Sequence[int] = (1, 2, 4, 8),
     ):
         if count < 1:
             raise ValidationError("the sample set needs at least one function")
+        if extra_directions < 0:
+            raise ValidationError("the number of extra dual directions must be nonnegative")
         self.space = space
         self.cone = cone
         self.seed = seed
@@ -243,7 +245,7 @@ class SampleSet:
             shift = VectorFunction(space, (tuple(t * x for x in c),) * len(space))
             steps.append(self.stabilizing_limit.translate(shift))
         self.stabilizing_chain = ExplicitChain(tuple(steps), self.stabilizing_limit)
-        self.parametric_chain = harmonic_cone_chain(space, cone, tuple(chain_indices))
+        self.parametric_chain = harmonic_cone_chain(space, cone, self.CHAIN_INDICES)
         self.chains = (self.stabilizing_chain, self.parametric_chain)
 
     def header_lines(self) -> list[str]:

@@ -99,6 +99,8 @@ def _override_schedule(chain, spec: str):
     if spec == "auto":
         return chain
     rate = _rational(spec, "--epsilon-schedule")
+    if rate < 0:
+        raise ValidationError(f"--epsilon-schedule expects a nonnegative rate, got {spec!r}")
     if not isinstance(chain, ParametricChain):
         return chain
 
@@ -135,10 +137,9 @@ def cmd_integrate_over(ws: Workspace, args) -> int:
 
 
 def cmd_oracle(ws: Workspace, args) -> int:
-    F = ws.setfunction(args.function)
-    mu = ws.measure(args.measure)
-    print(_flags_line(args))
+    F, mu = ws.setfunction(args.function), ws.measure(args.measure)
     report = selection_oracle(F, mu, trials=args.trials, seed=args.seed)
+    print(_flags_line(args))
     print(report.describe())
     return 0 if report.passed else 1
 

@@ -155,14 +155,14 @@ def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
     return (*vrep, _halfspaces(keep, dim))  # the level row has a zero normal
 
 
-def vrep_to_hrep(points, rays, lineality, dim: int, *, with_vrep: bool = False):
-    """Irredundant facets (w, b) of conv(points) + cone(rays) + span(lineality).
+def vrep_to_hrep(points, rays, lineality, dim: int):
+    """(facets, points, rays, lineality) of conv(points) + cone(rays) + span(lineality).
 
-    Requires at least one point and a full-dimensional result; facets mean
-    {z : <z, w> >= b} with primitive integer normals.  A full-space input
-    yields an empty facet list.  ``with_vrep`` appends the irredundant input
-    points and rays, one per minimal face and extreme ray (modulo lineality),
-    and the reduced basis of the lineality space.
+    Requires at least one point and a full-dimensional result; facets (w, b)
+    mean {z : <z, w> >= b} with primitive integer normals, and a full-space
+    input yields none.  The irredundant input points and rays follow, one per
+    minimal face and extreme ray (modulo lineality), then the reduced basis
+    of the lineality space.
     """
     if not points:
         raise GeometryError("vrep_to_hrep needs at least one point")
@@ -171,12 +171,10 @@ def vrep_to_hrep(points, rays, lineality, dim: int, *, with_vrep: bool = False):
     for l in lineality:
         rows.append(tuple(l) + (0,))
         rows.append(vneg(l) + (0,))
-    lin, facet_rays, *incidence = cone_vrep(rows, dim + 1, incidence=with_vrep)
+    lin, facet_rays, *incidence = cone_vrep(rows, dim + 1, incidence=True)
     if lin:
         raise GeometryError("facet enumeration on a lower-dimensional polyhedron")
     facets = _halfspaces(facet_rays, dim)
-    if not with_vrep:
-        return facets
     keep, lineal = _irredundant(*incidence)
     return (facets, *_dehomogenize(keep, dim), rref_basis([v[:dim] for v in lineal], dim))
 

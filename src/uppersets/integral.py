@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .cone import ValidationError
-from .ddm import hrep_to_vrep
+from .ddm import rref_basis
 from .linalg import (
     NEG_INF,
     Vec,
@@ -23,13 +24,14 @@ from .linalg import (
     format_rational,
     format_vector,
     vadd,
-    vec,
     vscale,
+    vsub,
 )
 from .measure_space import (
     AtomicMeasure,
     ScalarFunction,
     SimpleSetFunction,
+    VectorFunction,
     cone_translates,
     constant_function,
     indicator_modify,
@@ -167,35 +169,54 @@ def _random_member(rng: random.Random, value: UpperSet) -> Vec:
     return point
 
 
-def _peel_decomposition(terms: Sequence[UpperSet], target: Vec, cone) -> list[Vec] | None:
-    """Split target into q_1 + ... + q_n with q_k in terms[k], exactly.
-
-    Works by intersecting each term with (residual - suffix sum), which is
-    nonempty because Minkowski sums of polyhedra are closed.
-    """
-    n = len(terms)
-    suffix: list[UpperSet] = [None] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = terms[k] if k == n - 1 else terms[k].oplus(suffix[k + 1])
-    residual = vec(target)
-    parts: list[Vec] = []
-    for k in range(n):
-        if k == n - 1:
-            if not terms[k].member(residual):
-                return None
-            parts.append(residual)
+def _split(residual: Vec, generators: Sequence[Vec]) -> list[Fraction] | None:
+    """Coefficients c with Σ c_j·g_j = residual, or None: one exact elimination
+    over the rows (g_j ‖ e_j), which reduces (residual ‖ 0) to (0 ‖ -c)."""
+    dim, n = len(residual), len(generators)
+    rows = [tuple(g) + tuple(int(i == j) for i in range(n)) for j, g in enumerate(generators)]
+    x = tuple(residual) + (0,) * n
+    for b in rref_basis(rows, dim + n):
+        c = next(i for i, t in enumerate(b) if t)
+        if c >= dim:
             break
-        rows = list(terms[k].hrep_rows())
-        for w, b in suffix[k + 1].hrep_rows():
-            # q must satisfy residual - q ∈ suffix: <q, -w> >= b - <residual, w>
-            rows.append((tuple(-x for x in w), b - dot(residual, w)))
-        points, _, _ = hrep_to_vrep(rows, cone.dim)
-        if not points:
-            return None
-        q = points[0]
-        parts.append(q)
-        residual = tuple(r - x for r, x in zip(residual, q))
-    return parts
+        x = vsub(x, vscale(Fraction(x[c]) / b[c], b))
+    if any(x[:dim]):
+        return None
+    return [-t for t in x[dim:]]
+
+
+def _attaining_selection(
+    F: SimpleSetFunction, mu: AtomicMeasure, value: UpperSet, p: Vec
+) -> tuple[Vec, ...] | None:
+    """A selection f with Σ μ(x)·f(x) = p for a stored point p of the value.
+
+    u, the sum of the facet normals tight at p, is interior to the normal
+    cone of p's minimal face, and that face is the sum of the atoms' faces
+    minimising <·, u> (Fukuda 2004).  Each positive-weight atom contributes
+    its first stored minimiser; the residual, in the value's lineality space,
+    is split over the atoms' lineality bases plus the fewest rays orthogonal
+    to u that make the ray coefficients nonnegative.  Zero-weight atoms keep
+    ``pick_selection``.
+    """
+    tight = [h.normal for h in value.halfspaces if dot(p, h.normal) == h.offset]
+    u = tuple(map(sum, zip((0,) * F.cone.dim, *tight)))
+    positive = [i for i, w in enumerate(mu.weights) if w]
+    selection = list(pick_selection(F).values)
+    for i in positive:
+        selection[i] = min(F.values[i].points, key=lambda q: dot(q, u))
+    residual = vsub(p, VectorFunction(F.space, selection).integral(mu))
+    lineality = [(i, l) for i in positive for l in F.values[i].lineality]
+    rays = [(i, r) for i in positive for r in F.values[i].rays if dot(r, u) == 0]
+    for k in range(len(value.lineality) + 1):  # Carathéodory: dim L rays suffice
+        for chosen in combinations(rays, k):
+            generators = lineality + list(chosen)
+            coeffs = _split(residual, [vscale(mu.weights[i], g) for i, g in generators])
+            if coeffs is None or any(c < 0 for c in coeffs[len(lineality):]):
+                continue
+            for (i, g), c in zip(generators, coeffs):
+                selection[i] = vadd(selection[i], vscale(c, g))
+            return tuple(selection)
+    return None
 
 
 def selection_oracle(
@@ -204,8 +225,9 @@ def selection_oracle(
     """Check the selection-based definition against the computed integral.
 
     (a) containment: random integrable selections integrate into the value;
-    (b) attainment: every stored extreme point splits exactly into a
-        measure-weighted sum of pointwise members;
+    (b) attainment: every stored point is the integral of a selection of
+        pointwise minimisers (``_attaining_selection``), checked for
+        pointwise membership and resummed exactly;
     (c) the value is a fixed point of ⊕ C.
     """
     if trials < 1:
@@ -215,46 +237,25 @@ def selection_oracle(
     rng = random.Random(seed)
     containment_failures = []
     for _ in range(trials):
-        picks = [_random_member(rng, v) for v in F.values]
-        point = tuple(
-            sum((w * p[i] for w, p in zip(mu.weights, picks)), Fraction(0))
-            for i in range(F.cone.dim)
-        )
+        picks = tuple(_random_member(rng, v) for v in F.values)
+        point = VectorFunction(F.space, picks).integral(mu)
         if not value.member(point):
-            containment_failures.append((point, tuple(picks)))
+            containment_failures.append((point, picks))
 
     attainment_failures = []
     witnesses = []
-    positive = [(w, v) for w, v in zip(mu.weights, F.values) if w > 0]
-    terms = [v.scale(w) for w, v in positive]
-    fallback = pick_selection(F)
     for p in value.points:
-        parts = _peel_decomposition(terms, p, F.cone)
-        if parts is None:
+        selection = _attaining_selection(F, mu, value, p)
+        if selection is None:
             attainment_failures.append((p, "no exact decomposition across atoms"))
             continue
-        selection = []
-        idx = 0
-        recomposed = tuple(Fraction(0) for _ in range(F.cone.dim))
-        ok = True
-        for atom, weight, v in zip(F.space.atoms, mu.weights, F.values):
-            if weight == 0:
-                selection.append(fallback.value(atom))
-                continue
-            q = parts[idx]
-            idx += 1
-            fx = tuple(x / weight for x in q)
-            if not v.member(fx):
-                ok = False
-                attainment_failures.append((p, f"decomposed piece at {atom} leaves F({atom})"))
-                break
-            selection.append(fx)
-            recomposed = vadd(recomposed, q)
-        if ok and recomposed != vec(p):
-            ok = False
+        outside = [a for a, v, q in zip(F.space.atoms, F.values, selection) if not v.member(q)]
+        if outside:
+            attainment_failures.append((p, f"decomposed piece at {outside[0]} leaves F({outside[0]})"))
+        elif VectorFunction(F.space, selection).integral(mu) != p:
             attainment_failures.append((p, "decomposition does not resum to the point"))
-        if ok:
-            witnesses.append((p, tuple(selection)))
+        else:
+            witnesses.append((p, selection))
 
     upper_ok = value.oplus(cone_upper_set(F.cone)).set_equal(value)
     return OracleReport(

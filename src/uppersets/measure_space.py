@@ -280,13 +280,10 @@ def cone_translates(xi: ScalarFunction, cone: Cone) -> SimpleSetFunction:
     )
 
 
-def indicator_modify(F: SimpleSetFunction, names: Iterable[str], cone: Cone | None = None) -> SimpleSetFunction:
+def indicator_modify(F: SimpleSetFunction, names: Iterable[str]) -> SimpleSetFunction:
     """The modification that keeps F on the given atoms and is C elsewhere."""
-    cone = cone or F.cone
-    if cone != F.cone:
-        raise ValidationError("indicator modification cone differs from the function's")
     subset = set(F.space.check_subset(names))
-    background = cone_upper_set(cone)
+    background = cone_upper_set(F.cone)
     return SimpleSetFunction(
         F.space,
         tuple(v if a in subset else background for a, v in zip(F.space.atoms, F.values)),

@@ -312,7 +312,7 @@ def _from_vrep(cone: Cone, points, rays, lineality) -> UpperSet:
     lin = [vec(l) for l in lineality if not is_zero(vec(l))]
     for r in ray_set:
         check_dim(cone.dim, r, "ray")
-    facets, pts, rys, lin = ddm.vrep_to_hrep(pts, sorted(ray_set), lin, cone.dim, with_vrep=True)
+    facets, pts, rys, lin = ddm.vrep_to_hrep(pts, sorted(ray_set), lin, cone.dim)
     if not facets:
         return UpperSet.full(cone)
     for w, _ in facets:

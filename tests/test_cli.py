@@ -78,10 +78,26 @@ def test_integrate_over(ws_path, capsys):
     assert "[[0, 1, 1], [1, 0, 0]]" in out
 
 
+def oracle_stdout(value):
+    """The full report of ``oracle … --trials 50 --seed 7`` on a passing integral."""
+    return (
+        "flags: seed=7 trials=50\n"
+        "selection oracle: trials=50 seed=7\n"
+        f"integral value: {value}\n"
+        "containment: pass (50 random selections)\n"
+        "attainment: pass (1 extreme points decomposed)\n"
+        "upper-set identity (value ⊕ C = value): pass\n"
+        "support certificate: pass\n"
+    )
+
+
 def test_oracle(ws_path, capsys):
     code, out, _ = run(capsys, "oracle", ws_path, "G", "mu", "--trials", "50", "--seed", "7")
     assert code == 0
-    assert "containment: pass" in out and "attainment: pass" in out
+    assert out == oracle_stdout("halfspaces: [[1, 1, 1]]")
+    code, out, _ = run(capsys, "oracle", ws_path, "F", "mu", "--trials", "50", "--seed", "7")
+    assert code == 0
+    assert out == oracle_stdout("halfspaces: [[0, 1, 2], [1, 0, 1]]")
 
 
 def test_lattice_ops(ws_path, capsys):
@@ -126,6 +142,10 @@ def test_chain_check_schedule_override(ws_path, capsys):
         ["lattice", "WS", "scale", "F", "--scalar", "1/0"],
         ["check-axioms", "WS", "phi", "--sample-count", "0"],
         ["check-axioms", "WS", "mutant:nullity-pad:mu", "--sample-count", "2"],
+        ["check-axioms", "WS", "phi", "--w-samples", "-5"],
+        ["chain-check", "WS", "h", "mu", "--epsilon-schedule", "-1"],
+        ["chain-check", "WS", "stab", "mu", "--epsilon-schedule", "-1"],
+        ["oracle", "WS", "F", "mu", "--trials", "0"],
     ],
 )
 def test_bad_option_values_exit_2(ws_path, capsys, argv):

@@ -202,12 +202,12 @@ def test_hrep_infeasible():
 
 
 def test_vrep_to_hrep_staircase():
-    facets = vrep_to_hrep([(1, 0), (0, 1)], [(1, 0), (0, 1)], [], 2)
+    facets, *_ = vrep_to_hrep([(1, 0), (0, 1)], [(1, 0), (0, 1)], [], 2)
     assert sorted(facets) == [((0, 1), 0), ((1, 0), 0), ((1, 1), 1)]
 
 
 def test_vrep_to_hrep_full_space():
-    facets = vrep_to_hrep([(0, 0)], [], [(1, 0), (0, 1)], 2)
+    facets, *_ = vrep_to_hrep([(0, 0)], [], [(1, 0), (0, 1)], 2)
     assert facets == []
 
 
@@ -238,7 +238,7 @@ def test_hrep_vrep_round_trip(seed):
             interior_hits += 1
     if interior_hits == 0:
         return  # possibly lower-dimensional; facet enumeration not applicable
-    facets = vrep_to_hrep(points, rays, lin, dim)
+    facets, *_ = vrep_to_hrep(points, rays, lin, dim)
     for x in grid:
         original = all(dot(w, x) >= b for w, b in ineqs)
         recovered = all(dot(w, x) >= b for w, b in facets)
@@ -280,10 +280,8 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     if seed % 3 == 0:  # a line orthogonal to (1, ..., 1): the set stays a proper subset
         i, j = rng.sample(range(dim), 2)
         lineality = [tuple(1 if k == i else -1 if k == j else 0 for k in range(dim))]
-    facets, pts, rys, lin = vrep_to_hrep(
-        points + points[:1], rays + [(2,) * dim], lineality, dim, with_vrep=True
-    )
-    assert facets == vrep_to_hrep(points, rays, lineality, dim)
+    facets, pts, rys, lin = vrep_to_hrep(points + points[:1], rays + [(2,) * dim], lineality, dim)
+    assert facets == vrep_to_hrep(points, rays, lineality, dim)[0]
     assert lin == rref_basis(lineality, dim)
     v_points, v_rays, v_lin = hrep_to_vrep(facets, dim)
     assert v_lin == sorted(lin)

@@ -195,12 +195,80 @@ def test_oracle_random_instances():
             assert report.passed, report.describe()
 
 
-def test_oracle_with_lineality_values():
-    f = SimpleSetFunction(
-        X2, (halfspace_set(R2, (1, 1), 2), point_plus_cone(R2, (1, -1)))
-    )
-    report = selection_oracle(f, MU11, trials=150, seed=9)
+R3 = orthant(3)
+X3 = space("x1", "x2", "x3")
+
+
+@pytest.mark.parametrize(
+    "values, weights",
+    [
+        # a half-plane plus a point: the value keeps the half-plane's lineality
+        ((halfspace_set(R2, (1, 1), 2), point_plus_cone(R2, (1, -1))), (1, 1)),
+        # the value is full, and the residual needs both atoms' lineality
+        (
+            (
+                halfspace_set(R3, (1, 0, 0), 2),
+                halfspace_set(R3, (0, 1, 0), -3),
+                point_plus_cone(R3, (5, 5, 5)),
+            ),
+            (Fraction(1, 2), 3, 0),
+        ),
+        # the value has the 2-D lineality of the common normal (1, 1, 0)
+        (
+            (
+                halfspace_set(R3, (1, 1, 0), 2),
+                halfspace_set(R3, (1, 1, 0), -3),
+                point_plus_cone(R3, (1, -1, 4)),
+            ),
+            (1, 2, 1),
+        ),
+    ],
+    ids=["orthant2", "orthant3-full", "orthant3-plane"],
+)
+def test_oracle_with_lineality_values(values, weights):
+    atoms = X2 if len(values) == 2 else X3
+    f = SimpleSetFunction(atoms, values)
+    mu = AtomicMeasure(atoms, weights)
+    report = selection_oracle(f, mu, trials=150, seed=9)
     assert report.passed, report.describe()
+    assert len(report.attainment_witnesses) == len(report.value.points)
+    for point, selection in report.attainment_witnesses:
+        assert all(v.member(q) for v, q in zip(f.values, selection))
+        assert VectorFunction(atoms, selection).integral(mu) == point
+
+
+def test_oracle_attains_through_rays_orthogonal_to_the_normal():
+    # A and B have no lineality, yet their sum is the half-plane
+    # {x1 + x2 >= 0}: the rays (-1, 1) of A and (1, -1) of B cancel.  The
+    # stored point (0, 0) is 1·(5, -5) + 2·(0, 0) plus 5·(-1, 1) along A's ray.
+    a = canonicalize(R2, halfspaces=[((0, 1), -5), ((1, 1), 0)])
+    b = canonicalize(R2, halfspaces=[((1, 0), 0), ((1, 1), 0)])
+    f = SimpleSetFunction(X2, (a, b))
+    mu = AtomicMeasure(X2, (1, 2))
+    report = selection_oracle(f, mu, trials=20, seed=0)
+    assert report.passed, report.describe()
+    assert report.value.lineality and not a.lineality and not b.lineality
+    assert report.attainment_witnesses == ((vec((0, 0)), (vec((0, 0)), vec((0, 0)))),)
+
+
+def test_oracle_makes_one_ddm_run_beyond_its_integral(ddm_runs):
+    # three staircases with edge slopes -2, -1/2 and -1: the value has four
+    # vertices, and only its ⊕ C identity costs a run beyond the integral
+    f = SimpleSetFunction(
+        X3,
+        tuple(
+            canonicalize(R2, points=p)
+            for p in ([(0, 2), (1, 0)], [(0, 1), (2, 0)], [(0, 1), (1, 0)])
+        ),
+    )
+    mu = AtomicMeasure(X3, (1, 1, 1))
+    cone_upper_set(R2)  # cached after its first run
+    start = len(ddm_runs)
+    aumann_integral(f, mu)
+    integral_runs = len(ddm_runs) - start
+    report = selection_oracle(f, mu, trials=5, seed=0)
+    assert report.passed and len(report.value.points) == 4
+    assert len(ddm_runs) - start == 2 * integral_runs + 1
 
 
 def test_monotone_explicit_stabilizing_chain():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from uppersets import AtomicMeasure, Cone, SimpleSetFunction, ValidationError, ddm, orthant, space
+from uppersets import AtomicMeasure, Cone, SimpleSetFunction, ValidationError, orthant, space
 from uppersets.integral import aumann_integral
 from uppersets.linalg import NEG_INF, POS_INF, dot, vec
 from uppersets.upperset import (
@@ -250,20 +250,6 @@ def test_lineality_vrep_for_halfspace():
 
 
 HALF_PLANE = Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 1))
-
-
-@pytest.fixture
-def ddm_runs(monkeypatch):
-    """The calls made to the module attribute ``ddm.cone_vrep`` from now on."""
-    calls = []
-    original = ddm.cone_vrep
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ddm, "cone_vrep", counted)
-    return calls
 
 
 def runs_of(calls, make):
