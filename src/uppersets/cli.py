@@ -51,34 +51,19 @@ def _flags_line(args, extra: str = "") -> str:
 
 
 def _build_functional(ws: Workspace, name: str, samples: SampleSet) -> SetFunctional:
-    """Resolve a functional: a workspace name or inline integral:MU /
-    mutant:NAME:MU.  Mutants are built on ``samples``."""
-    if name in ws.functionals:
-        spec = ws.functional_spec(name)
-        kind, measure, mutant, command = spec.kind, spec.measure, spec.mutant, spec.command
-    elif name.startswith("integral:"):
-        kind, measure, mutant, command = "integral", name.split(":", 1)[1], None, ()
-    elif name.startswith("mutant:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise ValidationError("inline mutant form is mutant:NAME:MEASURE")
-        kind, mutant, measure, command = "mutant", parts[1], parts[2], ()
-    else:
-        raise WorkspaceError(
-            f"unknown functional {name!r}; use a workspace name, integral:MEASURE "
-            "or mutant:NAME:MEASURE",
-            ws.path,
-        )
-    if kind == "integral":
-        return integral_functional(ws.measure(measure), f"integral:{measure}")
-    if kind == "mutant":
-        catalog = mutant_catalog(samples, ws.measure(measure))
-        if mutant not in catalog:
+    """The functional a workspace name or inline form resolves to; mutants are
+    built on ``samples``."""
+    spec = ws.functional_spec(name)
+    if spec.kind == "integral":
+        return integral_functional(ws.measure(spec.measure), f"integral:{spec.measure}")
+    if spec.kind == "mutant":
+        catalog = mutant_catalog(samples, ws.measure(spec.measure))
+        if spec.mutant not in catalog:
             raise ValidationError(
-                f"unknown mutant {mutant!r} (available: {', '.join(sorted(catalog))})"
+                f"unknown mutant {spec.mutant!r} (available: {', '.join(sorted(catalog))})"
             )
-        return catalog[mutant]
-    external = ExternalFunctional(command, ws.cone)
+        return catalog[spec.mutant]
+    external = ExternalFunctional(spec.command, ws.cone)
     return SetFunctional(external.name, external)
 
 

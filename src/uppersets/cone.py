@@ -112,14 +112,6 @@ class Cone:
 
         return len(rref_basis(self.dual_generators, self.dim)) == self.dim
 
-    def describe(self) -> str:
-        gens = " ".join(format_vector(g) for g in self.generators)
-        duals = " ".join(format_vector(w) for w in self.dual_generators)
-        return (
-            f"cone dim={self.dim} generators: {gens} | dual generators: {duals} "
-            f"| interior point: {format_vector(self.interior_point)}"
-        )
-
 
 def orthant(dim: int) -> Cone:
     """The nonnegative orthant with interior point (1, ..., 1)."""

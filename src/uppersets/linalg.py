@@ -139,12 +139,3 @@ def ext_add(a, b):
     if a == NEG_INF or b == NEG_INF:
         return NEG_INF
     return a + b
-
-
-def ext_scale(k, a):
-    """k * a for k > 0 with infinities preserved."""
-    if k <= 0:
-        raise ValueError("ext_scale requires a strictly positive factor")
-    if isinstance(a, float):
-        return a
-    return k * a

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from .cone import Cone, ValidationError, check_dim
 from .ddm import hrep_feasible
-from .linalg import NEG_INF, Vec, dot, format_rational, format_vector, vec
+from .linalg import NEG_INF, Vec, dot, format_rational, vec
 from .upperset import UpperSet, cone_upper_set, halfspace_set, point_plus_cone
 
 
@@ -86,12 +86,6 @@ class AtomicMeasure:
     def mass_of(self, names: Iterable[str]) -> Fraction:
         subset = self.space.check_subset(names)
         return sum((self.weight(a) for a in subset), Fraction(0))
-
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{a}: {format_rational(w)}" for a, w in zip(self.space.atoms, self.weights)
-        )
-        return "{" + parts + "}"
 
 
 @dataclass(frozen=True)
@@ -181,12 +175,6 @@ class VectorFunction:
                 total[i] += w * v[i]
         return tuple(total)
 
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{a}: {format_vector(v)}" for a, v in zip(self.space.atoms, self.values)
-        )
-        return "{" + parts + "}"
-
 
 @dataclass(frozen=True)
 class SimpleSetFunction:
@@ -240,11 +228,6 @@ class SimpleSetFunction:
         if self.space != other.space:
             raise ValidationError("set functions live on different spaces")
         return all(a.subset_of(b) for a, b in zip(self.values, other.values))
-
-    def equal(self, other: "SimpleSetFunction") -> bool:
-        return self.space == other.space and all(
-            a.set_equal(b) for a, b in zip(self.values, other.values)
-        )
 
     def describe(self) -> str:
         parts = "; ".join(

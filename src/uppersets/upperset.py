@@ -210,16 +210,6 @@ class UpperSet:
         sigma = self.support(w)
         return halfspace_set(self.cone, w, sigma)
 
-    def pointwise_negate(self) -> list[tuple[Vec, Fraction]]:
-        """H-rep rows of -D = {-d : d in D}, plumbing for z - D expressions.
-
-        The result is generally a lower set, so it is returned as raw rows
-        rather than an UpperSet.
-        """
-        if self.kind != PROPER:
-            raise ValidationError(f"pointwise_negate needs a proper set, got {self.kind}")
-        return [(tuple(-x for x in h.normal), h.offset) for h in self.halfspaces]
-
     def hrep_rows(self) -> list[tuple[Vec, Fraction]]:
         return [(h.normal, h.offset) for h in self.halfspaces]
 

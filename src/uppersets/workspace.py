@@ -3,9 +3,14 @@ list, and named measures, functions, chains and functionals.
 
 The grammar is block-structured: a non-indented line opens a block
 (``measure mu:``) or states a scalar fact (``dimension: 2``); indented lines
-are block entries.  Set literals are one-liners (``halfspaces: [[1, 1, 0]]``,
-``points: [[0, 0]] rays: [[1, 1]]``, ``full``, ``cone``) and the canonical
-printed form of every set re-parses to an equal set.
+are ``key: value`` entries; the per-atom blocks (measure, scalar, vector,
+setfunction) load through one table.  Set literals are one-liners
+(``halfspaces: [[1, 1, 0]]``, ``points: [[0, 0]] rays: [[1, 1]]``, ``full``,
+``cone``) and the canonical printed form of every set re-parses to an equal
+set.  Values are exact rationals: ``inf``/``-inf`` may appear only as a
+halfspace offset, and ``-inf`` as a scalar value.  ``Workspace.functional_spec``
+resolves every functional name, inline ``integral:MEASURE`` and
+``mutant:NAME:MEASURE`` forms included.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cone import Cone, ValidationError
+from .cone import Cone, ValidationError, check_dim
 from .integral import ExplicitChain, harmonic_cone_chain
-from .linalg import parse_rational
+from .linalg import POS_INF, parse_rational
 from .measure_space import (
     AtomicMeasure,
     AtomicSpace,
@@ -29,8 +34,6 @@ from .upperset import UpperSet, canonicalize, cone_upper_set
 
 class WorkspaceError(ValueError):
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
         where = f"{path or '<workspace>'}" + (f":{line}" if line else "")
         super().__init__(f"{where}: {message}")
 
@@ -49,7 +52,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse_nested(tokens: list[str], pos: int):
-    if tokens[pos] != "[":
+    if pos >= len(tokens) or tokens[pos] != "[":
         raise ValueError("expected '['")
     pos += 1
     items = []
@@ -70,64 +73,61 @@ def _parse_nested(tokens: list[str], pos: int):
             pos += 1
 
 
+def _finite(entries) -> tuple:
+    for x in entries:
+        if isinstance(x, float):
+            raise ValueError(f"unexpected {x}: only halfspace offsets may be infinite")
+    return tuple(entries)
+
+
 def parse_vector(text: str):
     """One bracketed vector of rationals."""
-    items, end = _parse_nested(_tokenize(text), 0)
-    if end != len(_tokenize(text)) or any(isinstance(x, list) for x in items):
+    tokens = _tokenize(text)
+    items, end = _parse_nested(tokens, 0)
+    if end != len(tokens) or any(isinstance(x, list) for x in items):
         raise ValueError(f"malformed vector {text!r}")
-    return tuple(items)
+    return _finite(items)
 
 
 def parse_vector_list(text: str):
-    """A bracketed list of bracketed vectors: [[...], [...]]."""
+    """A bracketed list of bracketed vectors: [[...], [...]]; entries may be infinite."""
     tokens = _tokenize(text)
     items, end = _parse_nested(tokens, 0)
     if end != len(tokens):
         raise ValueError(f"trailing tokens in {text!r}")
-    out = []
     for item in items:
-        if not isinstance(item, list):
+        if not isinstance(item, list) or any(isinstance(x, list) for x in item):
             raise ValueError(f"expected a nested vector in {text!r}")
-        out.append(tuple(item))
-    return out
+    return [tuple(item) for item in items]
 
 
 _SEGMENT = re.compile(r"(halfspaces|points|rays)\s*:")
+_NAMED_SETS = {"empty": UpperSet.empty, "full": UpperSet.full, "cone": cone_upper_set}
 
 
 def parse_set_literal(text: str, cone: Cone) -> UpperSet:
     """Parse one set literal against the workspace cone and canonicalize."""
     body = text.strip()
-    if body == "empty":
-        return UpperSet.empty(cone)
-    if body == "full":
-        return UpperSet.full(cone)
-    if body == "cone":
-        return cone_upper_set(cone)
-    matches = list(_SEGMENT.finditer(body))
-    if not matches or matches[0].start() != 0:
+    if body in _NAMED_SETS:
+        return _NAMED_SETS[body](cone)
+    parts = _SEGMENT.split(body)  # [text before, key, segment, key, segment, ...]
+    if len(parts) == 1 or parts[0]:
         raise ValueError(f"unrecognized set literal {body!r}")
     segments = {}
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(body)
-        key = m.group(1)
+    for key, segment in zip(parts[1::2], parts[2::2]):
         if key in segments:
             raise ValueError(f"duplicate segment {key!r}")
-        segments[key] = body[m.end() : end].strip()
+        segments[key] = segment.strip()
     halfspaces = points = rays = None
     if "halfspaces" in segments:
         rows = parse_vector_list(segments["halfspaces"])
-        halfspaces = []
-        for row in rows:
-            if len(row) != cone.dim + 1:
-                raise ValueError(
-                    f"halfspace row needs {cone.dim} coordinates plus an offset"
-                )
-            halfspaces.append((row[: cone.dim], row[cone.dim]))
+        if any(len(row) != cone.dim + 1 for row in rows):
+            raise ValueError(f"halfspace row needs {cone.dim} coordinates plus an offset")
+        halfspaces = [(_finite(row[: cone.dim]), row[cone.dim]) for row in rows]
     if "points" in segments:
-        points = parse_vector_list(segments["points"])
+        points = [_finite(p) for p in parse_vector_list(segments["points"])]
     if "rays" in segments:
-        rays = parse_vector_list(segments["rays"])
+        rays = [_finite(r) for r in parse_vector_list(segments["rays"])]
         if points is None:
             raise ValueError("rays need accompanying points")
     return canonicalize(cone, halfspaces=halfspaces, points=points, rays=rays)
@@ -166,13 +166,49 @@ class Workspace:
         return self._lookup(self.chains, name, "chain")
 
     def functional_spec(self, name: str) -> FunctionalSpec:
-        return self._lookup(self.functionals, name, "functional")
+        """A workspace functional, or an inline ``integral:MEASURE`` or
+        ``mutant:NAME:MEASURE``; an inline measure is resolved by its user."""
+        if name in self.functionals:
+            return self.functionals[name]
+        if name.startswith("integral:"):
+            return FunctionalSpec(name, "integral", name.split(":", 1)[1])
+        if name.startswith("mutant:"):
+            parts = name.split(":")
+            if len(parts) != 3:
+                raise ValidationError("inline mutant form is mutant:NAME:MEASURE")
+            return FunctionalSpec(name, "mutant", parts[2], parts[1])
+        raise WorkspaceError(
+            f"unknown functional {name!r}; use a workspace name, integral:MEASURE "
+            "or mutant:NAME:MEASURE",
+            self.path,
+        )
 
-    def _lookup(self, table: dict, name: str, what: str):
+    def _lookup(self, table: dict, name: str, what: str, line: int | None = None):
         if name not in table:
             known = ", ".join(sorted(table)) or "none defined"
-            raise WorkspaceError(f"unknown {what} {name!r} (known: {known})", self.path)
+            raise WorkspaceError(f"unknown {what} {name!r} (known: {known})", self.path, line)
         return table[name]
+
+
+_CONE_ENTRIES = {
+    "generators": lambda text: tuple(parse_vector(v) for v in re.findall(r"\[[^\[\]]*\]", text)),
+    "interior_point": parse_vector,
+}
+
+# per chain and functional kind: the entries it needs, each with its message if missing
+_STEPS_AND_LIMIT = "explicit chain needs steps and limit"
+_CHAIN_KEYS = {
+    "explicit": (("steps", _STEPS_AND_LIMIT), ("limit", _STEPS_AND_LIMIT)),
+    "harmonic-cone": (),
+}
+_FUNCTIONAL_KEYS = {
+    "integral": (("measure", "functional {!r} needs a measure"),),
+    "mutant": (
+        ("measure", "functional {!r} needs a measure"),
+        ("name", "mutant functional {!r} needs a mutant name"),
+    ),
+    "external": (("command", "external functional {!r} needs a command"),),
+}
 
 
 @dataclass
@@ -181,7 +217,7 @@ class _Block:
     name: str | None
     line: int
     inline: str | None
-    entries: list[tuple[int, str]]
+    entries: list[tuple[int, str, str]]  # (line, key, value)
 
 
 def _scan_blocks(text: str, path: str) -> list[_Block]:
@@ -191,35 +227,38 @@ def _scan_blocks(text: str, path: str) -> list[_Block]:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        indented = line[0] in " \t"
-        if indented:
+        if line[0] in " \t":
             if current is None:
                 raise WorkspaceError("indented line outside any block", path, lineno)
-            current.entries.append((lineno, line.strip()))
+            key, colon, value = line.strip().partition(":")
+            if not colon:
+                raise WorkspaceError(f"expected 'key: value', got {line.strip()!r}", path, lineno)
+            current.entries.append((lineno, key.strip(), value.strip()))
             continue
         if ":" not in line:
             raise WorkspaceError("expected 'keyword:' or 'keyword name:'", path, lineno)
         head, _, rest = line.partition(":")
-        parts = head.strip().split()
-        if len(parts) == 1:
-            keyword, name = parts[0], None
-        elif len(parts) == 2:
-            keyword, name = parts
-        else:
+        parts = head.split()
+        if len(parts) not in (1, 2):
             raise WorkspaceError(f"malformed header {head!r}", path, lineno)
-        current = _Block(keyword, name, lineno, rest.strip() or None, [])
+        name = parts[1] if len(parts) == 2 else None
+        current = _Block(parts[0], name, lineno, rest.strip() or None, [])
         blocks.append(current)
     return blocks
 
 
-def _entries_as_map(block: _Block, path: str) -> list[tuple[int, str, str]]:
-    out = []
-    for lineno, entry in block.entries:
-        if ":" not in entry:
-            raise WorkspaceError(f"expected 'key: value', got {entry!r}", path, lineno)
-        key, _, value = entry.partition(":")
-        out.append((lineno, key.strip(), value.strip()))
-    return out
+def _weight(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {text!r}") from None
+
+
+def _scalar(text: str):
+    value = parse_rational(text)
+    if value == POS_INF:
+        raise ValueError("unexpected inf: a scalar value is a rational or -inf")
+    return value
 
 
 def parse_workspace(path: str) -> Workspace:
@@ -233,17 +272,46 @@ def parse_workspace(path: str) -> Workspace:
     except OSError as exc:
         raise WorkspaceError(str(exc), path) from exc
     blocks = _scan_blocks(text, path)
+    # each block kind the loader dispatches is popped; what is left is unknown
     by_keyword: dict[str, list[_Block]] = {}
     for b in blocks:
         by_keyword.setdefault(b.keyword, []).append(b)
 
     def single(keyword: str) -> _Block:
-        found = by_keyword.get(keyword, [])
+        found = by_keyword.pop(keyword, [])
         if not found:
             raise WorkspaceError(f"missing required block {keyword!r}", path)
         if len(found) > 1:
             raise WorkspaceError(f"duplicate block {keyword!r}", path, found[1].line)
         return found[0]
+
+    def located(line: int, fn, *args):
+        """fn(*args), with a ValueError it raises reported at ``line``."""
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise WorkspaceError(str(exc), path, line) from None
+
+    def parse_entries(block: _Block, parsers: dict, what: str) -> dict:
+        """The block's entries, each parsed by the parser its key selects."""
+        parsed = {}
+        for lineno, key, value in block.entries:
+            if key not in parsers:
+                raise WorkspaceError(f"unknown {what} {key!r}", path, lineno)
+            parsed[key] = located(lineno, parsers[key], value)
+        return parsed
+
+    def kind_entries(block: _Block, required: dict, kinds: str) -> tuple[str, dict]:
+        """The block's kind and its entries by key, checked against ``required``."""
+        entries = {key: (lineno, value) for lineno, key, value in block.entries}
+        kind = entries.get("kind", (block.line, ""))[1]
+        if kind not in required:
+            message = f"{block.keyword} kind must be {kinds}, got {kind!r}"
+            raise WorkspaceError(message, path, block.line)
+        for key, missing in required[kind]:
+            if key not in entries:
+                raise WorkspaceError(missing.format(block.name), path, block.line)
+        return kind, entries
 
     dim_block = single("dimension")
     try:
@@ -252,124 +320,64 @@ def parse_workspace(path: str) -> Workspace:
         raise WorkspaceError("dimension must be an integer", path, dim_block.line) from None
 
     cone_block = single("cone")
-    generators = None
-    interior = None
-    for lineno, key, value in _entries_as_map(cone_block, path):
-        try:
-            if key == "generators":
-                generators = [parse_vector(v) for v in re.findall(r"\[[^\[\]]*\]", value)]
-            elif key == "interior_point":
-                interior = parse_vector(value)
-            else:
-                raise ValueError(f"unknown cone entry {key!r}")
-        except ValueError as exc:
-            raise WorkspaceError(str(exc), path, lineno) from None
-    if not generators:
+    found = parse_entries(cone_block, _CONE_ENTRIES, "cone entry")
+    if not found.get("generators"):
         raise WorkspaceError("cone block needs generators", path, cone_block.line)
-    if interior is None:
+    if "interior_point" not in found:
         raise WorkspaceError("cone block needs an interior_point", path, cone_block.line)
-    try:
-        cone = Cone(dim, tuple(generators), interior)
-    except ValidationError as exc:
-        raise WorkspaceError(str(exc), path, cone_block.line) from None
+    cone = located(cone_block.line, Cone, dim, found["generators"], found["interior_point"])
 
     atoms_block = single("atoms")
-    names = (atoms_block.inline or "").split()
-    try:
-        space = AtomicSpace(tuple(names))
-    except ValidationError as exc:
-        raise WorkspaceError(str(exc), path, atoms_block.line) from None
-
+    space = located(atoms_block.line, AtomicSpace, tuple((atoms_block.inline or "").split()))
     ws = Workspace(path, dim, cone, space)
 
-    def check_fresh(table: dict, name: str | None, block: _Block, what: str) -> str:
-        if not name:
-            raise WorkspaceError(f"{what} block needs a name", path, block.line)
-        if name in table:
-            raise WorkspaceError(f"duplicate {what} {name!r}", path, block.line)
-        return name
+    def named_blocks(keyword: str, table: dict, what: str):
+        """(name, block) for each block of ``keyword``, its name not yet in ``table``."""
+        for block in by_keyword.pop(keyword, []):
+            if not block.name:
+                raise WorkspaceError(f"{what} block needs a name", path, block.line)
+            if block.name in table:
+                raise WorkspaceError(f"duplicate {what} {block.name!r}", path, block.line)
+            yield block.name, block
 
-    for block in by_keyword.get("measure", []):
-        name = check_fresh(ws.measures, block.name, block, "measure")
-        mapping = {}
-        for lineno, key, value in _entries_as_map(block, path):
-            _require_atom(space, key, path, lineno)
-            try:
-                mapping[key] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise WorkspaceError(f"bad rational {value!r}", path, lineno) from None
-        try:
-            ws.measures[name] = AtomicMeasure.from_map(space, mapping)
-        except ValidationError as exc:
-            raise WorkspaceError(str(exc), path, block.line) from None
+    def dim_vector(text: str):
+        v = parse_vector(text)
+        check_dim(dim, v)
+        return v
 
-    for block in by_keyword.get("scalar", []):
-        name = check_fresh(ws.scalars, block.name, block, "scalar function")
-        mapping = {}
-        for lineno, key, value in _entries_as_map(block, path):
-            _require_atom(space, key, path, lineno)
-            try:
-                mapping[key] = parse_rational(value)
-            except ValueError as exc:
-                raise WorkspaceError(str(exc), path, lineno) from None
-        try:
-            ws.scalars[name] = ScalarFunction.from_map(space, mapping)
-        except ValidationError as exc:
-            raise WorkspaceError(str(exc), path, block.line) from None
-
-    for block in by_keyword.get("vector", []):
-        name = check_fresh(ws.vectors, block.name, block, "vector function")
-        mapping = {}
-        for lineno, key, value in _entries_as_map(block, path):
-            _require_atom(space, key, path, lineno)
-            try:
-                v = parse_vector(value)
-            except ValueError as exc:
-                raise WorkspaceError(str(exc), path, lineno) from None
-            if len(v) != dim:
-                raise WorkspaceError(f"vector has dimension {len(v)}, expected {dim}", path, lineno)
-            mapping[key] = v
-        try:
-            ws.vectors[name] = VectorFunction.from_map(space, mapping)
-        except ValidationError as exc:
-            raise WorkspaceError(str(exc), path, block.line) from None
-
-    for block in by_keyword.get("setfunction", []):
-        name = check_fresh(ws.setfunctions, block.name, block, "set function")
-        values = {}
-        for lineno, key, value in _entries_as_map(block, path):
-            _require_atom(space, key, path, lineno)
-            try:
-                values[key] = parse_set_literal(value, cone)
-            except (ValueError, ValidationError) as exc:
-                raise WorkspaceError(str(exc), path, lineno) from None
+    def setfunction(name: str, values: dict) -> SimpleSetFunction:
         missing = [a for a in space.atoms if a not in values]
         if missing:
-            raise WorkspaceError(
-                f"set function {name!r} missing atoms {missing}", path, block.line
-            )
-        try:
-            ws.setfunctions[name] = SimpleSetFunction(
-                space, tuple(values[a] for a in space.atoms)
-            )
-        except ValidationError as exc:
-            raise WorkspaceError(str(exc), path, block.line) from None
+            raise ValidationError(f"set function {name!r} missing atoms {missing}")
+        return SimpleSetFunction(space, tuple(values[a] for a in space.atoms))
 
-    for block in by_keyword.get("chain", []):
-        name = check_fresh(ws.chains, block.name, block, "chain")
-        entries = {key: (lineno, value) for lineno, key, value in _entries_as_map(block, path)}
-        kind = entries.get("kind", (block.line, ""))[1]
+    # per-atom blocks, loaded in this order: (keyword, label, table, entry
+    # parser, builder from the block's name and its atom -> entry map)
+    per_atom = (
+        ("measure", "measure", ws.measures, _weight,
+         lambda _, m: AtomicMeasure.from_map(space, m)),
+        ("scalar", "scalar function", ws.scalars, _scalar,
+         lambda _, m: ScalarFunction.from_map(space, m)),
+        ("vector", "vector function", ws.vectors, dim_vector,
+         lambda _, m: VectorFunction.from_map(space, m)),
+        ("setfunction", "set function", ws.setfunctions,
+         lambda text: parse_set_literal(text, cone), setfunction),
+    )
+    for keyword, label, table, parse_entry, build in per_atom:
+        for name, block in named_blocks(keyword, table, label):
+            mapping = parse_entries(block, dict.fromkeys(space.atoms, parse_entry), "atom")
+            table[name] = located(block.line, build, name, mapping)
+
+    for name, block in named_blocks("chain", ws.chains, "chain"):
+        kind, entries = kind_entries(block, _CHAIN_KEYS, "'explicit' or 'harmonic-cone'")
         if kind == "explicit":
-            if "steps" not in entries or "limit" not in entries:
-                raise WorkspaceError("explicit chain needs steps and limit", path, block.line)
-            step_names = entries["steps"][1].split()
-            steps = tuple(ws.setfunction(n) for n in step_names)
-            limit = ws.setfunction(entries["limit"][1].strip())
-            try:
-                ws.chains[name] = ExplicitChain(steps, limit)
-            except ValidationError as exc:
-                raise WorkspaceError(str(exc), path, block.line) from None
-        elif kind == "harmonic-cone":
+            (steps_line, steps), (limit_line, limit) = entries["steps"], entries["limit"]
+            steps = tuple(
+                ws._lookup(ws.setfunctions, n, "set function", steps_line) for n in steps.split()
+            )
+            limit = ws._lookup(ws.setfunctions, limit, "set function", limit_line)
+            ws.chains[name] = located(block.line, ExplicitChain, steps, limit)
+        else:
             indices = DEFAULT_CHAIN_INDICES
             if "indices" in entries:
                 lineno, value = entries["indices"]
@@ -377,64 +385,19 @@ def parse_workspace(path: str) -> Workspace:
                     indices = tuple(int(t) for t in value.split())
                 except ValueError:
                     raise WorkspaceError("indices must be integers", path, lineno) from None
-            try:
-                ws.chains[name] = harmonic_cone_chain(space, cone, indices)
-            except ValidationError as exc:
-                raise WorkspaceError(str(exc), path, block.line) from None
-        else:
-            raise WorkspaceError(
-                f"chain kind must be 'explicit' or 'harmonic-cone', got {kind!r}",
-                path,
-                block.line,
-            )
+            ws.chains[name] = located(block.line, harmonic_cone_chain, space, cone, indices)
 
-    for block in by_keyword.get("functional", []):
-        name = check_fresh(ws.functionals, block.name, block, "functional")
-        entries = {key: (lineno, value) for lineno, key, value in _entries_as_map(block, path)}
-        kind = entries.get("kind", (block.line, ""))[1]
-        spec = FunctionalSpec(name, kind, line=block.line)
-        if kind in ("integral", "mutant"):
-            if "measure" not in entries:
-                raise WorkspaceError(f"functional {name!r} needs a measure", path, block.line)
-            spec.measure = entries["measure"][1].strip()
-            ws.measure(spec.measure)  # resolve now
-            if kind == "mutant":
-                if "name" not in entries:
-                    raise WorkspaceError(
-                        f"mutant functional {name!r} needs a mutant name", path, block.line
-                    )
-                spec.mutant = entries["name"][1].strip()
-        elif kind == "external":
-            if "command" not in entries:
-                raise WorkspaceError(
-                    f"external functional {name!r} needs a command", path, block.line
-                )
-            spec.command = tuple(entries["command"][1].split())
-        else:
-            raise WorkspaceError(
-                f"functional kind must be integral, mutant or external, got {kind!r}",
-                path,
-                block.line,
-            )
-        ws.functionals[name] = spec
+    for name, block in named_blocks("functional", ws.functionals, "functional"):
+        kind, entries = kind_entries(block, _FUNCTIONAL_KEYS, "integral, mutant or external")
+        value = {key: entries[key][1] for key, _ in _FUNCTIONAL_KEYS[kind]}
+        if "measure" in value:
+            ws._lookup(ws.measures, value["measure"], "measure", entries["measure"][0])
+        command = tuple(value.get("command", "").split())
+        ws.functionals[name] = FunctionalSpec(
+            name, kind, value.get("measure"), value.get("name"), command, block.line
+        )
 
-    known = {
-        "dimension",
-        "cone",
-        "atoms",
-        "measure",
-        "scalar",
-        "vector",
-        "setfunction",
-        "chain",
-        "functional",
-    }
     for b in blocks:
-        if b.keyword not in known:
+        if b.keyword in by_keyword:
             raise WorkspaceError(f"unknown block keyword {b.keyword!r}", path, b.line)
     return ws
-
-
-def _require_atom(space: AtomicSpace, key: str, path: str, lineno: int) -> None:
-    if key not in space.atoms:
-        raise WorkspaceError(f"unknown atom {key!r}", path, lineno)

@@ -239,6 +239,25 @@ def test_external_functional_garbage_is_protocol_error(ws_path, capsys, tmp_path
     assert "error:" in err
 
 
+def test_external_infinite_point_is_protocol_error(ws_path, capsys, tmp_path):
+    child = tmp_path / "infinite_child.py"
+    child.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'end':\n"
+        "        print('points: [[inf, 0]]', flush=True)\n"
+    )
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert out.startswith("flags: ") and out.count("\n") == 1
+    assert err == (
+        "error: unparsable response 'points: [[inf, 0]]': "
+        "unexpected inf: only halfspace offsets may be infinite\n"
+    )
+
+
 def test_round_trip_of_printed_values(ws_path, capsys):
     from uppersets import orthant
     from uppersets.workspace import parse_set_literal

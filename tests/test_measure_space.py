@@ -68,9 +68,9 @@ def test_set_function_rejects_empty_values():
 def test_indicator_modify_cases():
     f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), point_plus_cone(R2, (0, 1))))
     all_atoms = indicator_modify(f, ["x1", "x2"])
-    assert all_atoms.equal(f)
+    assert all_atoms == f
     none = indicator_modify(f, [])
-    assert none.equal(constant_function(X2, cone_upper_set(R2)))
+    assert none == constant_function(X2, cone_upper_set(R2))
     only_first = indicator_modify(f, ["x1"])
     assert only_first.value("x1").set_equal(point_plus_cone(R2, (1, 0)))
     assert only_first.value("x2").set_equal(cone_upper_set(R2))
@@ -155,7 +155,7 @@ def test_pointwise_ops():
     f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), point_plus_cone(R2, (0, 1))))
     g = f.oplus(f)
     assert g.value("x1").set_equal(point_plus_cone(R2, (2, 0)))
-    assert f.scale(0).equal(constant_function(X2, cone_upper_set(R2)))
+    assert f.scale(0) == constant_function(X2, cone_upper_set(R2))
     fw = f.supporting((1, 1))
     assert fw.value("x1").set_equal(halfspace_set(R2, (1, 1), 1))
     assert f.pointwise_subset_of(f.supporting((1, 1)))
@@ -181,7 +181,7 @@ def test_indicator_composition_pointwise():
     f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), halfspace_set(R2, (0, 1), 2)))
     a_then_b = indicator_modify(indicator_modify(f, ["x1", "x2"]), ["x1"])
     meet = indicator_modify(f, ["x1"])
-    assert a_then_b.equal(meet)
+    assert a_then_b == meet
     # the two-case definition, pointwise
     for atom in X2.atoms:
         expected = f.value(atom) if atom == "x1" else cone_upper_set(R2)

@@ -222,14 +222,6 @@ def test_wedge_cone_upper_set():
     assert sorted(h.normal for h in c.halfspaces) == [(0, 1), (1, -1)]
 
 
-def test_pointwise_negate_rows():
-    d = point_plus_cone(R2, (1, 2))
-    rows = d.pointwise_negate()
-    # -D = {z : z <= (-1,-2)} componentwise
-    assert all(dot(w, (-1, -2)) >= b for w, b in rows)
-    assert not all(dot(w, (0, 0)) >= b for w, b in rows)
-
-
 def test_literal_round_trip_shape():
     d = point_plus_cone(R2, (Fraction(1, 2), 2))
     assert d.literal() == "halfspaces: [[0, 1, 2], [1, 0, 1/2]]"

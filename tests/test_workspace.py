@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,264 @@ def test_error_reports_line_numbers(tmp_path):
     with pytest.raises(WorkspaceError) as err:
         parse_workspace(path)
     assert f"{path}:" in str(err.value)
+
+
+def edited(old, new):
+    """FULL_FEATURED with its first ``old`` replaced by ``new``; with ``old``
+    None, ``new`` is appended (its first line is line 39)."""
+    if old is None:
+        return FULL_FEATURED + new
+    assert old in FULL_FEATURED
+    return FULL_FEATURED.replace(old, new, 1)
+
+
+# (old, new, expected diagnostic after the path); line numbers refer to FULL_FEATURED
+DIAGNOSTICS = {
+    "missing-dimension": ("dimension: 2\n", "", ": missing required block 'dimension'"),
+    "missing-cone": (
+        "cone:\n    generators: [1, 0] [0, 1]\n    interior_point: [1, 1]\n",
+        "",
+        ": missing required block 'cone'",
+    ),
+    "missing-atoms": ("atoms: x1 x2\n", "", ": missing required block 'atoms'"),
+    "duplicate-dimension": (None, "dimension: 3\n", ":39: duplicate block 'dimension'"),
+    "duplicate-cone": (None, "cone:\n", ":39: duplicate block 'cone'"),
+    "duplicate-atoms": (None, "atoms: x1\n", ":39: duplicate block 'atoms'"),
+    "dimension-word": ("dimension: 2", "dimension: two", ":2: dimension must be an integer"),
+    "dimension-empty": ("dimension: 2", "dimension:", ":2: dimension must be an integer"),
+    "cone-unknown-entry": (
+        "    interior_point: [1, 1]",
+        "    apex: [1, 1]",
+        ":5: unknown cone entry 'apex'",
+    ),
+    "cone-malformed-vector": (
+        "interior_point: [1, 1]",
+        "interior_point: [1, oops]",
+        ":5: unexpected characters 'oops'",
+    ),
+    "cone-entry-without-colon": (
+        "    interior_point: [1, 1]",
+        "    interior_point [1, 1]",
+        ":5: expected 'key: value', got 'interior_point [1, 1]'",
+    ),
+    "cone-no-generators": (
+        "    generators: [1, 0] [0, 1]\n", "", ":3: cone block needs generators"
+    ),
+    "cone-no-interior": (
+        "    interior_point: [1, 1]\n", "", ":3: cone block needs an interior_point"
+    ),
+    "cone-boundary-interior": (
+        "interior_point: [1, 1]",
+        "interior_point: [1, 0]",
+        ":3: interior point [1, 0] is not interior: <c, [0, 1]> = 0 is not > 0",
+    ),
+    "atoms-empty": ("atoms: x1 x2", "atoms:", ":6: a measurable space needs at least one atom"),
+    "atoms-duplicate": ("atoms: x1 x2", "atoms: x1 x1", ":6: atom identifiers must be distinct"),
+    "indented-first-line": (
+        "\ndimension: 2", "\n  dimension: 2", ":2: indented line outside any block"
+    ),
+    "header-three-words": (
+        "measure mu:", "measure mu nu:", ":7: malformed header 'measure mu nu'"
+    ),
+    "header-without-colon": (
+        "measure mu:", "measure mu", ":7: expected 'keyword:' or 'keyword name:'"
+    ),
+    "unknown-keyword": (None, "frobnicate x:\n", ":39: unknown block keyword 'frobnicate'"),
+    "measure-no-name": ("measure mu:", "measure:", ":7: measure block needs a name"),
+    "measure-duplicate": (None, "measure mu:\n    x1: 1\n", ":39: duplicate measure 'mu'"),
+    "measure-unknown-atom": ("    x2: 2", "    x3: 2", ":9: unknown atom 'x3'"),
+    "measure-bad-value": ("x2: 2", "x2: two", ":9: bad rational 'two'"),
+    "measure-zero-denominator": ("x2: 2", "x2: 1/0", ":9: bad rational '1/0'"),
+    "measure-inf": ("x2: 2", "x2: inf", ":9: bad rational 'inf'"),
+    "measure-negative-weight": ("x2: 2", "x2: -2", ":7: negative weight -2 at atom 'x2'"),
+    "scalar-no-name": ("scalar xi:", "scalar:", ":10: scalar function block needs a name"),
+    "scalar-duplicate": (
+        None, "scalar xi:\n    x1: 1\n    x2: 1\n", ":39: duplicate scalar function 'xi'"
+    ),
+    "scalar-unknown-atom": ("    x2: -inf", "    x3: -inf", ":12: unknown atom 'x3'"),
+    "scalar-bad-value": ("x2: -inf", "x2: oops", ":12: bad rational literal 'oops'"),
+    "scalar-missing-atom": (
+        "    x2: -inf\n", "", ":10: scalar function missing atoms ['x2']"
+    ),
+    "vector-no-name": ("vector f:", "vector:", ":13: vector function block needs a name"),
+    "vector-duplicate": (
+        None, "vector f:\n    x1: [0, 0]\n", ":39: duplicate vector function 'f'"
+    ),
+    "vector-unknown-atom": ("    x2: [0, 1]", "    x3: [0, 1]", ":15: unknown atom 'x3'"),
+    "vector-bad-value": ("x2: [0, 1]", "x2: [0, oops]", ":15: unexpected characters 'oops'"),
+    "vector-missing-atom": (
+        "    x2: [0, 1]\n", "", ":13: vector function missing atoms ['x2']"
+    ),
+    "vector-wrong-dimension": (
+        "x2: [0, 1]", "x2: [0, 1, 2]", ":15: vector has dimension 3, expected 2"
+    ),
+    "setfunction-no-name": (
+        "setfunction F:", "setfunction:", ":16: set function block needs a name"
+    ),
+    "setfunction-duplicate": (
+        "setfunction G:", "setfunction F:", ":19: duplicate set function 'F'"
+    ),
+    "setfunction-unknown-atom": (
+        "    x2: points: [[0, 0], [2, -1]]",
+        "    x3: points: [[0, 0], [2, -1]]",
+        ":18: unknown atom 'x3'",
+    ),
+    "setfunction-bad-value": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: triangles: [[0, 0]]",
+        ":18: unrecognized set literal 'triangles: [[0, 0]]'",
+    ),
+    "setfunction-missing-atom": (
+        "    x2: points: [[0, 0], [2, -1]]\n",
+        "",
+        ":16: set function 'F' missing atoms ['x2']",
+    ),
+    "setfunction-empty-value": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: empty",
+        ":16: set function value at 'x2' is empty",
+    ),
+    "setfunction-infinite-offset": (
+        "x1: halfspaces: [[1, 1, 1]]",
+        "x1: halfspaces: [[1, 1, inf]]",
+        ":16: set function value at 'x1' is empty",
+    ),
+    "setfunction-wrong-dimension": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: [[0, 0, 0]]",
+        ":18: point has dimension 3, expected 2",
+    ),
+    "chain-no-name": ("chain down:", "chain:", ":22: chain block needs a name"),
+    "chain-duplicate": ("chain h:", "chain down:", ":26: duplicate chain 'down'"),
+    "chain-no-kind": (
+        "    kind: explicit\n",
+        "",
+        ":22: chain kind must be 'explicit' or 'harmonic-cone', got ''",
+    ),
+    "chain-bad-kind": (
+        "kind: explicit",
+        "kind: spiral",
+        ":22: chain kind must be 'explicit' or 'harmonic-cone', got 'spiral'",
+    ),
+    "chain-no-limit": ("    limit: F\n", "", ":22: explicit chain needs steps and limit"),
+    "chain-no-steps": ("steps: F F", "steps:", ":22: a chain needs at least one step"),
+    "chain-unknown-step": (
+        "steps: F F", "steps: F Q", ":24: unknown set function 'Q' (known: F, G)"
+    ),
+    "chain-unknown-limit": (
+        "limit: F", "limit: Q", ":25: unknown set function 'Q' (known: F, G)"
+    ),
+    "chain-indices-word": ("indices: 1 2 4", "indices: 1 two", ":28: indices must be integers"),
+    "chain-indices-decreasing": (
+        "indices: 1 2 4",
+        "indices: 4 2",
+        ":26: parametric chain indices must be strictly increasing",
+    ),
+    "chain-indices-zero": (
+        "indices: 1 2 4", "indices: 0 1", ":26: parametric chain indices must be positive"
+    ),
+    "functional-no-name": (
+        "functional phi:", "functional:", ":29: functional block needs a name"
+    ),
+    "functional-duplicate": (
+        "functional bad:", "functional phi:", ":32: duplicate functional 'phi'"
+    ),
+    "functional-no-kind": (
+        "    kind: integral\n",
+        "",
+        ":29: functional kind must be integral, mutant or external, got ''",
+    ),
+    "functional-bad-kind": (
+        "kind: integral",
+        "kind: magic",
+        ":29: functional kind must be integral, mutant or external, got 'magic'",
+    ),
+    "integral-no-measure": (
+        "    measure: mu\nfunctional bad",
+        "functional bad",
+        ":29: functional 'phi' needs a measure",
+    ),
+    "integral-unknown-measure": (
+        "    measure: mu\nfunctional bad",
+        "    measure: nu\nfunctional bad",
+        ":31: unknown measure 'nu' (known: mu)",
+    ),
+    "mutant-no-measure": (
+        "    name: nullity-pad\n    measure: mu\n",
+        "    name: nullity-pad\n",
+        ":32: functional 'bad' needs a measure",
+    ),
+    "mutant-no-name": (
+        "    name: nullity-pad\n", "", ":32: mutant functional 'bad' needs a mutant name"
+    ),
+    "external-no-command": (
+        "    command: cat -\n", "", ":36: external functional 'ext' needs a command"
+    ),
+    # values without a vector, or nested too deep, are diagnostics too
+    "cone-empty-interior-point": ("interior_point: [1, 1]", "interior_point:", ":5: expected '['"),
+    "setfunction-empty-points": (
+        "x2: points: [[0, 0], [2, -1]]", "x2: points:", ":18: expected '['"
+    ),
+    "setfunction-point-nested-too-deep": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: [[[0, 0]]]",
+        ":18: expected a nested vector in '[[[0, 0]]]'",
+    ),
+    # inf and -inf: only a halfspace offset may be infinite, and a scalar -inf
+    "inf-generator": (
+        "generators: [1, 0] [0, 1]",
+        "generators: [inf, 0] [0, 1]",
+        ":4: unexpected inf: only halfspace offsets may be infinite",
+    ),
+    "inf-interior-point": (
+        "interior_point: [1, 1]",
+        "interior_point: [1, -inf]",
+        ":5: unexpected -inf: only halfspace offsets may be infinite",
+    ),
+    "inf-scalar": (
+        "x2: -inf", "x2: inf", ":12: unexpected inf: a scalar value is a rational or -inf"
+    ),
+    "inf-vector": (
+        "x2: [0, 1]",
+        "x2: [inf, 0]",
+        ":15: unexpected inf: only halfspace offsets may be infinite",
+    ),
+    "inf-point": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: [[inf, 0]]",
+        ":18: unexpected inf: only halfspace offsets may be infinite",
+    ),
+    "inf-ray": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: [[0, 0]] rays: [[1, -inf]]",
+        ":18: unexpected -inf: only halfspace offsets may be infinite",
+    ),
+    "inf-halfspace-normal": (
+        "x1: halfspaces: [[1, 1, 1]]",
+        "x1: halfspaces: [[inf, 1, 1]]",
+        ":17: unexpected inf: only halfspace offsets may be infinite",
+    ),
+}
+
+
+@pytest.mark.parametrize("old, new, expected", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
+def test_workspace_diagnostics(tmp_path, old, new, expected):
+    path = write(tmp_path, edited(old, new))
+    with pytest.raises(WorkspaceError) as err:
+        parse_workspace(path)
+    assert str(err.value) == path + expected
+
+
+def test_readme_workspace_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = [
+        block.split("```", 1)[0]
+        for block in readme.split("```text\n")[1:]
+        if block.startswith("dimension:")
+    ]
+    ws = parse_workspace(write(tmp_path, example))
+    assert set(ws.functionals) == {"bad", "ext", "phi"}
+    assert set(ws.chains) == {"down", "h"}
 
 
 def test_parse_vector_rationals():
