@@ -6,18 +6,19 @@ Dual cones use it directly; polyhedron conversions go through the usual
 homogenization in one extra dimension.
 
 Inside ``cone_vrep`` every row, lineality vector and ray is a primitive
-integer vector, and so is every combination of them, so the inner loops run
-on machine ints; ``Fraction`` appears only at the edges, in ``rref_basis`` and
-where ``hrep_to_vrep`` and ``vrep_to_hrep`` dehomogenize.
+integer vector (an integer gcd keeps it so), so the inner loops run on machine
+ints; ``Fraction`` appears only in ``rref_basis`` and where points are
+dehomogenized, after they are sorted as integer numerators.
 
 Each ray carries its zero set, a bitmask of the processed rows it is tight
 at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
 (both are >= 0 on every processed row and both coefficients are positive), so
 its mask is the parents' meet plus the current row.  A ray projected along a
 lineality vector keeps its mask: that vector is orthogonal to every processed
-row.  Adjacency uses the combinatorial zero-set test of Fukuda & Prodon,
-valid because the description is kept minimal at every step; a pair whose
-meet has fewer rows than a two-dimensional face needs skips that scan.
+row.  Adjacency is the combinatorial zero-set test of Fukuda & Prodon, valid
+because the description is kept minimal at every step: a pair is adjacent iff
+no third ray's mask contains its meet, one C-level count over the masks.  A
+meet with fewer rows than a two-dimensional face needs skips that count.
 
 Asked for its ``incidence``, ``cone_vrep`` also returns each output ray's
 zero set over the input rows, which is enough to drop redundant input rows
@@ -29,9 +30,10 @@ its V-rep and its facets.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
-from .linalg import Vec, is_zero, primitive, primitive_halfspace, vneg, vscale, vsub
+from .linalg import Vec, is_zero, primitive, primitive_halfspace, vneg
 
 
 class GeometryError(ValueError):
@@ -43,6 +45,12 @@ MAX_RAYS = 20000
 
 def _unit(dim: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(dim))
+
+
+def _coprime(v: Vec) -> Vec:
+    """``primitive`` for an integer vector: divide by the gcd, no denominators."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else v
 
 
 def rref_basis(vectors, dim: int) -> list[Vec]:
@@ -87,21 +95,17 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
             v0, val0 = lin[pivot], lin_vals[pivot]
             if val0 < 0:
                 v0, val0 = vneg(v0), -val0
-            new_lin = []
-            for i, v in enumerate(lin):
-                if i == pivot:
-                    continue
-                if lin_vals[i] == 0:
-                    new_lin.append(v)
-                else:
-                    new_lin.append(primitive(vsub(vscale(val0, v), vscale(lin_vals[i], v0))))
+            lin = [
+                _coprime(tuple(val0 * x - val * y for x, y in zip(v, v0))) if val else v
+                for i, (v, val) in enumerate(zip(lin, lin_vals))
+                if i != pivot
+            ]
             for entry in rays:
                 val = sum(map(mul, a, entry[0]))
                 if val != 0:
-                    entry[0] = primitive(vsub(vscale(val0, entry[0]), vscale(val, v0)))
+                    entry[0] = _coprime(tuple(val0 * x - val * y for x, y in zip(entry[0], v0)))
                 entry[1] |= bit  # projected rays are tight at the new row
-            lin = new_lin
-            rays.append([primitive(v0), bit - 1])  # tight at every earlier row
+            rays.append([v0, bit - 1])  # tight at every earlier row; lin is primitive
         else:
             vals = [sum(map(mul, a, entry[0])) for entry in rays]
             pos = [(entry, v) for entry, v in zip(rays, vals) if v > 0]
@@ -112,15 +116,17 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
             # two adjacent rays span a face of dimension len(lin) + 2, so the
             # rows tight on both have rank, hence count, at least this
             face_rank = dim - len(lin) - 2
+            masks = [entry[1] for entry in rays]
             combined: dict[Vec, list] = {}
             for p, val_p in pos:
                 for n, val_n in neg:
                     meet = p[1] & n[1]
                     if meet.bit_count() < face_rank:
                         continue
-                    if any(meet & o[1] == meet for o in rays if o is not p and o is not n):
+                    # adjacent iff p and n are the only rays tight on all of meet
+                    if list(map(meet.__and__, masks)).count(meet) != 2:
                         continue
-                    vecq = primitive(vsub(vscale(val_p, n[0]), vscale(val_n, p[0])))
+                    vecq = _coprime(tuple(val_p * x - val_n * y for x, y in zip(n[0], p[0])))
                     if is_zero(vecq) or vecq in combined:
                         continue
                     combined[vecq] = [vecq, meet | bit]
@@ -155,9 +161,10 @@ def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
     return (*vrep, _halfspaces(keep, dim))  # the level row has a zero normal
 
 
-def vrep_to_hrep(points, rays, lineality, dim: int):
+def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
     """(facets, points, rays, lineality) of conv(points) + cone(rays) + span(lineality).
 
+    The points may come as integer numerators over one common ``level`` > 0.
     Requires at least one point and a full-dimensional result; facets (w, b)
     mean {z : <z, w> >= b} with primitive integer normals, and a full-space
     input yields none.  The irredundant input points and rays follow, one per
@@ -166,7 +173,7 @@ def vrep_to_hrep(points, rays, lineality, dim: int):
     """
     if not points:
         raise GeometryError("vrep_to_hrep needs at least one point")
-    rows = [tuple(p) + (1,) for p in points]
+    rows = [tuple(p) + (level,) for p in points]
     rows += [tuple(r) + (0,) for r in rays]
     for l in lineality:
         rows.append(tuple(l) + (0,))
@@ -180,9 +187,13 @@ def vrep_to_hrep(points, rays, lineality, dim: int):
 
 
 def _dehomogenize(vectors, dim: int) -> tuple[list[Vec], list[Vec]]:
-    """Sorted points (level t > 0, divided by t) and rays (level 0)."""
-    points = [tuple(Fraction(x, v[dim]) for x in v[:dim]) for v in vectors if v[dim] > 0]
-    return sorted(points), sorted(v[:dim] for v in vectors if v[dim] == 0)
+    """Sorted points (level t > 0, divided by t) and rays (level 0).  Points sort
+    as integer numerators over the lcm of their levels, as their Fractions do."""
+    tops = [v for v in vectors if v[dim] > 0]
+    d = lcm(*(v[dim] for v in tops))
+    tops.sort(key=lambda v: tuple(x * (d // v[dim]) for x in v[:dim]))
+    points = [tuple(Fraction(x, v[dim]) for x in v[:dim]) for v in tops]
+    return points, sorted(v[:dim] for v in vectors if v[dim] == 0)
 
 
 def _halfspaces(vectors, dim: int) -> list[tuple[Vec, Fraction]]:

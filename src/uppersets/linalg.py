@@ -25,7 +25,7 @@ POS_INF = float("inf")
 
 def vec(entries: Iterable) -> Vec:
     """Build an exact vector, accepting ints, Fractions and 'p/q' strings."""
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:

@@ -11,7 +11,9 @@ Minkowski sums and support queries exact.
 
 A canonical form costs one double-description run.  Over a V-rep plus C's
 generators the run yields the facets, and its incidence the irredundant
-points and rays and the lineality space.  An H-rep with all normals in C+ is
+points and rays and the lineality space, on integer point numerators over one
+denominator: ``oplus`` adds its operands' over the lcm of theirs, and points
+sort by those integer keys.  An H-rep with all normals in C+ is
 closed under C already: the run yields the V-rep, and its incidence the
 facets among the inequalities.  Any other H-rep is converted to a V-rep
 first, a second run.  Modulo the lineality space L, each point and ray is
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .cone import Cone, ValidationError, check_dim
@@ -104,7 +107,8 @@ class UpperSet:
 
     def support(self, w) -> Fraction | float:
         """inf over the set of <y, w>: +inf on empty, -inf when unbounded below."""
-        w = vec(w)
+        if any(type(x) is not int for x in w):  # facet normals are integer already
+            w = vec(w)
         check_dim(self.dim, w, "direction")
         if is_zero(w):
             raise ValidationError("support direction must be nonzero")
@@ -191,13 +195,11 @@ class UpperSet:
             return UpperSet.empty(self.cone)
         if self.is_full or other.is_full:
             return UpperSet.full(self.cone)
-        sums = {vadd(p, q) for p in self.points for q in other.points}
-        return canonicalize(
-            self.cone,
-            points=sorted(sums),
-            rays=self.rays + other.rays,
-            lineality=self.lineality + other.lineality,
-        )
+        (d1, ps), (d2, qs) = self._integer_points, other._integer_points
+        d = lcm(d1, d2)
+        a, b = d // d1, d // d2
+        sums = {tuple(a * x + b * y for x, y in zip(p, q)) for p in ps for q in qs}
+        return _from_vrep(self.cone, d, sums, self.rays + other.rays, self.lineality + other.lineality)
 
     def supporting_halfspace(self, w) -> "UpperSet":
         """D ⊕ H(w) = {z : <z, w> >= support(D, w)} for w in the dual cone."""
@@ -255,8 +257,11 @@ def canonicalize(
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
+    pts = [vec(p) for p in points or ()]
+    for p in pts:
+        check_dim(cone.dim, p, "point")
     result_h = _from_hrep(cone, halfspaces) if has_h else None
-    result_v = _from_vrep(cone, points or (), rays or (), lineality or ()) if has_v else None
+    result_v = _from_vrep(cone, *clear_denominators(pts), rays or (), lineality or ()) if has_v else None
     if result_h is not None and result_v is not None:
         if not result_h.set_equal(result_v):
             raise ValidationError(
@@ -288,21 +293,19 @@ def _from_hrep(cone: Cone, pairs) -> UpperSet:
     pts, rys, lin = ddm.hrep_to_vrep(ineqs, cone.dim)
     if not pts:
         return UpperSet.empty(cone)
-    return _from_vrep(cone, pts, rys, lin)
+    return _from_vrep(cone, *clear_denominators(pts), rys, lin)
 
 
-def _from_vrep(cone: Cone, points, rays, lineality) -> UpperSet:
-    pts = sorted({vec(p) for p in points})
-    for p in pts:
-        check_dim(cone.dim, p, "point")
-    if not pts:
+def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
+    """The V-rep path: points are integer numerators over one d > 0."""
+    if not points:
         return UpperSet.empty(cone)
     ray_set = {primitive(vec(r)) for r in rays} | set(cone.generators)
     ray_set.discard(tuple(0 for _ in range(cone.dim)))
     lin = [vec(l) for l in lineality if not is_zero(vec(l))]
     for r in ray_set:
         check_dim(cone.dim, r, "ray")
-    facets, pts, rys, lin = ddm.vrep_to_hrep(pts, sorted(ray_set), lin, cone.dim)
+    facets, pts, rys, lin = ddm.vrep_to_hrep(points, sorted(ray_set), lin, cone.dim, d)
     if not facets:
         return UpperSet.full(cone)
     for w, _ in facets:
@@ -328,16 +331,16 @@ def _proper(cone: Cone, facets, points, rays, lineality) -> UpperSet:
                     x = tuple(xi - f * bi for xi, bi in zip(x, b))
             return x
 
-        points = {representative(p) for p in points}
-        rays = {primitive(representative(r)) for r in rays}
+        points = sorted({representative(p) for p in points})
+        rays = sorted({primitive(representative(r)) for r in rays})
     if not points:
         raise ValidationError("internal: proper set with empty vertex enumeration")
     return UpperSet(
         cone,
         PROPER,
         tuple(Halfspace(w, Fraction(b)) for w, b in sorted(facets)),
-        tuple(sorted(points)),
-        tuple(sorted(rays)),
+        tuple(points),  # sorted: by the caller, or above when reduced
+        tuple(rays),
         tuple(sorted(lineality)),
     )
 
@@ -382,7 +385,7 @@ def inf_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:
         points.update(d.points)
         rays.extend(d.rays)
         lineality.extend(d.lineality)
-    return canonicalize(cone, points=sorted(points), rays=rays, lineality=lineality)
+    return canonicalize(cone, points=points, rays=rays, lineality=lineality)
 
 
 def sup_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:

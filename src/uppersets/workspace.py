@@ -191,15 +191,16 @@ class Workspace:
 
 
 _CONE_ENTRIES = {
-    "generators": lambda text: tuple(parse_vector(v) for v in re.findall(r"\[[^\[\]]*\]", text)),
+    "generators": lambda text: tuple(_finite(v) for v in parse_vector_list(f"[{text}]")),
     "interior_point": parse_vector,
 }
 
-# per chain and functional kind: the entries it needs, each with its message if missing
+# per chain and functional kind: the entries it accepts besides ``kind``, each
+# with its message if missing, or None if optional
 _STEPS_AND_LIMIT = "explicit chain needs steps and limit"
 _CHAIN_KEYS = {
     "explicit": (("steps", _STEPS_AND_LIMIT), ("limit", _STEPS_AND_LIMIT)),
-    "harmonic-cone": (),
+    "harmonic-cone": (("indices", None),),
 }
 _FUNCTIONAL_KEYS = {
     "integral": (("measure", "functional {!r} needs a measure"),),
@@ -298,18 +299,28 @@ def parse_workspace(path: str) -> Workspace:
         for lineno, key, value in block.entries:
             if key not in parsers:
                 raise WorkspaceError(f"unknown {what} {key!r}", path, lineno)
+            if key in parsed:
+                raise WorkspaceError(f"duplicate {what} {key!r}", path, lineno)
             parsed[key] = located(lineno, parsers[key], value)
         return parsed
 
-    def kind_entries(block: _Block, required: dict, kinds: str) -> tuple[str, dict]:
-        """The block's kind and its entries by key, checked against ``required``."""
+    def kind_entries(block: _Block, accepted: dict, kinds: str) -> tuple[str, dict]:
+        """The block's kind and its entries by key, checked against ``accepted``."""
         entries = {key: (lineno, value) for lineno, key, value in block.entries}
         kind = entries.get("kind", (block.line, ""))[1]
-        if kind not in required:
+        if kind not in accepted:
             message = f"{block.keyword} kind must be {kinds}, got {kind!r}"
             raise WorkspaceError(message, path, block.line)
-        for key, missing in required[kind]:
-            if key not in entries:
+        known, seen = {"kind", *(key for key, _ in accepted[kind])}, set()
+        for lineno, key, _ in block.entries:
+            if key not in known:
+                message = f"unknown {kind} {block.keyword} entry {key!r}"
+                raise WorkspaceError(message, path, lineno)
+            if key in seen:
+                raise WorkspaceError(f"duplicate {block.keyword} entry {key!r}", path, lineno)
+            seen.add(key)
+        for key, missing in accepted[kind]:
+            if missing and key not in entries:
                 raise WorkspaceError(missing.format(block.name), path, block.line)
         return kind, entries
 

@@ -70,6 +70,21 @@ def test_integrate_unknown_name(ws_path, capsys):
     assert "unknown set function" in err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("indices: 1 2 4 8", "indice: 1 2 4"),
+        ("    measure: mu\nfunctional bad", "    mesure: nu\nfunctional bad"),
+    ],
+)
+def test_unknown_workspace_entry_exits_2(tmp_path, capsys, old, new):
+    p = tmp_path / "ws.txt"
+    p.write_text(WS.replace(old, new, 1))
+    code, out, err = run(capsys, "chain-check", str(p), "h", "mu")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unknown" in err and err.count("\n") == 1
+
+
 def test_integrate_over(ws_path, capsys):
     code, out, _ = run(capsys, "integrate-over", ws_path, "F", "mu", "x1")
     assert code == 0

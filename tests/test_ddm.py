@@ -173,6 +173,17 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
         zero_sets.add(frozenset(tight))
     assert len(zero_sets) == len(rays)
     assert zero_sets == extreme_zero_sets(rows, dim), (rows, rays)
+    # the incidence _irredundant reads: bit k of a ray's mask is prows[k] tight at it
+    lin_i, rays_i, masks, prows = cone_vrep(rows, dim, incidence=True)
+    assert (lin_i, rays_i, prows) == (lin, rays, rows)
+    for r, mask in zip(rays, masks):
+        assert mask == sum(1 << k for k, row in enumerate(prows) if dot(row, r) == 0), (rows, r)
+
+
+def test_two_rays_with_an_empty_meet_are_adjacent():
+    # No row is tight at both rays, so their meet is empty; no third ray
+    # contains it, so the pair is adjacent and spans the cone.
+    assert cone_vrep([(-1, -1), (-1, 0), (-1, 1)], 2) == ([], [(-1, -1), (-1, 1)])
 
 
 def test_hrep_to_vrep_simplex():

@@ -1,5 +1,6 @@
 """Upper-set construction and lattice operations against hand/grid oracles."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -277,3 +278,53 @@ def test_translate_is_canonical_over_a_cone_with_lineality():
     moved = cone_upper_set(c).translate((0, 1))
     assert moved.points == point_plus_cone(c, (0, 1)).points == ((1, 0),)
     assert moved == point_plus_cone(c, (0, 1))
+
+
+LINE_CONE = Cone(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)), (1, 1, 0))
+
+
+def mixed_points(rng, count):
+    """Points near the surface x1·x2 = 12/d² whose coordinates mix the
+    denominators 2, 3 and 5; many of them are vertices."""
+    points = []
+    for _ in range(count):
+        t, d = rng.randint(1, 12), rng.choice((2, 3, 5))
+        x3 = Fraction(rng.randint(-6, 6), rng.choice((2, 3, 5)))
+        points.append((Fraction(t, d), Fraction(12, t * d), x3))
+    return points
+
+
+@pytest.mark.parametrize(
+    "cone, lineality",
+    [(orthant(3), []), (orthant(3), [(1, -1, 0)]), (LINE_CONE, [])],
+    ids=["pointed", "set-lineality", "cone-lineality"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_points_are_stored_in_fraction_order_on_every_path(cone, lineality, seed):
+    # Sorting by integer numerators is the Fractions' order only over one
+    # common denominator; every constructor must store sorted Fraction points.
+    rng = random.Random(seed)
+    a = canonicalize(cone, points=mixed_points(rng, 6), lineality=lineality)
+    b = canonicalize(cone, points=mixed_points(rng, 6), lineality=lineality)
+    built = {
+        "vrep": a,
+        "hrep": canonicalize(cone, halfspaces=a.hrep_rows()),
+        "both": canonicalize(
+            cone, halfspaces=a.hrep_rows(), points=a.points, rays=a.rays, lineality=a.lineality
+        ),
+        "oplus": a.oplus(b),
+        "translate": a.translate((Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2))),
+        "scale": a.scale(Fraction(3, 7)),
+        "inf_set": inf_set(cone, [a, b]),
+        "sup_set": sup_set(cone, [a, b]),
+    }
+    for path, d in built.items():
+        assert all(type(x) is Fraction for p in d.points for x in p), path
+        assert list(d.points) == sorted(d.points), path
+        assert list(d.rays) == sorted(d.rays), path
+    assert built["hrep"].points == a.points and built["both"].points == a.points
+    # the check has teeth: several vertices with mixed denominators
+    assert any(
+        len(d.points) > 2 and len({x.denominator for p in d.points for x in p}) > 1
+        for d in built.values()
+    )

@@ -331,6 +331,59 @@ DIAGNOSTICS = {
     "external-no-command": (
         "    command: cat -\n", "", ":36: external functional 'ext' needs a command"
     ),
+    # every entry is read: unknown or repeated keys, atoms and stray text are errors
+    "chain-unknown-key": (
+        "indices: 1 2 4", "indice: 1 2 4", ":28: unknown harmonic-cone chain entry 'indice'"
+    ),
+    "explicit-chain-unknown-key": (
+        "    limit: F\n",
+        "    limit: F\n    indices: 1 2\n",
+        ":26: unknown explicit chain entry 'indices'",
+    ),
+    "chain-duplicate-key": (
+        "    limit: F\n", "    limit: F\n    limit: G\n", ":26: duplicate chain entry 'limit'"
+    ),
+    "integral-unknown-key": (
+        "    measure: mu\nfunctional bad",
+        "    mesure: nu\nfunctional bad",
+        ":31: unknown integral functional entry 'mesure'",
+    ),
+    "mutant-unknown-key": (
+        "    name: nullity-pad\n",
+        "    name: nullity-pad\n    command: cat -\n",
+        ":35: unknown mutant functional entry 'command'",
+    ),
+    "external-unknown-key": (
+        "    command: cat -\n",
+        "    command: cat -\n    measure: mu\n",
+        ":39: unknown external functional entry 'measure'",
+    ),
+    "functional-duplicate-key": (
+        "    measure: mu\nfunctional bad",
+        "    measure: mu\n    measure: mu\nfunctional bad",
+        ":32: duplicate functional entry 'measure'",
+    ),
+    "measure-duplicate-atom": ("    x2: 2\n", "    x2: 2\n    x2: 5\n", ":10: duplicate atom 'x2'"),
+    "setfunction-duplicate-atom": (
+        "    x2: points: [[0, 0], [2, -1]]\n",
+        "    x2: points: [[0, 0], [2, -1]]\n    x2: full\n",
+        ":19: duplicate atom 'x2'",
+    ),
+    "cone-duplicate-entry": (
+        "    interior_point: [1, 1]\n",
+        "    interior_point: [1, 1]\n    interior_point: [2, 2]\n",
+        ":6: duplicate cone entry 'interior_point'",
+    ),
+    "cone-generators-junk": (
+        "generators: [1, 0] [0, 1]",
+        "generators: [1, 0] junk [0, 1]",
+        ":4: unexpected characters 'junk'",
+    ),
+    "cone-generators-bare-number": (
+        "generators: [1, 0] [0, 1]",
+        "generators: [1, 0] 2 [0, 1]",
+        ":4: expected a nested vector in '[[1, 0] 2 [0, 1]]'",
+    ),
     # values without a vector, or nested too deep, are diagnostics too
     "cone-empty-interior-point": ("interior_point: [1, 1]", "interior_point:", ":5: expected '['"),
     "setfunction-empty-points": (
