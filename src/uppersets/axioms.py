@@ -26,12 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .cone import Cone, ValidationError
-from .integral import (
-    ExplicitChain,
-    aumann_integral,
-    harmonic_cone_chain,
-    monotone_limit_check,
-)
+from .integral import ExplicitChain, ParametricChain, aumann_integral
 from .linalg import NEG_INF, Vec, dot, format_rational, format_vector
 from .measure_space import (
     AtomicMeasure,
@@ -245,7 +240,7 @@ class SampleSet:
             shift = VectorFunction(space, (tuple(t * x for x in c),) * len(space))
             steps.append(self.stabilizing_limit.translate(shift))
         self.stabilizing_chain = ExplicitChain(tuple(steps), self.stabilizing_limit)
-        self.parametric_chain = harmonic_cone_chain(space, cone, self.CHAIN_INDICES)
+        self.parametric_chain = ParametricChain(space, cone, self.CHAIN_INDICES)
         self.chains = (self.stabilizing_chain, self.parametric_chain)
 
     def header_lines(self) -> list[str]:
@@ -340,19 +335,17 @@ def check_continuity_from_above(
     checked = skipped = 0
     details: list[str] = []
     for chain in samples.chains:
-        explicit = isinstance(chain, ExplicitChain)
-        kind = "explicit" if explicit else "parametric"
-        if not explicit and schedule_measure is None:
+        if chain.needs_measure and schedule_measure is None:
             skipped += 1
-            details.append(f"{kind} chain skipped: no candidate measure for the deviation schedule")
+            details.append(
+                f"{chain.mode} chain skipped: no candidate measure for the deviation schedule"
+            )
             continue
-        first = chain.steps[0] if explicit else chain.factory(chain.indices[0])
-        if phi(first).is_empty:
+        if phi(chain.steps[0]).is_empty:
             skipped += 1
-            details.append(f"{kind} chain skipped: phi(F_1) is empty")
+            details.append(f"{chain.mode} chain skipped: phi(F_1) is empty")
             continue
-        # an explicit chain never reads the measure, so None is fine there
-        report = monotone_limit_check(chain, schedule_measure, phi)
+        report = chain.check(phi, schedule_measure)
         checked += 1
         if not report.ok:
             return CheckResult(
@@ -391,6 +384,11 @@ def extract_scalar(S: UpperSet, cone: Cone):
     return "not_of_form" if k is None or k < 0 else k
 
 
+def _shown(x) -> str:
+    """An ``extract_scalar`` outcome or a weight as a report shows it."""
+    return x if isinstance(x, str) else format_rational(x)
+
+
 def check_indicator(phi: SetFunctional, samples: SampleSet):
     """Classify phi on cone translates; returns the check and the φ table."""
     cone, space = samples.cone, samples.space
@@ -417,7 +415,6 @@ def check_indicator(phi: SetFunctional, samples: SampleSet):
     pos_value = extract_scalar(phi(cone_translates(samples.positive_xi, cone)), cone)
     checked += 1
     if pos_value in ("empty", "not_of_form") or pos_value == 0:
-        shown = pos_value if isinstance(pos_value, str) else format_rational(pos_value)
         result = CheckResult(
             "I",
             "fail",
@@ -425,7 +422,7 @@ def check_indicator(phi: SetFunctional, samples: SampleSet):
             0,
             (
                 "nontriviality clause: the strictly positive xi = "
-                f"{samples.positive_xi.describe()} classifies as {shown}, "
+                f"{samples.positive_xi.describe()} classifies as {_shown(pos_value)}, "
                 "expected a finite strictly positive k",
             ),
         )
@@ -556,8 +553,7 @@ class ReconstructedMeasure:
     def describe(self) -> str:
         lines = ["reconstructed measure:"]
         for atom, w in zip(self.space.atoms, self.weights):
-            shown = w if isinstance(w, str) else format_rational(w)
-            lines.append(f"  mu({{{atom}}}) = {shown}")
+            lines.append(f"  mu({{{atom}}}) = {_shown(w)}")
         for name, value in self.phi_table:
             lines.append(f"  phi({name}) = {value}")
         for f in self.additivity_failures:
@@ -597,7 +593,7 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
 
     zero = phi_of([])
     if zero != 0:
-        failures.append(f"phi(1_∅) = {zero!r}, expected 0")
+        failures.append(f"phi(1_∅) = {_shown(zero)}, expected 0")
     subsets = [list(pair) for pair in itertools.combinations(space.atoms, 2)] + [list(space.atoms)]
     finite = not infinite and not failures
     if finite:
@@ -608,7 +604,7 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
             )
             if out != expected:
                 failures.append(
-                    f"phi(1_A) for A = {{{', '.join(names)}}} is {out!r}, "
+                    f"phi(1_A) for A = {{{', '.join(names)}}} is {_shown(out)}, "
                     f"expected {format_rational(expected)}"
                 )
     measure = None
@@ -817,14 +813,12 @@ def _assert_isolation(samples: SampleSet, base: SetFunctional, table) -> None:
     mutants corrupt.  A tightened direction must also bind on sample #0.
     """
     cone, space = samples.cone, samples.space
-    stabilizing, parametric = samples.stabilizing_chain, samples.parametric_chain
     entries = [("functions", i, F) for i, F in enumerate(samples.functions)]
     entries += [("pair-sums", k, F) for k, F in samples.pair_sums.items()]
     entries += [("scaled", k, F) for k, F in samples.scaled.items()]
-    entries += [("stabilizing-chain", k, F) for k, F in enumerate(stabilizing.steps)]
-    entries += [("stabilizing-chain", "limit", stabilizing.limit)]
-    entries += [("parametric-chain", n, parametric.factory(n)) for n in parametric.indices]
-    entries += [("parametric-chain", "limit", parametric.limit)]
+    for family, chain in zip(("stabilizing-chain", "parametric-chain"), samples.chains):
+        entries += [(family, k, F) for k, F in enumerate(chain.steps)]
+        entries += [(family, "limit", chain.limit)]
     entries += [
         ("indicators", k, cone_translates(xi, cone)) for k, xi in enumerate(samples.indicator_xis)
     ]

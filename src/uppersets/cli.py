@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -88,11 +89,7 @@ def _override_schedule(chain, spec: str):
         raise ValidationError(f"--epsilon-schedule expects a nonnegative rate, got {spec!r}")
     if not isinstance(chain, ParametricChain):
         return chain
-
-    def schedule(n, w, mu):
-        return rate / n
-
-    return ParametricChain(chain.factory, chain.limit, schedule, chain.indices)
+    return dataclasses.replace(chain, rate=rate)
 
 
 def _print_integral(res, *head: str) -> int:
@@ -113,7 +110,7 @@ def cmd_integrate(ws: Workspace, args) -> int:
 def cmd_integrate_over(ws: Workspace, args) -> int:
     F, mu = ws.setfunction(args.function), ws.measure(args.measure)
     res = integral_over(F, mu, args.atoms)
-    subset = "{" + ", ".join(args.atoms) + "}"
+    subset = "{" + ", ".join(ws.space.check_subset(args.atoms)) + "}"
     return _print_integral(
         res,
         f"integral of {args.function} over {subset} with respect to {args.measure}",
@@ -216,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.add_argument("function")
     p.add_argument("measure")
-    p.add_argument("atoms", nargs="+", help="atoms of the subset (may be empty via --)")
+    p.add_argument("atoms", nargs="*", help="atoms of the subset (may be empty via --)")
     p.set_defaults(fn=cmd_integrate_over)
 
     p = sub.add_parser("oracle", help="selection-based cross-check of an integral")

@@ -8,13 +8,14 @@ computed integral cross-checks itself.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .cone import ValidationError
+from .cone import Cone, ValidationError
 from .ddm import rref_basis
 from .linalg import (
     NEG_INF,
@@ -29,6 +30,7 @@ from .linalg import (
 )
 from .measure_space import (
     AtomicMeasure,
+    AtomicSpace,
     ScalarFunction,
     SimpleSetFunction,
     VectorFunction,
@@ -280,25 +282,65 @@ class ExplicitChain:
 
     steps: tuple[SimpleSetFunction, ...]
     limit: SimpleSetFunction
+    mode = "explicit"
+    needs_measure = False
 
     def __post_init__(self):
         if not self.steps:
             raise ValidationError("a chain needs at least one step")
 
+    def check(self, evaluate, mu: AtomicMeasure | None) -> ChainReport:
+        """The steps nest with the declared limit as their pointwise hull, and
+        so do their images; ``mu`` is not read."""
+        problems = []
+        for i in range(len(self.steps) - 1):
+            if not self.steps[i].pointwise_subset_of(self.steps[i + 1]):
+                problems.append(f"step {i + 1} is not pointwise contained in step {i + 2}")
+        last = self.steps[-1]
+        for atom in last.space.atoms:
+            hull = inf_set(last.cone, [F.value(atom) for F in self.steps])
+            if not hull.set_equal(self.limit.value(atom)):
+                problems.append(f"pointwise hull at {atom} differs from the declared limit")
+        if problems:
+            return ChainReport(self.mode, False, False, tuple(f"precondition: {p}" for p in problems))
+        integrals = [evaluate(F) for F in self.steps]
+        limit_integral = evaluate(self.limit)
+        ok = True
+        lines = []
+        for i in range(len(integrals) - 1):
+            if not integrals[i].subset_of(integrals[i + 1]):
+                ok = False
+                lines.append(f"integral at step {i + 1} not contained in step {i + 2}")
+        hull = inf_set(self.limit.cone, integrals)
+        if not hull.set_equal(limit_integral):
+            ok = False
+            lines.append(
+                f"inf of integrals {hull.literal()} differs from the limit integral "
+                f"{limit_integral.literal()}"
+            )
+        else:
+            lines.append(f"inf of {len(integrals)} integrals equals the limit integral exactly")
+        return ChainReport(self.mode, ok, True, tuple(lines))
+
 
 @dataclass(frozen=True)
 class ParametricChain:
-    """An index-parametrized nested family with a declared limit and schedule.
+    """The harmonic family F_n ≡ (1/n)·c + C at the given indices, decreasing
+    to the constant-C function.
 
-    ``factory(n)`` yields the n-th function; ``schedule(n, w, mu)`` bounds
-    |support(∫F_n, w) - support(∫F_limit, w)| at facet normals w of the limit
-    integral.
+    The family nests: for n < m, (1/n)c + C ⊆ (1/m)c + C since
+    (1/n - 1/m)c ∈ C, and every step lies in the limit C.  ``schedule(n, w,
+    mu)`` bounds |support(∫F_n, w) - support(∫C, w)| at facet normals w of
+    the limit integral by ``rate``/n, or by the exact deviation mass·<c, w>/n
+    when ``rate`` is None.
     """
 
-    factory: Callable[[int], SimpleSetFunction]
-    limit: SimpleSetFunction
-    schedule: Callable[[int, Vec, AtomicMeasure], Fraction]
+    space: AtomicSpace
+    cone: Cone
     indices: tuple[int, ...]
+    rate: Fraction | None = None
+    mode = "parametric"
+    needs_measure = True
 
     def __post_init__(self):
         if not self.indices or any(n < 1 for n in self.indices):
@@ -306,23 +348,47 @@ class ParametricChain:
         if list(self.indices) != sorted(set(self.indices)):
             raise ValidationError("parametric chain indices must be strictly increasing")
 
+    @functools.cached_property
+    def steps(self) -> tuple[SimpleSetFunction, ...]:
+        return tuple(
+            cone_translates(ScalarFunction.constant(self.space, Fraction(1, n)), self.cone)
+            for n in self.indices
+        )
 
-def harmonic_cone_chain(space, cone, indices: Sequence[int]) -> ParametricChain:
-    """F_n ≡ (1/n)·c + C decreasing to the constant-C function.
+    @functools.cached_property
+    def limit(self) -> SimpleSetFunction:
+        return constant_function(self.space, cone_upper_set(self.cone))
 
-    The exact deviation of the integrals' supports is mass·<c, w>/n, which is
-    the declared schedule.
-    """
-    c = cone.interior_point
+    def schedule(self, n: int, w: Vec, mu: AtomicMeasure) -> Fraction:
+        if self.rate is not None:
+            return self.rate / n
+        return mu.total() * dot(self.cone.interior_point, w) / n
 
-    def factory(n: int) -> SimpleSetFunction:
-        xi = ScalarFunction.constant(space, Fraction(1, n))
-        return cone_translates(xi, cone)
-
-    def schedule(n: int, w, mu: AtomicMeasure) -> Fraction:
-        return mu.total() * dot(c, w) / n
-
-    return ParametricChain(factory, constant_function(space, cone_upper_set(cone)), schedule, tuple(indices))
+    def check(self, evaluate, mu: AtomicMeasure) -> ChainReport:
+        """The images nest and meet the schedule at every facet normal of the
+        limit's image."""
+        limit_integral = evaluate(self.limit)
+        normals = limit_integral.facet_normals()
+        lines: list[str] = []
+        previous = None
+        for n, F in zip(self.indices, self.steps):
+            current = evaluate(F)
+            if previous is not None and not previous.subset_of(current):
+                lines.append(f"integral at index {n} breaks monotonicity")
+            previous = current
+            for w in normals:
+                gap = abs(current.support(w) - limit_integral.support(w))
+                bound = self.schedule(n, w, mu)
+                if gap > bound:
+                    lines.append(
+                        f"n={n} normal {format_vector(w)}: deviation {format_rational(gap)} "
+                        f"exceeds schedule {format_rational(bound)}"
+                    )
+        ok = not lines
+        lines.append(
+            f"checked indices {list(self.indices)} at {len(normals)} facet normals of the limit"
+        )
+        return ChainReport(self.mode, ok, True, tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -338,93 +404,8 @@ class ChainReport:
         return "\n".join([head, *self.lines])
 
 
-def _chain_precondition_explicit(chain: ExplicitChain) -> list[str]:
-    problems = []
-    for i in range(len(chain.steps) - 1):
-        if not chain.steps[i].pointwise_subset_of(chain.steps[i + 1]):
-            problems.append(f"step {i + 1} is not pointwise contained in step {i + 2}")
-    last = chain.steps[-1]
-    space, cone = last.space, last.cone
-    for atom in space.atoms:
-        family = [F.value(atom) for F in chain.steps]
-        hull = inf_set(cone, family)
-        if not hull.set_equal(chain.limit.value(atom)):
-            problems.append(f"pointwise hull at {atom} differs from the declared limit")
-    return problems
-
-
 def monotone_limit_check(chain, mu: AtomicMeasure | None, functional=None) -> ChainReport:
-    """Monotone convergence of integrals along a decreasing chain.
-
-    Explicit chains are checked exactly; parametric chains check the declared
-    support-deviation schedule at every facet normal of the limit integral.
-    ``functional`` defaults to the Aumann integral for the given measure and
-    may be any map from set functions to upper sets; an explicit chain given
-    a functional never reads ``mu``.
-    """
-    evaluate = functional or (lambda F: aumann_integral(F, mu).value)
-    lines: list[str] = []
-    if isinstance(chain, ExplicitChain):
-        problems = _chain_precondition_explicit(chain)
-        if problems:
-            return ChainReport("explicit", False, False, tuple(f"precondition: {p}" for p in problems))
-        integrals = [evaluate(F) for F in chain.steps]
-        limit_integral = evaluate(chain.limit)
-        ok = True
-        for i in range(len(integrals) - 1):
-            if not integrals[i].subset_of(integrals[i + 1]):
-                ok = False
-                lines.append(f"integral at step {i + 1} not contained in step {i + 2}")
-        hull = inf_set(chain.limit.cone, integrals)
-        if not hull.set_equal(limit_integral):
-            ok = False
-            lines.append(
-                f"inf of integrals {hull.literal()} differs from the limit integral "
-                f"{limit_integral.literal()}"
-            )
-        else:
-            lines.append(f"inf of {len(integrals)} integrals equals the limit integral exactly")
-        return ChainReport("explicit", ok, True, tuple(lines))
-
-    if isinstance(chain, ParametricChain):
-        steps = [(n, chain.factory(n)) for n in chain.indices]
-        for (n1, f1), (n2, f2) in zip(steps, steps[1:]):
-            if not f1.pointwise_subset_of(f2):
-                return ChainReport(
-                    "parametric",
-                    False,
-                    False,
-                    (f"precondition: step {n1} is not pointwise contained in step {n2}",),
-                )
-        if not steps[-1][1].pointwise_subset_of(chain.limit):
-            return ChainReport(
-                "parametric",
-                False,
-                False,
-                (f"precondition: step {steps[-1][0]} is not pointwise contained in the limit",),
-            )
-        limit_integral = evaluate(chain.limit)
-        normals = limit_integral.facet_normals()
-        ok = True
-        previous = None
-        for n, F in steps:
-            current = evaluate(F)
-            if previous is not None and not previous.subset_of(current):
-                ok = False
-                lines.append(f"integral at index {n} breaks monotonicity")
-            previous = current
-            for w in normals:
-                gap = abs(current.support(w) - limit_integral.support(w))
-                bound = chain.schedule(n, w, mu)
-                if gap > bound:
-                    ok = False
-                    lines.append(
-                        f"n={n} normal {format_vector(w)}: deviation {format_rational(gap)} "
-                        f"exceeds schedule {format_rational(bound)}"
-                    )
-        lines.append(
-            f"checked indices {list(chain.indices)} at {len(normals)} facet normals of the limit"
-        )
-        return ChainReport("parametric", ok, True, tuple(lines))
-
-    raise ValidationError(f"unknown chain type {type(chain).__name__}")
+    """Monotone convergence along a decreasing chain of the images under
+    ``functional``, any map from set functions to upper sets, by default the
+    Aumann integral for ``mu``."""
+    return chain.check(functional or (lambda F: aumann_integral(F, mu).value), mu)

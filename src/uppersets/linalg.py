@@ -17,7 +17,6 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple
-Rational = Fraction | int
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")

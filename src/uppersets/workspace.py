@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cone import Cone, ValidationError, check_dim
-from .integral import ExplicitChain, harmonic_cone_chain
+from .integral import ExplicitChain, ParametricChain
 from .linalg import POS_INF, parse_rational
 from .measure_space import (
     AtomicMeasure,
@@ -140,7 +140,6 @@ class FunctionalSpec:
     measure: str | None = None
     mutant: str | None = None
     command: tuple[str, ...] = ()
-    line: int = 0
 
 
 @dataclass
@@ -396,7 +395,7 @@ def parse_workspace(path: str) -> Workspace:
                     indices = tuple(int(t) for t in value.split())
                 except ValueError:
                     raise WorkspaceError("indices must be integers", path, lineno) from None
-            ws.chains[name] = located(block.line, harmonic_cone_chain, space, cone, indices)
+            ws.chains[name] = located(block.line, ParametricChain, space, cone, indices)
 
     for name, block in named_blocks("functional", ws.functionals, "functional"):
         kind, entries = kind_entries(block, _FUNCTIONAL_KEYS, "integral, mutant or external")
@@ -405,7 +404,7 @@ def parse_workspace(path: str) -> Workspace:
             ws._lookup(ws.measures, value["measure"], "measure", entries["measure"][0])
         command = tuple(value.get("command", "").split())
         ws.functionals[name] = FunctionalSpec(
-            name, kind, value.get("measure"), value.get("name"), command, block.line
+            name, kind, value.get("measure"), value.get("name"), command
         )
 
     for b in blocks:

@@ -22,8 +22,8 @@ from uppersets.axioms import (
 )
 from uppersets.integral import (
     ExplicitChain,
+    ParametricChain,
     aumann_integral,
-    harmonic_cone_chain,
     integral_over,
     monotone_limit_check,
     selection_oracle,
@@ -225,7 +225,7 @@ def test_criterion_6_monotone_convergence():
     for cone in (R2, WEDGE):
         sp = space("x1", "x2", "x3")
         mu = rnd_measure(rng, sp, allow_zero=False)
-        chain = harmonic_cone_chain(sp, cone, tuple(range(1, 65)))
+        chain = ParametricChain(sp, cone, tuple(range(1, 65)))
         rep = monotone_limit_check(chain, mu)
         ok = ok and rep.ok
     report(6, "monotone convergence, exact and scheduled", ok)

@@ -189,6 +189,32 @@ def test_reconstruct_rejects_non_additive():
     assert not rec.ok and rec.additivity_failures
 
 
+def test_reconstruct_failure_lines_print_rationals():
+    sp = space("x1", "x2", "x3")
+    mu = AtomicMeasure.from_map(sp, {"x1": 1, "x2": 2, "x3": 3})
+    pair = cone_translates(ScalarFunction.indicator(sp, ["x1", "x2"]), R2)
+
+    def pair_shifted(F):
+        # the integral, except that the pair indicator's value moves by c
+        value = aumann_integral(F, mu).value
+        return value.translate(R2.interior_point) if F == pair else value
+
+    phi = SetFunctional("pair-shifted", pair_shifted)
+    # the six checks never probe the pair indicator at sample seed 0
+    assert run_axiom_checks(phi, SampleSet(sp, R2, seed=0)).passed
+    lines = reconstruct_measure(phi, sp, R2).describe().splitlines()
+    assert "  additivity failure: phi(1_A) for A = {x1, x2} is 4, expected 3" in lines
+
+    zero = constant_function(sp, cone_upper_set(R2))
+
+    def zero_shifted(F):
+        value = aumann_integral(F, mu).value
+        return value.translate(R2.interior_point) if F == zero else value
+
+    rec = reconstruct_measure(SetFunctional("zero-shifted", zero_shifted), sp, R2)
+    assert rec.additivity_failures == ("phi(1_∅) = 1, expected 0",)
+
+
 def test_verify_representation_same_measure():
     phi = integral_functional(MU)
     report = verify_representation(phi, MU, X2, R2, seed=4)

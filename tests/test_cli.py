@@ -93,6 +93,25 @@ def test_integrate_over(ws_path, capsys):
     assert "[[0, 1, 1], [1, 0, 0]]" in out
 
 
+def test_integrate_over_the_empty_subset(ws_path, capsys):
+    code, out, err = run(capsys, "integrate-over", ws_path, "F", "mu", "--")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == [
+        "integral of F over {} with respect to mu",
+        "mass of subset: 0",
+        "value: halfspaces: [[0, 1, 0], [1, 0, 0]]",
+    ]
+
+
+def test_integrate_over_names_each_atom_once(ws_path, capsys):
+    code, out, _ = run(capsys, "integrate-over", ws_path, "F", "mu", "x1", "x1")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "integral of F over {x1} with respect to mu",
+        "mass of subset: 1",
+    ]
+
+
 def oracle_stdout(value):
     """The full report of ``oracle … --trials 50 --seed 7`` on a passing integral."""
     return (

@@ -1,15 +1,19 @@
 """Aumann integral: worked values, laws, oracle, monotone convergence."""
 
+import contextlib
+import dataclasses
+import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from uppersets import Cone, ValidationError, orthant
 from uppersets.integral import (
     ExplicitChain,
+    ParametricChain,
     aumann_integral,
-    harmonic_cone_chain,
     integral_over,
     monotone_limit_check,
     selection_oracle,
@@ -295,12 +299,12 @@ def test_monotone_rejects_non_nested():
 
 
 def test_monotone_parametric_harmonic_chain():
-    chain = harmonic_cone_chain(X2, R2, [1, 2, 4, 8, 16, 32, 64])
+    chain = ParametricChain(X2, R2, [1, 2, 4, 8, 16, 32, 64])
     report = monotone_limit_check(chain, MU11)
     assert report.ok, report.describe()
     # supports at the dual generators decay exactly like mass*<c,w>/n
     n = 8
-    f = chain.factory(n)
+    f = chain.steps[chain.indices.index(n)]
     value = aumann_integral(f, MU11).value
     for w in R2.dual_generators:
         assert value.support(w) == MU11.total() * dot(R2.interior_point, w) / n
@@ -334,3 +338,50 @@ def test_oplus_rejects_cone_mismatch():
     b = point_plus_cone(wedge, (1, 0))
     with pytest.raises(ValidationError):
         a.oplus(b)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [
+        orthant(2),
+        Cone(2, ((1, 0), (1, 1)), (2, 1)),
+        orthant(3),
+        Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 1)),
+    ],
+    ids=["orthant2", "wedge", "orthant3", "half-plane"],
+)
+def test_harmonic_steps_nest_and_lie_in_the_limit(cone):
+    # the invariants that make a runtime precondition on the family redundant
+    chain = ParametricChain(X2, cone, (1, 2, 3, 5, 8))
+    for F, G in zip(chain.steps, chain.steps[1:]):
+        assert F.pointwise_subset_of(G)
+    assert chain.steps[-1].pointwise_subset_of(chain.limit)
+    assert chain.limit == constant_function(X2, cone_upper_set(cone))
+
+
+def test_parametric_chain_builds_its_steps_once_and_lazily(ddm_runs):
+    chain = ParametricChain(X2, R2, (1, 2, 4))
+    assert ddm_runs == []
+    steps = chain.steps
+    runs = len(ddm_runs)
+    assert runs > 0
+    assert chain.steps is steps and len(ddm_runs) == runs
+
+
+def test_a_schedule_rate_keeps_the_indices():
+    chain = ParametricChain(X2, R2, (1, 3, 9))
+    tight = dataclasses.replace(chain, rate=Fraction(1, 3))
+    assert tight.indices == (1, 3, 9) and tight.rate == Fraction(1, 3)
+    assert tight.schedule(3, (1, 0), MU11) == Fraction(1, 9)
+    assert chain.schedule(3, (1, 0), MU11) == Fraction(2, 3)
+
+
+def test_readme_library_example_prints_its_comments():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert expected == ["halfspaces: [[0, 1, 2], [1, 0, 1]]", "True"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -1,6 +1,7 @@
 """Workspace parsing, validation diagnostics, and literal round-trips."""
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +450,25 @@ def test_readme_workspace_example_loads(tmp_path):
     ws = parse_workspace(write(tmp_path, example))
     assert set(ws.functionals) == {"bad", "ext", "phi"}
     assert set(ws.chains) == {"down", "h"}
+
+
+def test_loading_a_harmonic_chain_makes_no_double_description_run(tmp_path, ddm_runs):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = [
+        block.split("```", 1)[0]
+        for block in readme.split("```text\n")[1:]
+        if block.startswith("dimension:")
+    ]
+    without = re.sub(r"chain h:\n(    .*\n)+", "", example)
+    assert without != example and "harmonic-cone" not in without
+    path = write(tmp_path, without, "without.txt")
+    parse_workspace(path)  # the first load also fills caches keyed by the cone
+    before = len(ddm_runs)
+    parse_workspace(path)
+    runs = len(ddm_runs) - before
+    ws = parse_workspace(write(tmp_path, example))
+    assert isinstance(ws.chains["h"], ParametricChain)
+    assert len(ddm_runs) - before == 2 * runs
 
 
 def test_parse_vector_rationals():
