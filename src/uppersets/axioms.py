@@ -19,6 +19,7 @@ outside its home.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .cone import Cone, ValidationError
-from .integral import ExplicitChain, ParametricChain, aumann_integral
+from .integral import ExplicitChain, ParametricChain, integral_value
 from .linalg import NEG_INF, Vec, dot, format_rational, format_vector
 from .measure_space import (
     AtomicMeasure,
@@ -88,7 +89,7 @@ class SetFunctional:
 
 
 def integral_functional(mu: AtomicMeasure, name: str | None = None) -> SetFunctional:
-    return SetFunctional(name or "integral", lambda F: aumann_integral(F, mu).value)
+    return SetFunctional(name or "integral", lambda F: integral_value(F, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,9 @@ class SampleSet:
         self.stabilizing_chain = ExplicitChain(tuple(steps), self.stabilizing_limit)
         self.parametric_chain = ParametricChain(space, cone, self.CHAIN_INDICES)
         self.chains = (self.stabilizing_chain, self.parametric_chain)
+        # F.supporting(w), built once per (F, w); keyed on F itself, a copy with
+        # replaced sample functions never reads a stale entry
+        self.supporting = functools.cache(lambda F, w: F.supporting(w))
 
     def header_lines(self) -> list[str]:
         return [
@@ -453,7 +457,7 @@ def check_interchange(phi: SetFunctional, samples: SampleSet) -> CheckResult:
             skipped += 1
             continue
         directions = interchange_directions(F, base, samples.cone)
-        pieces = [phi(F.supporting(w)) for w in directions]
+        pieces = [phi(samples.supporting(F, w)) for w in directions]
         rhs = sup_set(samples.cone, pieces)
         checked += 1
         if not base.set_equal(rhs):
@@ -707,7 +711,7 @@ def verify_representation(
     suite = representation_suite(space, cone, seed)
     for name, F in suite:
         lhs = phi(F)
-        rhs = aumann_integral(F, mu_hat).value
+        rhs = integral_value(F, mu_hat)
         if not lhs.set_equal(rhs):
             failures.append(
                 f"{name}: phi(F) = {lhs.literal()} but ∫F dμ̂ = {rhs.literal()}"
@@ -832,7 +836,7 @@ def _assert_isolation(samples: SampleSet, base: SetFunctional, table) -> None:
         value = base(F)
         facets = set(value.facet_normals())
         for w in interchange_directions(F, value, cone):
-            Fw = F.supporting(w)
+            Fw = samples.supporting(F, w)
             entries.append(("supporting-halfspace", (i, w), Fw))
             binding = binding or (i == 0 and w in facets and tightened(Fw))
 

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("chain-check", help="monotone convergence along a chain")
-    common(p)
+    common(p, seed=False)
     p.add_argument("chain")
     p.add_argument("measure")
     p.add_argument(

@@ -7,8 +7,8 @@ homogenization in one extra dimension.
 
 Inside ``cone_vrep`` every row, lineality vector and ray is a primitive
 integer vector (an integer gcd keeps it so), so the inner loops run on machine
-ints; ``Fraction`` appears only in ``rref_basis`` and where points are
-dehomogenized, after they are sorted as integer numerators.
+ints; ``Fraction`` appears only in ``rref_basis``, in facet offsets and where
+points are dehomogenized, after they are sorted as integer numerators.
 
 Each ray carries its zero set, a bitmask of the processed rows it is tight
 at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import Vec, is_zero, primitive, primitive_halfspace, vneg
+from .linalg import Vec, is_zero, primitive, vneg
 
 
 class GeometryError(ValueError):
@@ -197,8 +197,10 @@ def _dehomogenize(vectors, dim: int) -> tuple[list[Vec], list[Vec]]:
 
 
 def _halfspaces(vectors, dim: int) -> list[tuple[Vec, Fraction]]:
-    """Sorted facets (w, b) of homogeneous rows (w, -b), skipping w = 0."""
-    return sorted(primitive_halfspace(v[:dim], -v[dim]) for v in vectors if not is_zero(v[:dim]))
+    """Sorted facets (w/g, b/g) of primitive integer rows (w, -b), g the gcd
+    of w, skipping w = 0."""
+    gcds = [(v, gcd(*v[:dim])) for v in vectors]
+    return sorted((tuple(x // g for x in v[:dim]), Fraction(-v[dim], g)) for v, g in gcds if g)
 
 
 def _irredundant(masks, rows) -> tuple[list[Vec], list[Vec]]:

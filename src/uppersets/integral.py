@@ -1,9 +1,9 @@
 """Aumann integrals of simple set-valued functions on finite atomic spaces.
 
 The integral is computed as the exact Minkowski sum of the measure-scaled
-values; the support-function representation is carried along as a certificate
-(one equality per facet normal) rather than used as the constructor, so every
-computed integral cross-checks itself.
+values (``integral_value``); ``aumann_integral`` carries the support-function
+representation along as a certificate (one equality per facet normal), so
+every integral it computes cross-checks itself.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
     return total
 
 
-def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:
+def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
     """⊕ over atoms of μ(x)·F(x); zero-weight atoms contribute C, the
     neutral element, and are skipped."""
     if mu.space != F.space:
@@ -94,6 +94,12 @@ def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:
     value, *rest = [piece.scale(weight) for weight, piece in zip(mu.weights, F.values) if weight]
     for piece in rest:
         value = value.oplus(piece)
+    return value
+
+
+def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:
+    """The integral's value with its support certificate."""
+    value = integral_value(F, mu)
     certificate = tuple(
         (w, value.support(w), weighted_support_sum(F, mu, w)) for w in value.facet_normals()
     )
@@ -408,4 +414,4 @@ def monotone_limit_check(chain, mu: AtomicMeasure | None, functional=None) -> Ch
     """Monotone convergence along a decreasing chain of the images under
     ``functional``, any map from set functions to upper sets, by default the
     Aumann integral for ``mu``."""
-    return chain.check(functional or (lambda F: aumann_integral(F, mu).value), mu)
+    return chain.check(functional or (lambda F: integral_value(F, mu)), mu)

@@ -258,10 +258,11 @@ def canonicalize(
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
     pts = [vec(p) for p in points or ()]
-    for p in pts:
-        check_dim(cone.dim, p, "point")
+    rys, lin = [vec(r) for r in rays or ()], [vec(l) for l in lineality or ()]
+    for what, v in [("point", p) for p in pts] + [("ray", r) for r in rys]:
+        check_dim(cone.dim, v, what)
     result_h = _from_hrep(cone, halfspaces) if has_h else None
-    result_v = _from_vrep(cone, *clear_denominators(pts), rays or (), lineality or ()) if has_v else None
+    result_v = _from_vrep(cone, *clear_denominators(pts), rys, lin) if has_v else None
     if result_h is not None and result_v is not None:
         if not result_h.set_equal(result_v):
             raise ValidationError(
@@ -297,15 +298,11 @@ def _from_hrep(cone: Cone, pairs) -> UpperSet:
 
 
 def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
-    """The V-rep path: points are integer numerators over one d > 0."""
+    """The V-rep path: points are integer numerators over one d > 0; the DDM
+    makes the rays and lineality vectors primitive and drops zero ones."""
     if not points:
         return UpperSet.empty(cone)
-    ray_set = {primitive(vec(r)) for r in rays} | set(cone.generators)
-    ray_set.discard(tuple(0 for _ in range(cone.dim)))
-    lin = [vec(l) for l in lineality if not is_zero(vec(l))]
-    for r in ray_set:
-        check_dim(cone.dim, r, "ray")
-    facets, pts, rys, lin = ddm.vrep_to_hrep(points, sorted(ray_set), lin, cone.dim, d)
+    facets, pts, rys, lin = ddm.vrep_to_hrep(points, (*rays, *cone.generators), lineality, cone.dim, d)
     if not facets:
         return UpperSet.full(cone)
     for w, _ in facets:

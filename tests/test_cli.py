@@ -167,6 +167,16 @@ def test_chain_check_schedule_override(ws_path, capsys):
     assert "epsilon-schedule=6/2" in out.splitlines()[0]
 
 
+def test_chain_check_flags_line_has_no_seed(ws_path, capsys):
+    # chain-check draws no random numbers, so it takes no --seed
+    code, out, _ = run(capsys, "chain-check", ws_path, "h", "mu")
+    assert code == 0
+    assert out.splitlines()[0] == "flags: epsilon-schedule=auto"
+    with pytest.raises(SystemExit) as exc:
+        main(["chain-check", ws_path, "h", "mu", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -379,19 +389,70 @@ def test_mutant_verdict_integrates_each_set_function_once(ws_path, capsys, monke
     import uppersets.integral as integral
 
     inputs = Counter()
-    original = integral.aumann_integral
+    original = integral.integral_value
 
     def counted(F, mu):
         inputs[F] += 1
         return original(F, mu)
 
-    monkeypatch.setattr(axioms, "aumann_integral", counted)
-    monkeypatch.setattr(integral, "aumann_integral", counted)
+    monkeypatch.setattr(axioms, "integral_value", counted)
+    monkeypatch.setattr(integral, "integral_value", counted)
     code, _, _ = run(
         capsys, "check-axioms", ws_path, "mutant:nullity-pad:mu", "--sample-count", "8"
     )
     assert code == 1
     assert inputs and max(inputs.values()) == 1
+
+
+def test_mutant_verdict_builds_each_supporting_function_once(ws_path, capsys, monkeypatch):
+    # the catalog's isolation check and check S share one build per (F, w)
+    from collections import Counter
+
+    from uppersets.axioms import SampleSet
+    from uppersets.measure_space import SimpleSetFunction
+
+    argv = ("check-axioms", ws_path, "mutant:nullity-pad:mu", "--sample-count", "8")
+    builds = Counter()
+    original = SimpleSetFunction.supporting
+
+    def counted(self, w):
+        builds[self, w] += 1
+        return original(self, w)
+
+    monkeypatch.setattr(SimpleSetFunction, "supporting", counted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert builds and max(builds.values()) == 1
+    # the same verdict without the shared builds prints the same report
+    init = SampleSet.__init__
+
+    def unshared(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.supporting = lambda F, w: F.supporting(w)
+
+    monkeypatch.setattr(SampleSet, "__init__", unshared)
+    builds.clear()
+    assert run(capsys, *argv) == (code, out, err)
+    assert max(builds.values()) == 2
+
+
+def test_integral_verdict_builds_no_support_certificate(ws_path, capsys, monkeypatch):
+    import uppersets.integral as integral
+
+    calls = []
+    original = integral.weighted_support_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(integral, "weighted_support_sum", counted)
+    code, out, _ = run(capsys, "check-axioms", ws_path, "integral:mu", "--sample-count", "8")
+    assert code == 0 and "overall: PASS" in out
+    assert calls == []
+    code, out, _ = run(capsys, "integrate", ws_path, "F", "mu")
+    assert code == 0 and "certificate: pass" in out
+    assert calls  # the certificate of ``integrate`` does read it
 
 
 def test_external_functional_sends_each_input_once(ws_path, capsys, tmp_path, monkeypatch):

@@ -8,13 +8,14 @@ import pytest
 
 from uppersets.ddm import (
     GeometryError,
+    _halfspaces,
     cone_vrep,
     hrep_feasible,
     hrep_to_vrep,
     rref_basis,
     vrep_to_hrep,
 )
-from uppersets.linalg import dot, primitive, rank, vec
+from uppersets.linalg import dot, primitive, primitive_halfspace, rank, vec
 
 
 def in_cone_by_rows(rows, x):
@@ -266,6 +267,24 @@ def test_primitive_normalization():
     assert primitive((Fraction(2, 3), Fraction(-4, 3))) == (1, -2)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-2, -4)) == (-1, -2)
+
+
+def test_halfspaces_read_facets_off_primitive_integer_rows():
+    # the gcd of the normal part divides both the normal and the offset
+    rng = random.Random(17)
+    wide_normals = 0
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        rows = [(0,) * dim + (1,)]  # a zero normal: no facet
+        for _ in range(rng.randint(1, 6)):
+            g = rng.choice([1, 1, 2, 3, 6])
+            row = primitive(tuple(g * rng.randint(-4, 4) for _ in range(dim)) + (rng.randint(-9, 9),))
+            if any(row[:dim]):
+                rows.append(row)
+                wide_normals += primitive(row[:dim]) != row[:dim]
+        expected = sorted(primitive_halfspace(v[:dim], -v[dim]) for v in rows[1:])
+        assert _halfspaces(rows, dim) == expected
+    assert wide_normals > 20
 
 
 def same_modulo(a, b, lineality):

@@ -15,6 +15,7 @@ from uppersets.integral import (
     ParametricChain,
     aumann_integral,
     integral_over,
+    integral_value,
     monotone_limit_check,
     selection_oracle,
     weighted_support_sum,
@@ -340,7 +341,7 @@ def test_oplus_rejects_cone_mismatch():
         a.oplus(b)
 
 
-@pytest.mark.parametrize(
+CONES = pytest.mark.parametrize(
     "cone",
     [
         orthant(2),
@@ -350,6 +351,28 @@ def test_oplus_rejects_cone_mismatch():
     ],
     ids=["orthant2", "wedge", "orthant3", "half-plane"],
 )
+
+
+@CONES
+def test_integral_value_is_the_value_of_the_certified_integral(cone):
+    rng = random.Random(29)
+    sp = space("x1", "x2", "x3")
+    for _ in range(8):
+        F = random_set_function(rng, sp, cone)
+        weights = [Fraction(rng.randint(0, 3), rng.choice([1, 2])) for _ in sp.atoms]
+        weights[rng.randrange(3)] += 1
+        mu = AtomicMeasure(sp, tuple(weights))
+        a, b = integral_value(F, mu), aumann_integral(F, mu).value
+        assert (a.kind, a.halfspaces, a.points, a.rays, a.lineality) == (
+            b.kind,
+            b.halfspaces,
+            b.points,
+            b.rays,
+            b.lineality,
+        )
+
+
+@CONES
 def test_harmonic_steps_nest_and_lie_in_the_limit(cone):
     # the invariants that make a runtime precondition on the family redundant
     chain = ParametricChain(X2, cone, (1, 2, 3, 5, 8))
@@ -380,7 +403,7 @@ def test_readme_library_example_prints_its_comments():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
-    assert expected == ["halfspaces: [[0, 1, 2], [1, 0, 1]]", "True"]
+    assert expected == ["halfspaces: [[0, 1, 2], [1, 0, 1]]", "True", "True"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
