@@ -88,7 +88,7 @@ def _override_schedule(chain, spec: str):
     if rate < 0:
         raise ValidationError(f"--epsilon-schedule expects a nonnegative rate, got {spec!r}")
     if not isinstance(chain, ParametricChain):
-        return chain
+        raise ValidationError("--epsilon-schedule applies only to a parametric chain")
     return dataclasses.replace(chain, rate=rate)
 
 

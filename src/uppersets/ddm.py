@@ -83,7 +83,8 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
     tight at it, and those rows, the sorted primitive forms of the nonzero
     input rows (bit k stands for the k-th).
     """
-    prows = sorted({primitive(tuple(r)) for r in rows if not is_zero(tuple(r))})
+    rows = [r for r in map(tuple, rows) if not is_zero(r)]
+    prows = sorted({_coprime(r) if all(type(x) is int for x in r) else primitive(r) for r in rows})
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
     rays: list[list] = []  # [vector, zero-set bitmask over processed rows]
 

@@ -39,7 +39,7 @@ from .measure_space import (
     indicator_modify,
     pick_selection,
 )
-from .upperset import UpperSet, cone_upper_set, inf_set
+from .upperset import UpperSet, cone_upper_set, in_dual_cone, inf_set
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def selection_oracle(
     (b) attainment: every stored point is the integral of a selection of
         pointwise minimisers (``_attaining_selection``), checked for
         pointwise membership and resummed exactly;
-    (c) the value is a fixed point of ⊕ C.
+    (c) the value is a fixed point of ⊕ C: every facet normal lies in C⁺.
     """
     if trials < 1:
         raise ValidationError("the oracle needs at least one trial")
@@ -265,7 +265,7 @@ def selection_oracle(
         else:
             witnesses.append((p, selection))
 
-    upper_ok = value.oplus(cone_upper_set(F.cone)).set_equal(value)
+    upper_ok = all(in_dual_cone(F.cone, w) for w in value.facet_normals())
     return OracleReport(
         trials,
         seed,

@@ -9,12 +9,17 @@ Both representations are kept: the H-rep (facets) identifies the set, the
 V-rep (points on minimal faces, extreme rays, lineality basis) makes
 Minkowski sums and support queries exact.
 
-A canonical form costs one double-description run.  Over a V-rep plus C's
-generators the run yields the facets, and its incidence the irredundant
-points and rays and the lineality space, on integer point numerators over one
-denominator: ``oplus`` adds its operands' over the lcm of theirs, and points
-sort by those integer keys.  An H-rep with all normals in C+ is
-closed under C already: the run yields the V-rep, and its incidence the
+A canonical form costs one double-description run, and none in two closed
+forms.  Every member is D = cl(D + C), so D ⊕ (p + C) = D + p, and
+D ⊕ H(w, b) = H(w, σ_D(w) + b) for the halfspace H(w, b) = {z : <z, w> >= b},
+w in C+: ``oplus`` takes these when an operand is a translate of C or a
+halfspace, ``point_plus_cone`` translates C and ``halfspace_set`` a cached
+H(w, 0), and ``translate`` keeps the canonical form.  Otherwise, over a V-rep
+plus C's generators the run yields the facets, and its incidence the
+irredundant points and rays and the lineality space, on integer point
+numerators over one denominator: ``oplus`` adds its operands' over the lcm of
+theirs, and points sort by those integer keys.  An H-rep with all normals in
+C+ is closed under C already: the run yields the V-rep, and its incidence the
 facets among the inequalities.  Any other H-rep is converted to a V-rep
 first, a second run.  Modulo the lineality space L, each point and ray is
 stored as the representative that is zero at L's pivot columns (pivots taken
@@ -195,6 +200,13 @@ class UpperSet:
             return UpperSet.empty(self.cone)
         if self.is_full or other.is_full:
             return UpperSet.full(self.cone)
+        for d, e in ((self, other), (other, self)):
+            if _is_cone_translate(e):  # D ⊕ (p + C) = D + p
+                return d.translate(e.points[0])
+        for d, e in ((self, other), (other, self)):
+            if len(e.halfspaces) == 1:  # D ⊕ H(w, b) = H(w, σ_D(w) + b)
+                (w, b), = e.halfspaces
+                return halfspace_set(self.cone, w, d.support(w) + b)
         (d1, ps), (d2, qs) = self._integer_points, other._integer_points
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
@@ -232,6 +244,14 @@ class UpperSet:
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def _is_cone_translate(e: UpperSet) -> bool:
+    """Whether the proper set e is p + C, p its one stored point."""
+    if len(e.points) != 1:
+        return False
+    c = cone_upper_set(e.cone)
+    return e.rays == c.rays and e.lineality == c.lineality
 
 
 def _check_same_cone(a: UpperSet, b: UpperSet) -> None:
@@ -350,18 +370,32 @@ def cone_upper_set(cone: Cone) -> UpperSet:
 
 
 def point_plus_cone(cone: Cone, p) -> UpperSet:
-    return canonicalize(cone, points=[vec(p)])
+    p = vec(p)
+    check_dim(cone.dim, p, "point")
+    return cone_upper_set(cone).translate(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneous_halfspace(cone: Cone, w: Vec) -> UpperSet:
+    """H(w, 0) for a primitive w in C+."""
+    return canonicalize(cone, halfspaces=[(w, 0)])
 
 
 def halfspace_set(cone: Cone, w, b) -> UpperSet:
-    """{z : <z, w> >= b} as an upper set; b = -inf gives the full space."""
+    """{z : <z, w> >= b} as an upper set; b = -inf gives the full space and
+    b = +inf the empty set.  H(w, b) is H(w, 0) translated onto <z, w> = b."""
     w = vec(w)
     check_dim(cone.dim, w, "normal")
     if is_zero(w) or not in_dual_cone(cone, w):
         raise ValidationError("halfspace normal must lie in C+ \\ {0}")
     if b == NEG_INF:
         return UpperSet.full(cone)
-    return canonicalize(cone, halfspaces=[(w, Fraction(b))])
+    if b == POS_INF:
+        return UpperSet.empty(cone)
+    w, b = primitive_halfspace(w, b)
+    i = next(i for i, x in enumerate(w) if x)
+    p = [b / w[i] if j == i else 0 for j in range(cone.dim)]  # <p, w> = b
+    return _homogeneous_halfspace(cone, w).translate(p)
 
 
 def inf_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:

@@ -189,6 +189,7 @@ def test_chain_check_flags_line_has_no_seed(ws_path, capsys):
         ["check-axioms", "WS", "phi", "--w-samples", "-5"],
         ["chain-check", "WS", "h", "mu", "--epsilon-schedule", "-1"],
         ["chain-check", "WS", "stab", "mu", "--epsilon-schedule", "-1"],
+        ["chain-check", "WS", "stab", "mu", "--epsilon-schedule", "1/3"],
         ["oracle", "WS", "F", "mu", "--trials", "0"],
     ],
 )
@@ -327,7 +328,7 @@ def test_geometry_error_exits_2(ws_path, capsys, monkeypatch):
         return ws
 
     monkeypatch.setattr(cli, "parse_workspace", parse_then_cap)
-    code, out, err = run(capsys, "integrate", ws_path, "G", "mu")
+    code, out, err = run(capsys, "lattice", ws_path, "inf", "F", "G")
     assert code == 2
     assert err.startswith("error: ray count exceeded desk scale")
 

@@ -269,6 +269,25 @@ def test_primitive_normalization():
     assert primitive((-2, -4)) == (-1, -2)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_rows_skip_the_denominator_pass_with_the_same_output(seed):
+    # int rows take the integer gcd path, Fraction rows keep ``primitive``;
+    # rows repeat in direction, scaled by ints and by Fractions
+    rng = random.Random(seed)
+    dim = rng.choice((3, 4))
+    rows = []
+    for _ in range(rng.randint(dim, 2 * dim + 2)):
+        r = tuple(rng.randint(-3, 3) for _ in range(dim))
+        rows.append(tuple(rng.randint(1, 3) * x for x in r))
+        if rng.random() < 0.5:
+            rows.append(tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3)) * x for x in r))
+    as_fractions = [vec(r) for r in rows]
+    mixed = cone_vrep(rows, dim, incidence=True)
+    assert mixed == cone_vrep(as_fractions, dim, incidence=True)
+    assert mixed[3] == sorted({primitive(r) for r in as_fractions if any(r)})
+    assert all(type(x) is int for r in mixed[3] for x in r)
+
+
 def test_halfspaces_read_facets_off_primitive_integer_rows():
     # the gcd of the normal part divides both the normal and the offset
     rng = random.Random(17)

@@ -32,6 +32,9 @@ from uppersets.measure_space import (
     vector_plus_cone,
 )
 from uppersets.upperset import (
+    PROPER,
+    Halfspace,
+    UpperSet,
     canonicalize,
     cone_upper_set,
     halfspace_set,
@@ -256,9 +259,9 @@ def test_oracle_attains_through_rays_orthogonal_to_the_normal():
     assert report.attainment_witnesses == ((vec((0, 0)), (vec((0, 0)), vec((0, 0)))),)
 
 
-def test_oracle_makes_one_ddm_run_beyond_its_integral(ddm_runs):
+def test_oracle_makes_no_ddm_run_beyond_its_integral(ddm_runs):
     # three staircases with edge slopes -2, -1/2 and -1: the value has four
-    # vertices, and only its ⊕ C identity costs a run beyond the integral
+    # vertices, and its ⊕ C identity is read off its facet normals
     f = SimpleSetFunction(
         X3,
         tuple(
@@ -273,7 +276,19 @@ def test_oracle_makes_one_ddm_run_beyond_its_integral(ddm_runs):
     integral_runs = len(ddm_runs) - start
     report = selection_oracle(f, mu, trials=5, seed=0)
     assert report.passed and len(report.value.points) == 4
-    assert len(ddm_runs) - start == 2 * integral_runs + 1
+    assert len(ddm_runs) - start == 2 * integral_runs
+
+
+def test_oracle_identity_fails_on_a_normal_outside_the_dual_cone():
+    # {x1 >= x2}, built by hand, is not closed under the orthant: its normal
+    # (1, -1) lies outside C+, so value ⊕ C = value must fail
+    x1 = space("x1")
+    origin = (Fraction(0), Fraction(0))
+    value = UpperSet(R2, PROPER, (Halfspace((1, -1), Fraction(0)),), (origin,), ((1, 0),), ((1, 1),))
+    report = selection_oracle(SimpleSetFunction(x1, (value,)), AtomicMeasure(x1, (1,)), trials=5, seed=0)
+    assert report.value.halfspaces == value.halfspaces
+    assert not report.upper_set_ok and not report.passed
+    assert "upper-set identity (value ⊕ C = value): FAIL" in report.describe()
 
 
 def test_monotone_explicit_stabilizing_chain():
@@ -384,10 +399,9 @@ def test_harmonic_steps_nest_and_lie_in_the_limit(cone):
 
 def test_parametric_chain_builds_its_steps_once_and_lazily(ddm_runs):
     chain = ParametricChain(X2, R2, (1, 2, 4))
-    assert ddm_runs == []
+    assert ddm_runs == [] and "steps" not in chain.__dict__
     steps = chain.steps
     runs = len(ddm_runs)
-    assert runs > 0
     assert chain.steps is steps and len(ddm_runs) == runs
 
 

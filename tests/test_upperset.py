@@ -8,9 +8,10 @@ import pytest
 
 from uppersets import AtomicMeasure, Cone, SimpleSetFunction, ValidationError, orthant, space
 from uppersets.integral import aumann_integral
-from uppersets.linalg import NEG_INF, POS_INF, dot, vec
+from uppersets.linalg import NEG_INF, POS_INF, clear_denominators, dot, vadd, vec
 from uppersets.upperset import (
     UpperSet,
+    _from_vrep,
     canonicalize,
     cone_upper_set,
     halfspace_set,
@@ -252,15 +253,20 @@ def runs_of(calls, make):
 
 
 def test_one_ddm_run_per_canonical_form(ddm_runs):
-    a = point_plus_cone(R2, (1, 2))
+    a = canonicalize(R2, points=[(1, 2), (2, 1)])
     b = hs(R2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 3)])
     w = (1, 2)
-    assert runs_of(ddm_runs, lambda: point_plus_cone(R2, (3, 1))) == 1
+    # translates of C and of a cached H(w, 0) are closed forms: no run
+    halfspace_set(R2, w, 0)
+    halfspace_set(HALF_PLANE, (1, 1), 0)
+    assert runs_of(ddm_runs, lambda: point_plus_cone(R2, (3, 1))) == 0
     assert runs_of(ddm_runs, lambda: a.oplus(b)) == 1
+    assert runs_of(ddm_runs, lambda: a.oplus(point_plus_cone(R2, (3, 1)))) == 0
+    assert runs_of(ddm_runs, lambda: halfspace_set(R2, w, 5).oplus(b)) == 0
     assert runs_of(ddm_runs, lambda: inf_set(R2, [a, b])) == 1
-    assert runs_of(ddm_runs, lambda: halfspace_set(R2, w, 5)) == 1
-    assert runs_of(ddm_runs, lambda: halfspace_set(HALF_PLANE, (1, 1), 5)) == 1
-    assert runs_of(ddm_runs, lambda: b.supporting_halfspace(w)) == 1
+    assert runs_of(ddm_runs, lambda: halfspace_set(R2, w, 5)) == 0
+    assert runs_of(ddm_runs, lambda: halfspace_set(HALF_PLANE, (1, 1), 5)) == 0
+    assert runs_of(ddm_runs, lambda: b.supporting_halfspace(w)) == 0
     assert runs_of(ddm_runs, lambda: sup_set(R2, [a, b])) == 1
     outside = [((1, 1), 0), ((-1, 0), 0)]  # (-1, 0) is not in C+
     assert runs_of(ddm_runs, lambda: hs(R2, outside)) == 2
@@ -271,6 +277,90 @@ def test_one_ddm_run_per_canonical_form(ddm_runs):
     F = SimpleSetFunction(atoms, (a, b, a))
     mu = AtomicMeasure(atoms, (1, 2, 0))
     assert runs_of(ddm_runs, lambda: aumann_integral(F, mu)) == 1
+
+
+FOUR_CONES = pytest.mark.parametrize(
+    "cone", [R2, WEDGE, orthant(3), HALF_PLANE], ids=["orthant2", "wedge", "orthant3", "half-plane"]
+)
+
+
+def stored(d):
+    return d.kind, d.halfspaces, repr(d.points), repr(d.rays), repr(d.lineality)
+
+
+def ddm_sum(d, e):
+    """D ⊕ E the double-description way: one run over all pair sums."""
+    sums = [vadd(p, q) for p in d.points for q in e.points]
+    return _from_vrep(d.cone, *clear_denominators(sums), d.rays + e.rays, d.lineality + e.lineality)
+
+
+def random_point(rng, cone):
+    return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(cone.dim))
+
+
+def random_normal(rng, cone):
+    """A nonzero integer w in C+, a combination of the dual generators."""
+    while True:
+        ks = [rng.randint(0, 2) for _ in cone.dual_generators]
+        w = tuple(sum(k * g[i] for k, g in zip(ks, cone.dual_generators)) for i in range(cone.dim))
+        if any(w):
+            return w
+
+
+def random_operand(rng, cone):
+    """A staircase of points, two halfspaces, one halfspace or a translate of C."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return canonicalize(cone, points=[random_point(rng, cone) for _ in range(rng.randint(2, 3))])
+    if kind == 1:
+        rows = [(random_normal(rng, cone), Fraction(rng.randint(-6, 6), 2)) for _ in range(2)]
+        return canonicalize(cone, halfspaces=rows)
+    if kind == 2:
+        return halfspace_set(cone, random_normal(rng, cone), Fraction(rng.randint(-6, 6), 3))
+    return point_plus_cone(cone, random_point(rng, cone))
+
+
+@FOUR_CONES
+def test_translate_rule_matches_the_ddm_path(cone, ddm_runs):
+    rng = random.Random(41)
+    for _ in range(16):
+        d = random_operand(rng, cone)
+        e = point_plus_cone(cone, random_point(rng, cone))
+        expected = stored(ddm_sum(d, e))
+        runs = len(ddm_runs)
+        assert stored(d.oplus(e)) == expected
+        assert stored(e.oplus(d)) == expected
+        assert len(ddm_runs) == runs
+
+
+@FOUR_CONES
+def test_halfspace_rule_matches_the_ddm_path(cone, ddm_runs):
+    rng = random.Random(43)
+    unbounded = 0
+    for _ in range(16):
+        d = random_operand(rng, cone)
+        e = halfspace_set(cone, random_normal(rng, cone), Fraction(rng.randint(-6, 6), 5))
+        expected = stored(ddm_sum(d, e))
+        runs = len(ddm_runs)
+        assert stored(d.oplus(e)) == expected
+        assert stored(e.oplus(d)) == expected
+        assert len(ddm_runs) == runs
+        unbounded += d.support(e.halfspaces[0].normal) == NEG_INF
+    # C+ is a ray only for the half-plane cone, where every support is finite
+    assert (unbounded > 0) == (len(cone.dual_generators) > 1)
+
+
+@FOUR_CONES
+def test_constructors_match_the_ddm_path(cone):
+    rng = random.Random(47)
+    for _ in range(16):
+        p = random_point(rng, cone)
+        assert stored(point_plus_cone(cone, p)) == stored(canonicalize(cone, points=[p]))
+        scale = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        w = tuple(scale * x for x in random_normal(rng, cone))
+        b = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+        assert stored(halfspace_set(cone, w, b)) == stored(canonicalize(cone, halfspaces=[(w, b)]))
+    assert halfspace_set(cone, w, POS_INF).is_empty and halfspace_set(cone, w, NEG_INF).is_full
 
 
 def test_translate_is_canonical_over_a_cone_with_lineality():
