@@ -10,11 +10,12 @@ seeded, replayable sample set, reconstructs the measure from the singleton
 indicators, and re-verifies the representation on a suite that mirrors how a
 general function decomposes into halfspace and point-plus-cone pieces.
 
-Six built-in mutants each corrupt the integral where a trigger fires, so that
+Six built-in mutants each corrupt the integral on their trigger, so that
 exactly one check fails on the default samples.  One table holds each
-mutant's trigger, corruption and home sample family, and the catalog
-constructor asserts one isolation rule: no trigger fires on a default input
-outside its home.
+mutant's home, a test on the probed sample inputs, and its corruption; the
+trigger is the set of inputs the home selects.  The catalog constructor
+applies one collision rule: an input of a home that is probed again outside
+that home is refused.
 """
 
 from __future__ import annotations
@@ -114,26 +115,6 @@ def random_dual_direction(rng: random.Random, cone: Cone) -> Vec:
     )
 
 
-def is_halfspace_valued(F: SimpleSetFunction) -> bool:
-    """Every value has at most one facet, at least one being a halfspace."""
-    any_halfspace = False
-    for v in F.values:
-        if v.is_full:
-            continue
-        if len(v.halfspaces) != 1:
-            return False
-        any_halfspace = True
-    return any_halfspace
-
-
-def is_constant_zero_halfspace(F: SimpleSetFunction) -> bool:
-    """F ≡ H(w): one identical zero-offset halfspace at every atom."""
-    first = F.values[0]
-    if first.is_full or len(first.halfspaces) != 1 or first.halfspaces[0].offset != 0:
-        return False
-    return all(v == first for v in F.values)
-
-
 def cone_translate_scalar(S: UpperSet, cone: Cone) -> Fraction | None:
     """The λ with S = λc + C, or None.
 
@@ -154,11 +135,6 @@ def cone_translate_coefficients(F: SimpleSetFunction) -> list[Fraction] | None:
     """The ξ with F = ξc + C, or None when F is not of that shape."""
     coeffs = [cone_translate_scalar(v, F.cone) for v in F.values]
     return None if None in coeffs else coeffs
-
-
-def is_nonconstant_cone_translate(F: SimpleSetFunction) -> bool:
-    coeffs = cone_translate_coefficients(F)
-    return coeffs is not None and len(set(coeffs)) > 1
 
 
 class SampleSet:
@@ -191,8 +167,9 @@ class SampleSet:
         self.seed = seed
         self.count = count
         rng = random.Random(seed)
-        # multi-facet values exist only over pointed cones in dimension >= 2;
-        # there the generator avoids the mutant trigger families outright
+        # draws avoid single-facet values and cone translates, which keeps the
+        # sample functions off the shapes that (N), (I) and (S) probe; multi-facet
+        # values exist only over pointed cones in dimension >= 2
         min_facets = 2 if cone.is_pointed() and cone.dim >= 2 else 1
         self.functions: list[SimpleSetFunction] = []
         guard = 0
@@ -760,10 +737,10 @@ MUTANT_NAMES = (
 def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFunctional]:
     """Six corruptions of the integral, each tripping exactly one check.
 
-    Each row of the table is name -> (trigger, corruption, home): the mutant
-    answers corruption(∫F dμ) where trigger(F) holds and ∫F dμ elsewhere.  A
-    home is a sample family, or one (family, key) sample of it, and
-    `_assert_isolation` verifies that no trigger fires outside its home.
+    Each row of the table is name -> (home, corruption).  A home is a test on
+    a probed sample input (family, key, F), and the mutant answers
+    corruption(∫F dμ) on the inputs its home selects, ∫F dμ elsewhere.  An
+    input of a home that is probed again outside that home is refused.
     """
     cone, space = samples.cone, samples.space
     if len(space) < 2:
@@ -773,49 +750,39 @@ def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFuncti
     if samples.count < 3:
         raise ValidationError("the mutant catalog needs at least three sample functions")
     base = integral_functional(mu)
-    c, w0 = cone.interior_point, cone.dual_generators[0]
-    f_shift = samples.pair_sums[(0, 1)]
-    f_scaled = samples.scaled[(2, Fraction(3))]
-    f_jump = samples.stabilizing_limit
+    c, w0, xis = cone.interior_point, cone.dual_generators[0], samples.indicator_xis
 
     def shifted(v: UpperSet) -> UpperSet:
         return v.translate(c)
 
-    table = {
-        "additivity-shift": (lambda F: F == f_shift, shifted, ("pair-sums", (0, 1))),
-        "homogeneity-translate": (lambda F: F == f_scaled, shifted, ("scaled", (2, Fraction(3)))),
+    table = {  # name -> (home, corruption)
+        "additivity-shift": (lambda fam, key, F: (fam, key) == ("pair-sums", (0, 1)), shifted),
+        "homogeneity-translate": (lambda fam, key, F: (fam, key) == ("scaled", (2, 3)), shifted),
         "continuity-jump": (
-            lambda F: F == f_jump, lambda v: UpperSet.empty(cone), ("stabilizing-chain", None)
+            lambda fam, key, F: fam == "stabilizing-chain" and F == samples.stabilizing_limit,
+            lambda v: UpperSet.empty(cone),
         ),
-        "nullity-pad": (is_constant_zero_halfspace, shifted, ("nullity", None)),
+        "nullity-pad": (lambda fam, key, F: fam == "nullity", shifted),
         "indicator-deform": (
-            is_nonconstant_cone_translate,
+            lambda fam, key, F: fam == "indicators" and len(set(xis[key].values)) > 1,
             lambda v: v.supporting_halfspace(w0),
-            ("indicators", None),
         ),
-        "interchange-tighten": (
-            lambda F: is_halfspace_valued(F) and not is_constant_zero_halfspace(F),
-            shifted,
-            ("supporting-halfspace", None),
-        ),
+        "interchange-tighten": (lambda fam, key, F: fam == "supporting-halfspace", shifted),
     }
-    _assert_isolation(samples, base, table)
+    homes = _selecting_homes(samples, base, table)
     return {
         name: SetFunctional(
             f"mutant:{name}",
-            lambda F, hit=trigger, bad=corruption: bad(base(F)) if hit(F) else base(F),
+            lambda F, name=name, bad=bad: bad(base(F)) if name in homes.get(F, ()) else base(F),
         )
-        for name, (trigger, corruption, _) in table.items()
+        for name, (_, bad) in table.items()
     }
 
 
-def _assert_isolation(samples: SampleSet, base: SetFunctional, table) -> None:
-    """No trigger of ``table`` fires on a default input outside its home.
-
-    The inputs are every sample family the checks probe, with the supporting
-    halfspaces of each sample function under ``base``, the integral the
-    mutants corrupt.  A tightened direction must also bind on sample #0.
-    """
+def _selecting_homes(samples: SampleSet, base: SetFunctional, table) -> dict:
+    """Each probed input -> the homes of ``table`` that select it.  The inputs
+    are every sample family the checks probe, with the supporting halfspaces
+    of each sample function under ``base``, the integral the mutants corrupt."""
     cone, space = samples.cone, samples.space
     entries = [("functions", i, F) for i, F in enumerate(samples.functions)]
     entries += [("pair-sums", k, F) for k, F in samples.pair_sums.items()]
@@ -830,19 +797,19 @@ def _assert_isolation(samples: SampleSet, base: SetFunctional, table) -> None:
         ("nullity", k, constant_function(space, halfspace_set(cone, w, 0)))
         for k, w in enumerate(samples.nullity_normals)
     ]
-    tightened = table["interchange-tighten"][0]
-    binding = False
     for i, F in enumerate(samples.functions):
-        value = base(F)
-        facets = set(value.facet_normals())
-        for w in interchange_directions(F, value, cone):
-            Fw = samples.supporting(F, w)
-            entries.append(("supporting-halfspace", (i, w), Fw))
-            binding = binding or (i == 0 and w in facets and tightened(Fw))
+        for w in interchange_directions(F, base(F), cone):
+            entries.append(("supporting-halfspace", (i, w), samples.supporting(F, w)))
 
+    homes: dict[SimpleSetFunction, set[str]] = {}
+    probes = []
     for family, key, F in entries:
-        for name, (trigger, _, home) in table.items():
-            if trigger(F) and home not in ((family, None), (family, key)):
+        selected = {name for name, (home, _) in table.items() if home(family, key, F)}
+        of_input = homes.setdefault(F, set())
+        of_input |= selected
+        probes.append((family, of_input, selected))
+    for family, of_input, selected in probes:
+        for name in table:
+            if name in of_input and name not in selected:
                 raise ValidationError(f"mutant {name}: trigger fires on a {family} sample")
-    if not binding:
-        raise ValidationError("mutant interchange-tighten: no tightened direction binds on sample #0")
+    return homes

@@ -410,8 +410,7 @@ class ChainReport:
         return "\n".join([head, *self.lines])
 
 
-def monotone_limit_check(chain, mu: AtomicMeasure | None, functional=None) -> ChainReport:
-    """Monotone convergence along a decreasing chain of the images under
-    ``functional``, any map from set functions to upper sets, by default the
-    Aumann integral for ``mu``."""
-    return chain.check(functional or (lambda F: integral_value(F, mu)), mu)
+def monotone_limit_check(chain, mu: AtomicMeasure) -> ChainReport:
+    """Monotone convergence of the Aumann integrals for ``mu`` along a
+    decreasing chain; ``chain.check(evaluate, mu)`` takes any other map."""
+    return chain.check(lambda F: integral_value(F, mu), mu)

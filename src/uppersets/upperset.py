@@ -126,8 +126,6 @@ class UpperSet:
         for r in self.rays:
             if dot(r, wi) < 0:
                 return NEG_INF
-        if not self.points:
-            return NEG_INF
         d, numerators = self._integer_points
         return Fraction(min(dot(p, wi) for p in numerators), d * e)
 
@@ -384,7 +382,8 @@ def _homogeneous_halfspace(cone: Cone, w: Vec) -> UpperSet:
 def halfspace_set(cone: Cone, w, b) -> UpperSet:
     """{z : <z, w> >= b} as an upper set; b = -inf gives the full space and
     b = +inf the empty set.  H(w, b) is H(w, 0) translated onto <z, w> = b."""
-    w = vec(w)
+    if any(type(x) is not int for x in w):  # an integer normal stays as it is
+        w = vec(w)
     check_dim(cone.dim, w, "normal")
     if is_zero(w) or not in_dual_cone(cone, w):
         raise ValidationError("halfspace normal must lie in C+ \\ {0}")

@@ -20,6 +20,7 @@ from uppersets.axioms import (
     decompose_nonneg,
     extract_scalar,
     integral_functional,
+    interchange_directions,
     mutant_catalog,
     reconstruct_measure,
     run_axiom_checks,
@@ -120,11 +121,12 @@ def test_extraneous_constraint_fails_interchange(samples):
     extra = halfspace_set(R2, (2, 1), 4)
 
     def evaluator(F):
-        from uppersets.axioms import is_halfspace_valued
         from uppersets.upperset import sup_set
 
         value = aumann_integral(F, MU).value
-        if is_halfspace_valued(F):
+        # halfspace-valued: every value full or one facet, and not all full
+        finite = [v for v in F.values if not v.is_full]
+        if finite and all(len(v.halfspaces) == 1 for v in finite):
             return value
         return sup_set(R2, [value, extra])
 
@@ -268,8 +270,8 @@ def test_decompose_nonneg_minimality_random():
                     assert not cone.contains(candidate)
 
 
-def test_mutants_fail_exactly_their_axiom(samples):
-    catalog = mutant_catalog(samples, MU)
+def _assert_each_mutant_fails_exactly_its_axiom(samples, mu):
+    catalog = mutant_catalog(samples, mu)
     assert set(catalog) == set(MUTANT_NAMES)
     targets = {
         "additivity-shift": "A",
@@ -287,6 +289,25 @@ def test_mutants_fail_exactly_their_axiom(samples):
         for axiom, status in statuses.items():
             if axiom != expected_fail:
                 assert status == "pass", f"{name} leaked into ({axiom}): {report.describe()}"
+        if name == "interchange-tighten":
+            # every supporting input of sample #0 is in the home, the facet
+            # normals of its integral among them, so (S) trips there first
+            assert report.result("S").details[0] == "counterexample sample #0:"
+
+
+def test_mutants_fail_exactly_their_axiom(samples):
+    _assert_each_mutant_fails_exactly_its_axiom(samples, MU)
+
+
+@pytest.mark.parametrize("seed", [8, 19])
+def test_mutant_catalog_builds_where_a_pair_sum_is_a_nonconstant_cone_translate(seed):
+    # a pair sum of this sample set is ξc + C with ξ not constant, but no
+    # indicator input: it lies outside indicator-deform's home inputs
+    samples = SampleSet(X2, R2, seed=seed)
+    indicators = [cone_translates(xi, R2) for xi in samples.indicator_xis]
+    xis = [cone_translate_coefficients(F) for F in samples.pair_sums.values() if F not in indicators]
+    assert any(xi is not None and len(set(xi)) > 1 for xi in xis)
+    _assert_each_mutant_fails_exactly_its_axiom(samples, MU)
 
 
 def test_mutant_catalog_requires_pointed_cone(samples):
@@ -306,18 +327,15 @@ def _replaced(samples, family, key, F):
 
 
 def _trigger_inputs(samples):
-    """Per mutant: an input its trigger fires on and a foreign slot for it."""
+    """Per mutant: an input of its home and a foreign slot for it."""
+    w = integral_functional(MU)(samples.functions[0]).facet_normals()[0]
     return {
         "additivity-shift": ("scaled", (5, 1), samples.pair_sums[(0, 1)]),
         "homogeneity-translate": ("pair_sums", (3, 4), samples.scaled[(2, Fraction(3))]),
         "continuity-jump": ("scaled", (5, 1), samples.stabilizing_limit),
         "nullity-pad": ("pair_sums", (3, 4), constant_function(X2, halfspace_set(R2, (1, 0), 0))),
-        "indicator-deform": ("scaled", (5, 1), cone_translates(ScalarFunction(X2, (1, 2)), R2)),
-        "interchange-tighten": (
-            "pair_sums",
-            (3, 4),
-            halfspace_function(X2, R2, (1, 1), ScalarFunction(X2, (1, 2))),
-        ),
+        "indicator-deform": ("scaled", (5, 1), cone_translates(ScalarFunction.indicator(X2, ["x1"]), R2)),
+        "interchange-tighten": ("pair_sums", (3, 4), samples.supporting(samples.functions[0], w)),
     }
 
 
@@ -327,6 +345,26 @@ def test_mutant_catalog_refuses_a_trigger_in_a_foreign_family(samples, name):
     family, key, F = _trigger_inputs(samples)[name]
     with pytest.raises(ValidationError, match=f"mutant {name}:"):
         mutant_catalog(_replaced(samples, family, key, F), MU)
+
+
+def test_mutant_catalog_ignores_trigger_shapes_outside_the_sample_inputs(samples):
+    # a non-constant cone translate and a halfspace-valued function that no
+    # check probes: a trigger is its home's inputs, not every input of a shape
+    translate = cone_translates(ScalarFunction(X2, (1, 2)), R2)
+    halfspaces = halfspace_function(X2, R2, (1, 1), ScalarFunction(X2, (1, 2)))
+    base = integral_functional(MU)
+    assert translate not in [cone_translates(xi, R2) for xi in samples.indicator_xis]
+    assert halfspaces not in [
+        samples.supporting(F, w)
+        for F in samples.functions
+        for w in interchange_directions(F, base(F), R2)
+    ]
+    modified = _replaced(samples, "scaled", (5, 1), translate)
+    modified = _replaced(modified, "pair_sums", (3, 4), halfspaces)
+    catalog = mutant_catalog(modified, MU)
+    for F in (translate, halfspaces):
+        for phi in catalog.values():
+            assert phi(F) == base(F)
 
 
 def test_mutant_catalog_refuses_a_second_pair_sum_equal_to_the_shift_trigger(samples):
@@ -391,10 +429,9 @@ def test_run_axiom_checks_skips_parametric_without_measure(samples):
     # a functional that defeats measure extraction: nonconstant cone
     # translates map to the full space, so singleton indicators classify as
     # not_of_form and no candidate measure exists
-    from uppersets.axioms import is_nonconstant_cone_translate
-
     def evaluator(F):
-        if is_nonconstant_cone_translate(F):
+        coeffs = cone_translate_coefficients(F)
+        if coeffs is not None and len(set(coeffs)) > 1:
             return UpperSet.full(R2)
         return aumann_integral(F, MU).value
 
