@@ -6,9 +6,11 @@ integral for some measure exactly when it is additive, positively
 homogeneous, continuous from above, maps homogeneous halfspaces to
 themselves, maps cone translates ξc+C to cone translates, and commutes with
 pointwise supporting halfspaces.  The checker tests each property on a
-seeded, replayable sample set, reconstructs the measure from the singleton
-indicators, and re-verifies the representation on a suite that mirrors how a
-general function decomposes into halfspace and point-plus-cone pieces.
+seeded, replayable sample set; (C) checks its parametric chain against the
+measure μ({x}) = k of φ(1_x c + C) = k c + C (``indicator_measure``).  It
+reconstructs that measure from the singleton indicators, and re-verifies
+the representation on a suite that mirrors how a general function
+decomposes into halfspace and point-plus-cone pieces.
 
 Six built-in mutants each corrupt the integral on their trigger, so that
 exactly one check fails on the default samples.  One table holds each
@@ -243,7 +245,7 @@ class SampleSet:
 @dataclass(frozen=True)
 class CheckResult:
     axiom: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     checked: int
     skipped: int = 0
     details: tuple[str, ...] = ()
@@ -310,9 +312,8 @@ def check_positive_homogeneity(phi: SetFunctional, samples: SampleSet) -> CheckR
     return CheckResult("P", "pass", checked, 0)
 
 
-def check_continuity_from_above(
-    phi: SetFunctional, samples: SampleSet, schedule_measure: AtomicMeasure | None
-) -> CheckResult:
+def check_continuity_from_above(phi: SetFunctional, samples: SampleSet) -> CheckResult:
+    schedule_measure = indicator_measure(phi, samples.space, samples.cone)
     checked = skipped = 0
     details: list[str] = []
     for chain in samples.chains:
@@ -370,17 +371,37 @@ def _shown(x) -> str:
     return x if isinstance(x, str) else format_rational(x)
 
 
-def check_indicator(phi: SetFunctional, samples: SampleSet):
-    """Classify phi on cone translates; returns the check and the φ table."""
-    cone, space = samples.cone, samples.space
-    table: list[tuple[ScalarFunction, object]] = []
+def _indicator_scalar(phi: SetFunctional, space: AtomicSpace, cone: Cone, names):
+    """``extract_scalar`` of φ(1_A c + C) for the atoms A = ``names``."""
+    return extract_scalar(phi(cone_translates(ScalarFunction.indicator(space, names), cone)), cone)
+
+
+def indicator_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> AtomicMeasure | None:
+    """The measure μ({x}) = k where φ(1_x c + C) = k c + C, which (C) checks
+    its parametric chain against.  None, at the first input that rules it
+    out, when φ(1_∅ c + C) or a singleton's value is not of that form or a
+    singleton's value is empty; None as well when the total is 0."""
+    if _indicator_scalar(phi, space, cone, []) == "not_of_form":
+        return None
+    weights = []
+    for atom in space.atoms:
+        k = _indicator_scalar(phi, space, cone, [atom])
+        if isinstance(k, str):
+            return None
+        weights.append(k)
+    mu = AtomicMeasure(space, tuple(weights))
+    return mu if mu.total() > 0 else None
+
+
+def check_indicator(phi: SetFunctional, samples: SampleSet) -> CheckResult:
+    cone = samples.cone
     checked = 0
     for xi in samples.indicator_xis:
         F = cone_translates(xi, cone)
         out = extract_scalar(phi(F), cone)
         checked += 1
         if out == "not_of_form":
-            result = CheckResult(
+            return CheckResult(
                 "I",
                 "fail",
                 checked,
@@ -391,12 +412,10 @@ def check_indicator(phi: SetFunctional, samples: SampleSet):
                     "which is neither empty nor of the form k c + C with k >= 0",
                 ),
             )
-            return result, table
-        table.append((xi, "infinite" if out == "empty" else out))
     pos_value = extract_scalar(phi(cone_translates(samples.positive_xi, cone)), cone)
     checked += 1
     if pos_value in ("empty", "not_of_form") or pos_value == 0:
-        result = CheckResult(
+        return CheckResult(
             "I",
             "fail",
             checked,
@@ -407,8 +426,7 @@ def check_indicator(phi: SetFunctional, samples: SampleSet):
                 "expected a finite strictly positive k",
             ),
         )
-        return result, table
-    return CheckResult("I", "pass", checked, 0), table
+    return CheckResult("I", "pass", checked, 0)
 
 
 def interchange_directions(F: SimpleSetFunction, phi_value: UpperSet, cone: Cone) -> list[Vec]:
@@ -479,39 +497,14 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def candidate_measure_from_table(table, space: AtomicSpace) -> AtomicMeasure | None:
-    """Measure with μ({x}) = φ(1_x), when every singleton value is finite."""
-    weights = {}
-    for xi, value in table:
-        atoms = [a for a in space.atoms if xi.value(a) == 1]
-        zeros = [a for a in space.atoms if xi.value(a) == 0]
-        if len(atoms) == 1 and len(zeros) == len(space) - 1:
-            if value == "infinite":
-                return None
-            weights[atoms[0]] = value
-    if len(weights) != len(space):
-        return None
-    mu = AtomicMeasure(space, tuple(weights[a] for a in space.atoms))
-    if mu.total() == 0:
-        return None
-    return mu
-
-
 def run_axiom_checks(phi: SetFunctional, samples: SampleSet) -> AxiomReport:
-    """All six checks, reported in axiom order.
-
-    The indicator check runs first internally: its φ table supplies the
-    candidate measure that the parametric continuity schedule is checked
-    against.
-    """
-    indicator_result, table = check_indicator(phi, samples)
-    schedule_measure = candidate_measure_from_table(table, samples.space)
+    """All six checks, run and reported in axiom order."""
     results = (
         check_additivity(phi, samples),
         check_positive_homogeneity(phi, samples),
-        check_continuity_from_above(phi, samples, schedule_measure),
+        check_continuity_from_above(phi, samples),
         check_nullity(phi, samples),
-        indicator_result,
+        check_indicator(phi, samples),
         check_interchange(phi, samples),
     )
     return AxiomReport(phi.name, results, tuple(samples.header_lines()))
@@ -549,17 +542,12 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
     Sampled subsets are the empty set, every singleton, every pair, and the
     whole space; an 'empty' classification marks an atom of infinite mass.
     """
-
-    def phi_of(names) -> object:
-        xi = ScalarFunction.indicator(space, names)
-        return extract_scalar(phi(cone_translates(xi, cone)), cone)
-
     weights = []
     table = []
     failures = []
     infinite = False
     for atom in space.atoms:
-        out = phi_of([atom])
+        out = _indicator_scalar(phi, space, cone, [atom])
         if out == "not_of_form":
             failures.append(f"phi(1_{{{atom}}} c + C) is not of the form k c + C")
             weights.append("infinite")
@@ -572,14 +560,14 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
         weights.append(out)
         table.append((f"1_{{{atom}}}", format_rational(out)))
 
-    zero = phi_of([])
+    zero = _indicator_scalar(phi, space, cone, [])
     if zero != 0:
         failures.append(f"phi(1_∅) = {_shown(zero)}, expected 0")
     subsets = [list(pair) for pair in itertools.combinations(space.atoms, 2)] + [list(space.atoms)]
     finite = not infinite and not failures
     if finite:
         for names in subsets:
-            out = phi_of(names)
+            out = _indicator_scalar(phi, space, cone, names)
             expected = sum(
                 (weights[space.index(a)] for a in names), Fraction(0)
             )

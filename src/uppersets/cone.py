@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ddm import cone_vrep
+from .ddm import cone_vrep, rref_basis
 from .linalg import Vec, dot, format_vector, is_zero, primitive, vec
 
 MAX_DIMENSION = 8
@@ -108,8 +108,6 @@ class Cone:
 
     def is_pointed(self) -> bool:
         """Whether C contains no line (equivalently C⁺ is full-dimensional)."""
-        from .ddm import rref_basis
-
         return len(rref_basis(self.dual_generators, self.dim)) == self.dim
 
 

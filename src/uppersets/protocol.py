@@ -11,7 +11,8 @@ sends each distinct input once.  For each evaluation the runner writes
 
 to the process's stdin and reads back exactly one line holding a canonical
 set literal (``empty``, ``full``, ``cone`` or ``halfspaces: [...]``).  The
-process exits on end-of-input.
+process exits on end-of-input.  It is started once, at the first
+evaluation; one that cannot start or has exited raises ``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -40,14 +41,21 @@ class ExternalFunctional:
         self._proc: subprocess.Popen | None = None
 
     def _ensure_process(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+        """The child, started on the first call; one that has exited is an error."""
+        if self._proc is None:
+            try:
+                self._proc = subprocess.Popen(
+                    self.command,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    text=True,
+                    bufsize=1,
+                )
+            except OSError as exc:
+                raise ProtocolError(f"cannot start {self.name}: {exc}") from exc
+        code = self._proc.poll()
+        if code is not None:
+            raise ProtocolError(f"{self.name} exited with code {code}")
         return self._proc
 
     def __call__(self, F: SimpleSetFunction) -> UpperSet:
@@ -71,13 +79,18 @@ class ExternalFunctional:
             raise ProtocolError(f"unparsable response {answer.strip()!r}: {exc}") from exc
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-                self._proc.wait(timeout=5)
-            except Exception:
-                self._proc.kill()
-        self._proc = None
+        """Close the child's input, wait up to 5 s for it to exit, else kill
+        it; then close its output."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+            proc.wait(timeout=5)
+        except (OSError, subprocess.TimeoutExpired):
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:

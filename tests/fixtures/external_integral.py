@@ -12,7 +12,7 @@ from pathlib import Path
 # the checkout's own sources come first, whatever PYTHONPATH the child inherits
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from uppersets.integral import aumann_integral
+from uppersets.integral import integral_value
 from uppersets.protocol import serve
 from uppersets.workspace import parse_workspace
 
@@ -23,7 +23,7 @@ def main() -> None:
     shift = len(sys.argv) > 3 and sys.argv[3] == "shift"
 
     def evaluate(F):
-        value = aumann_integral(F, mu).value
+        value = integral_value(F, mu)
         if shift:
             value = value.translate(ws.cone.interior_point)
         return value

@@ -19,6 +19,7 @@ from uppersets.axioms import (
     check_positive_homogeneity,
     decompose_nonneg,
     extract_scalar,
+    indicator_measure,
     integral_functional,
     interchange_directions,
     mutant_catalog,
@@ -109,7 +110,7 @@ def test_halfspace_projection_fails_indicator(samples):
     phi = SetFunctional(
         "projected", lambda F: aumann_integral(F, MU).value.supporting_halfspace(w0)
     )
-    result, _ = check_indicator(phi, samples)
+    result = check_indicator(phi, samples)
     assert result.status == "fail"
     assert any("form" in line for line in result.details)
 
@@ -135,12 +136,51 @@ def test_extraneous_constraint_fails_interchange(samples):
     assert result.status == "fail"
 
 
-def test_indicator_table_matches_measure(samples):
+def test_indicator_measure_matches_measure(samples):
     phi = integral_functional(MU)
-    result, table = check_indicator(phi, samples)
+    result = check_indicator(phi, samples)
     assert result.status == "pass"
-    for xi, value in table:
-        assert value == xi.integral(MU)
+    assert indicator_measure(phi, X2, R2) == MU
+
+
+def _integral_except(overrides: dict):
+    """The integral of MU, except φ(ξc + C) = overrides[ξ] for the listed ξ;
+    returns the functional and the list of inputs it evaluates."""
+    fixed = {cone_translates(ScalarFunction(X2, xi), R2): v for xi, v in overrides.items()}
+    seen = []
+
+    def evaluator(F):
+        seen.append(F)
+        return fixed[F] if F in fixed else aumann_integral(F, MU).value
+
+    return SetFunctional("overridden", evaluator), seen
+
+
+@pytest.mark.parametrize(
+    "overrides, evaluated",
+    [
+        ({(0, 0): UpperSet.full(R2)}, 1),  # φ(1_∅ c + C) is not of the form
+        ({(1, 0): UpperSet.empty(R2)}, 2),  # a singleton classifies as empty
+        ({(1, 0): cone_upper_set(R2), (0, 1): cone_upper_set(R2)}, 3),  # total 0
+    ],
+    ids=["empty-set-not-of-form", "singleton-empty", "zero-total"],
+)
+def test_indicator_measure_is_none_at_the_first_input_that_rules_it_out(overrides, evaluated):
+    phi, seen = _integral_except(overrides)
+    assert indicator_measure(phi, X2, R2) is None
+    assert len(seen) == evaluated
+
+
+def test_no_indicator_measure_skips_the_parametric_chain(samples):
+    # every singleton is of the form, φ(1_∅ c + C) is not
+    phi, _ = _integral_except({(0, 0): UpperSet.full(R2)})
+    report = run_axiom_checks(phi, samples)
+    assert report.result("I").status == "fail"
+    c_result = report.result("C")
+    assert c_result.status == "pass" and (c_result.checked, c_result.skipped) == (1, 1)
+    assert c_result.details == (
+        "parametric chain skipped: no candidate measure for the deviation schedule",
+    )
 
 
 def test_indicator_example_values():

@@ -303,6 +303,42 @@ def test_external_infinite_point_is_protocol_error(ws_path, capsys, tmp_path):
     )
 
 
+def test_external_command_that_cannot_start_exits_2(ws_path, capsys, tmp_path):
+    missing = tmp_path / "no-such-child"
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {missing}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert out.startswith("flags: ") and out.count("\n") == 1
+    assert err.startswith(f"error: cannot start external:{missing}: ") and err.count("\n") == 1
+
+
+def test_external_child_that_has_exited_is_a_protocol_error(tmp_path):
+    from uppersets import orthant
+    from uppersets.measure_space import constant_function, space
+    from uppersets.protocol import ExternalFunctional, ProtocolError
+    from uppersets.upperset import cone_upper_set
+
+    child = tmp_path / "one_shot_child.py"
+    child.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'end':\n"
+        "        print('cone', flush=True)\n"
+        "        break\n"
+    )
+    cone = orthant(2)
+    F = constant_function(space("x1", "x2"), cone_upper_set(cone))
+    external = ExternalFunctional((sys.executable, str(child)), cone)
+    try:
+        assert external(F).set_equal(cone_upper_set(cone))
+        external._proc.wait(timeout=30)
+        with pytest.raises(ProtocolError, match="exited with code 0"):
+            external(F)
+    finally:
+        external.close()
+
+
 def test_round_trip_of_printed_values(ws_path, capsys):
     from uppersets import orthant
     from uppersets.workspace import parse_set_literal
