@@ -78,6 +78,7 @@ class Cone:
         c = vec(self.interior_point)
         check_dim(self.dim, c, "interior point")
         object.__setattr__(self, "interior_point", c)
+        object.__setattr__(self, "_hash", hash((self.dim, self.generators, c)))
         duals = tuple(dual_cone(self.generators, self.dim))
         object.__setattr__(self, "dual_generators", duals)
         for g in self.generators:
@@ -90,6 +91,9 @@ class Cone:
                     f"interior point {format_vector(c)} is not interior: "
                     f"<c, {format_vector(w)}> = {dot(c, w)} is not > 0"
                 )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, z) -> bool:
         """Exact membership z ∈ C, via the dual description."""

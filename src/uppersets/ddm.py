@@ -7,8 +7,8 @@ homogenization in one extra dimension.
 
 Inside ``cone_vrep`` every row, lineality vector and ray is a primitive
 integer vector (an integer gcd keeps it so), so the inner loops run on machine
-ints; ``Fraction`` appears only in ``rref_basis``, in facet offsets and where
-points are dehomogenized, after they are sorted as integer numerators.
+ints; ``Fraction`` appears only in ``rref_basis`` and in facet offsets.  Points
+come back as sorted integer numerators over one denominator.
 
 Each ray carries its zero set, a bitmask of the processed rows it is tight
 at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
@@ -143,12 +143,13 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
 
 
 def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
-    """V-rep (points, rays, lineality) of {z : <z, w> >= b for (w, b) in ineqs}.
+    """V-rep (d, points, rays, lineality) of {z : <z, w> >= b for (w, b) in ineqs}.
 
-    Points come back as Fraction tuples, one per minimal face; rays and
-    lineality as primitive integer vectors.  An infeasible system yields no
-    points.  ``with_facets`` appends the irredundant inequalities as sorted
-    facets (w, b), which requires a full-dimensional polyhedron.
+    Points come back as sorted integer numerators over the least common
+    denominator d, one per minimal face; rays and lineality as primitive
+    integer vectors.  An infeasible system yields no points.  ``with_facets``
+    appends the irredundant inequalities as sorted facets (w, b), which
+    requires a full-dimensional polyhedron.
     """
     rows = [tuple(w) + (-Fraction(b),) for w, b in ineqs]
     rows.append(_unit(dim + 1, dim))  # homogenization variable >= 0
@@ -163,14 +164,15 @@ def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
 
 
 def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
-    """(facets, points, rays, lineality) of conv(points) + cone(rays) + span(lineality).
+    """(facets, d, points, rays, lineality) of conv(points) + cone(rays) + span(lineality).
 
     The points may come as integer numerators over one common ``level`` > 0.
     Requires at least one point and a full-dimensional result; facets (w, b)
     mean {z : <z, w> >= b} with primitive integer normals, and a full-space
-    input yields none.  The irredundant input points and rays follow, one per
-    minimal face and extreme ray (modulo lineality), then the reduced basis
-    of the lineality space.
+    input yields none.  The irredundant input points follow, one per minimal
+    face, as sorted integer numerators over their least common denominator
+    d; then the extreme rays (modulo lineality) and the reduced basis of the
+    lineality space.
     """
     if not points:
         raise GeometryError("vrep_to_hrep needs at least one point")
@@ -187,14 +189,14 @@ def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
     return (facets, *_dehomogenize(keep, dim), rref_basis([v[:dim] for v in lineal], dim))
 
 
-def _dehomogenize(vectors, dim: int) -> tuple[list[Vec], list[Vec]]:
-    """Sorted points (level t > 0, divided by t) and rays (level 0).  Points sort
-    as integer numerators over the lcm of their levels, as their Fractions do."""
+def _dehomogenize(vectors, dim: int) -> tuple[int, list[Vec], list[Vec]]:
+    """(d, points, rays) of primitive vectors: sorted points (level t > 0) as
+    numerators over d, the lcm of the t and so their least common denominator,
+    and sorted rays (level 0)."""
     tops = [v for v in vectors if v[dim] > 0]
     d = lcm(*(v[dim] for v in tops))
-    tops.sort(key=lambda v: tuple(x * (d // v[dim]) for x in v[:dim]))
-    points = [tuple(Fraction(x, v[dim]) for x in v[:dim]) for v in tops]
-    return points, sorted(v[:dim] for v in vectors if v[dim] == 0)
+    points = sorted(tuple(x * (d // v[dim]) for x in v[:dim]) for v in tops)
+    return d, points, sorted(v[:dim] for v in vectors if v[dim] == 0)
 
 
 def _halfspaces(vectors, dim: int) -> list[tuple[Vec, Fraction]]:
@@ -242,5 +244,5 @@ def _bits(mask: int):
 
 def hrep_feasible(ineqs, dim: int) -> bool:
     """Whether {z : <z, w> >= b for (w, b) in ineqs} is nonempty."""
-    points, _, _ = hrep_to_vrep(ineqs, dim)
+    _, points, _, _ = hrep_to_vrep(ineqs, dim)
     return bool(points)

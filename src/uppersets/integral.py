@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .cone import Cone, ValidationError
@@ -155,26 +157,22 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _random_member(rng: random.Random, value: UpperSet) -> Vec:
-    """A random point of a nonempty canonical set, exact."""
-    pts = value.points
+def _random_member(rng: random.Random, value: UpperSet) -> tuple[int, Vec]:
+    """A random point y/t of a nonempty canonical set, exact: y an integer
+    vector over t = 2·d·Σ weights, d the denominator of the stored points."""
+    pts = value.numerators
     weights = [rng.randint(0, 8) for _ in pts]
     if sum(weights) == 0:
         weights[rng.randrange(len(pts))] = 1
-    total = sum(weights)
-    point = tuple(
-        sum((Fraction(w) * p[i] for w, p in zip(weights, pts)), Fraction(0)) / total
-        for i in range(value.dim)
-    )
+    half = value.denominator * sum(weights)
+    y = [2 * sum(map(mul, weights, column)) for column in zip(*pts)]
     for r in value.rays:
-        k = Fraction(rng.randint(0, 6), 2)
-        if k:
-            point = vadd(point, vscale(k, r))
+        k = rng.randint(0, 6) * half
+        y = [a + k * b for a, b in zip(y, r)]
     for l in value.lineality:
-        k = Fraction(rng.randint(-3, 3))
-        if k:
-            point = vadd(point, vscale(k, l))
-    return point
+        k = rng.randint(-3, 3) * 2 * half
+        y = [a + k * b for a, b in zip(y, l)]
+    return 2 * half, tuple(y)
 
 
 def _split(residual: Vec, generators: Sequence[Vec]) -> list[Fraction] | None:
@@ -243,12 +241,17 @@ def selection_oracle(
     result = aumann_integral(F, mu)
     value = result.value
     rng = random.Random(seed)
+    positive = [(i, w.numerator, w.denominator) for i, w in enumerate(mu.weights) if w]
     containment_failures = []
     for _ in range(trials):
-        picks = tuple(_random_member(rng, v) for v in F.values)
-        point = VectorFunction(F.space, picks).integral(mu)
-        if not value.member(point):
-            containment_failures.append((point, picks))
+        picks = [_random_member(rng, v) for v in F.values]
+        # Σ μ(x)·y/t over one denominator e: an atom of weight p/q adds p·e/(q·t)·y
+        e = lcm(*(q * picks[i][0] for i, _, q in positive))
+        terms = [(p * (e // (q * picks[i][0])), picks[i][1]) for i, p, q in positive]
+        point = tuple(sum(k * y[j] for k, y in terms) for j in range(F.cone.dim))
+        if not value.member_numerators(e, point):
+            selection = tuple(tuple(Fraction(x, t) for x in y) for t, y in picks)
+            containment_failures.append((tuple(Fraction(x, e) for x in point), selection))
 
     attainment_failures = []
     witnesses = []

@@ -12,7 +12,8 @@ sends each distinct input once.  For each evaluation the runner writes
 to the process's stdin and reads back exactly one line holding a canonical
 set literal (``empty``, ``full``, ``cone`` or ``halfspaces: [...]``).  The
 process exits on end-of-input.  It is started once, at the first
-evaluation; one that cannot start or has exited raises ``ProtocolError``.
+evaluation; one that cannot start or has exited raises ``ProtocolError``,
+which names the child's exit code.
 """
 
 from __future__ import annotations
@@ -69,10 +70,14 @@ class ExternalFunctional:
             proc.stdin.write("\n".join(lines) + "\n")
             proc.stdin.flush()
             answer = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise ProtocolError(f"external functional died: {exc}") from exc
-        if not answer:
-            raise ProtocolError("external functional closed its output")
+        except OSError:  # a broken pipe
+            answer = ""
+        if not answer:  # the child has exited or is exiting: reap it for its code
+            try:
+                code = proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                raise ProtocolError(f"{self.name} closed its output") from None
+            raise ProtocolError(f"{self.name} exited with code {code}")
         try:
             return parse_set_literal(answer.strip(), self.cone)
         except (ValueError, ValidationError) as exc:

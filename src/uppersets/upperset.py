@@ -14,16 +14,20 @@ forms.  Every member is D = cl(D + C), so D ⊕ (p + C) = D + p, and
 D ⊕ H(w, b) = H(w, σ_D(w) + b) for the halfspace H(w, b) = {z : <z, w> >= b},
 w in C+: ``oplus`` takes these when an operand is a translate of C or a
 halfspace, ``point_plus_cone`` translates C and ``halfspace_set`` a cached
-H(w, 0), and ``translate`` keeps the canonical form.  Otherwise, over a V-rep
-plus C's generators the run yields the facets, and its incidence the
-irredundant points and rays and the lineality space, on integer point
-numerators over one denominator: ``oplus`` adds its operands' over the lcm of
-theirs, and points sort by those integer keys.  An H-rep with all normals in
-C+ is closed under C already: the run yields the V-rep, and its incidence the
-facets among the inequalities.  Any other H-rep is converted to a V-rep
-first, a second run.  Modulo the lineality space L, each point and ray is
-stored as the representative that is zero at L's pivot columns (pivots taken
-from the last column leftwards), so the stored V-rep depends only on the set.
+H(w, 0).  Otherwise, over a V-rep plus C's generators the run yields the
+facets, and its incidence the irredundant points and rays and the lineality
+space.  An H-rep with all normals in C+ is closed under C already: the run
+yields the V-rep, and its incidence the facets among the inequalities.  Any
+other H-rep is converted to a V-rep first, a second run.  Modulo the
+lineality space L, each point and ray is stored as the representative that
+is zero at L's pivot columns (pivots taken from the last column leftwards),
+so the stored V-rep depends only on the set.
+
+Points are stored sorted, as integer numerators over one denominator d > 0
+with gcd(d, numerators) = 1; ``points`` is their Fraction view.  ``translate``
+and ``scale`` keep the canonical form without a run or a sort: they move the
+numerators and the facet offsets, and translation and positive scaling keep
+the order of points and facets, the rays and the lineality.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .cone import Cone, ValidationError, check_dim
@@ -46,8 +52,8 @@ from .linalg import (
     is_zero,
     primitive,
     primitive_halfspace,
-    vadd,
     vec,
+    vscale,
 )
 
 EMPTY = "empty"
@@ -79,9 +85,23 @@ class UpperSet:
     cone: Cone
     kind: str
     halfspaces: tuple[Halfspace, ...] = ()
-    points: tuple[Vec, ...] = field(default=(), compare=False)
+    denominator: int = field(default=1, compare=False)
+    numerators: tuple[Vec, ...] = field(default=(), compare=False)
     rays: tuple[Vec, ...] = field(default=(), compare=False)
     lineality: tuple[Vec, ...] = field(default=(), compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.cone, self.kind, self.halfspaces))
+
+    @property
+    def points(self) -> tuple[Vec, ...]:
+        """The stored points as Fraction vectors: numerators over the denominator."""
+        d = self.denominator
+        return tuple(tuple(Fraction(x, d) for x in p) for p in self.numerators)
 
     @property
     def dim(self) -> int:
@@ -103,12 +123,7 @@ class UpperSet:
     def full(cone: Cone) -> "UpperSet":
         dim = cone.dim
         basis = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-        return UpperSet(cone, FULL, points=(tuple(Fraction(0) for _ in range(dim)),), lineality=basis)
-
-    @functools.cached_property
-    def _integer_points(self) -> tuple[int, list[Vec]]:
-        """(d, numerators): the stored points as integer vectors over one d > 0."""
-        return clear_denominators(self.points)
+        return UpperSet(cone, FULL, numerators=((0,) * dim,), lineality=basis)
 
     def support(self, w) -> Fraction | float:
         """inf over the set of <y, w>: +inf on empty, -inf when unbounded below."""
@@ -126,15 +141,20 @@ class UpperSet:
         for r in self.rays:
             if dot(r, wi) < 0:
                 return NEG_INF
-        d, numerators = self._integer_points
-        return Fraction(min(dot(p, wi) for p in numerators), d * e)
+        return Fraction(min(sum(map(mul, p, wi)) for p in self.numerators), self.denominator * e)
 
     def member(self, y) -> bool:
         y = vec(y)
         check_dim(self.dim, y, "point")
+        e, (y,) = clear_denominators([y])
+        return self.member_numerators(e, y)
+
+    def member_numerators(self, e: int, y: Vec) -> bool:
+        """Whether y/e lies in the set, for an integer vector y and e > 0:
+        <y, w>·q >= p·e at every facet offset p/q."""
         if self.is_empty:
             return False
-        return all(dot(y, h.normal) >= h.offset for h in self.halfspaces)
+        return all(sum(map(mul, y, w)) * b.denominator >= b.numerator * e for w, b in self.halfspaces)
 
     def subset_of(self, other: "UpperSet") -> bool:
         _check_same_cone(self, other)
@@ -142,8 +162,8 @@ class UpperSet:
             return True
         if other.is_empty:
             return False
-        for p in self.points:
-            if not other.member(p):
+        for p in self.numerators:
+            if not other.member_numerators(self.denominator, p):
                 return False
         for h in other.halfspaces:
             for r in self.rays:
@@ -161,17 +181,28 @@ class UpperSet:
 
     def translate(self, v) -> "UpperSet":
         """The set D + {v}; canonical form is preserved."""
-        v = vec(v)
+        if any(type(x) is not int for x in v):
+            v = vec(v)
         check_dim(self.dim, v)
         if self.kind != PROPER:
             return self
-        return _proper(
-            self.cone,
-            [(h.normal, h.offset + dot(v, h.normal)) for h in self.halfspaces],
-            [vadd(p, v) for p in self.points],
-            self.rays,
-            self.lineality,
-        )
+        e, (v,) = clear_denominators([v])
+        return self._translate(e, v)
+
+    def _translate(self, e: int, v: Vec) -> "UpperSet":
+        """D + v/e for an integer vector v and e > 0, built from the stored form:
+        v is reduced modulo L, and lex order and the facets are unchanged."""
+        if self.lineality:
+            v, s = _modulo(v, _pivots(self.lineality))
+            e *= s
+        d = lcm(self.denominator, e)
+        a, k = d // self.denominator, d // e
+        halfspaces = []
+        for w, b in self.halfspaces:  # b + <v, w>/e
+            n, m = b.numerator, b.denominator
+            halfspaces.append(Halfspace(w, Fraction(n * e + m * sum(map(mul, v, w)), m * e)))
+        points = [tuple(a * x + k * y for x, y in zip(p, v)) for p in self.numerators]
+        return UpperSet(self.cone, PROPER, tuple(halfspaces), *_reduced(d, points), self.rays, self.lineality)
 
     def scale(self, lam) -> "UpperSet":
         """Pointwise scaling for lam > 0; lam = 0 yields C by convention."""
@@ -182,14 +213,10 @@ class UpperSet:
             return cone_upper_set(self.cone)
         if self.kind != PROPER:
             return self
-        return UpperSet(
-            self.cone,
-            PROPER,
-            tuple(Halfspace(h.normal, lam * h.offset) for h in self.halfspaces),
-            tuple(tuple(lam * x for x in p) for p in self.points),
-            self.rays,
-            self.lineality,
-        )
+        halfspaces = tuple(Halfspace(h.normal, lam * h.offset) for h in self.halfspaces)
+        points = [vscale(lam.numerator, p) for p in self.numerators]
+        d, points = _reduced(self.denominator * lam.denominator, points)
+        return UpperSet(self.cone, PROPER, halfspaces, d, points, self.rays, self.lineality)
 
     def oplus(self, other: "UpperSet") -> "UpperSet":
         """cl(D + E), the lattice addition; the empty set absorbs."""
@@ -200,12 +227,12 @@ class UpperSet:
             return UpperSet.full(self.cone)
         for d, e in ((self, other), (other, self)):
             if _is_cone_translate(e):  # D ⊕ (p + C) = D + p
-                return d.translate(e.points[0])
+                return d._translate(e.denominator, e.numerators[0])
         for d, e in ((self, other), (other, self)):
             if len(e.halfspaces) == 1:  # D ⊕ H(w, b) = H(w, σ_D(w) + b)
                 (w, b), = e.halfspaces
                 return halfspace_set(self.cone, w, d.support(w) + b)
-        (d1, ps), (d2, qs) = self._integer_points, other._integer_points
+        (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
         sums = {tuple(a * x + b * y for x, y in zip(p, q)) for p in ps for q in qs}
@@ -213,7 +240,8 @@ class UpperSet:
 
     def supporting_halfspace(self, w) -> "UpperSet":
         """D ⊕ H(w) = {z : <z, w> >= support(D, w)} for w in the dual cone."""
-        w = vec(w)
+        if any(type(x) is not int for x in w):  # an integer normal stays as it is
+            w = vec(w)
         check_dim(self.dim, w, "direction")
         if is_zero(w) or not in_dual_cone(self.cone, w):
             raise ValidationError("supporting halfspace direction must lie in C+ \\ {0}")
@@ -246,7 +274,7 @@ class UpperSet:
 
 def _is_cone_translate(e: UpperSet) -> bool:
     """Whether the proper set e is p + C, p its one stored point."""
-    if len(e.points) != 1:
+    if len(e.numerators) != 1:
         return False
     c = cone_upper_set(e.cone)
     return e.rays == c.rays and e.lineality == c.lineality
@@ -307,12 +335,12 @@ def _from_hrep(cone: Cone, pairs) -> UpperSet:
         # closed under C already, hence nonempty and full-dimensional
         if not ineqs:
             return UpperSet.full(cone)
-        pts, rys, lin, facets = ddm.hrep_to_vrep(ineqs, cone.dim, with_facets=True)
-        return _proper(cone, facets, pts, rys, lin)
-    pts, rys, lin = ddm.hrep_to_vrep(ineqs, cone.dim)
+        d, pts, rys, lin, facets = ddm.hrep_to_vrep(ineqs, cone.dim, with_facets=True)
+        return _proper(cone, facets, d, pts, rys, lin)
+    d, pts, rys, lin = ddm.hrep_to_vrep(ineqs, cone.dim)
     if not pts:
         return UpperSet.empty(cone)
-    return _from_vrep(cone, *clear_denominators(pts), rys, lin)
+    return _from_vrep(cone, d, pts, rys, lin)
 
 
 def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
@@ -320,7 +348,7 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     makes the rays and lineality vectors primitive and drops zero ones."""
     if not points:
         return UpperSet.empty(cone)
-    facets, pts, rys, lin = ddm.vrep_to_hrep(points, (*rays, *cone.generators), lineality, cone.dim, d)
+    facets, d, pts, rys, lin = ddm.vrep_to_hrep(points, (*rays, *cone.generators), lineality, cone.dim, d)
     if not facets:
         return UpperSet.full(cone)
     for w, _ in facets:
@@ -328,43 +356,58 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
             raise ValidationError(
                 f"facet normal {w} escaped the dual cone; input was not closed under C"
             )
-    return _proper(cone, facets, pts, rys, lin)
+    return _proper(cone, facets, d, pts, rys, lin)
 
 
-def _proper(cone: Cone, facets, points, rays, lineality) -> UpperSet:
-    """The canonical proper set.  With lineality L, each point and ray becomes
-    its representative modulo L that is zero at L's pivot columns, pivots
-    taken from the last column leftwards."""
+def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
+    """The canonical proper set of points that are sorted integer numerators
+    over d > 0.  With lineality L, each point and ray becomes its
+    representative modulo L that is zero at L's pivot columns, pivots taken
+    from the last column leftwards."""
+    lineality = tuple(sorted(lineality))
     if lineality:
-        basis = [b[::-1] for b in ddm.rref_basis([v[::-1] for v in lineality], cone.dim)]
-        pivots = [(max(i for i, x in enumerate(b) if x != 0), b) for b in basis]
-
-        def representative(x: Vec) -> Vec:
-            for c, b in pivots:
-                if x[c] != 0:
-                    f = Fraction(x[c]) / b[c]
-                    x = tuple(xi - f * bi for xi, bi in zip(x, b))
-            return x
-
-        points = sorted({representative(p) for p in points})
-        rays = sorted({primitive(representative(r)) for r in rays})
+        pivots = _pivots(lineality)
+        moved = [_modulo(p, pivots) for p in points]
+        m = lcm(*(s for _, s in moved))
+        d, points = _reduced(d * m, sorted({tuple(x * (m // s) for x in p) for p, s in moved}))
+        rays = sorted({primitive(_modulo(r, pivots)[0]) for r in rays})
     if not points:
         raise ValidationError("internal: proper set with empty vertex enumeration")
-    return UpperSet(
-        cone,
-        PROPER,
-        tuple(Halfspace(w, Fraction(b)) for w, b in sorted(facets)),
-        tuple(points),  # sorted: by the caller, or above when reduced
-        tuple(rays),
-        tuple(sorted(lineality)),
-    )
+    halfspaces = tuple(Halfspace(w, b) for w, b in sorted(facets))  # b is a Fraction already
+    return UpperSet(cone, PROPER, halfspaces, d, tuple(points), tuple(rays), lineality)
+
+
+@functools.lru_cache(maxsize=None)
+def _pivots(lineality: tuple[Vec, ...]) -> tuple[tuple[int, Vec], ...]:
+    """(column, vector) of span(lineality)'s reduced basis, pivots from the last
+    column leftwards: each vector is positive at its pivot, zero at the others."""
+    dim = len(lineality[0])
+    basis = [b[::-1] for b in ddm.rref_basis([v[::-1] for v in lineality], dim)]
+    return tuple((max(i for i, x in enumerate(b) if x), b) for b in basis)
+
+
+def _modulo(x: Vec, pivots) -> tuple[Vec, int]:
+    """(y, s) with y/s the representative of the integer vector x modulo the
+    pivots' span that is zero at every pivot column; s > 0."""
+    s = 1
+    for c, b in pivots:
+        if x[c]:
+            x, s = tuple(b[c] * xi - x[c] * bi for xi, bi in zip(x, b)), s * b[c]
+    return x, s
+
+
+def _reduced(d: int, points) -> tuple[int, tuple[Vec, ...]]:
+    """(d/g, points/g) for g the gcd of d and every numerator."""
+    g = gcd(d, *chain.from_iterable(points))
+    if g == 1:
+        return d, tuple(points)
+    return d // g, tuple(tuple(x // g for x in p) for p in points)
 
 
 @functools.lru_cache(maxsize=None)
 def cone_upper_set(cone: Cone) -> UpperSet:
     """C itself as a member of the lattice (the neutral element of ⊕)."""
-    origin = tuple(Fraction(0) for _ in range(cone.dim))
-    return canonicalize(cone, points=[origin])
+    return canonicalize(cone, points=[(0,) * cone.dim])
 
 
 def point_plus_cone(cone: Cone, p) -> UpperSet:
@@ -393,8 +436,9 @@ def halfspace_set(cone: Cone, w, b) -> UpperSet:
         return UpperSet.empty(cone)
     w, b = primitive_halfspace(w, b)
     i = next(i for i, x in enumerate(w) if x)
-    p = [b / w[i] if j == i else 0 for j in range(cone.dim)]  # <p, w> = b
-    return _homogeneous_halfspace(cone, w).translate(p)
+    k = b.numerator if w[i] > 0 else -b.numerator
+    p = tuple(k if j == i else 0 for j in range(cone.dim))  # <p, w> = b·e
+    return _homogeneous_halfspace(cone, w)._translate(abs(w[i]) * b.denominator, p)
 
 
 def inf_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:

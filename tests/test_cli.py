@@ -313,12 +313,8 @@ def test_external_command_that_cannot_start_exits_2(ws_path, capsys, tmp_path):
     assert err.startswith(f"error: cannot start external:{missing}: ") and err.count("\n") == 1
 
 
-def test_external_child_that_has_exited_is_a_protocol_error(tmp_path):
-    from uppersets import orthant
-    from uppersets.measure_space import constant_function, space
-    from uppersets.protocol import ExternalFunctional, ProtocolError
-    from uppersets.upperset import cone_upper_set
-
+def one_shot_child(tmp_path):
+    """A child that answers one request and exits."""
     child = tmp_path / "one_shot_child.py"
     child.write_text(
         "import sys\n"
@@ -327,6 +323,16 @@ def test_external_child_that_has_exited_is_a_protocol_error(tmp_path):
         "        print('cone', flush=True)\n"
         "        break\n"
     )
+    return child
+
+
+def test_external_child_that_has_exited_is_a_protocol_error(tmp_path):
+    from uppersets import orthant
+    from uppersets.measure_space import constant_function, space
+    from uppersets.protocol import ExternalFunctional, ProtocolError
+    from uppersets.upperset import cone_upper_set
+
+    child = one_shot_child(tmp_path)
     cone = orthant(2)
     F = constant_function(space("x1", "x2"), cone_upper_set(cone))
     external = ExternalFunctional((sys.executable, str(child)), cone)
@@ -337,6 +343,37 @@ def test_external_child_that_has_exited_is_a_protocol_error(tmp_path):
             external(F)
     finally:
         external.close()
+
+
+def test_external_child_exiting_after_its_answer_reports_its_exit_code(tmp_path):
+    # the second request may meet the exited child at the write, at the read
+    # or before either; each way the error names the exit code
+    from uppersets import orthant
+    from uppersets.measure_space import constant_function, space
+    from uppersets.protocol import ExternalFunctional, ProtocolError
+    from uppersets.upperset import cone_upper_set
+
+    child = one_shot_child(tmp_path)
+    cone = orthant(2)
+    F = constant_function(space("x1", "x2"), cone_upper_set(cone))
+    external = ExternalFunctional((sys.executable, str(child)), cone)
+    try:
+        assert external(F).set_equal(cone_upper_set(cone))
+        with pytest.raises(ProtocolError) as raised:
+            external(F)
+        assert str(raised.value) == f"external:{sys.executable} {child} exited with code 0"
+    finally:
+        external.close()
+
+
+def test_external_child_exiting_after_its_answer_exits_2(ws_path, capsys, tmp_path):
+    child = one_shot_child(tmp_path)
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert out.startswith("flags: ") and out.count("\n") == 1
+    assert err == f"error: external:{sys.executable} {child} exited with code 0\n"
 
 
 def test_round_trip_of_printed_values(ws_path, capsys):

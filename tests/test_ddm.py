@@ -189,23 +189,23 @@ def test_two_rays_with_an_empty_meet_are_adjacent():
 
 def test_hrep_to_vrep_simplex():
     ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -2)]  # x,y >= 0, x+y <= 2
-    points, rays, lin = hrep_to_vrep(ineqs, 2)
-    assert points == [(0, 0), (0, 2), (2, 0)]
+    d, points, rays, lin = hrep_to_vrep(ineqs, 2)
+    assert (d, points) == (1, [(0, 0), (0, 2), (2, 0)])
     assert rays == [] and lin == []
 
 
 def test_hrep_to_vrep_translated_orthant():
     ineqs = [((1, 0), 1), ((0, 1), 2)]
-    points, rays, lin = hrep_to_vrep(ineqs, 2)
-    assert points == [(1, 2)]
+    d, points, rays, lin = hrep_to_vrep(ineqs, 2)
+    assert (d, points) == (1, [(1, 2)])
     assert rays == [(0, 1), (1, 0)]
     assert lin == []
 
 
 def test_hrep_to_vrep_halfspace_lineality():
-    points, rays, lin = hrep_to_vrep([((1, 1), 0)], 2)
+    d, points, rays, lin = hrep_to_vrep([((1, 1), 0)], 2)
     assert lin == [(1, -1)]
-    assert points == [(0, 0)]
+    assert (d, points) == (1, [(0, 0)])
 
 
 def test_hrep_infeasible():
@@ -240,7 +240,7 @@ def test_hrep_vrep_round_trip(seed):
         if not any(w):
             continue
         ineqs.append((w, Fraction(rng.randint(-2, 1))))
-    points, rays, lin = hrep_to_vrep(ineqs, dim)
+    d, points, rays, lin = hrep_to_vrep(ineqs, dim)
     if not points:
         return
     interior_hits = 0
@@ -250,7 +250,7 @@ def test_hrep_vrep_round_trip(seed):
             interior_hits += 1
     if interior_hits == 0:
         return  # possibly lower-dimensional; facet enumeration not applicable
-    facets, *_ = vrep_to_hrep(points, rays, lin, dim)
+    facets, *_ = vrep_to_hrep(points, rays, lin, dim, d)
     for x in grid:
         original = all(dot(w, x) >= b for w, b in ineqs)
         recovered = all(dot(w, x) >= b for w, b in facets)
@@ -306,6 +306,11 @@ def test_halfspaces_read_facets_off_primitive_integer_rows():
     assert wide_normals > 20
 
 
+def over(d, numerators):
+    """Integer numerators over d as Fraction points."""
+    return [tuple(Fraction(x, d) for x in p) for p in numerators]
+
+
 def same_modulo(a, b, lineality):
     # a - b lies in span(lineality)
     diff = tuple(x - y for x, y in zip(a, b))
@@ -329,13 +334,14 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     if seed % 3 == 0:  # a line orthogonal to (1, ..., 1): the set stays a proper subset
         i, j = rng.sample(range(dim), 2)
         lineality = [tuple(1 if k == i else -1 if k == j else 0 for k in range(dim))]
-    facets, pts, rys, lin = vrep_to_hrep(points + points[:1], rays + [(2,) * dim], lineality, dim)
+    facets, d, pts, rys, lin = vrep_to_hrep(points + points[:1], rays + [(2,) * dim], lineality, dim)
     assert facets == vrep_to_hrep(points, rays, lineality, dim)[0]
     assert lin == rref_basis(lineality, dim)
-    v_points, v_rays, v_lin = hrep_to_vrep(facets, dim)
+    v_d, v_nums, v_rays, v_lin = hrep_to_vrep(facets, dim)
     assert v_lin == sorted(lin)
     if not lineality:
-        assert (pts, rys) == (v_points, v_rays)
+        assert (d, pts, rys) == (v_d, v_nums, v_rays)
+    pts, v_points = over(d, pts), over(v_d, v_nums)
     assert len(pts) == len(v_points) and len(rys) == len(v_rays)
     assert all(any(same_modulo(p, q, lin) for q in v_points) for p in pts)
     assert all(any(same_modulo(r, s, lin) for s in v_rays) for r in rys)
@@ -345,4 +351,4 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     looser = [(w, b - 1) for w, b in facets]
     ineqs = looser + facets + rescaled
     rng.shuffle(ineqs)
-    assert hrep_to_vrep(ineqs, dim, with_facets=True) == (v_points, v_rays, v_lin, facets)
+    assert hrep_to_vrep(ineqs, dim, with_facets=True) == (v_d, v_nums, v_rays, v_lin, facets)

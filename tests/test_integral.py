@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from uppersets import Cone, ValidationError, orthant
+from uppersets import Cone, ValidationError, integral, orthant
 from uppersets.integral import (
     ExplicitChain,
     ParametricChain,
@@ -283,12 +283,59 @@ def test_oracle_identity_fails_on_a_normal_outside_the_dual_cone():
     # {x1 >= x2}, built by hand, is not closed under the orthant: its normal
     # (1, -1) lies outside C+, so value ⊕ C = value must fail
     x1 = space("x1")
-    origin = (Fraction(0), Fraction(0))
-    value = UpperSet(R2, PROPER, (Halfspace((1, -1), Fraction(0)),), (origin,), ((1, 0),), ((1, 1),))
+    value = UpperSet(R2, PROPER, (Halfspace((1, -1), Fraction(0)),), 1, ((0, 0),), ((1, 0),), ((1, 1),))
     report = selection_oracle(SimpleSetFunction(x1, (value,)), AtomicMeasure(x1, (1,)), trials=5, seed=0)
     assert report.value.halfspaces == value.halfspaces
     assert not report.upper_set_ok and not report.passed
     assert "upper-set identity (value ⊕ C = value): FAIL" in report.describe()
+
+
+STAIRCASE = canonicalize(R2, points=[(0, 2), (Fraction(1, 2), 1), (3, 0)])
+
+
+@pytest.mark.parametrize(
+    "values, violations",
+    [
+        (
+            (STAIRCASE, point_plus_cone(R2, (1, -1))),
+            [
+                "((Fraction(28, 13), Fraction(12, 13)), (Fraction(3, 2), Fraction(-1, 2)))"
+                " integrates to [151/52, 35/52]",
+            ],
+        ),
+        (
+            (halfspace_set(R2, (1, 1), 2), STAIRCASE),
+            [
+                "((Fraction(1, 1), Fraction(1, 1)), (Fraction(39, 32), Fraction(49, 16)))"
+                " integrates to [103/64, 81/32]",
+                "((Fraction(11, 2), Fraction(-3, 1)), (Fraction(27, 10), Fraction(9, 10)))"
+                " integrates to [137/20, -51/20]",
+                "((Fraction(11, 2), Fraction(-3, 1)), (Fraction(2, 1), Fraction(15, 7)))"
+                " integrates to [13/2, -27/14]",
+            ],
+        ),
+    ],
+    ids=["staircase", "half-plane"],
+)
+def test_oracle_reports_selections_outside_a_too_small_value(values, violations, monkeypatch):
+    # value + c is a strict subset of the true value, so some random
+    # selections integrate outside it; the report prints the first three
+    real = integral.aumann_integral
+
+    def shifted(F, mu):
+        result = real(F, mu)
+        return dataclasses.replace(result, value=result.value.translate(F.cone.interior_point))
+
+    monkeypatch.setattr(integral, "aumann_integral", shifted)
+    f = SimpleSetFunction(X2, values)
+    report = selection_oracle(f, AtomicMeasure(X2, (1, Fraction(1, 2))), trials=10, seed=5)
+    lines = report.describe().splitlines()
+    start = lines.index("containment: FAIL (10 random selections)")
+    assert lines[start + 1 : start + 1 + len(violations)] == [
+        f"  violating selection {v}" for v in violations
+    ]
+    assert lines[start + 1 + len(violations)].startswith("attainment: ")
+    assert not report.passed
 
 
 def test_monotone_explicit_stabilizing_chain():

@@ -363,6 +363,77 @@ def test_constructors_match_the_ddm_path(cone):
     assert halfspace_set(cone, w, POS_INF).is_empty and halfspace_set(cone, w, NEG_INF).is_full
 
 
+def moved_vrep(d, move):
+    """canonicalize of d's V-rep with every point moved."""
+    return canonicalize(d.cone, points=[move(p) for p in d.points], rays=d.rays, lineality=d.lineality)
+
+
+def stored_numerators(d):
+    return d.denominator, d.numerators
+
+
+@FOUR_CONES
+def test_translate_and_scale_match_canonicalize_of_the_moved_vrep(cone):
+    rng = random.Random(53)
+    for _ in range(16):
+        d = random_operand(rng, cone)
+        v = random_point(rng, cone)
+        lam = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        translated = moved_vrep(d, lambda p: vadd(p, v))
+        for got in (d.translate(v), d.oplus(point_plus_cone(cone, v))):
+            assert stored(got) == stored(translated)
+            assert stored_numerators(got) == stored_numerators(translated)
+        scaled = moved_vrep(d, lambda p: tuple(lam * x for x in p))
+        assert stored(d.scale(lam)) == stored(scaled)
+        assert stored_numerators(d.scale(lam)) == stored_numerators(scaled)
+
+
+@FOUR_CONES
+def test_translating_back_restores_the_numerators(cone):
+    rng = random.Random(59)
+    for _ in range(16):
+        d = random_operand(rng, cone)
+        v = random_point(rng, cone)
+        back = d.translate(v).translate(tuple(-x for x in v))
+        assert stored_numerators(back) == stored_numerators(d)
+        assert stored(back) == stored(d)
+
+
+@FOUR_CONES
+def test_equal_sets_from_different_paths_hash_equal(cone):
+    rng = random.Random(61)
+    for _ in range(8):
+        d = random_operand(rng, cone).translate(random_point(rng, cone))
+        paths = [
+            d,
+            canonicalize(cone, halfspaces=d.hrep_rows()),
+            canonicalize(cone, points=d.points, rays=d.rays, lineality=d.lineality),
+            d.scale(2).scale(Fraction(1, 2)),
+        ]
+        assert all(e == d for e in paths)
+        assert len({hash(e) for e in paths + paths}) == 1
+    same = Cone(cone.dim, tuple(reversed(cone.generators)), cone.interior_point)
+    assert same == cone and hash(same) == hash(cone)
+
+
+def test_translate_and_scale_make_no_canonical_form_pass(monkeypatch):
+    from uppersets import ddm, upperset
+
+    d = canonicalize(HALF_PLANE, points=[(0, 1), (2, -1)])
+    assert d.lineality
+    d.translate((1, 0))  # caches the pivots of d's lineality
+    calls = []
+    for module, name in ((ddm, "rref_basis"), (upperset, "_proper")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, f=original, n=name: calls.append(n) or f(*args)
+        )
+    moved = d.translate((Fraction(1, 3), 2)).scale(Fraction(5, 2)).translate((-1, Fraction(1, 7)))
+    assert calls == []
+    assert moved == canonicalize(HALF_PLANE, halfspaces=moved.hrep_rows())
+    assert calls  # the probes see the canonical-form pass
+
+
 def test_translate_is_canonical_over_a_cone_with_lineality():
     c = Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 0))
     moved = cone_upper_set(c).translate((0, 1))

@@ -294,9 +294,9 @@ def stored_v(d):
 def test_one_pass_vrep_matches_vertex_enumeration_of_facets(d):
     if d.lineality:
         return
-    points, rays, lineality = ddm.hrep_to_vrep(d.hrep_rows(), d.dim)
+    denominator, points, rays, lineality = ddm.hrep_to_vrep(d.hrep_rows(), d.dim)
     assert lineality == []
-    assert repr((d.points, d.rays)) == repr((tuple(points), tuple(rays)))
+    assert (d.denominator, d.numerators, d.rays) == (denominator, tuple(points), tuple(rays))
 
 
 @settings(**SETTINGS)
