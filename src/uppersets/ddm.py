@@ -24,7 +24,8 @@ Asked for its ``incidence``, ``cone_vrep`` also returns each output ray's
 zero set over the input rows, which is enough to drop redundant input rows
 without a second run: one run over a V-rep yields the facets and the
 irredundant points, rays and lineality, one run over a full-dimensional H-rep
-its V-rep and its facets.
+its V-rep and its facets.  ``upperset`` takes a planar canonical form from
+points, or from normals in C+, by one sort instead; these stay its reference.
 """
 
 from __future__ import annotations

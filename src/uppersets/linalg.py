@@ -27,10 +27,10 @@ def vec(entries: Iterable) -> Vec:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
+def dot(a: Sequence, b: Sequence) -> Fraction | int:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(map(mul, a, b)) or Fraction(0)
+    return sum(map(mul, a, b))
 
 
 def vadd(a: Sequence, b: Sequence) -> Vec:

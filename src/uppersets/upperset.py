@@ -9,19 +9,22 @@ Both representations are kept: the H-rep (facets) identifies the set, the
 V-rep (points on minimal faces, extreme rays, lineality basis) makes
 Minkowski sums and support queries exact.
 
-A canonical form costs one double-description run, and none in two closed
-forms.  Every member is D = cl(D + C), so D ⊕ (p + C) = D + p, and
-D ⊕ H(w, b) = H(w, σ_D(w) + b) for the halfspace H(w, b) = {z : <z, w> >= b},
+A canonical form costs one double-description run, none in two closed forms
+and none in the plane.  Every member is D = cl(D + C), so D ⊕ (p + C) = D + p,
+and D ⊕ H(w, b) = H(w, σ_D(w) + b) for the halfspace H(w, b) = {z : <z, w> >= b},
 w in C+: ``oplus`` takes these when an operand is a translate of C or a
 halfspace, ``point_plus_cone`` translates C and ``halfspace_set`` a cached
-H(w, 0).  Otherwise, over a V-rep plus C's generators the run yields the
-facets, and its incidence the irredundant points and rays and the lineality
-space.  An H-rep with all normals in C+ is closed under C already: the run
-yields the V-rep, and its incidence the facets among the inequalities.  Any
-other H-rep is converted to a V-rep first, a second run.  Modulo the
-lineality space L, each point and ray is stored as the representative that
-is zero at L's pivot columns (pivots taken from the last column leftwards),
-so the stored V-rep depends only on the set.
+H(w, 0).  A planar member is one convex chain between two extreme rays: a
+V-rep takes the convex chain of its strict staircase, an H-rep with all
+normals in C+ one angular sweep over its lines.  Otherwise, over a V-rep plus
+C's generators the run yields the facets, and its incidence the irredundant
+points and rays and the lineality space.  An H-rep with all normals in C+ is
+closed under C already: the run yields the V-rep, and its incidence the facets
+among the inequalities.  Any other H-rep is converted to a V-rep first, by one
+more run (the only one in the plane).  Modulo the lineality space L, each
+point and ray is stored as the representative that is zero at L's pivot
+columns (pivots taken from the last column leftwards), so the stored V-rep
+depends only on the set.
 
 Points are stored sorted, as integer numerators over one denominator d > 0
 with gcd(d, numerators) = 1; ``points`` is their Fraction view.  ``translate``
@@ -52,8 +55,11 @@ from .linalg import (
     is_zero,
     primitive,
     primitive_halfspace,
+    vadd,
     vec,
+    vneg,
     vscale,
+    vsub,
 )
 
 EMPTY = "empty"
@@ -335,6 +341,8 @@ def _from_hrep(cone: Cone, pairs) -> UpperSet:
         # closed under C already, hence nonempty and full-dimensional
         if not ineqs:
             return UpperSet.full(cone)
+        if cone.dim == 2:
+            return _planar_hrep(cone, ineqs)
         d, pts, rys, lin, facets = ddm.hrep_to_vrep(ineqs, cone.dim, with_facets=True)
         return _proper(cone, facets, d, pts, rys, lin)
     d, pts, rys, lin = ddm.hrep_to_vrep(ineqs, cone.dim)
@@ -348,6 +356,8 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     makes the rays and lineality vectors primitive and drops zero ones."""
     if not points:
         return UpperSet.empty(cone)
+    if cone.dim == 2:
+        return _planar_vrep(cone, d, points, rays, lineality)
     facets, d, pts, rys, lin = ddm.vrep_to_hrep(points, (*rays, *cone.generators), lineality, cone.dim, d)
     if not facets:
         return UpperSet.full(cone)
@@ -357,6 +367,85 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
                 f"facet normal {w} escaped the dual cone; input was not closed under C"
             )
     return _proper(cone, facets, d, pts, rys, lin)
+
+
+def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
+    """The V-rep path in the plane, without a run.  R = cone(rays, C, ±lineality)
+    has the dual cone(w1, w2), cut down from C+ one generator at a time: {0}
+    means the full plane and w1 = w2 a half-plane.  Otherwise z -> (<z, w1>,
+    <z, w2>) maps R onto the orthant, and the vertices are the convex chain of
+    the strict staircase of the mapped points (Andrew's monotone chain)."""
+    w1, w2 = cone.dual_generators[0], cone.dual_generators[-1]
+    if w1[0] * w2[1] < w1[1] * w2[0]:
+        w1, w2 = w2, w1  # counterclockwise
+    for v in chain(rays, lineality, map(vneg, lineality)):
+        s1, s2 = dot(w1, v), dot(w2, v)
+        if s1 < 0 and s2 < 0:
+            return UpperSet.full(cone)
+        if s1 < 0:  # <s2·w1 - s1·w2, v> = 0
+            w1 = primitive(vsub(vscale(s2, w1), vscale(s1, w2)))
+        elif s2 < 0:
+            w2 = primitive(vsub(vscale(s1, w2), vscale(s2, w1)))
+    if w1 == w2:
+        b, p = min((sum(map(mul, p, w1)), p) for p in points)
+        return _planar_proper(cone, [(w1, Fraction(b, d))], d, [p])
+    hull: list = []  # (<p, w1>, <p, w2>, p): the first increases, the second decreases, strictly
+    for a, b, p in sorted((sum(map(mul, p, w1)), sum(map(mul, p, w2)), p) for p in points):
+        if hull and b >= hull[-1][1]:
+            continue  # off the strict staircase
+        while len(hull) > 1:
+            (a0, b0, _), (a1, b1, _) = hull[-2:]
+            if (a1 - a0) * (b - b0) > (b1 - b0) * (a - a0):
+                break  # hull[-1] lies strictly below the segment from hull[-2] to p
+            hull.pop()
+        hull.append((a, b, p))
+    facets = [(w1, Fraction(hull[0][0], d))]
+    for (a, b, p), (a2, b2, _) in zip(hull, hull[1:]):
+        n = primitive(vadd(vscale(b - b2, w1), vscale(a2 - a, w2)))
+        facets.append((n, Fraction(sum(map(mul, p, n)), d)))
+    facets.append((w2, Fraction(hull[-1][1], d)))
+    return _planar_proper(cone, facets, *_reduced(d, sorted(p for _, _, p in hull)))
+
+
+def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
+    """The C+ branch of ``_from_hrep`` in the plane, without a run: the largest
+    offset per normal, normals in counterclockwise order, and a line dropped
+    while the meet of its kept neighbours satisfies it (de Berg et al., §4.2).
+    The vertices are the meets of consecutive kept lines."""
+    best = dict(sorted(ineqs, key=lambda h: h[1]))  # the largest offset per normal
+    lines: list = []
+    for w in sorted(best, key=functools.cmp_to_key(lambda w, u: w[1] * u[0] - w[0] * u[1])):
+        while len(lines) > 1:
+            (x, e), (u, c) = _meet(lines[-2], (w, best[w])), lines[-1]
+            if sum(map(mul, x, u)) * c.denominator < c.numerator * e:
+                break  # lines[-1] cuts off the meet of its neighbours
+            lines.pop()
+        lines.append((w, best[w]))
+    if len(lines) == 1:
+        (w, b), = lines  # the point b·w/<w, w> on the line
+        return _planar_proper(cone, lines, b.denominator * sum(map(mul, w, w)), [vscale(b.numerator, w)])
+    meets = [_meet(l, m) for l, m in zip(lines, lines[1:])]
+    d = lcm(*(e for _, e in meets))
+    return _planar_proper(cone, lines, *_reduced(d, sorted(vscale(d // e, x) for x, e in meets)))
+
+
+def _meet(l, m) -> tuple[Vec, int]:
+    """(x, e): x/e is the point where the lines <z, w> = b of l = (w, b) and m
+    meet, for m's normal counterclockwise of l's; x integer and e > 0."""
+    (w, b), (u, c) = l, m
+    b, c, f = b.numerator * c.denominator, c.numerator * b.denominator, b.denominator * c.denominator
+    return (b * u[1] - c * w[1], c * w[0] - b * u[0]), (w[0] * u[1] - w[1] * u[0]) * f
+
+
+def _planar_proper(cone: Cone, facets, d: int, points) -> UpperSet:
+    """``_proper`` from the facets, the first and last normals counterclockwise
+    extreme: the rays are perpendicular to them, and one facet is a half-plane,
+    its boundary direction the lineality and its normal the ray."""
+    (w, _), (u, _) = facets[0], facets[-1]
+    if w == u:
+        line = max((-w[1], w[0]), (w[1], -w[0]))  # the reduced basis vector
+        return _proper(cone, facets, d, points, [w], [line])
+    return _proper(cone, facets, d, points, sorted([(-w[1], w[0]), (u[1], -u[0])]), ())
 
 
 def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:

@@ -388,11 +388,19 @@ def test_round_trip_of_printed_values(ws_path, capsys):
     assert parsed.literal() == literal
 
 
-def test_geometry_error_exits_2(ws_path, capsys, monkeypatch):
+def test_geometry_error_exits_2(tmp_path, capsys, monkeypatch):
     # A ray cap hit inside a command is an out-of-scale input, not a crash.
+    # The plane takes no double-description run, so the workspace is 3-D.
     import uppersets.cli as cli
     import uppersets.ddm as ddm
 
+    p = tmp_path / "ws3.txt"
+    p.write_text(
+        "dimension: 3\ncone:\n    generators: [1, 0, 0] [0, 1, 0] [0, 0, 1]\n"
+        "    interior_point: [1, 1, 1]\natoms: x1 x2\n"
+        "setfunction F:\n    x1: points: [[1, 0, 0]]\n    x2: points: [[0, 1, 0]]\n"
+        "setfunction G:\n    x1: points: [[0, 0, 1]]\n    x2: points: [[0, 0, 0], [1, -1, 0]]\n"
+    )
     parse_workspace = cli.parse_workspace
 
     def parse_then_cap(path):
@@ -401,7 +409,7 @@ def test_geometry_error_exits_2(ws_path, capsys, monkeypatch):
         return ws
 
     monkeypatch.setattr(cli, "parse_workspace", parse_then_cap)
-    code, out, err = run(capsys, "lattice", ws_path, "inf", "F", "G")
+    code, out, err = run(capsys, "lattice", str(p), "inf", "F", "G")
     assert code == 2
     assert err.startswith("error: ray count exceeded desk scale")
 

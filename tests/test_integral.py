@@ -260,22 +260,24 @@ def test_oracle_attains_through_rays_orthogonal_to_the_normal():
 
 
 def test_oracle_makes_no_ddm_run_beyond_its_integral(ddm_runs):
-    # three staircases with edge slopes -2, -1/2 and -1: the value has four
-    # vertices, and its ⊕ C identity is read off its facet normals
+    # three staircases in the plane x3 = 0 of R3 with edge slopes -2, -1/2
+    # and -1: the value has four vertices, and its ⊕ C identity is read off
+    # its facet normals (a planar value would take no run at all)
     f = SimpleSetFunction(
         X3,
         tuple(
-            canonicalize(R2, points=p)
-            for p in ([(0, 2), (1, 0)], [(0, 1), (2, 0)], [(0, 1), (1, 0)])
+            canonicalize(R3, points=[(*p, 0) for p in ps])
+            for ps in ([(0, 2), (1, 0)], [(0, 1), (2, 0)], [(0, 1), (1, 0)])
         ),
     )
     mu = AtomicMeasure(X3, (1, 1, 1))
-    cone_upper_set(R2)  # cached after its first run
+    cone_upper_set(R3)  # cached after its first run
     start = len(ddm_runs)
     aumann_integral(f, mu)
     integral_runs = len(ddm_runs) - start
     report = selection_oracle(f, mu, trials=5, seed=0)
     assert report.passed and len(report.value.points) == 4
+    assert integral_runs == 2  # one per general sum of the fold
     assert len(ddm_runs) - start == 2 * integral_runs
 
 
@@ -444,12 +446,15 @@ def test_harmonic_steps_nest_and_lie_in_the_limit(cone):
     assert chain.limit == constant_function(X2, cone_upper_set(cone))
 
 
-def test_parametric_chain_builds_its_steps_once_and_lazily(ddm_runs):
+def test_parametric_chain_builds_its_steps_once_and_lazily(monkeypatch):
+    built = []
+    translates = integral.cone_translates
+    monkeypatch.setattr(integral, "cone_translates", lambda *args: built.append(args) or translates(*args))
     chain = ParametricChain(X2, R2, (1, 2, 4))
-    assert ddm_runs == [] and "steps" not in chain.__dict__
+    assert built == [] and "steps" not in chain.__dict__
     steps = chain.steps
-    runs = len(ddm_runs)
-    assert chain.steps is steps and len(ddm_runs) == runs
+    assert len(built) == 3
+    assert chain.steps is steps and len(built) == 3
 
 
 def test_a_schedule_rate_keeps_the_indices():

@@ -6,12 +6,14 @@ from itertools import product
 
 import pytest
 
-from uppersets import AtomicMeasure, Cone, SimpleSetFunction, ValidationError, orthant, space
+from uppersets import AtomicMeasure, Cone, SimpleSetFunction, ValidationError, ddm, orthant, space
 from uppersets.integral import aumann_integral
-from uppersets.linalg import NEG_INF, POS_INF, clear_denominators, dot, vadd, vec
+from uppersets.linalg import NEG_INF, POS_INF, clear_denominators, dot, primitive_halfspace, vadd, vec, vscale
 from uppersets.upperset import (
     UpperSet,
+    _from_hrep,
     _from_vrep,
+    _proper,
     canonicalize,
     cone_upper_set,
     halfspace_set,
@@ -253,30 +255,36 @@ def runs_of(calls, make):
 
 
 def test_one_ddm_run_per_canonical_form(ddm_runs):
-    a = canonicalize(R2, points=[(1, 2), (2, 1)])
-    b = hs(R2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 3)])
-    w = (1, 2)
-    # translates of C and of a cached H(w, 0) are closed forms: no run
-    halfspace_set(R2, w, 0)
+    # over R3 a canonical form costs one run, two for an H-rep with a normal
+    # outside C+; the plane takes the staircase hull and the angular sweep
+    for cone, run in ((orthant(3), 1), (R2, 0)):
+        pad = (0,) * (cone.dim - 2)
+        units = [tuple(int(i == j) for j in range(cone.dim)) for i in range(cone.dim)]
+        a = canonicalize(cone, points=[(1, 2, *pad), (2, 1, *pad)])
+        b = hs(cone, [(u, 0) for u in units] + [((1, 1, *pad), 3)])
+        w = (1, 2, *pad)
+        # translates of a cached C and H(w, 0) are closed forms: no run
+        cone_upper_set(cone), halfspace_set(cone, w, 0)
+        assert runs_of(ddm_runs, lambda: point_plus_cone(cone, (3, 1, *pad))) == 0
+        assert runs_of(ddm_runs, lambda: a.oplus(b)) == run
+        assert runs_of(ddm_runs, lambda: a.oplus(point_plus_cone(cone, (3, 1, *pad)))) == 0
+        assert runs_of(ddm_runs, lambda: halfspace_set(cone, w, 5).oplus(b)) == 0
+        assert runs_of(ddm_runs, lambda: inf_set(cone, [a, b])) == run
+        assert runs_of(ddm_runs, lambda: halfspace_set(cone, w, 5)) == 0
+        assert runs_of(ddm_runs, lambda: b.supporting_halfspace(w)) == 0
+        assert runs_of(ddm_runs, lambda: sup_set(cone, [a, b])) == run
+        outside = [((1, 1, *pad), 0), ((-1, 0, *pad), 0)]  # (-1, 0, ...) is not in C+
+        assert runs_of(ddm_runs, lambda: hs(cone, outside)) == run + 1
+        both = dict(halfspaces=list(zip(units, (1, 2, 0))), points=[(1, 2, *pad)])
+        assert runs_of(ddm_runs, lambda: canonicalize(cone, **both)) == 2 * run
+        # the fold starts at the first positive-weight piece and skips weight 0
+        atoms = space("x1", "x2", "x3")
+        F = SimpleSetFunction(atoms, (a, b, a))
+        mu = AtomicMeasure(atoms, (1, 2, 0))
+        assert runs_of(ddm_runs, lambda: aumann_integral(F, mu)) == run
     halfspace_set(HALF_PLANE, (1, 1), 0)
-    assert runs_of(ddm_runs, lambda: point_plus_cone(R2, (3, 1))) == 0
-    assert runs_of(ddm_runs, lambda: a.oplus(b)) == 1
-    assert runs_of(ddm_runs, lambda: a.oplus(point_plus_cone(R2, (3, 1)))) == 0
-    assert runs_of(ddm_runs, lambda: halfspace_set(R2, w, 5).oplus(b)) == 0
-    assert runs_of(ddm_runs, lambda: inf_set(R2, [a, b])) == 1
-    assert runs_of(ddm_runs, lambda: halfspace_set(R2, w, 5)) == 0
     assert runs_of(ddm_runs, lambda: halfspace_set(HALF_PLANE, (1, 1), 5)) == 0
-    assert runs_of(ddm_runs, lambda: b.supporting_halfspace(w)) == 0
-    assert runs_of(ddm_runs, lambda: sup_set(R2, [a, b])) == 1
-    outside = [((1, 1), 0), ((-1, 0), 0)]  # (-1, 0) is not in C+
-    assert runs_of(ddm_runs, lambda: hs(R2, outside)) == 2
-    both = dict(halfspaces=[((1, 0), 1), ((0, 1), 2)], points=[(1, 2)])
-    assert runs_of(ddm_runs, lambda: canonicalize(R2, **both)) == 2
-    # the fold starts at the first positive-weight piece and skips weight 0
-    atoms = space("x1", "x2", "x3")
-    F = SimpleSetFunction(atoms, (a, b, a))
-    mu = AtomicMeasure(atoms, (1, 2, 0))
-    assert runs_of(ddm_runs, lambda: aumann_integral(F, mu)) == 1
+    assert runs_of(ddm_runs, lambda: canonicalize(HALF_PLANE, points=[(0, 1), (2, -1)])) == 0
 
 
 FOUR_CONES = pytest.mark.parametrize(
@@ -397,6 +405,73 @@ def test_translating_back_restores_the_numerators(cone):
         back = d.translate(v).translate(tuple(-x for x in v))
         assert stored_numerators(back) == stored_numerators(d)
         assert stored(back) == stored(d)
+
+
+PLANAR_CONES = pytest.mark.parametrize("cone", [R2, WEDGE, HALF_PLANE], ids=["orthant2", "wedge", "half-plane"])
+
+
+def ddm_vrep(cone, d, points, rays, lineality):
+    """``_from_vrep`` the double-description way."""
+    facets, *vrep = ddm.vrep_to_hrep(points, (*rays, *cone.generators), lineality, cone.dim, d)
+    return _proper(cone, facets, *vrep) if facets else UpperSet.full(cone)
+
+
+def ddm_hrep(cone, pairs):
+    """The C+ branch of ``_from_hrep`` the double-description way."""
+    ineqs = [primitive_halfspace(vec(w), b) for w, b in pairs]
+    d, points, rays, lineality, facets = ddm.hrep_to_vrep(ineqs, cone.dim, with_facets=True)
+    return _proper(cone, facets, d, points, rays, lineality)
+
+
+def random_fraction(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3, 6)))
+
+
+@PLANAR_CONES
+def test_planar_vrep_matches_the_ddm_path(cone, ddm_runs):
+    rng = random.Random(67)
+    cases = [
+        ([(0, 2), (1, 1), (2, 0), (1, 1), (2, 2), (3, 3)], [], []),  # collinear and repeated
+        ([(Fraction(1, 2), 3), (Fraction(2, 3), 1), (Fraction(7, 6), 0)], [], []),  # denominators 2, 3, 6
+        ([(0, 0), (1, -2)], [(-1, 2), (Fraction(1, 2), 0)], []),  # a ray outside C
+        ([(1, 0), (0, 1)], [], [(1, -1)]),  # lineality
+        ([(1, 0)], [(-1, 0), (0, -1)], []),  # the full plane
+    ]
+    for _ in range(150):
+        points = [(random_fraction(rng, 4), random_fraction(rng, 4)) for _ in range(rng.randint(1, 6))]
+        rays = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.choice((0, 0, 1, 2)))]
+        cases.append((points, rays, [(rng.randint(-1, 1), 1) for _ in range(rng.choice((0, 0, 0, 1)))]))
+    kinds = set()
+    for points, rays, lineality in cases:
+        d, numerators = clear_denominators([vec(p) for p in points])
+        expected = ddm_vrep(cone, d, numerators, rays, lineality)
+        runs = len(ddm_runs)
+        for given in (numerators, set(numerators)):
+            got = _from_vrep(cone, d, given, rays, lineality)
+            assert (stored(got), stored_numerators(got)) == (stored(expected), stored_numerators(expected))
+        assert len(ddm_runs) == runs
+        kinds.add((got.kind, len(got.lineality)))
+    assert kinds >= {("full", 2), ("proper", 1)}
+    assert (("proper", 0) in kinds) == (len(cone.dual_generators) > 1)  # pointed unless C+ is a ray
+
+
+@PLANAR_CONES
+def test_planar_hrep_matches_the_ddm_path(cone, ddm_runs):
+    rng = random.Random(71)
+    g, h = cone.dual_generators[0], cone.dual_generators[-1]
+    cases = [
+        [(g, Fraction(1, 2)), (vadd(g, g), 3), (g, Fraction(-1, 3)), (h, Fraction(5, 6))],  # parallel normals
+        [(g, 1), (h, 2), (vadd(g, h), 3)],  # a line through the meet of the other two
+    ]
+    for _ in range(150):
+        ks = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
+        cases.append([(vadd(vscale(i, g), vscale(j, h)), random_fraction(rng, 8)) for i, j in ks if i or j])
+    for pairs in filter(None, cases):
+        expected = ddm_hrep(cone, pairs)
+        runs = len(ddm_runs)
+        got = _from_hrep(cone, pairs)
+        assert (stored(got), stored_numerators(got)) == (stored(expected), stored_numerators(expected))
+        assert len(ddm_runs) == runs
 
 
 @FOUR_CONES
