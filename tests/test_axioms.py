@@ -444,6 +444,28 @@ def test_mutant_catalog_refuses_a_pair_sum_equal_to_an_indicator_input(seed):
         mutant_catalog(modified, mu)
 
 
+X3 = space("x1", "x2", "x3")
+PROBE_FIXTURES = {
+    "X2-R2": (X2, R2, MU),
+    "X3-orthant3": (X3, orthant(3), AtomicMeasure.from_map(X3, {"x1": 1, "x2": 2, "x3": 1})),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("fixture", PROBE_FIXTURES)
+def test_checks_probe_exactly_the_catalog_inputs(fixture, seed):
+    # the collision rule is sound only if the catalog's inputs are exactly
+    # the inputs the six checks evaluate, neither more nor fewer
+    sp, cone, mu = PROBE_FIXTURES[fixture]
+    samples = SampleSet(sp, cone, seed=seed)
+    base = integral_functional(mu)
+    evaluated = set()
+    run_axiom_checks(SetFunctional("recorded", lambda F: evaluated.add(F) or base(F)), samples)
+    from uppersets.axioms import _selecting_homes
+
+    assert evaluated == set(_selecting_homes(samples, base, {}))
+
+
 def test_report_renders_deterministically(samples):
     phi = integral_functional(MU)
     a = run_axiom_checks(phi, samples).describe()
