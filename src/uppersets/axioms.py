@@ -14,10 +14,10 @@ decomposes into halfspace and point-plus-cone pieces.
 
 Six built-in mutants each corrupt the integral on their trigger, so that
 exactly one check fails on the default samples.  One table holds each
-mutant's home, a test on the probed sample inputs, and its corruption; the
-trigger is the set of inputs the home selects.  The catalog constructor
-applies one collision rule: an input of a home that is probed again outside
-that home is refused.
+mutant's home, a test on a probed input, and its corruption; the trigger is
+the set of inputs the home selects from ``SampleSet.probes``, the inputs the
+checks evaluate.  One collision rule refuses an input of a home that is
+probed again outside that home.
 """
 
 from __future__ import annotations
@@ -199,6 +199,9 @@ class SampleSet:
         self.nullity_normals = list(cone.dual_generators) + [
             random_dual_direction(rng, cone) for _ in range(extra_directions)
         ]
+        self.nullity_inputs = [
+            constant_function(space, halfspace_set(cone, w, 0)) for w in self.nullity_normals
+        ]
         singletons = [ScalarFunction.indicator(space, [atom]) for atom in space.atoms]
         randoms = [
             ScalarFunction(
@@ -210,6 +213,8 @@ class SampleSet:
         self.indicator_xis = (
             [ScalarFunction.constant(space, 0)] + singletons + [self.positive_xi] + randoms
         )
+        self.indicator_inputs = [cone_translates(xi, cone) for xi in self.indicator_xis]
+        self.positive_input = self.indicator_inputs[1 + len(singletons)]
         # stabilizing chain: translates of a fresh limit function descend to it
         c = cone.interior_point
         self.stabilizing_limit = self.functions[5 % count].translate(
@@ -225,6 +230,25 @@ class SampleSet:
         # F.supporting(w), built once per (F, w); keyed on F itself, a copy with
         # replaced sample functions never reads a stale entry
         self.supporting = functools.cache(lambda F, w: F.supporting(w))
+
+    def supporting_inputs(self, F: SimpleSetFunction, phi_value: UpperSet) -> list:
+        """(w, F^w) for each of F's ``interchange_directions`` given φ(F)."""
+        return [(w, self.supporting(F, w)) for w in interchange_directions(F, phi_value, self.cone)]
+
+    def probes(self, phi: SetFunctional) -> list:
+        """Every input the six checks evaluate, as (family, key, F), read off the
+        families when called; (S)'s directions are taken under ``phi``."""
+        out = [("functions", i, F) for i, F in enumerate(self.functions)]
+        out += [("pair-sums", k, F) for k, F in self.pair_sums.items()]
+        out += [("scaled", k, F) for k, F in self.scaled.items()]
+        for family, chain in zip(("stabilizing-chain", "parametric-chain"), self.chains):
+            out += [(family, k, F) for k, F in [*enumerate(chain.steps), ("limit", chain.limit)]]
+        out += [("indicators", k, F) for k, F in enumerate(self.indicator_inputs)]
+        out += [("nullity", k, F) for k, F in enumerate(self.nullity_inputs)]
+        for i, F in enumerate(self.functions):
+            inputs = self.supporting_inputs(F, phi(F))
+            out += [("supporting-halfspace", (i, w), G) for w, G in inputs]
+        return out
 
     def header_lines(self) -> list[str]:
         return [
@@ -338,12 +362,10 @@ def check_continuity_from_above(phi: SetFunctional, samples: SampleSet) -> Check
 
 def check_nullity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
     checked = 0
-    for w in samples.nullity_normals:
-        target = halfspace_set(samples.cone, w, 0)
-        F = constant_function(samples.space, target)
+    for w, F in zip(samples.nullity_normals, samples.nullity_inputs):
         got = phi(F)
         checked += 1
-        if not got.set_equal(target):
+        if not got.set_equal(F.values[0]):
             return CheckResult(
                 "N",
                 "fail",
@@ -352,7 +374,7 @@ def check_nullity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
                 (
                     f"counterexample normal w = {format_vector(w)}:",
                     f"phi(constant H(w)) = {got.literal()}",
-                    f"expected H(w) = {target.literal()}",
+                    f"expected H(w) = {F.values[0].literal()}",
                 ),
             )
     return CheckResult("N", "pass", checked, 0)
@@ -394,11 +416,9 @@ def indicator_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> Ato
 
 
 def check_indicator(phi: SetFunctional, samples: SampleSet) -> CheckResult:
-    cone = samples.cone
     checked = 0
-    for xi in samples.indicator_xis:
-        F = cone_translates(xi, cone)
-        out = extract_scalar(phi(F), cone)
+    for xi, F in zip(samples.indicator_xis, samples.indicator_inputs):
+        out = extract_scalar(phi(F), samples.cone)
         checked += 1
         if out == "not_of_form":
             return CheckResult(
@@ -412,7 +432,7 @@ def check_indicator(phi: SetFunctional, samples: SampleSet) -> CheckResult:
                     "which is neither empty nor of the form k c + C with k >= 0",
                 ),
             )
-    pos_value = extract_scalar(phi(cone_translates(samples.positive_xi, cone)), cone)
+    pos_value = extract_scalar(phi(samples.positive_input), samples.cone)
     checked += 1
     if pos_value in ("empty", "not_of_form") or pos_value == 0:
         return CheckResult(
@@ -451,9 +471,8 @@ def check_interchange(phi: SetFunctional, samples: SampleSet) -> CheckResult:
         if base.is_empty:
             skipped += 1
             continue
-        directions = interchange_directions(F, base, samples.cone)
-        pieces = [phi(samples.supporting(F, w)) for w in directions]
-        rhs = sup_set(samples.cone, pieces)
+        inputs = samples.supporting_inputs(F, base)
+        rhs = sup_set(samples.cone, [phi(G) for _, G in inputs])
         checked += 1
         if not base.set_equal(rhs):
             return CheckResult(
@@ -465,7 +484,7 @@ def check_interchange(phi: SetFunctional, samples: SampleSet) -> CheckResult:
                     f"counterexample sample #{i}:",
                     f"F = {F.describe()}",
                     f"phi(F) = {base.literal()}",
-                    f"sup over {len(directions)} supporting-halfspace images = {rhs.literal()}",
+                    f"sup over {len(inputs)} supporting-halfspace images = {rhs.literal()}",
                 ),
             )
     return CheckResult("S", "pass", checked, skipped)
@@ -757,7 +776,18 @@ def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFuncti
         ),
         "interchange-tighten": (lambda fam, key, F: fam == "supporting-halfspace", shifted),
     }
-    homes = _selecting_homes(samples, base, table)
+    # (family, F, homes selecting it) per probe, with (S)'s directions the integral's
+    probes = [
+        (family, F, {name for name, (home, _) in table.items() if home(family, key, F)})
+        for family, key, F in samples.probes(base)
+    ]
+    homes: dict[SimpleSetFunction, set[str]] = {}
+    for _, F, selected in probes:
+        homes.setdefault(F, set()).update(selected)
+    for family, F, selected in probes:
+        for name in table:
+            if name in homes[F] - selected:
+                raise ValidationError(f"mutant {name}: trigger fires on a {family} sample")
     return {
         name: SetFunctional(
             f"mutant:{name}",
@@ -765,39 +795,3 @@ def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFuncti
         )
         for name, (_, bad) in table.items()
     }
-
-
-def _selecting_homes(samples: SampleSet, base: SetFunctional, table) -> dict:
-    """Each probed input -> the homes of ``table`` that select it.  The inputs
-    are every sample family the checks probe, with the supporting halfspaces
-    of each sample function under ``base``, the integral the mutants corrupt."""
-    cone, space = samples.cone, samples.space
-    entries = [("functions", i, F) for i, F in enumerate(samples.functions)]
-    entries += [("pair-sums", k, F) for k, F in samples.pair_sums.items()]
-    entries += [("scaled", k, F) for k, F in samples.scaled.items()]
-    for family, chain in zip(("stabilizing-chain", "parametric-chain"), samples.chains):
-        entries += [(family, k, F) for k, F in enumerate(chain.steps)]
-        entries += [(family, "limit", chain.limit)]
-    entries += [
-        ("indicators", k, cone_translates(xi, cone)) for k, xi in enumerate(samples.indicator_xis)
-    ]
-    entries += [
-        ("nullity", k, constant_function(space, halfspace_set(cone, w, 0)))
-        for k, w in enumerate(samples.nullity_normals)
-    ]
-    for i, F in enumerate(samples.functions):
-        for w in interchange_directions(F, base(F), cone):
-            entries.append(("supporting-halfspace", (i, w), samples.supporting(F, w)))
-
-    homes: dict[SimpleSetFunction, set[str]] = {}
-    probes = []
-    for family, key, F in entries:
-        selected = {name for name, (home, _) in table.items() if home(family, key, F)}
-        of_input = homes.setdefault(F, set())
-        of_input |= selected
-        probes.append((family, of_input, selected))
-    for family, of_input, selected in probes:
-        for name in table:
-            if name in of_input and name not in selected:
-                raise ValidationError(f"mutant {name}: trigger fires on a {family} sample")
-    return homes

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 from fractions import Fraction
 
@@ -66,12 +67,6 @@ def _build_functional(ws: Workspace, name: str, samples: SampleSet) -> SetFuncti
         return catalog[spec.mutant]
     external = ExternalFunctional(spec.command, ws.cone)
     return SetFunctional(external.name, external)
-
-
-def _samples(ws: Workspace, args) -> SampleSet:
-    return SampleSet(
-        ws.space, ws.cone, seed=args.seed, count=args.sample_count, extra_directions=args.w_samples
-    )
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -163,7 +158,9 @@ def _axiom_checks(ws: Workspace, args):
     """Print the flags line and the axiom report on one sample set; yields
     the functional and whether every check passed, and closes the functional
     afterwards."""
-    samples = _samples(ws, args)
+    samples = SampleSet(
+        ws.space, ws.cone, seed=args.seed, count=args.sample_count, extra_directions=args.w_samples
+    )
     with contextlib.closing(_build_functional(ws, args.functional, samples)) as phi:
         print(_flags_line(args, extra=f"functional={args.functional}"))
         report = run_axiom_checks(phi, samples)
@@ -262,10 +259,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        ws = parse_workspace(args.workspace)
-        return args.fn(ws, args)
+        code = args.fn(parse_workspace(args.workspace), args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
     except (WorkspaceError, ValidationError, GeometryError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # stdout was closed early: point it at devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

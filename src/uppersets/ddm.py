@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import Vec, is_zero, primitive, vneg
+from .linalg import Vec, coprime, is_zero, primitive, vneg
 
 
 class GeometryError(ValueError):
@@ -46,12 +46,6 @@ MAX_RAYS = 20000
 
 def _unit(dim: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(dim))
-
-
-def _coprime(v: Vec) -> Vec:
-    """``primitive`` for an integer vector: divide by the gcd, no denominators."""
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else v
 
 
 def rref_basis(vectors, dim: int) -> list[Vec]:
@@ -85,7 +79,7 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
     input rows (bit k stands for the k-th).
     """
     rows = [r for r in map(tuple, rows) if not is_zero(r)]
-    prows = sorted({_coprime(r) if all(type(x) is int for x in r) else primitive(r) for r in rows})
+    prows = sorted({primitive(r) for r in rows})
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
     rays: list[list] = []  # [vector, zero-set bitmask over processed rows]
 
@@ -98,14 +92,14 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
             if val0 < 0:
                 v0, val0 = vneg(v0), -val0
             lin = [
-                _coprime(tuple(val0 * x - val * y for x, y in zip(v, v0))) if val else v
+                coprime(tuple(val0 * x - val * y for x, y in zip(v, v0))) if val else v
                 for i, (v, val) in enumerate(zip(lin, lin_vals))
                 if i != pivot
             ]
             for entry in rays:
                 val = sum(map(mul, a, entry[0]))
                 if val != 0:
-                    entry[0] = _coprime(tuple(val0 * x - val * y for x, y in zip(entry[0], v0)))
+                    entry[0] = coprime(tuple(val0 * x - val * y for x, y in zip(entry[0], v0)))
                 entry[1] |= bit  # projected rays are tight at the new row
             rays.append([v0, bit - 1])  # tight at every earlier row; lin is primitive
         else:
@@ -128,7 +122,7 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
                     # adjacent iff p and n are the only rays tight on all of meet
                     if list(map(meet.__and__, masks)).count(meet) != 2:
                         continue
-                    vecq = _coprime(tuple(val_p * x - val_n * y for x, y in zip(n[0], p[0])))
+                    vecq = coprime(tuple(val_p * x - val_n * y for x, y in zip(n[0], p[0])))
                     if is_zero(vecq) or vecq in combined:
                         continue
                     combined[vecq] = [vecq, meet | bit]

@@ -4,9 +4,9 @@ Vectors are plain tuples of ``fractions.Fraction`` or ``int``, which
 interoperate; everything here is pure and allocation-light because the
 double description method calls these in tight loops.  ``dot`` and the
 vector operations keep integer inputs integer.  ``primitive`` and
-``clear_denominators`` always return integers: they read every entry through
-its ``numerator`` and ``denominator`` (an ``int`` has denominator 1) and never
-build a Fraction.
+``clear_denominators`` always return integers and never build a Fraction:
+they read every entry's ``numerator`` and ``denominator`` (an ``int`` has
+denominator 1), and ``primitive`` of an all-``int`` vector is one ``gcd``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,12 @@ def is_zero(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
 
+def coprime(v: Vec) -> Vec:
+    """``primitive`` for an integer vector: divide by the gcd, no denominators."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else v
+
+
 def primitive(a: Sequence) -> Vec:
     """Scale to the coprime integer vector with the same direction.
 
@@ -60,9 +66,9 @@ def primitive(a: Sequence) -> Vec:
     canonical form for rays and normals: two vectors are positive multiples
     of each other iff their primitive forms are equal.
     """
-    _, (ints,) = clear_denominators([a])
-    g = gcd(*ints)
-    return tuple(n // g for n in ints) if g else ints
+    if any(type(x) is not int for x in a):
+        _, (a,) = clear_denominators([a])
+    return coprime(tuple(a))
 
 
 def primitive_halfspace(normal: Sequence, offset) -> tuple[Vec, Fraction]:

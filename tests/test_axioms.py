@@ -461,9 +461,7 @@ def test_checks_probe_exactly_the_catalog_inputs(fixture, seed):
     base = integral_functional(mu)
     evaluated = set()
     run_axiom_checks(SetFunctional("recorded", lambda F: evaluated.add(F) or base(F)), samples)
-    from uppersets.axioms import _selecting_homes
-
-    assert evaluated == set(_selecting_homes(samples, base, {}))
+    assert evaluated == {F for _, _, F in samples.probes(base)}
 
 
 def test_report_renders_deterministically(samples):

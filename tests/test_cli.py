@@ -1,10 +1,13 @@
 """CLI commands end to end, including the external-functional protocol."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import uppersets
 from uppersets.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -587,3 +590,21 @@ def test_readme_cli_block_lists_every_long_option():
         if option.startswith("--")
     }
     assert set(re.findall(r"--[a-z][a-z-]*", block)) == options
+
+
+def test_closed_stdout_exits_2_without_a_traceback(ws_path):
+    # like `uppersets check-axioms WS integral:mu | head -1`: the reader
+    # closes the pipe after the first line, while the checks still run
+    env = {**os.environ, "PYTHONPATH": str(Path(uppersets.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "uppersets.cli", "check-axioms", ws_path, "integral:mu"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    with proc:
+        assert proc.stdout.readline().startswith(b"flags: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert err == b""
