@@ -257,6 +257,75 @@ def test_reconstruct_failure_lines_print_rationals():
     assert rec.additivity_failures == ("phi(1_∅) = 1, expected 0",)
 
 
+SINGLETONS_THEN_EMPTY = [("x1",), ("x2",), ("x3",), ()]
+EVERY_SUBSET_READ = SINGLETONS_THEN_EMPTY + [
+    ("x1", "x2"), ("x1", "x3"), ("x2", "x3"), ("x1", "x2", "x3")
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, report, evaluated",
+    [
+        (
+            {},
+            ["mu({x1}) = 1", "mu({x2}) = 2", "mu({x3}) = 3",
+             "phi(1_{x1}) = 1", "phi(1_{x2}) = 2", "phi(1_{x3}) = 3", "status: ok"],
+            EVERY_SUBSET_READ,
+        ),
+        (
+            {("x2",): UpperSet.full(R2)},
+            ["mu({x1}) = 1", "mu({x2}) = infinite", "mu({x3}) = 3",
+             "phi(1_{x1}) = 1", "phi(1_{x3}) = 3",
+             "additivity failure: phi(1_{x2} c + C) is not of the form k c + C", "status: FAILED"],
+            SINGLETONS_THEN_EMPTY,
+        ),
+        (
+            {("x3",): UpperSet.empty(R2), (): point_plus_cone(R2, R2.interior_point)},
+            ["mu({x1}) = 1", "mu({x2}) = 2", "mu({x3}) = infinite",
+             "phi(1_{x1}) = 1", "phi(1_{x2}) = 2", "phi(1_{x3}) = infinite (empty value)",
+             "additivity failure: phi(1_∅) = 1, expected 0", "status: FAILED"],
+            SINGLETONS_THEN_EMPTY,
+        ),
+        (
+            dict.fromkeys(EVERY_SUBSET_READ, cone_upper_set(R2)),
+            ["mu({x1}) = 0", "mu({x2}) = 0", "mu({x3}) = 0",
+             "phi(1_{x1}) = 0", "phi(1_{x2}) = 0", "phi(1_{x3}) = 0",
+             "additivity failure: reconstructed measure has zero total mass", "status: FAILED"],
+            EVERY_SUBSET_READ,
+        ),
+    ],
+    ids=["ok", "singleton-not-of-form", "singleton-empty-and-empty-set-shifted", "zero-mass"],
+)
+def test_reconstruct_report_and_evaluation_order(overrides, report, evaluated):
+    # the integral of mu = (1, 2, 3), except φ(1_A c + C) = overrides[A]
+    mu = AtomicMeasure(X3, (1, 2, 3))
+    indicator = {
+        names: cone_translates(ScalarFunction.indicator(X3, list(names)), R2)
+        for names in EVERY_SUBSET_READ
+    }
+    fixed = {indicator[names]: value for names, value in overrides.items()}
+    seen = []
+
+    def evaluator(F):
+        seen.append(F)
+        return fixed[F] if F in fixed else aumann_integral(F, mu).value
+
+    rec = reconstruct_measure(SetFunctional("overridden", evaluator), X3, R2)
+    assert rec.describe().splitlines() == ["reconstructed measure:"] + [f"  {line}" for line in report]
+    assert seen == [indicator[names] for names in evaluated]
+    assert rec.ok == (report[-1] == "status: ok")
+
+
+def test_indicator_nontriviality_clause_rejects_a_zero_reading():
+    phi = SetFunctional("constant-C", lambda F: cone_upper_set(R2))
+    result = check_indicator(phi, SampleSet(X2, R2, seed=0))
+    assert (result.status, result.checked) == ("fail", 7)
+    assert result.details == (
+        "nontriviality clause: the strictly positive xi = {x1: 1, x2: 1} classifies as 0, "
+        "expected a finite strictly positive k",
+    )
+
+
 def test_verify_representation_same_measure():
     phi = integral_functional(MU)
     report = verify_representation(phi, MU, X2, R2, seed=4)

@@ -242,6 +242,48 @@ def test_reconstruct_mutant_stops_at_axioms(ws_path, capsys):
     assert "reconstruction skipped" in out
 
 
+WS3 = """
+dimension: 2
+cone:
+    generators: [1, 0] [0, 1]
+    interior_point: [1, 1]
+atoms: x1 x2 x3
+measure mu:
+    x1: 1
+    x2: 2
+    x3: 3
+"""
+
+
+def test_reconstruct_exits_1_when_the_reading_fails(tmp_path, capsys, monkeypatch):
+    from uppersets import cli
+    from uppersets.axioms import SetFunctional
+    from uppersets.integral import aumann_integral
+    from uppersets.measure_space import ScalarFunction, cone_translates
+
+    def pair_shifted(ws, name, samples):
+        # the integral, except that the pair indicator's value moves by c
+        mu, cone = ws.measure("mu"), ws.cone
+        pair = cone_translates(ScalarFunction.indicator(ws.space, ["x1", "x2"]), cone)
+
+        def evaluate(F):
+            value = aumann_integral(F, mu).value
+            return value.translate(cone.interior_point) if F == pair else value
+
+        return SetFunctional("pair-shifted", evaluate)
+
+    monkeypatch.setattr(cli, "_build_functional", pair_shifted)
+    p = tmp_path / "ws3.txt"
+    p.write_text(WS3)
+    code, out, err = run(capsys, "reconstruct", str(p), "integral:mu")
+    assert (code, err) == (1, "")
+    assert "overall: PASS" in out
+    assert out.endswith(
+        "  additivity failure: phi(1_A) for A = {x1, x2} is 4, expected 3\n  status: FAILED\n"
+    )
+    assert "representation check" not in out
+
+
 def test_reports_are_deterministic(ws_path, capsys):
     _, first, _ = run(capsys, "check-axioms", ws_path, "phi", "--sample-count", "6")
     _, second, _ = run(capsys, "check-axioms", ws_path, "phi", "--sample-count", "6")

@@ -237,6 +237,15 @@ def test_halfspace_neg_inf_offset_gives_full():
     assert halfspace_set(R2, (1, 0), NEG_INF).is_full
 
 
+def test_trivial_sets_at_the_edges():
+    # every offset absent: no constraint is left
+    assert hs(R2, [((1, 0), NEG_INF), ((0, 1), NEG_INF)]).is_full
+    assert inf_set(R2, [point_plus_cone(R2, (1, 0)), UpperSet.full(R2)]).is_full
+    for d in (UpperSet.empty(R2), UpperSet.full(R2)):
+        assert d.translate((1, -2)) is d
+    assert not UpperSet.empty(R2).member((0, 0))
+
+
 def test_lineality_vrep_for_halfspace():
     h = halfspace_set(R2, (1, 1), 5)
     assert len(h.lineality) == 1
