@@ -534,23 +534,29 @@ class ReconstructedMeasure:
     """The measure read off the singleton indicators, with its audit trail."""
 
     space: AtomicSpace
-    weights: tuple  # Fraction or the string "infinite"
+    outcomes: tuple  # per atom, extract_scalar of φ(1_x c + C)
     measure: AtomicMeasure | None
-    phi_table: tuple[tuple[str, str], ...]
     additivity_failures: tuple[str, ...]
 
     @property
+    def weights(self) -> tuple:
+        """μ({x}) per atom, "infinite" where φ(1_x c + C) is not k c + C."""
+        return tuple("infinite" if isinstance(k, str) else k for k in self.outcomes)
+
+    @property
     def ok(self) -> bool:
-        return self.measure is not None and not self.additivity_failures
+        return self.measure is not None
 
     def describe(self) -> str:
+        atoms = self.space.atoms
         lines = ["reconstructed measure:"]
-        for atom, w in zip(self.space.atoms, self.weights):
-            lines.append(f"  mu({{{atom}}}) = {_shown(w)}")
-        for name, value in self.phi_table:
-            lines.append(f"  phi({name}) = {value}")
-        for f in self.additivity_failures:
-            lines.append(f"  additivity failure: {f}")
+        lines += [f"  mu({{{atom}}}) = {_shown(w)}" for atom, w in zip(atoms, self.weights)]
+        lines += [
+            f"  phi(1_{{{atom}}}) = {'infinite (empty value)' if k == 'empty' else _shown(k)}"
+            for atom, k in zip(atoms, self.outcomes)
+            if k != "not_of_form"
+        ]
+        lines += [f"  additivity failure: {f}" for f in self.additivity_failures]
         lines.append(f"  status: {'ok' if self.ok else 'FAILED'}")
         return "\n".join(lines)
 
@@ -558,51 +564,32 @@ class ReconstructedMeasure:
 def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> ReconstructedMeasure:
     """Read μ({x}) = φ(1_x) off the functional and re-verify additivity.
 
-    Sampled subsets are the empty set, every singleton, every pair, and the
-    whole space; an 'empty' classification marks an atom of infinite mass.
+    Sampled subsets are every singleton, the empty set, every pair, and the
+    whole space, in that order; an 'empty' classification marks an atom of
+    infinite mass, and it or a failure stops the reading after the empty set.
     """
-    weights = []
-    table = []
-    failures = []
-    infinite = False
-    for atom in space.atoms:
-        out = _indicator_scalar(phi, space, cone, [atom])
-        if out == "not_of_form":
-            failures.append(f"phi(1_{{{atom}}} c + C) is not of the form k c + C")
-            weights.append("infinite")
-            continue
-        if out == "empty":
-            infinite = True
-            weights.append("infinite")
-            table.append((f"1_{{{atom}}}", "infinite (empty value)"))
-            continue
-        weights.append(out)
-        table.append((f"1_{{{atom}}}", format_rational(out)))
-
+    outcomes = tuple(_indicator_scalar(phi, space, cone, [atom]) for atom in space.atoms)
+    failures = [
+        f"phi(1_{{{atom}}} c + C) is not of the form k c + C"
+        for atom, k in zip(space.atoms, outcomes)
+        if k == "not_of_form"
+    ]
     zero = _indicator_scalar(phi, space, cone, [])
     if zero != 0:
         failures.append(f"phi(1_∅) = {_shown(zero)}, expected 0")
-    subsets = [list(pair) for pair in itertools.combinations(space.atoms, 2)] + [list(space.atoms)]
-    finite = not infinite and not failures
-    if finite:
-        for names in subsets:
-            out = _indicator_scalar(phi, space, cone, names)
-            expected = sum(
-                (weights[space.index(a)] for a in names), Fraction(0)
+    if failures or "empty" in outcomes:
+        return ReconstructedMeasure(space, outcomes, None, tuple(failures))
+    mu = AtomicMeasure(space, outcomes)
+    for names in [*itertools.combinations(space.atoms, 2), space.atoms]:
+        out, expected = _indicator_scalar(phi, space, cone, names), mu.mass_of(names)
+        if out != expected:
+            failures.append(
+                f"phi(1_A) for A = {{{', '.join(names)}}} is {_shown(out)}, "
+                f"expected {format_rational(expected)}"
             )
-            if out != expected:
-                failures.append(
-                    f"phi(1_A) for A = {{{', '.join(names)}}} is {_shown(out)}, "
-                    f"expected {format_rational(expected)}"
-                )
-    measure = None
-    if finite and not failures:
-        mu = AtomicMeasure(space, tuple(weights))
-        if mu.total() > 0:
-            measure = mu
-        else:
-            failures.append("reconstructed measure has zero total mass")
-    return ReconstructedMeasure(space, tuple(weights), measure, tuple(table), tuple(failures))
+    if not failures and mu.total() == 0:
+        failures.append("reconstructed measure has zero total mass")
+    return ReconstructedMeasure(space, outcomes, None if failures else mu, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
