@@ -12,6 +12,7 @@ from uppersets.axioms import (
     SampleSet,
     SetFunctional,
     check_additivity,
+    check_continuity_from_above,
     cone_translate_coefficients,
     check_indicator,
     check_interchange,
@@ -134,6 +135,37 @@ def test_extraneous_constraint_fails_interchange(samples):
     phi = SetFunctional("tightened", evaluator)
     result = check_interchange(phi, samples)
     assert result.status == "fail"
+
+
+def _integral_empty_at(F0):
+    """The integral of MU, except φ(F0) = ∅."""
+    return SetFunctional("empty-at-one", lambda F: UpperSet.empty(R2) if F == F0 else aumann_integral(F, MU).value)
+
+
+def test_checks_skip_the_samples_whose_value_is_empty():
+    # (A) skips the 19 pairs and (S) the one sample that read the empty φ(F_0);
+    # (P) does not skip: 0·∅ = C passes and (1/2)·∅ = ∅ fails
+    samples = SampleSet(X2, R2, seed=0)
+    phi = _integral_empty_at(samples.functions[0])
+    assert check_additivity(phi, samples).describe() == "(A) additivity: PASS [171 checked, 19 skipped]"
+    assert check_interchange(phi, samples).describe() == (
+        "(S) interchange with supporting halfspaces: PASS [19 checked, 1 skipped]"
+    )
+    result = check_positive_homogeneity(phi, samples)
+    assert (result.status, result.checked, result.skipped) == ("fail", 2, 0)
+    assert result.details == (
+        "counterexample at lambda = 1/2, sample #0:",
+        f"F = {samples.functions[0].describe()}",
+        f"phi(lambda F) = {phi(samples.scaled[(0, Fraction(1, 2))]).literal()}",
+        "lambda phi(F) = empty",
+    )
+
+
+def test_continuity_skips_a_chain_whose_first_image_is_empty():
+    samples = SampleSet(X2, R2, seed=0)
+    result = check_continuity_from_above(_integral_empty_at(samples.stabilizing_chain.steps[0]), samples)
+    assert (result.status, result.checked, result.skipped) == ("pass", 1, 1)
+    assert result.details == ("explicit chain skipped: phi(F_1) is empty",)
 
 
 def test_indicator_measure_matches_measure(samples):

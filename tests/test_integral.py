@@ -28,6 +28,7 @@ from uppersets.measure_space import (
     VectorFunction,
     constant_function,
     halfspace_function,
+    pick_selection,
     space,
     vector_plus_cone,
 )
@@ -340,6 +341,42 @@ def test_oracle_reports_selections_outside_a_too_small_value(values, violations,
     assert not report.passed
 
 
+@pytest.mark.parametrize(
+    "selection, reasons",
+    [
+        (
+            lambda F: ((-9, -9),) + pick_selection(F).values[1:],
+            {
+                "[0, 2]": "decomposed piece at x1 leaves F(x1)",
+                "[1/2, 1]": "decomposed piece at x1 leaves F(x1)",
+                "[3, 0]": "decomposed piece at x1 leaves F(x1)",
+            },
+        ),
+        (
+            lambda F: pick_selection(F).values,
+            {
+                "[1/2, 1]": "decomposition does not resum to the point",
+                "[3, 0]": "decomposition does not resum to the point",
+            },
+        ),
+    ],
+    ids=["piece-outside", "no-resum"],
+)
+def test_oracle_reports_a_wrong_decomposition(selection, reasons, monkeypatch):
+    # the oracle re-checks each decomposition it is handed: every piece lies
+    # in its atom's value and the pieces integrate back to the point
+    monkeypatch.setattr(integral, "_attaining_selection", lambda F, mu, value, p: selection(F))
+    f = SimpleSetFunction(X2, (STAIRCASE, cone_upper_set(R2)))
+    report = selection_oracle(f, MU11, trials=5, seed=0)
+    lines = report.describe().splitlines()
+    start = lines.index(f"attainment: FAIL ({3 - len(reasons)} extreme points decomposed)")
+    assert lines[start + 1 : start + 1 + len(reasons)] == [
+        f"  point {p}: {reason}" for p, reason in reasons.items()
+    ]
+    assert lines[start + 1 + len(reasons)].startswith("upper-set identity")
+    assert not report.passed
+
+
 def test_monotone_explicit_stabilizing_chain():
     base = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), point_plus_cone(R2, (0, 1))))
     c = R2.interior_point
@@ -373,6 +410,20 @@ def test_monotone_parametric_harmonic_chain():
     value = aumann_integral(f, MU11).value
     for w in R2.dual_generators:
         assert value.support(w) == MU11.total() * dot(R2.interior_point, w) / n
+
+
+def test_parametric_chain_reports_an_image_that_breaks_monotonicity():
+    # the index-4 image is answered with the index-1 integral, c + C ⊉ c/2 + C
+    chain = ParametricChain(X2, R2, (1, 2, 4))
+    evaluate = lambda F: integral_value(chain.steps[0] if F == chain.steps[2] else F, MU11)
+    report = chain.check(evaluate, MU11)
+    assert not report.ok
+    assert report.lines == (
+        "integral at index 4 breaks monotonicity",
+        "n=4 normal [0, 1]: deviation 2 exceeds schedule 1/2",
+        "n=4 normal [1, 0]: deviation 2 exceeds schedule 1/2",
+        "checked indices [1, 2, 4] at 2 facet normals of the limit",
+    )
 
 
 def test_certificate_reports_all_facets():
