@@ -282,58 +282,56 @@ class CheckResult:
         return "\n".join([head, *("    " + line for line in self.details)])
 
 
-def check_additivity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
+def _first_mismatch(axiom: str, cases) -> CheckResult:
+    """Run a set-equality check over its cases up to the first mismatch.
+
+    A case is None, when skipped, or (φ(input), expected, where, named sample
+    functions, (label of φ(input), label of expected)); the report strings
+    are built only for the failing case, and no case after it is drawn.
+    """
     checked = skipped = 0
-    for i, j in samples.pairs:
-        F, G = samples.functions[i], samples.functions[j]
-        a, b = phi(F), phi(G)
-        if a.is_empty or b.is_empty:
+    for case in cases:
+        if case is None:
             skipped += 1
             continue
-        lhs = phi(samples.pair_sums[(i, j)])
-        rhs = a.oplus(b)
+        got, expected, where, named, (got_label, expected_label) = case
         checked += 1
-        if not lhs.set_equal(rhs):
-            return CheckResult(
-                "A",
-                "fail",
-                checked,
-                skipped,
-                (
-                    f"counterexample pair #{i},#{j}:",
-                    f"F = {F.describe()}",
-                    f"G = {G.describe()}",
-                    f"phi(F ⊕ G) = {lhs.literal()}",
-                    f"phi(F) ⊕ phi(G) = {rhs.literal()}",
-                ),
+        if not got.set_equal(expected):
+            return CheckResult(axiom, "fail", checked, skipped, (
+                f"counterexample {where}:",
+                *(f"{name} = {F.describe()}" for name, F in named),
+                f"{got_label} = {got.literal()}",
+                f"{expected_label} = {expected.literal()}",
+            ))
+    return CheckResult(axiom, "pass", checked, skipped)
+
+
+def check_additivity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
+    def cases():
+        for i, j in samples.pairs:
+            F, G = samples.functions[i], samples.functions[j]
+            a, b = phi(F), phi(G)
+            yield None if a.is_empty or b.is_empty else (
+                phi(samples.pair_sums[(i, j)]), a.oplus(b), f"pair #{i},#{j}",
+                (("F", F), ("G", G)), ("phi(F ⊕ G)", "phi(F) ⊕ phi(G)"),
             )
-    return CheckResult("A", "pass", checked, skipped)
+
+    return _first_mismatch("A", cases())
 
 
 def check_positive_homogeneity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
-    checked = 0
-    for i in range(samples.count):
-        F = samples.functions[i]
-        base = phi(F)
-        for lam in samples.LAMBDA_GRID:
-            lhs = phi(samples.scaled[(i, lam)])
-            # scale already carries the conventions: 0·D = C and λ·∅ = ∅
-            rhs = base.scale(lam)
-            checked += 1
-            if not lhs.set_equal(rhs):
-                return CheckResult(
-                    "P",
-                    "fail",
-                    checked,
-                    0,
-                    (
-                        f"counterexample at lambda = {format_rational(lam)}, sample #{i}:",
-                        f"F = {F.describe()}",
-                        f"phi(lambda F) = {lhs.literal()}",
-                        f"lambda phi(F) = {rhs.literal()}",
-                    ),
+    def cases():
+        for i, F in enumerate(samples.functions):
+            base = phi(F)
+            for lam in samples.LAMBDA_GRID:
+                # scale already carries the conventions: 0·D = C and λ·∅ = ∅
+                yield (
+                    phi(samples.scaled[(i, lam)]), base.scale(lam),
+                    f"at lambda = {format_rational(lam)}, sample #{i}",
+                    (("F", F),), ("phi(lambda F)", "lambda phi(F)"),
                 )
-    return CheckResult("P", "pass", checked, 0)
+
+    return _first_mismatch("P", cases())
 
 
 def check_continuity_from_above(phi: SetFunctional, samples: SampleSet) -> CheckResult:
@@ -361,23 +359,11 @@ def check_continuity_from_above(phi: SetFunctional, samples: SampleSet) -> Check
 
 
 def check_nullity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
-    checked = 0
-    for w, F in zip(samples.nullity_normals, samples.nullity_inputs):
-        got = phi(F)
-        checked += 1
-        if not got.set_equal(F.values[0]):
-            return CheckResult(
-                "N",
-                "fail",
-                checked,
-                0,
-                (
-                    f"counterexample normal w = {format_vector(w)}:",
-                    f"phi(constant H(w)) = {got.literal()}",
-                    f"expected H(w) = {F.values[0].literal()}",
-                ),
-            )
-    return CheckResult("N", "pass", checked, 0)
+    return _first_mismatch("N", (
+        (phi(F), F.values[0], f"normal w = {format_vector(w)}", (),
+         ("phi(constant H(w))", "expected H(w)"))
+        for w, F in zip(samples.nullity_normals, samples.nullity_inputs)
+    ))
 
 
 def extract_scalar(S: UpperSet, cone: Cone):
@@ -464,30 +450,19 @@ def interchange_directions(F: SimpleSetFunction, phi_value: UpperSet, cone: Cone
 
 
 def check_interchange(phi: SetFunctional, samples: SampleSet) -> CheckResult:
-    checked = skipped = 0
-    for i in range(samples.count):
-        F = samples.functions[i]
-        base = phi(F)
-        if base.is_empty:
-            skipped += 1
-            continue
-        inputs = samples.supporting_inputs(F, base)
-        rhs = sup_set(samples.cone, [phi(G) for _, G in inputs])
-        checked += 1
-        if not base.set_equal(rhs):
-            return CheckResult(
-                "S",
-                "fail",
-                checked,
-                skipped,
-                (
-                    f"counterexample sample #{i}:",
-                    f"F = {F.describe()}",
-                    f"phi(F) = {base.literal()}",
-                    f"sup over {len(inputs)} supporting-halfspace images = {rhs.literal()}",
-                ),
+    def cases():
+        for i, F in enumerate(samples.functions):
+            base = phi(F)
+            if base.is_empty:
+                yield None
+                continue
+            inputs = samples.supporting_inputs(F, base)
+            yield (
+                base, sup_set(samples.cone, [phi(G) for _, G in inputs]), f"sample #{i}",
+                (("F", F),), ("phi(F)", f"sup over {len(inputs)} supporting-halfspace images"),
             )
-    return CheckResult("S", "pass", checked, skipped)
+
+    return _first_mismatch("S", cases())
 
 
 # ---------------------------------------------------------------------------
