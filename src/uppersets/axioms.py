@@ -511,7 +511,7 @@ class ReconstructedMeasure:
     space: AtomicSpace
     outcomes: tuple  # per atom, extract_scalar of φ(1_x c + C)
     measure: AtomicMeasure | None
-    additivity_failures: tuple[str, ...]
+    failures: tuple[str, ...]  # report lines, each with its label
 
     @property
     def weights(self) -> tuple:
@@ -531,7 +531,7 @@ class ReconstructedMeasure:
             for atom, k in zip(atoms, self.outcomes)
             if k != "not_of_form"
         ]
-        lines += [f"  additivity failure: {f}" for f in self.additivity_failures]
+        lines += [f"  {f}" for f in self.failures]
         lines.append(f"  status: {'ok' if self.ok else 'FAILED'}")
         return "\n".join(lines)
 
@@ -545,13 +545,13 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
     """
     outcomes = tuple(_indicator_scalar(phi, space, cone, [atom]) for atom in space.atoms)
     failures = [
-        f"phi(1_{{{atom}}} c + C) is not of the form k c + C"
+        f"reading failure: phi(1_{{{atom}}} c + C) is not of the form k c + C"
         for atom, k in zip(space.atoms, outcomes)
         if k == "not_of_form"
     ]
     zero = _indicator_scalar(phi, space, cone, [])
     if zero != 0:
-        failures.append(f"phi(1_∅) = {_shown(zero)}, expected 0")
+        failures.append(f"additivity failure: phi(1_∅) = {_shown(zero)}, expected 0")
     if failures or "empty" in outcomes:
         return ReconstructedMeasure(space, outcomes, None, tuple(failures))
     mu = AtomicMeasure(space, outcomes)
@@ -559,11 +559,11 @@ def reconstruct_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> R
         out, expected = _indicator_scalar(phi, space, cone, names), mu.mass_of(names)
         if out != expected:
             failures.append(
-                f"phi(1_A) for A = {{{', '.join(names)}}} is {_shown(out)}, "
+                f"additivity failure: phi(1_A) for A = {{{', '.join(names)}}} is {_shown(out)}, "
                 f"expected {format_rational(expected)}"
             )
     if not failures and mu.total() == 0:
-        failures.append("reconstructed measure has zero total mass")
+        failures.append("reading failure: reconstructed measure has zero total mass")
     return ReconstructedMeasure(space, outcomes, None if failures else mu, tuple(failures))
 
 

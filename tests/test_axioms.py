@@ -260,7 +260,7 @@ def test_reconstruct_rejects_non_additive():
         return value
 
     rec = reconstruct_measure(SetFunctional("squared", evaluator), X2, R2)
-    assert not rec.ok and rec.additivity_failures
+    assert not rec.ok and rec.failures
 
 
 def test_reconstruct_failure_lines_print_rationals():
@@ -286,7 +286,7 @@ def test_reconstruct_failure_lines_print_rationals():
         return value.translate(R2.interior_point) if F == zero else value
 
     rec = reconstruct_measure(SetFunctional("zero-shifted", zero_shifted), sp, R2)
-    assert rec.additivity_failures == ("phi(1_∅) = 1, expected 0",)
+    assert rec.failures == ("additivity failure: phi(1_∅) = 1, expected 0",)
 
 
 SINGLETONS_THEN_EMPTY = [("x1",), ("x2",), ("x3",), ()]
@@ -308,7 +308,7 @@ EVERY_SUBSET_READ = SINGLETONS_THEN_EMPTY + [
             {("x2",): UpperSet.full(R2)},
             ["mu({x1}) = 1", "mu({x2}) = infinite", "mu({x3}) = 3",
              "phi(1_{x1}) = 1", "phi(1_{x3}) = 3",
-             "additivity failure: phi(1_{x2} c + C) is not of the form k c + C", "status: FAILED"],
+             "reading failure: phi(1_{x2} c + C) is not of the form k c + C", "status: FAILED"],
             SINGLETONS_THEN_EMPTY,
         ),
         (
@@ -322,7 +322,7 @@ EVERY_SUBSET_READ = SINGLETONS_THEN_EMPTY + [
             dict.fromkeys(EVERY_SUBSET_READ, cone_upper_set(R2)),
             ["mu({x1}) = 0", "mu({x2}) = 0", "mu({x3}) = 0",
              "phi(1_{x1}) = 0", "phi(1_{x2}) = 0", "phi(1_{x3}) = 0",
-             "additivity failure: reconstructed measure has zero total mass", "status: FAILED"],
+             "reading failure: reconstructed measure has zero total mass", "status: FAILED"],
             EVERY_SUBSET_READ,
         ),
     ],
