@@ -6,11 +6,12 @@ integral for some measure exactly when it is additive, positively
 homogeneous, continuous from above, maps homogeneous halfspaces to
 themselves, maps cone translates ξc+C to cone translates, and commutes with
 pointwise supporting halfspaces.  The checker tests each property on a
-seeded, replayable sample set; (C) checks its parametric chain against the
-measure μ({x}) = k of φ(1_x c + C) = k c + C (``indicator_measure``).  It
-reconstructs that measure from the singleton indicators, and re-verifies
-the representation on a suite that mirrors how a general function
-decomposes into halfspace and point-plus-cone pieces.
+seeded, replayable sample set, the set equalities (A), (P), (N) and (S) in
+one loop up to their first counterexample; (C) checks its parametric chain
+against the measure μ({x}) = k of φ(1_x c + C) = k c + C
+(``indicator_measure``).  It reconstructs that measure from the singleton
+indicators, and re-verifies the representation on a suite that mirrors how
+a general function decomposes into halfspace and point-plus-cone pieces.
 
 Six built-in mutants each corrupt the integral on their trigger, so that
 exactly one check fails on the default samples.  One table holds each
