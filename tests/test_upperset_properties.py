@@ -310,3 +310,50 @@ def test_one_pass_vrep_depends_only_on_the_set(d, data):
         assert from_h == s and from_v == s
         assert stored_v(from_h) == stored_v(s)
         assert stored_v(from_v) == stored_v(s)
+
+
+@st.composite
+def sets_from_every_path(draw, cone):
+    """A set from each construction: planar and DDM V- and H-reps, translate,
+    scale, the two closed-form ⊕ rules, general ⊕ and H(w, b)."""
+    base = canonicalize(cone, points=draw(points_for(cone)))
+    path = draw(st.sampled_from(
+        ["vrep", "hrep", "hrep outside C+", "translate", "scale", "oplus cone translate",
+         "oplus halfspace", "oplus", "halfspace"]
+    ))
+    if path == "vrep":
+        return base
+    if path == "hrep":
+        n = draw(st.integers(1, 3))
+        return canonicalize(cone, halfspaces=[(dual_direction(draw, cone), draw(rationals)) for _ in range(n)])
+    if path == "hrep outside C+":
+        normal = draw(st.tuples(*[st.integers(-2, 2)] * cone.dim).filter(any))
+        return canonicalize(cone, halfspaces=base.hrep_rows() + [(normal, draw(rationals))])
+    if path == "translate":
+        return base.translate(draw(points_for(cone))[0])
+    if path == "scale":
+        return base.scale(draw(st.sampled_from([Fraction(1, 3), Fraction(2), Fraction(7, 4)])))
+    if path == "oplus cone translate":
+        return base.oplus(point_plus_cone(cone, draw(points_for(cone))[0]))
+    if path == "oplus halfspace":
+        return base.oplus(halfspace_set(cone, dual_direction(draw, cone), draw(rationals)))
+    if path == "oplus":
+        return base.oplus(canonicalize(cone, points=draw(points_for(cone))))
+    return halfspace_set(cone, dual_direction(draw, cone), draw(rationals))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(POINTED + [HALF_PLANE]).flatmap(
+    lambda cone: st.tuples(sets_from_every_path(cone), sets_from_every_path(cone))))
+def test_offsets_are_tight_integers_over_the_point_denominator(pair):
+    s, other = pair
+    # every facet holds a stored point p, so each offset is <p, w>/d
+    for h in s.halfspaces:
+        assert (h.offset * s.denominator).denominator == 1
+        assert h.offset * s.denominator == min(dot(p, h.normal) for p in s.numerators)
+    if s.kind == "proper":
+        twin = canonicalize(s.cone, halfspaces=s.hrep_rows())
+        assert twin == s and hash(twin) == hash(s) and twin.halfspaces == s.halfspaces
+    same = s.kind == other.kind and s.halfspaces == other.halfspaces
+    assert (s == other) == same == s.set_equal(other)
+    assert same <= (hash(s) == hash(other))
