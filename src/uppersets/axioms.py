@@ -32,7 +32,7 @@ from typing import Callable
 
 from .cone import Cone, ValidationError
 from .integral import ExplicitChain, ParametricChain, integral_value
-from .linalg import NEG_INF, Vec, dot, format_rational, format_vector
+from .linalg import NEG_INF, Vec, clear_denominators, dot, format_rational, format_vector
 from .measure_space import (
     AtomicMeasure,
     AtomicSpace,
@@ -45,7 +45,6 @@ from .measure_space import (
     vector_plus_cone,
 )
 from .upperset import (
-    Halfspace,
     UpperSet,
     canonicalize,
     cone_upper_set,
@@ -123,15 +122,16 @@ def cone_translate_scalar(S: UpperSet, cone: Cone) -> Fraction | None:
 
     λc + C has the facets of C with each offset raised by <λc, w>; c interior
     makes <c, w> > 0, so the first facet fixes λ and the others verify it.
+    With c = ci/e for an integer ci, S's offsets n/d are λ<ci, w>/e.
     """
-    facets = cone_upper_set(cone).halfspaces
-    if S.kind != "proper" or len(S.halfspaces) != len(facets):
+    facets = cone_upper_set(cone).facets  # the offsets of C are 0
+    if S.kind != "proper" or len(S.facets) != len(facets):
         return None
-    c = cone.interior_point
-    lam = S.halfspaces[0].offset / dot(c, facets[0].normal)
-    if S.halfspaces != tuple(Halfspace(w, b + lam * dot(c, w)) for w, b in facets):
+    e, (c,) = clear_denominators([cone.interior_point])
+    (_, n0), s0 = S.facets[0], dot(c, facets[0][0])
+    if any(w != u or n * s0 != n0 * dot(c, u) for (w, n), (u, _) in zip(S.facets, facets)):
         return None
-    return lam
+    return Fraction(n0 * e, S.denominator * s0)
 
 
 def cone_translate_coefficients(F: SimpleSetFunction) -> list[Fraction] | None:
@@ -183,7 +183,7 @@ class SampleSet:
             F = SimpleSetFunction(
                 space, tuple(random_staircase(rng, cone) for _ in space.atoms)
             )
-            if any(len(v.halfspaces) < min_facets or len(v.halfspaces) > 6 for v in F.values):
+            if any(len(v.facets) < min_facets or len(v.facets) > 6 for v in F.values):
                 continue
             if min_facets > 1 and cone_translate_coefficients(F) is not None:
                 continue

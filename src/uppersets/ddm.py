@@ -7,8 +7,9 @@ homogenization in one extra dimension.
 
 Inside ``cone_vrep`` every row, lineality vector and ray is a primitive
 integer vector (an integer gcd keeps it so), so the inner loops run on machine
-ints; ``Fraction`` appears only in ``rref_basis`` and in facet offsets.  Points
-come back as sorted integer numerators over one denominator.
+ints; ``Fraction`` appears only in ``rref_basis`` and in the facet offsets the
+conversions return, which ``upperset`` turns once into integers over the point
+denominator.  Points come back as sorted integer numerators over one denominator.
 
 Each ray carries its zero set, a bitmask of the processed rows it is tight
 at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are

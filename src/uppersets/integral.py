@@ -22,6 +22,7 @@ from .ddm import rref_basis
 from .linalg import (
     NEG_INF,
     Vec,
+    clear_denominators,
     dot,
     ext_add,
     format_rational,
@@ -204,7 +205,8 @@ def _attaining_selection(
     to u that make the ray coefficients nonnegative.  Zero-weight atoms keep
     ``pick_selection``.
     """
-    tight = [h.normal for h in value.halfspaces if dot(p, h.normal) == h.offset]
+    e, (q,) = clear_denominators([p])  # p = q/e on the facet (w, n) iff <q, w>·d = n·e
+    tight = [w for w, n in value.facets if dot(q, w) * value.denominator == n * e]
     u = tuple(map(sum, zip((0,) * F.cone.dim, *tight)))
     positive = [i for i, w in enumerate(mu.weights) if w]
     selection = list(pick_selection(F).values)

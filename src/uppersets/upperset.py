@@ -27,10 +27,14 @@ columns (pivots taken from the last column leftwards), so the stored V-rep
 depends only on the set.
 
 Points are stored sorted, as integer numerators over one denominator d > 0
-with gcd(d, numerators) = 1; ``points`` is their Fraction view.  ``translate``
-and ``scale`` keep the canonical form without a run or a sort: they move the
-numerators and the facet offsets, and translation and positive scaling keep
-the order of points and facets, the rays and the lineality.
+with gcd(d, numerators) = 1, and facets as (w, n) meaning <z, w> >= n/d: a
+facet contains a minimal face, whose stored point p is off by a lineality
+vector, orthogonal to w, so n = <p, w> is an integer.  d is unique to the set,
+so equality and the hash read these integers; ``points`` and ``halfspaces``
+are Fraction views, built on each read and not kept.  ``translate`` and
+``scale`` keep the canonical form without a run or a sort: they move the
+numerators and the offsets, and translation and positive scaling keep the
+order of points and facets, the rays and the lineality.
 """
 
 from __future__ import annotations
@@ -90,8 +94,8 @@ class UpperSet:
 
     cone: Cone
     kind: str
-    halfspaces: tuple[Halfspace, ...] = ()
-    denominator: int = field(default=1, compare=False)
+    facets: tuple[tuple[Vec, int], ...] = ()
+    denominator: int = 1
     numerators: tuple[Vec, ...] = field(default=(), compare=False)
     rays: tuple[Vec, ...] = field(default=(), compare=False)
     lineality: tuple[Vec, ...] = field(default=(), compare=False)
@@ -101,7 +105,13 @@ class UpperSet:
 
     @functools.cached_property
     def _hash(self) -> int:
-        return hash((self.cone, self.kind, self.halfspaces))
+        return hash((self.cone, self.kind, self.facets, self.denominator))
+
+    @property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        """The facets as Halfspaces: primitive normals and Fraction offsets."""
+        d = self.denominator
+        return tuple(Halfspace(w, Fraction(n, d)) for w, n in self.facets)
 
     @property
     def points(self) -> tuple[Vec, ...]:
@@ -141,13 +151,14 @@ class UpperSet:
         if self.is_empty:
             return POS_INF
         e, (wi,) = clear_denominators([w])  # wi = e·w, integer
-        for l in self.lineality:
-            if dot(l, wi) != 0:
-                return NEG_INF
-        for r in self.rays:
-            if dot(r, wi) < 0:
-                return NEG_INF
-        return Fraction(min(sum(map(mul, p, wi)) for p in self.numerators), self.denominator * e)
+        sigma = self._support_numerator(wi)
+        return NEG_INF if sigma is None else Fraction(sigma, self.denominator * e)
+
+    def _support_numerator(self, w: Vec) -> int | None:
+        """d·σ(w) for an integer w on a nonempty set, None when it is -inf."""
+        if any(dot(l, w) for l in self.lineality) or any(dot(r, w) < 0 for r in self.rays):
+            return None
+        return min(sum(map(mul, p, w)) for p in self.numerators)
 
     def member(self, y) -> bool:
         y = vec(y)
@@ -157,10 +168,11 @@ class UpperSet:
 
     def member_numerators(self, e: int, y: Vec) -> bool:
         """Whether y/e lies in the set, for an integer vector y and e > 0:
-        <y, w>·q >= p·e at every facet offset p/q."""
+        <y, w>·d >= n·e at every facet (w, n)."""
         if self.is_empty:
             return False
-        return all(sum(map(mul, y, w)) * b.denominator >= b.numerator * e for w, b in self.halfspaces)
+        d = self.denominator
+        return all(sum(map(mul, y, w)) * d >= n * e for w, n in self.facets)
 
     def subset_of(self, other: "UpperSet") -> bool:
         _check_same_cone(self, other)
@@ -168,22 +180,16 @@ class UpperSet:
             return True
         if other.is_empty:
             return False
-        for p in self.numerators:
-            if not other.member_numerators(self.denominator, p):
+        for w, n in other.facets:  # σ(w) >= n/d at every facet (w, n) of other
+            sigma = self._support_numerator(w)
+            if sigma is None or sigma * other.denominator < n * self.denominator:
                 return False
-        for h in other.halfspaces:
-            for r in self.rays:
-                if dot(r, h.normal) < 0:
-                    return False
-            for l in self.lineality:
-                if dot(l, h.normal) != 0:
-                    return False
         return True
 
     def set_equal(self, other: "UpperSet") -> bool:
         """Exact set equality; canonical forms make this structural."""
         _check_same_cone(self, other)
-        return self.kind == other.kind and self.halfspaces == other.halfspaces
+        return self == other
 
     def translate(self, v) -> "UpperSet":
         """The set D + {v}; canonical form is preserved."""
@@ -203,26 +209,24 @@ class UpperSet:
             e *= s
         d = lcm(self.denominator, e)
         a, k = d // self.denominator, d // e
-        halfspaces = []
-        for w, b in self.halfspaces:  # b + <v, w>/e
-            n, m = b.numerator, b.denominator
-            halfspaces.append(Halfspace(w, Fraction(n * e + m * sum(map(mul, v, w)), m * e)))
+        facets = [(w, a * n + k * sum(map(mul, v, w))) for w, n in self.facets]  # n/d + <v, w>/e
         points = [tuple(a * x + k * y for x, y in zip(p, v)) for p in self.numerators]
-        return UpperSet(self.cone, PROPER, tuple(halfspaces), *_reduced(d, points), self.rays, self.lineality)
+        return UpperSet(self.cone, PROPER, *_reduced(facets, d, points), self.rays, self.lineality)
 
     def scale(self, lam) -> "UpperSet":
         """Pointwise scaling for lam > 0; lam = 0 yields C by convention."""
-        lam = Fraction(lam)
+        if type(lam) is not Fraction:
+            lam = Fraction(lam)
         if lam < 0:
             raise ValidationError("scaling by negative scalars leaves the conlinear structure")
         if lam == 0:
             return cone_upper_set(self.cone)
         if self.kind != PROPER:
             return self
-        halfspaces = tuple(Halfspace(h.normal, lam * h.offset) for h in self.halfspaces)
-        points = [vscale(lam.numerator, p) for p in self.numerators]
-        d, points = _reduced(self.denominator * lam.denominator, points)
-        return UpperSet(self.cone, PROPER, halfspaces, d, points, self.rays, self.lineality)
+        k, d = lam.numerator, self.denominator * lam.denominator
+        facets = [(w, k * n) for w, n in self.facets]
+        points = [vscale(k, p) for p in self.numerators]
+        return UpperSet(self.cone, PROPER, *_reduced(facets, d, points), self.rays, self.lineality)
 
     def oplus(self, other: "UpperSet") -> "UpperSet":
         """cl(D + E), the lattice addition; the empty set absorbs."""
@@ -235,9 +239,10 @@ class UpperSet:
             if _is_cone_translate(e):  # D ⊕ (p + C) = D + p
                 return d._translate(e.denominator, e.numerators[0])
         for d, e in ((self, other), (other, self)):
-            if len(e.halfspaces) == 1:  # D ⊕ H(w, b) = H(w, σ_D(w) + b)
-                (w, b), = e.halfspaces
-                return halfspace_set(self.cone, w, d.support(w) + b)
+            if len(e.facets) == 1:  # D ⊕ H(w, b) = H(w, b) + v for <v, w> = σ_D(w)
+                (w, _), = e.facets
+                sigma = d._support_numerator(w)
+                return UpperSet.full(self.cone) if sigma is None else e._translate(*_shift(w, sigma, d.denominator))
         (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
@@ -253,14 +258,13 @@ class UpperSet:
             raise ValidationError("supporting halfspace direction must lie in C+ \\ {0}")
         if self.is_empty:
             raise ValidationError("supporting halfspace of the empty set is undefined")
-        sigma = self.support(w)
-        return halfspace_set(self.cone, w, sigma)
+        return self.oplus(_homogeneous_halfspace(self.cone, primitive(w)))
 
     def hrep_rows(self) -> list[tuple[Vec, Fraction]]:
         return [(h.normal, h.offset) for h in self.halfspaces]
 
     def facet_normals(self) -> list[Vec]:
-        return [h.normal for h in self.halfspaces]
+        return [w for w, _ in self.facets]
 
     def literal(self) -> str:
         """Canonical one-line text form; see workspace for the grammar."""
@@ -388,7 +392,7 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
             w2 = primitive(vsub(vscale(s1, w2), vscale(s2, w1)))
     if w1 == w2:
         b, p = min((sum(map(mul, p, w1)), p) for p in points)
-        return _planar_proper(cone, [(w1, Fraction(b, d))], d, [p])
+        return _proper_numerators(cone, [(w1, b)], d, [p], *_planar_recession(w1, w1))
     hull: list = []  # (<p, w1>, <p, w2>, p): the first increases, the second decreases, strictly
     for a, b, p in sorted((sum(map(mul, p, w1)), sum(map(mul, p, w2)), p) for p in points):
         if hull and b >= hull[-1][1]:
@@ -399,12 +403,12 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
                 break  # hull[-1] lies strictly below the segment from hull[-2] to p
             hull.pop()
         hull.append((a, b, p))
-    facets = [(w1, Fraction(hull[0][0], d))]
+    facets = [(w1, hull[0][0])]  # each offset <p, w> at a hull point p on the facet
     for (a, b, p), (a2, b2, _) in zip(hull, hull[1:]):
         n = primitive(vadd(vscale(b - b2, w1), vscale(a2 - a, w2)))
-        facets.append((n, Fraction(sum(map(mul, p, n)), d)))
-    facets.append((w2, Fraction(hull[-1][1], d)))
-    return _planar_proper(cone, facets, *_reduced(d, sorted(p for _, _, p in hull)))
+        facets.append((n, sum(map(mul, p, n))))
+    facets.append((w2, hull[-1][1]))
+    return _proper_numerators(cone, *_reduced(facets, d, sorted(p for _, _, p in hull)), *_planar_recession(w1, w2))
 
 
 def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
@@ -421,12 +425,13 @@ def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
                 break  # lines[-1] cuts off the meet of its neighbours
             lines.pop()
         lines.append((w, best[w]))
+    recession = _planar_recession(lines[0][0], lines[-1][0])
     if len(lines) == 1:
         (w, b), = lines  # the point b·w/<w, w> on the line
-        return _planar_proper(cone, lines, b.denominator * sum(map(mul, w, w)), [vscale(b.numerator, w)])
+        return _proper(cone, lines, b.denominator * sum(map(mul, w, w)), [vscale(b.numerator, w)], *recession)
     meets = [_meet(l, m) for l, m in zip(lines, lines[1:])]
     d = lcm(*(e for _, e in meets))
-    return _planar_proper(cone, lines, *_reduced(d, sorted(vscale(d // e, x) for x, e in meets)))
+    return _proper(cone, lines, d, sorted(vscale(d // e, x) for x, e in meets), *recession)
 
 
 def _meet(l, m) -> tuple[Vec, int]:
@@ -437,33 +442,44 @@ def _meet(l, m) -> tuple[Vec, int]:
     return (b * u[1] - c * w[1], c * w[0] - b * u[0]), (w[0] * u[1] - w[1] * u[0]) * f
 
 
-def _planar_proper(cone: Cone, facets, d: int, points) -> UpperSet:
-    """``_proper`` from the facets, the first and last normals counterclockwise
-    extreme: the rays are perpendicular to them, and one facet is a half-plane,
-    its boundary direction the lineality and its normal the ray."""
-    (w, _), (u, _) = facets[0], facets[-1]
+def _planar_recession(w: Vec, u: Vec) -> tuple[list[Vec], list[Vec]]:
+    """(rays, lineality) of a planar set with first and last facet normals w
+    and u, counterclockwise: the rays are perpendicular to them, and one facet
+    is a half-plane, its boundary direction the lineality and its normal the ray."""
     if w == u:
-        line = max((-w[1], w[0]), (w[1], -w[0]))  # the reduced basis vector
-        return _proper(cone, facets, d, points, [w], [line])
-    return _proper(cone, facets, d, points, sorted([(-w[1], w[0]), (u[1], -u[0])]), ())
+        return [w], [max((-w[1], w[0]), (w[1], -w[0]))]  # the reduced basis vector
+    return sorted([(-w[1], w[0]), (u[1], -u[0])]), []
 
 
 def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
+    """``_proper_numerators`` from facets (w, b) with rational offsets, as the
+    DDM and the planar H-rep give them: each b·d is an integer, since the
+    facet holds one of the points."""
+    over = []
+    for w, b in facets:
+        n, r = divmod(b.numerator * d, b.denominator)
+        if r:
+            raise ValidationError(f"internal: facet offset {b} is not a multiple of 1/{d}")
+        over.append((w, n))
+    return _proper_numerators(cone, *_reduced(over, d, points), rays, lineality)
+
+
+def _proper_numerators(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
     """The canonical proper set of points that are sorted integer numerators
-    over d > 0.  With lineality L, each point and ray becomes its
-    representative modulo L that is zero at L's pivot columns, pivots taken
-    from the last column leftwards."""
+    over d > 0 and facets (w, n) meaning <z, w> >= n/d.  With lineality L,
+    each point and ray becomes its representative modulo L that is zero at
+    L's pivot columns, pivots taken from the last column leftwards."""
     lineality = tuple(sorted(lineality))
     if lineality:
         pivots = _pivots(lineality)
         moved = [_modulo(p, pivots) for p in points]
         m = lcm(*(s for _, s in moved))
-        d, points = _reduced(d * m, sorted({tuple(x * (m // s) for x in p) for p, s in moved}))
+        points = sorted({tuple(x * (m // s) for x in p) for p, s in moved})
+        facets, d, points = _reduced([(w, n * m) for w, n in facets], d * m, points)
         rays = sorted({primitive(_modulo(r, pivots)[0]) for r in rays})
     if not points:
         raise ValidationError("internal: proper set with empty vertex enumeration")
-    halfspaces = tuple(Halfspace(w, b) for w, b in sorted(facets))  # b is a Fraction already
-    return UpperSet(cone, PROPER, halfspaces, d, tuple(points), tuple(rays), lineality)
+    return UpperSet(cone, PROPER, tuple(sorted(facets)), d, tuple(points), tuple(rays), lineality)
 
 
 @functools.lru_cache(maxsize=None)
@@ -485,12 +501,13 @@ def _modulo(x: Vec, pivots) -> tuple[Vec, int]:
     return x, s
 
 
-def _reduced(d: int, points) -> tuple[int, tuple[Vec, ...]]:
-    """(d/g, points/g) for g the gcd of d and every numerator."""
+def _reduced(facets, d: int, points) -> tuple[tuple, int, tuple[Vec, ...]]:
+    """(facets/g, d/g, points/g) for g the gcd of d and every point numerator;
+    g divides each offset, as it is <p, w> for one of the points p."""
     g = gcd(d, *chain.from_iterable(points))
     if g == 1:
-        return d, tuple(points)
-    return d // g, tuple(tuple(x // g for x in p) for p in points)
+        return tuple(facets), d, tuple(points)
+    return tuple((w, n // g) for w, n in facets), d // g, tuple(tuple(x // g for x in p) for p in points)
 
 
 @functools.lru_cache(maxsize=None)
@@ -524,10 +541,14 @@ def halfspace_set(cone: Cone, w, b) -> UpperSet:
     if b == POS_INF:
         return UpperSet.empty(cone)
     w, b = primitive_halfspace(w, b)
+    return _homogeneous_halfspace(cone, w)._translate(*_shift(w, b.numerator, b.denominator))
+
+
+def _shift(w: Vec, n: int, e: int) -> tuple[int, Vec]:
+    """(f, p) for an integer w and e > 0: p/f is a multiple of a unit vector
+    with <p/f, w> = n/e."""
     i = next(i for i, x in enumerate(w) if x)
-    k = b.numerator if w[i] > 0 else -b.numerator
-    p = tuple(k if j == i else 0 for j in range(cone.dim))  # <p, w> = b·e
-    return _homogeneous_halfspace(cone, w)._translate(abs(w[i]) * b.denominator, p)
+    return abs(w[i]) * e, tuple((n if w[i] > 0 else -n) if j == i else 0 for j in range(len(w)))
 
 
 def inf_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:

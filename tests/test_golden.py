@@ -13,13 +13,16 @@ and review the diff.
 """
 
 import contextlib
+import cProfile
 import io
+import pstats
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from uppersets import upperset
 from uppersets.cli import main
 
 HERE = Path(__file__).parent
@@ -120,6 +123,22 @@ def workdir(tmp_path_factory):
 def test_transcript_is_unchanged(command, workdir):
     expected = (TRANSCRIPTS / transcript_name(command)).read_text(encoding="utf-8")
     assert transcript(command, workdir) == expected
+
+
+def test_a_two_dimensional_verdict_builds_few_fractions(workdir):
+    # facet offsets are integers over the point denominator: one verdict
+    # builds at most 9,000 Fractions (15,541 with Fraction offsets); the
+    # module caches are cleared so the count does not depend on test order
+    for cached in (upperset._pivots, upperset.cone_upper_set, upperset._homogeneous_halfspace):
+        cached.cache_clear()
+    profile = cProfile.Profile()
+    profile.runcall(transcript, ("check-axioms", "wedge2", "integral:mu", "--seed", "3"), workdir)
+    calls = sum(
+        nc
+        for (path, _, name), (_, nc, *_) in pstats.Stats(profile).stats.items()
+        if name == "__new__" and Path(path).name == "fractions.py"
+    )
+    assert calls <= 9000
 
 
 def test_every_transcript_belongs_to_the_corpus():

@@ -573,3 +573,9 @@ def test_points_are_stored_in_fraction_order_on_every_path(cone, lineality, seed
         len(d.points) > 2 and len({x.denominator for p in d.points for x in p}) > 1
         for d in built.values()
     )
+
+
+def test_a_facet_offset_off_the_point_denominator_is_an_internal_error():
+    # {x1 >= 1/3} holds none of the points over d = 2, so it has no integer offset
+    with pytest.raises(ValidationError, match="internal: facet offset 1/3"):
+        _proper(R2, [((1, 0), Fraction(1, 3))], 2, [(1, 0)], [(0, 1)], [])
