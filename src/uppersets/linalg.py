@@ -84,30 +84,6 @@ def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list[Vec]]:
     return m, [tuple(x.numerator * (m // x.denominator) for x in v) for v in vectors]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by Gaussian elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
-
-
 def format_rational(x) -> str:
     """Render a rational (or +/-inf) as 'p', 'p/q', 'inf' or '-inf'."""
     if isinstance(x, float):

@@ -15,7 +15,11 @@ from uppersets.ddm import (
     rref_basis,
     vrep_to_hrep,
 )
-from uppersets.linalg import dot, primitive, primitive_halfspace, rank, vec
+from uppersets.linalg import dot, primitive, primitive_halfspace, vec
+
+
+def rank(rows):
+    return len(rref_basis(rows, len(rows[0]))) if rows else 0
 
 
 def in_cone_by_rows(rows, x):
