@@ -122,12 +122,11 @@ def cone_translate_scalar(S: UpperSet, cone: Cone) -> Fraction | None:
 
     λc + C has the facets of C with each offset raised by <λc, w>; c interior
     makes <c, w> > 0, so the first facet fixes λ and the others verify it.
-    With c = ci/e for an integer ci, S's offsets n/d are λ<ci, w>/e.
     """
-    facets = cone_upper_set(cone).facets  # the offsets of C are 0
+    facets = cone_upper_set(cone).facets  # C's offsets are 0
     if S.kind != "proper" or len(S.facets) != len(facets):
         return None
-    e, (c,) = clear_denominators([cone.interior_point])
+    e, (c,) = clear_denominators([cone.interior_point])  # S's offsets n/d are λ<c, w>/e
     (_, n0), s0 = S.facets[0], dot(c, facets[0][0])
     if any(w != u or n * s0 != n0 * dot(c, u) for (w, n), (u, _) in zip(S.facets, facets)):
         return None

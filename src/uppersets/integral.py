@@ -92,7 +92,7 @@ def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
     neutral element, and are skipped."""
     if mu.space != F.space:
         raise ValidationError("measure and set function live on different spaces")
-    if mu.total() == 0:
+    if not any(mu.weights):  # the weights are nonnegative
         raise ValidationError("the measure must be nonzero")
     value, *rest = [piece.scale(weight) for weight, piece in zip(mu.weights, F.values) if weight]
     for piece in rest:

@@ -32,9 +32,8 @@ facet contains a minimal face, whose stored point p is off by a lineality
 vector, orthogonal to w, so n = <p, w> is an integer.  d is unique to the set,
 so equality and the hash read these integers; ``points`` and ``halfspaces``
 are Fraction views, built on each read and not kept.  ``translate`` and
-``scale`` keep the canonical form without a run or a sort: they move the
-numerators and the offsets, and translation and positive scaling keep the
-order of points and facets, the rays and the lineality.
+``scale`` move the numerators and the offsets, keeping the canonical form,
+the order of points and facets, the rays and the lineality without a run.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ class UpperSet:
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
         """The facets as Halfspaces: primitive normals and Fraction offsets."""
-        d = self.denominator
-        return tuple(Halfspace(w, Fraction(n, d)) for w, n in self.facets)
+        return tuple(Halfspace(w, Fraction(n, self.denominator)) for w, n in self.facets)
 
     @property
     def points(self) -> tuple[Vec, ...]:
@@ -156,8 +154,12 @@ class UpperSet:
 
     def _support_numerator(self, w: Vec) -> int | None:
         """d·σ(w) for an integer w on a nonempty set, None when it is -inf."""
-        if any(dot(l, w) for l in self.lineality) or any(dot(r, w) < 0 for r in self.rays):
-            return None
+        for l in self.lineality:
+            if dot(l, w):
+                return None
+        for r in self.rays:
+            if dot(r, w) < 0:
+                return None
         return min(sum(map(mul, p, w)) for p in self.numerators)
 
     def member(self, y) -> bool:
@@ -217,9 +219,9 @@ class UpperSet:
         """Pointwise scaling for lam > 0; lam = 0 yields C by convention."""
         if type(lam) is not Fraction:
             lam = Fraction(lam)
-        if lam < 0:
+        if lam.numerator < 0:
             raise ValidationError("scaling by negative scalars leaves the conlinear structure")
-        if lam == 0:
+        if not lam.numerator:
             return cone_upper_set(self.cone)
         if self.kind != PROPER:
             return self
@@ -242,7 +244,7 @@ class UpperSet:
             if len(e.facets) == 1:  # D ⊕ H(w, b) = H(w, b) + v for <v, w> = σ_D(w)
                 (w, _), = e.facets
                 sigma = d._support_numerator(w)
-                return UpperSet.full(self.cone) if sigma is None else e._translate(*_shift(w, sigma, d.denominator))
+                return UpperSet.full(d.cone) if sigma is None else e._translate(*_shift(w, sigma, d.denominator))
         (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
@@ -392,7 +394,7 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
             w2 = primitive(vsub(vscale(s1, w2), vscale(s2, w1)))
     if w1 == w2:
         b, p = min((sum(map(mul, p, w1)), p) for p in points)
-        return _proper_numerators(cone, [(w1, b)], d, [p], *_planar_recession(w1, w1))
+        return _proper_int(cone, [(w1, b)], d, [p], *_planar_recession(w1, w1))
     hull: list = []  # (<p, w1>, <p, w2>, p): the first increases, the second decreases, strictly
     for a, b, p in sorted((sum(map(mul, p, w1)), sum(map(mul, p, w2)), p) for p in points):
         if hull and b >= hull[-1][1]:
@@ -408,7 +410,7 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
         n = primitive(vadd(vscale(b - b2, w1), vscale(a2 - a, w2)))
         facets.append((n, sum(map(mul, p, n))))
     facets.append((w2, hull[-1][1]))
-    return _proper_numerators(cone, *_reduced(facets, d, sorted(p for _, _, p in hull)), *_planar_recession(w1, w2))
+    return _proper_int(cone, *_reduced(facets, d, sorted(p for _, _, p in hull)), *_planar_recession(w1, w2))
 
 
 def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
@@ -452,19 +454,18 @@ def _planar_recession(w: Vec, u: Vec) -> tuple[list[Vec], list[Vec]]:
 
 
 def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
-    """``_proper_numerators`` from facets (w, b) with rational offsets, as the
-    DDM and the planar H-rep give them: each b·d is an integer, since the
-    facet holds one of the points."""
+    """``_proper_int`` from facets (w, b) with rational offsets, as the DDM and the
+    planar H-rep give them: b·d is an integer, as the facet holds a point."""
     over = []
     for w, b in facets:
         n, r = divmod(b.numerator * d, b.denominator)
         if r:
             raise ValidationError(f"internal: facet offset {b} is not a multiple of 1/{d}")
         over.append((w, n))
-    return _proper_numerators(cone, *_reduced(over, d, points), rays, lineality)
+    return _proper_int(cone, *_reduced(over, d, points), rays, lineality)
 
 
-def _proper_numerators(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
+def _proper_int(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
     """The canonical proper set of points that are sorted integer numerators
     over d > 0 and facets (w, n) meaning <z, w> >= n/d.  With lineality L,
     each point and ray becomes its representative modulo L that is zero at
