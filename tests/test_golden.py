@@ -127,7 +127,7 @@ def test_transcript_is_unchanged(command, workdir):
 
 def test_a_two_dimensional_verdict_builds_few_fractions(workdir):
     # facet offsets are integers over the point denominator: one verdict
-    # builds at most 9,000 Fractions (15,541 with Fraction offsets); the
+    # builds at most 9,000 Fractions (15,586 with Fraction offsets); the
     # module caches are cleared so the count does not depend on test order
     for cached in (upperset._pivots, upperset.cone_upper_set, upperset._homogeneous_halfspace):
         cached.cache_clear()
