@@ -5,11 +5,11 @@ V-representation (lineality basis + extreme rays) of ``{x : <row, x> >= 0}``.
 Dual cones use it directly; polyhedron conversions go through the usual
 homogenization in one extra dimension.
 
-Inside ``cone_vrep`` every row, lineality vector and ray is a primitive
-integer vector (an integer gcd keeps it so), so the inner loops run on machine
-ints; ``Fraction`` appears only in ``rref_basis`` and in the facet offsets the
-conversions return, which ``upperset`` turns once into integers over the point
-denominator.  Points come back as sorted integer numerators over one denominator.
+Every row, lineality vector and ray is a primitive integer vector (an
+integer gcd keeps it so), so the inner loops run on machine ints, and
+``rref_basis`` eliminates on integers.  Rational input is scaled to
+integers once, by ``primitive``.  Points come back as sorted integer
+numerators over one denominator d, and facets as (w, n) meaning <z, w> >= n/d.
 
 Each ray carries its zero set, a bitmask of the processed rows it is tight
 at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
@@ -31,7 +31,6 @@ points, or from normals in C+, by one sort instead; these stay its reference.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -50,24 +49,24 @@ def _unit(dim: int, i: int) -> Vec:
 
 
 def rref_basis(vectors, dim: int) -> list[Vec]:
-    """Canonical (reduced row echelon, primitive) basis of span(vectors)."""
-    mat = [[Fraction(x) for x in v] for v in vectors if not is_zero(v)]
+    """Canonical (reduced row echelon, primitive) basis of span(vectors), by
+    integer elimination (Bareiss 1968): each row stays primitive, pivot > 0."""
+    mat = [primitive(v) for v in vectors if not is_zero(v)]
     r = 0
     for col in range(dim):
         pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        row = mat[pivot] if mat[pivot][col] > 0 else vneg(mat[pivot])
+        mat[pivot], mat[r] = mat[r], row
+        for i, other in enumerate(mat):
+            f = other[col]
+            if i != r and f != 0:
+                mat[i] = coprime(tuple(row[col] * x - f * y for x, y in zip(other, row)))
         r += 1
         if r == len(mat):
             break
-    return [primitive(tuple(row)) for row in mat[:r]]
+    return mat[:r]
 
 
 def cone_vrep(rows, dim: int, *, incidence: bool = False):
@@ -144,10 +143,10 @@ def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
     Points come back as sorted integer numerators over the least common
     denominator d, one per minimal face; rays and lineality as primitive
     integer vectors.  An infeasible system yields no points.  ``with_facets``
-    appends the irredundant inequalities as sorted facets (w, b), which
-    requires a full-dimensional polyhedron.
+    appends the irredundant inequalities as sorted facets (w, n) over d,
+    which requires a full-dimensional polyhedron.
     """
-    rows = [tuple(w) + (-Fraction(b),) for w, b in ineqs]
+    rows = [(*w, -b) for w, b in ineqs]
     rows.append(_unit(dim + 1, dim))  # homogenization variable >= 0
     lin, rays, *incidence = cone_vrep(rows, dim + 1, incidence=with_facets)
     if any(v[dim] != 0 for v in lin):
@@ -156,15 +155,15 @@ def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
     if not with_facets:
         return vrep
     keep, _ = _irredundant(*incidence)
-    return (*vrep, _halfspaces(keep, dim))  # the level row has a zero normal
+    return (*vrep, _halfspaces(keep, dim, vrep[0]))  # the level row has a zero normal
 
 
 def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
     """(facets, d, points, rays, lineality) of conv(points) + cone(rays) + span(lineality).
 
     The points may come as integer numerators over one common ``level`` > 0.
-    Requires at least one point and a full-dimensional result; facets (w, b)
-    mean {z : <z, w> >= b} with primitive integer normals, and a full-space
+    Requires at least one point and a full-dimensional result; facets (w, n)
+    mean {z : <z, w> >= n/d} with primitive integer normals, and a full-space
     input yields none.  The irredundant input points follow, one per minimal
     face, as sorted integer numerators over their least common denominator
     d; then the extreme rays (modulo lineality) and the reduced basis of the
@@ -180,9 +179,9 @@ def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
     lin, facet_rays, *incidence = cone_vrep(rows, dim + 1, incidence=True)
     if lin:
         raise GeometryError("facet enumeration on a lower-dimensional polyhedron")
-    facets = _halfspaces(facet_rays, dim)
     keep, lineal = _irredundant(*incidence)
-    return (facets, *_dehomogenize(keep, dim), rref_basis([v[:dim] for v in lineal], dim))
+    d, points, rays = _dehomogenize(keep, dim)
+    return _halfspaces(facet_rays, dim, d), d, points, rays, rref_basis([v[:dim] for v in lineal], dim)
 
 
 def _dehomogenize(vectors, dim: int) -> tuple[int, list[Vec], list[Vec]]:
@@ -195,11 +194,11 @@ def _dehomogenize(vectors, dim: int) -> tuple[int, list[Vec], list[Vec]]:
     return d, points, sorted(v[:dim] for v in vectors if v[dim] == 0)
 
 
-def _halfspaces(vectors, dim: int) -> list[tuple[Vec, Fraction]]:
-    """Sorted facets (w/g, b/g) of primitive integer rows (w, -b), g the gcd
-    of w, skipping w = 0."""
+def _halfspaces(vectors, dim: int, d: int) -> list[tuple[Vec, int]]:
+    """Sorted facets (w/g, n), n/d = b/g, of primitive integer rows (w, -b), g
+    the gcd of w, skipping w = 0; n is exact when each facet holds a point over d."""
     gcds = [(v, gcd(*v[:dim])) for v in vectors]
-    return sorted((tuple(x // g for x in v[:dim]), Fraction(-v[dim], g)) for v, g in gcds if g)
+    return sorted((tuple(x // g for x in v[:dim]), -v[dim] * d // g) for v, g in gcds if g)
 
 
 def _irredundant(masks, rows) -> tuple[list[Vec], list[Vec]]:

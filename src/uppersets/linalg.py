@@ -71,11 +71,15 @@ def primitive(a: Sequence) -> Vec:
     return coprime(tuple(a))
 
 
-def primitive_halfspace(normal: Sequence, offset) -> tuple[Vec, Fraction]:
-    """{z : <z, normal> >= offset} rescaled to a primitive normal, as (w, b)."""
-    w = primitive(normal)
-    i = next(i for i, x in enumerate(w) if x != 0)
-    return w, Fraction(offset) * w[i] / normal[i]
+def primitive_halfspace(normal: Sequence, offset) -> tuple[Vec, int, int]:
+    """{z : <z, normal> >= offset} for a nonzero normal, as (w, n, e) meaning
+    <z, w> >= n/e: w primitive, e > 0 and gcd(n, e) = 1.  The offset is an
+    int, a Fraction or anything ``Fraction`` accepts, such as 'p/q'."""
+    if type(offset) is not int and type(offset) is not Fraction:
+        offset = Fraction(offset)
+    v = primitive((*normal, -offset))  # <z, v[:-1]> >= -v[-1], a positive rescaling
+    e = gcd(*v[:-1])
+    return tuple(x // e for x in v[:-1]), -v[-1], e
 
 
 def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list[Vec]]:

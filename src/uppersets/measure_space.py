@@ -288,15 +288,15 @@ def preimage(F: SimpleSetFunction, region) -> tuple[str, ...]:
     if isinstance(region, UpperSet):
         if region.is_empty:
             return ()
-        rows = region.hrep_rows()
+        rows = list(region.halfspaces)
     else:
-        rows = list(region)
+        rows = [(w, Fraction(b)) for w, b in region]  # offsets as exact rationals, 'p/q' included
     dim = F.cone.dim
     for w, _ in rows:
         check_dim(dim, w, "region normal")
     hits = []
     for atom, value in zip(F.space.atoms, F.values):
-        joint = value.hrep_rows() + rows
+        joint = [*value.halfspaces, *rows]
         if hrep_feasible(joint, dim):
             hits.append(atom)
     return tuple(hits)

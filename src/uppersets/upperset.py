@@ -262,9 +262,6 @@ class UpperSet:
             raise ValidationError("supporting halfspace of the empty set is undefined")
         return self.oplus(_homogeneous_halfspace(self.cone, primitive(w)))
 
-    def hrep_rows(self) -> list[tuple[Vec, Fraction]]:
-        return [(h.normal, h.offset) for h in self.halfspaces]
-
     def facet_normals(self) -> list[Vec]:
         return [w for w, _ in self.facets]
 
@@ -343,15 +340,16 @@ def _from_hrep(cone: Cone, pairs) -> UpperSet:
         if b == POS_INF:
             return UpperSet.empty(cone)
         ineqs.append(primitive_halfspace(w, b))
-    if all(in_dual_cone(cone, w) for w, _ in ineqs):
+    rows = [(vscale(e, w), n) for w, n, e in ineqs]  # <z, e·w> >= n
+    if all(in_dual_cone(cone, w) for w, _, _ in ineqs):
         # closed under C already, hence nonempty and full-dimensional
         if not ineqs:
             return UpperSet.full(cone)
         if cone.dim == 2:
             return _planar_hrep(cone, ineqs)
-        d, pts, rys, lin, facets = ddm.hrep_to_vrep(ineqs, cone.dim, with_facets=True)
+        d, pts, rys, lin, facets = ddm.hrep_to_vrep(rows, cone.dim, with_facets=True)
         return _proper(cone, facets, d, pts, rys, lin)
-    d, pts, rys, lin = ddm.hrep_to_vrep(ineqs, cone.dim)
+    d, pts, rys, lin = ddm.hrep_to_vrep(rows, cone.dim)
     if not pts:
         return UpperSet.empty(cone)
     return _from_vrep(cone, d, pts, rys, lin)
@@ -394,7 +392,7 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
             w2 = primitive(vsub(vscale(s1, w2), vscale(s2, w1)))
     if w1 == w2:
         b, p = min((sum(map(mul, p, w1)), p) for p in points)
-        return _proper_int(cone, [(w1, b)], d, [p], *_planar_recession(w1, w1))
+        return _proper(cone, [(w1, b)], d, [p], *_planar_recession(w1, w1))
     hull: list = []  # (<p, w1>, <p, w2>, p): the first increases, the second decreases, strictly
     for a, b, p in sorted((sum(map(mul, p, w1)), sum(map(mul, p, w2)), p) for p in points):
         if hull and b >= hull[-1][1]:
@@ -410,7 +408,7 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
         n = primitive(vadd(vscale(b - b2, w1), vscale(a2 - a, w2)))
         facets.append((n, sum(map(mul, p, n))))
     facets.append((w2, hull[-1][1]))
-    return _proper_int(cone, *_reduced(facets, d, sorted(p for _, _, p in hull)), *_planar_recession(w1, w2))
+    return _proper(cone, facets, d, sorted(p for _, _, p in hull), *_planar_recession(w1, w2))
 
 
 def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
@@ -418,30 +416,28 @@ def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
     offset per normal, normals in counterclockwise order, and a line dropped
     while the meet of its kept neighbours satisfies it (de Berg et al., §4.2).
     The vertices are the meets of consecutive kept lines."""
-    best = dict(sorted(ineqs, key=lambda h: h[1]))  # the largest offset per normal
+    t = lcm(*(e for _, _, e in ineqs))  # a line (w, b) means <z, w> >= b/t
+    best = dict(sorted(((w, n * (t // e)) for w, n, e in ineqs), key=lambda h: h[1]))  # the largest b per w
     lines: list = []
     for w in sorted(best, key=functools.cmp_to_key(lambda w, u: w[1] * u[0] - w[0] * u[1])):
         while len(lines) > 1:
-            (x, e), (u, c) = _meet(lines[-2], (w, best[w])), lines[-1]
-            if sum(map(mul, x, u)) * c.denominator < c.numerator * e:
+            (x, s), (u, c) = _meet(lines[-2], (w, best[w])), lines[-1]
+            if sum(map(mul, x, u)) < c * s:
                 break  # lines[-1] cuts off the meet of its neighbours
             lines.pop()
         lines.append((w, best[w]))
-    recession = _planar_recession(lines[0][0], lines[-1][0])
-    if len(lines) == 1:
-        (w, b), = lines  # the point b·w/<w, w> on the line
-        return _proper(cone, lines, b.denominator * sum(map(mul, w, w)), [vscale(b.numerator, w)], *recession)
     meets = [_meet(l, m) for l, m in zip(lines, lines[1:])]
-    d = lcm(*(e for _, e in meets))
-    return _proper(cone, lines, d, sorted(vscale(d // e, x) for x, e in meets), *recession)
+    meets = meets or [(vscale(b, w), sum(map(mul, w, w))) for w, b in lines]  # one line: its point b·w/<w, w>
+    k = lcm(*(s for _, s in meets))  # every x/s is t times a vertex
+    facets, points = [(w, b * k) for w, b in lines], sorted(vscale(k // s, x) for x, s in meets)
+    return _proper(cone, facets, t * k, points, *_planar_recession(lines[0][0], lines[-1][0]))
 
 
 def _meet(l, m) -> tuple[Vec, int]:
-    """(x, e): x/e is the point where the lines <z, w> = b of l = (w, b) and m
-    meet, for m's normal counterclockwise of l's; x integer and e > 0."""
+    """(x, s): x/s is the point where the lines <z, w> = b of l = (w, b) and m
+    meet, for m's normal counterclockwise of l's; x integer and s > 0."""
     (w, b), (u, c) = l, m
-    b, c, f = b.numerator * c.denominator, c.numerator * b.denominator, b.denominator * c.denominator
-    return (b * u[1] - c * w[1], c * w[0] - b * u[0]), (w[0] * u[1] - w[1] * u[0]) * f
+    return (b * u[1] - c * w[1], c * w[0] - b * u[0]), w[0] * u[1] - w[1] * u[0]
 
 
 def _planar_recession(w: Vec, u: Vec) -> tuple[list[Vec], list[Vec]]:
@@ -454,18 +450,6 @@ def _planar_recession(w: Vec, u: Vec) -> tuple[list[Vec], list[Vec]]:
 
 
 def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
-    """``_proper_int`` from facets (w, b) with rational offsets, as the DDM and the
-    planar H-rep give them: b·d is an integer, as the facet holds a point."""
-    over = []
-    for w, b in facets:
-        n, r = divmod(b.numerator * d, b.denominator)
-        if r:
-            raise ValidationError(f"internal: facet offset {b} is not a multiple of 1/{d}")
-        over.append((w, n))
-    return _proper_int(cone, *_reduced(over, d, points), rays, lineality)
-
-
-def _proper_int(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
     """The canonical proper set of points that are sorted integer numerators
     over d > 0 and facets (w, n) meaning <z, w> >= n/d.  With lineality L,
     each point and ray becomes its representative modulo L that is zero at
@@ -476,11 +460,12 @@ def _proper_int(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet
         moved = [_modulo(p, pivots) for p in points]
         m = lcm(*(s for _, s in moved))
         points = sorted({tuple(x * (m // s) for x in p) for p, s in moved})
-        facets, d, points = _reduced([(w, n * m) for w, n in facets], d * m, points)
+        facets, d = [(w, n * m) for w, n in facets], d * m
         rays = sorted({primitive(_modulo(r, pivots)[0]) for r in rays})
     if not points:
         raise ValidationError("internal: proper set with empty vertex enumeration")
-    return UpperSet(cone, PROPER, tuple(sorted(facets)), d, tuple(points), tuple(rays), lineality)
+    facets, d, points = _reduced(sorted(facets), d, points)
+    return UpperSet(cone, PROPER, facets, d, points, tuple(rays), lineality)
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,8 +526,8 @@ def halfspace_set(cone: Cone, w, b) -> UpperSet:
         return UpperSet.full(cone)
     if b == POS_INF:
         return UpperSet.empty(cone)
-    w, b = primitive_halfspace(w, b)
-    return _homogeneous_halfspace(cone, w)._translate(*_shift(w, b.numerator, b.denominator))
+    w, n, e = primitive_halfspace(w, b)
+    return _homogeneous_halfspace(cone, w)._translate(*_shift(w, n, e))
 
 
 def _shift(w: Vec, n: int, e: int) -> tuple[int, Vec]:
@@ -581,7 +566,7 @@ def sup_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:
             raise ValidationError("family member over a different cone")
     if any(d.is_empty for d in members):
         return UpperSet.empty(cone)
-    rows = [pair for d in members for pair in d.hrep_rows()]
+    rows = [h for d in members for h in d.halfspaces]
     if not rows:
         return UpperSet.full(cone)
     return canonicalize(cone, halfspaces=rows)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -254,10 +255,10 @@ def test_hrep_vrep_round_trip(seed):
             interior_hits += 1
     if interior_hits == 0:
         return  # possibly lower-dimensional; facet enumeration not applicable
-    facets, *_ = vrep_to_hrep(points, rays, lin, dim, d)
+    facets, d, *_ = vrep_to_hrep(points, rays, lin, dim, d)
     for x in grid:
         original = all(dot(w, x) >= b for w, b in ineqs)
-        recovered = all(dot(w, x) >= b for w, b in facets)
+        recovered = all(dot(w, x) * d >= n for w, n in facets)
         assert original == recovered, (ineqs, facets, x)
 
 
@@ -265,6 +266,45 @@ def test_rref_basis_canonical():
     assert rref_basis([(2, 4), (1, 2)], 2) == [(1, 2)]
     assert rref_basis([(1, 1), (1, -1)], 2) == [(1, 0), (0, 1)]
     assert rref_basis([(0, 0)], 2) == []
+
+
+def gauss_jordan(rows, dim):
+    """Reference for ``rref_basis``: reduced row echelon form over Fractions,
+    each row then scaled to its primitive form."""
+    mat = [[Fraction(x) for x in v] for v in rows if any(v)]
+    r = 0
+    for col in range(dim):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return [primitive(tuple(row)) for row in mat[:r]]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_rref_basis_matches_a_fraction_gauss_jordan_reference(dim):
+    # int and Fraction rows, sparse so that pivots skip columns, and rows
+    # that are combinations of earlier ones
+    rng = random.Random(dim)
+    entry = lambda: rng.choice((0, 0, 1, -1, 2, -3, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    deficient = 0
+    for _ in range(40):
+        rows = [tuple(entry() for _ in range(dim)) for _ in range(rng.randint(0, dim))]
+        for _ in range(rng.randint(0, 2) if rows else 0):
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            rows.insert(rng.randint(0, len(rows)), tuple(rng.randint(-2, 2) * x + k * y for x, y in zip(a, b)))
+        basis = rref_basis(rows, dim)
+        assert basis == gauss_jordan(rows, dim), rows
+        assert all(type(x) is int for v in basis for x in v)
+        deficient += len(basis) < len(rows)
+    assert deficient > 5
 
 
 def test_primitive_normalization():
@@ -293,7 +333,7 @@ def test_integer_rows_skip_the_denominator_pass_with_the_same_output(seed):
 
 
 def test_halfspaces_read_facets_off_primitive_integer_rows():
-    # the gcd of the normal part divides both the normal and the offset
+    # the gcd of the normal part divides the normal, and the offset over d
     rng = random.Random(17)
     wide_normals = 0
     for _ in range(60):
@@ -305,14 +345,20 @@ def test_halfspaces_read_facets_off_primitive_integer_rows():
             if any(row[:dim]):
                 rows.append(row)
                 wide_normals += primitive(row[:dim]) != row[:dim]
-        expected = sorted(primitive_halfspace(v[:dim], -v[dim]) for v in rows[1:])
-        assert _halfspaces(rows, dim) == expected
+        facets = [primitive_halfspace(v[:dim], -v[dim]) for v in rows[1:]]
+        d = lcm(*(e for _, _, e in facets)) * rng.randint(1, 3)
+        assert _halfspaces(rows, dim, d) == sorted((w, n * d // e) for w, n, e in facets)
     assert wide_normals > 20
 
 
 def over(d, numerators):
     """Integer numerators over d as Fraction points."""
     return [tuple(Fraction(x, d) for x in p) for p in numerators]
+
+
+def over_d(d, facets):
+    """Facets (w, n) over d as (w, n/d)."""
+    return [(w, Fraction(n, d)) for w, n in facets]
 
 
 def same_modulo(a, b, lineality):
@@ -341,7 +387,8 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     facets, d, pts, rys, lin = vrep_to_hrep(points + points[:1], rays + [(2,) * dim], lineality, dim)
     assert facets == vrep_to_hrep(points, rays, lineality, dim)[0]
     assert lin == rref_basis(lineality, dim)
-    v_d, v_nums, v_rays, v_lin = hrep_to_vrep(facets, dim)
+    rows = [(tuple(d * x for x in w), n) for w, n in facets]  # <z, d·w> >= n
+    v_d, v_nums, v_rays, v_lin = hrep_to_vrep(rows, dim)
     assert v_lin == sorted(lin)
     if not lineality:
         assert (d, pts, rys) == (v_d, v_nums, v_rays)
@@ -351,8 +398,10 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     assert all(any(same_modulo(r, s, lin) for s in v_rays) for r in rys)
     assert all(p in points for p in pts) and all(r in rays for r in rys)
 
-    rescaled = [(tuple(3 * x for x in w), 3 * b) for w, b in facets]
-    looser = [(w, b - 1) for w, b in facets]
-    ineqs = looser + facets + rescaled
+    rescaled = [(tuple(3 * x for x in w), 3 * b) for w, b in rows]
+    looser = [(w, b - 1) for w, b in rows]
+    ineqs = looser + rows + rescaled
     rng.shuffle(ineqs)
-    assert hrep_to_vrep(ineqs, dim, with_facets=True) == (v_d, v_nums, v_rays, v_lin, facets)
+    *vrep, h_facets = hrep_to_vrep(ineqs, dim, with_facets=True)
+    assert vrep == [v_d, v_nums, v_rays, v_lin]
+    assert over_d(v_d, h_facets) == over_d(d, facets)

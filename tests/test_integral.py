@@ -169,7 +169,7 @@ def test_integral_value_is_canonical_fixed_point():
     rng = random.Random(15)
     f = random_set_function(rng, X2, R2)
     v = aumann_integral(f, MU11).value
-    assert canonicalize(R2, halfspaces=v.hrep_rows()) == v
+    assert canonicalize(R2, halfspaces=list(v.halfspaces)) == v
     assert v.oplus(cone_upper_set(R2)).set_equal(v)
 
 

@@ -88,6 +88,13 @@ def test_preimage_basics():
     assert preimage(const_c, UpperSet.empty(R2)) == ()
 
 
+@pytest.mark.parametrize("offset", [Fraction(-1, 2), "-1/2", -0.5], ids=["Fraction", "str", "float"])
+def test_preimage_reads_a_row_offset_as_fraction_does(offset):
+    # the row -z1 >= -1/2 meets C at 0 but not (1, 0) + C
+    f = SimpleSetFunction(X2, (cone_upper_set(R2), point_plus_cone(R2, (1, 0))))
+    assert preimage(f, [((-1, 0), offset)]) == ("x1",)
+
+
 def test_preimage_identity_examples():
     f = SimpleSetFunction(space("x1"), (halfspace_set(R2, (1, 1), 0),))
     assert preimage_identity_check(f, (2, -1))

@@ -185,7 +185,7 @@ def test_recession_contains_cone(d):
 @settings(**SETTINGS)
 @given(upper_sets(allow_special=False))
 def test_canonicalize_is_fixed_point(d):
-    assert canonicalize(d.cone, halfspaces=d.hrep_rows()) == d
+    assert canonicalize(d.cone, halfspaces=list(d.halfspaces)) == d
 
 
 def primitive_by_fractions(a):
@@ -294,7 +294,7 @@ def stored_v(d):
 def test_one_pass_vrep_matches_vertex_enumeration_of_facets(d):
     if d.lineality:
         return
-    denominator, points, rays, lineality = ddm.hrep_to_vrep(d.hrep_rows(), d.dim)
+    denominator, points, rays, lineality = ddm.hrep_to_vrep(list(d.halfspaces), d.dim)
     assert lineality == []
     assert (d.denominator, d.numerators, d.rays) == (denominator, tuple(points), tuple(rays))
 
@@ -305,7 +305,7 @@ def test_one_pass_vrep_depends_only_on_the_set(d, data):
     # translate images are one more input: D + v must be stored canonically too
     shift = data.draw(points_for(d.cone))[0]
     for s in (d, d.translate(shift)):
-        from_h = canonicalize(s.cone, halfspaces=s.hrep_rows())
+        from_h = canonicalize(s.cone, halfspaces=list(s.halfspaces))
         from_v = canonicalize(s.cone, points=s.points, rays=s.rays, lineality=s.lineality)
         assert from_h == s and from_v == s
         assert stored_v(from_h) == stored_v(s)
@@ -328,7 +328,7 @@ def sets_from_every_path(draw, cone):
         return canonicalize(cone, halfspaces=[(dual_direction(draw, cone), draw(rationals)) for _ in range(n)])
     if path == "hrep outside C+":
         normal = draw(st.tuples(*[st.integers(-2, 2)] * cone.dim).filter(any))
-        return canonicalize(cone, halfspaces=base.hrep_rows() + [(normal, draw(rationals))])
+        return canonicalize(cone, halfspaces=list(base.halfspaces) + [(normal, draw(rationals))])
     if path == "translate":
         return base.translate(draw(points_for(cone))[0])
     if path == "scale":
@@ -352,7 +352,7 @@ def test_offsets_are_tight_integers_over_the_point_denominator(pair):
         assert (h.offset * s.denominator).denominator == 1
         assert h.offset * s.denominator == min(dot(p, h.normal) for p in s.numerators)
     if s.kind == "proper":
-        twin = canonicalize(s.cone, halfspaces=s.hrep_rows())
+        twin = canonicalize(s.cone, halfspaces=list(s.halfspaces))
         assert twin == s and hash(twin) == hash(s) and twin.halfspaces == s.halfspaces
     same = s.kind == other.kind and s.halfspaces == other.halfspaces
     assert (s == other) == same == s.set_equal(other)
