@@ -78,6 +78,8 @@ class Cone:
         c = vec(self.interior_point)
         check_dim(self.dim, c, "interior point")
         object.__setattr__(self, "interior_point", c)
+        key = (self.dim, self.generators, tuple((x.numerator, x.denominator) for x in c))  # all int
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((self.dim, self.generators, c)))
         duals = tuple(dual_cone(self.generators, self.dim))
         object.__setattr__(self, "dual_generators", duals)
@@ -94,6 +96,12 @@ class Cone:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Identity first, then the hash and the all-int key, with no Fraction comparison."""
+        if self is other:
+            return True
+        return isinstance(other, Cone) and self._hash == other._hash and self._key == other._key
 
     def contains(self, z) -> bool:
         """Exact membership z ∈ C, via the dual description."""

@@ -8,6 +8,7 @@ checker uses for memoization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -192,6 +193,13 @@ class SimpleSetFunction:
         for atom, v in zip(self.space.atoms, self.values):
             if v.is_empty:
                 raise ValidationError(f"set function value at {atom!r} is empty")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.space, self.values))
 
     @property
     def cone(self) -> Cone:

@@ -16,7 +16,9 @@ w in C+: ``oplus`` takes these when an operand is a translate of C or a
 halfspace, ``point_plus_cone`` translates C and ``halfspace_set`` a cached
 H(w, 0).  A planar member is one convex chain between two extreme rays: a
 V-rep takes the convex chain of its strict staircase, an H-rep with all
-normals in C+ one angular sweep over its lines.  Otherwise, over a V-rep plus
+normals in C+ one angular sweep over its lines, and a planar ⊕ or weighted
+sum (an integral) one merge of the operands' chains, normal by normal, with
+no pair sums and no hull.  Otherwise, over a V-rep plus
 C's generators the run yields the facets, and its incidence the irredundant
 points and rays and the lineality space.  An H-rep with all normals in C+ is
 closed under C already: the run yields the V-rep, and its incidence the facets
@@ -54,7 +56,6 @@ from .linalg import (
     Vec,
     clear_denominators,
     dot,
-    format_rational,
     is_zero,
     primitive,
     primitive_halfspace,
@@ -245,6 +246,8 @@ class UpperSet:
                 (w, _), = e.facets
                 sigma = d._support_numerator(w)
                 return UpperSet.full(d.cone) if sigma is None else e._translate(*_shift(w, sigma, d.denominator))
+        if self.dim == 2:
+            return _planar_sum(self.cone, [(1, 1, self), (1, 1, other)])
         (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
@@ -271,11 +274,12 @@ class UpperSet:
             return "empty"
         if self.is_full:
             return "full"
-        rows = ", ".join(
-            "[" + ", ".join([format_rational(x) for x in h.normal] + [format_rational(h.offset)]) + "]"
-            for h in self.halfspaces
-        )
-        return f"halfspaces: [{rows}]"
+        d, rows = self.denominator, []
+        for w, n in self.facets:  # the offset n/d in lowest terms
+            g = gcd(n, d)
+            offset = str(n // g) if g == d else f"{n // g}/{d // g}"
+            rows.append(f"[{', '.join(map(str, w))}, {offset}]")
+        return f"halfspaces: [{', '.join(rows)}]"
 
     def __str__(self) -> str:
         return self.literal()
@@ -411,6 +415,62 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     return _proper(cone, facets, d, sorted(p for _, _, p in hull), *_planar_recession(w1, w2))
 
 
+def _planar_sum(cone: Cone, terms) -> UpperSet:
+    """Σ (k/e)·S over terms (k, e, S) of proper planar sets, k, e > 0, by one
+    merge of their facet chains (de Berg et al., §13.3), with no pair sums and
+    no hull.  The sum's normals are the terms' normals from the latest first
+    one, lo, to the earliest last one, hi: lo after hi means the full plane and
+    lo = hi a half-plane.  Between two consecutive normals the vertex is the
+    weighted sum of each term's vertex there, a term's vertices being in chain
+    order by <p, w1> for C+'s first generator w1 counterclockwise; each offset
+    is read at an adjacent vertex."""
+    w1 = min(cone.dual_generators, key=_CCW)
+    d = lcm(*(s.denominator * e for _, e, s in terms))
+    owners: dict[Vec, list[int]] = {}  # each normal with the terms that have it
+    chains = []  # (weight over d, vertices in chain order, number of normals) per term
+    for i, (k, e, s) in enumerate(terms):
+        for w, _ in s.facets:
+            owners.setdefault(w, []).append(i)
+        vertices = sorted(s.numerators, key=lambda p: p[0] * w1[0] + p[1] * w1[1])
+        chains.append((k * d // (s.denominator * e), vertices, len(s.facets)))
+    passed = [0] * len(terms)  # each term's normals up to the current one
+    waiting = len(terms)  # the terms none of whose normals has come yet
+    normals, points = [], []
+    for u in sorted(owners, key=_CCW):
+        done = False  # whether u is some term's last normal
+        for i in owners[u]:
+            waiting -= not passed[i]
+            passed[i] += 1
+            done |= passed[i] == chains[i][2]
+        if waiting and done:
+            return UpperSet.full(cone)
+        if not waiting:
+            normals.append(u)
+            if done:
+                break
+            points.append(_vertex(chains, passed))
+    lo, hi = normals[0], normals[-1]
+    if lo == hi:  # through the weighted sum of the minimisers
+        v = _vertex(chains, passed)
+        return _proper(cone, [(lo, v[0] * lo[0] + v[1] * lo[1])], d, [v], *_planar_recession(lo, lo))
+    facets = [(u, sum(map(mul, points[min(t, len(points) - 1)], u))) for t, u in enumerate(normals)]
+    return _proper(cone, facets, d, sorted(points), *_planar_recession(lo, hi))
+
+
+def _vertex(chains, passed) -> Vec:
+    """Σ f·p over the terms' (f, vertices, _) of ``_planar_sum``, p the vertex
+    after the term's normals passed so far (at its last normal, the one before)."""
+    x = y = 0
+    for (f, ps, _), n in zip(chains, passed):
+        p = ps[min(n, len(ps)) - 1]
+        x += f * p[0]
+        y += f * p[1]
+    return x, y
+
+
+_CCW = functools.cmp_to_key(lambda w, u: w[1] * u[0] - w[0] * u[1])  # sorts normals in C+ counterclockwise
+
+
 def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
     """The C+ branch of ``_from_hrep`` in the plane, without a run: the largest
     offset per normal, normals in counterclockwise order, and a line dropped
@@ -419,7 +479,7 @@ def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
     t = lcm(*(e for _, _, e in ineqs))  # a line (w, b) means <z, w> >= b/t
     best = dict(sorted(((w, n * (t // e)) for w, n, e in ineqs), key=lambda h: h[1]))  # the largest b per w
     lines: list = []
-    for w in sorted(best, key=functools.cmp_to_key(lambda w, u: w[1] * u[0] - w[0] * u[1])):
+    for w in sorted(best, key=_CCW):
         while len(lines) > 1:
             (x, s), (u, c) = _meet(lines[-2], (w, best[w])), lines[-1]
             if sum(map(mul, x, u)) < c * s:

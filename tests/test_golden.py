@@ -125,23 +125,51 @@ def test_transcript_is_unchanged(command, workdir):
     assert transcript(command, workdir) == expected
 
 
+def profiled_calls(command, workdir, function, module):
+    """Calls of ``function`` defined in ``module`` while ``command`` runs."""
+    profile = cProfile.Profile()
+    profile.runcall(transcript, command, workdir)
+    return sum(
+        nc
+        for (path, _, name), (_, nc, *_) in pstats.Stats(profile).stats.items()
+        if name == function and Path(path).name == module
+    )
+
+
+def clear_module_caches():
+    """So that a count does not depend on test order."""
+    for cached in (upperset._pivots, upperset.cone_upper_set, upperset._homogeneous_halfspace):
+        cached.cache_clear()
+
+
 @pytest.mark.parametrize("workspace, bound", [("wedge2", 9000), ("orthant3", 4000)])
 def test_a_verdict_builds_few_fractions(workspace, bound, workdir):
     # facet offsets are integers over the point denominator from the
     # double-description run to the stored set: wedge2 builds at most 9,000
     # Fractions (15,586 with stored Fraction offsets), orthant3 at most 4,000
-    # (9,683 with Fraction offsets out of the run); the module caches are
-    # cleared so the count does not depend on test order
-    for cached in (upperset._pivots, upperset.cone_upper_set, upperset._homogeneous_halfspace):
-        cached.cache_clear()
-    profile = cProfile.Profile()
-    profile.runcall(transcript, ("check-axioms", workspace, "integral:mu", "--seed", "3"), workdir)
-    calls = sum(
-        nc
-        for (path, _, name), (_, nc, *_) in pstats.Stats(profile).stats.items()
-        if name == "__new__" and Path(path).name == "fractions.py"
-    )
-    assert calls <= bound
+    # (9,683 with Fraction offsets out of the run)
+    clear_module_caches()
+    command = ("check-axioms", workspace, "integral:mu", "--seed", "3")
+    assert profiled_calls(command, workdir, "__new__", "fractions.py") <= bound
+
+
+def test_a_second_workspace_compares_cones_on_integers(workdir, tmp_path):
+    # each run parses a new Cone while the module caches keep the first one's
+    # sets, so the second run compares equal cones that are distinct objects:
+    # 3,503 Fraction comparisons when cone equality read the interior points
+    # as Fractions, 339 on integer keys
+    copy_workspaces(tmp_path)
+    command = ("check-axioms", "wedge2", "mutant:nullity-pad:mu", "--seed", "3")
+    transcript(command, workdir)
+    assert profiled_calls(command, tmp_path, "__eq__", "fractions.py") <= 1000
+
+
+def test_planar_sums_build_no_pair_sums(workdir):
+    # a planar ⊕ merges the facet chains, so a V-rep hull is built only for
+    # literal input: 71 calls, 563 when every sum hulled its pair sums
+    clear_module_caches()
+    command = ("check-axioms", "wedge2", "integral:mu", "--seed", "3")
+    assert profiled_calls(command, workdir, "_planar_vrep", "upperset.py") <= 150
 
 
 def test_every_transcript_belongs_to_the_corpus():

@@ -6,7 +6,9 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from uppersets import Cone, ddm, orthant
+from uppersets.integral import integral_value
 from uppersets.linalg import NEG_INF, dot, ext_add, primitive
+from uppersets.measure_space import AtomicMeasure, AtomicSpace, SimpleSetFunction
 from uppersets.upperset import (
     UpperSet,
     canonicalize,
@@ -357,3 +359,54 @@ def test_offsets_are_tight_integers_over_the_point_denominator(pair):
     same = s.kind == other.kind and s.halfspaces == other.halfspaces
     assert (s == other) == same == s.set_equal(other)
     assert same <= (hash(s) == hash(other))
+
+
+PLANAR = [orthant(2), Cone(2, ((1, 0), (1, 1)), (2, 1)), Cone(2, ((2, 1), (-1, 3)), (1, 1)), HALF_PLANE]
+small_vectors = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+def planar_sets(cone):
+    """Nonempty sets with extra rays and lineality, so that sums also come out
+    as half-planes and as the full plane."""
+    return st.builds(
+        lambda pts, rays, lin: canonicalize(cone, points=pts, rays=rays, lineality=lin),
+        points_for(cone), st.lists(small_vectors, max_size=2), st.lists(small_vectors, max_size=1),
+    )
+
+
+def stored(s):
+    return s.kind, s.facets, s.denominator, s.numerators, s.rays, s.lineality
+
+
+def pair_sum_reference(d, e):
+    """D ⊕ E as the canonical form of every pair sum."""
+    return canonicalize(
+        d.cone, points=[tuple(x + y for x, y in zip(p, q)) for p in d.points for q in e.points],
+        rays=d.rays + e.rays, lineality=d.lineality + e.lineality,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PLANAR).flatmap(lambda cone: st.tuples(planar_sets(cone), planar_sets(cone))))
+def test_planar_oplus_matches_the_pair_sums(pair):
+    # rays, lineality and numerators are not compared by ==, so read every field
+    d, e = pair
+    assert stored(d.oplus(e)) == stored(pair_sum_reference(d, e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PLANAR).flatmap(lambda cone: st.tuples(
+    st.lists(planar_sets(cone), min_size=1, max_size=4),
+    st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(5, 3)]), min_size=4, max_size=4),
+)))
+def test_planar_integral_matches_scale_then_oplus(case):
+    values, weights = case
+    weights = weights[: len(values)]
+    if not any(weights):
+        weights[0] = Fraction(3, 4)
+    space = AtomicSpace(tuple(f"x{i}" for i in range(len(values))))
+    got = integral_value(SimpleSetFunction(space, tuple(values)), AtomicMeasure(space, tuple(weights)))
+    value, *rest = [v.scale(w) for v, w in zip(values, weights) if w]
+    for piece in rest:
+        value = value.oplus(piece)
+    assert stored(got) == stored(value)
