@@ -45,6 +45,7 @@ from .measure_space import (
     vector_plus_cone,
 )
 from .upperset import (
+    PROPER,
     UpperSet,
     canonicalize,
     cone_upper_set,
@@ -99,10 +100,10 @@ def integral_functional(mu: AtomicMeasure, name: str | None = None) -> SetFuncti
 # default sample set
 
 
-def random_staircase(rng: random.Random, cone: Cone, max_points: int = 3) -> UpperSet:
+def random_staircase(rng: random.Random, cone: Cone) -> UpperSet:
     pts = [
         tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(cone.dim))
-        for _ in range(rng.randint(1, max_points))
+        for _ in range(rng.randint(1, 3))
     ]
     return canonicalize(cone, points=pts)
 
@@ -124,7 +125,7 @@ def cone_translate_scalar(S: UpperSet, cone: Cone) -> Fraction | None:
     makes <c, w> > 0, so the first facet fixes λ and the others verify it.
     """
     facets = cone_upper_set(cone).facets  # C's offsets are 0
-    if S.kind != "proper" or len(S.facets) != len(facets):
+    if S.kind != PROPER or len(S.facets) != len(facets):
         return None
     e, (c,) = clear_denominators([cone.interior_point])  # S's offsets n/d are λ<c, w>/e
     (_, n0), s0 = S.facets[0], dot(c, facets[0][0])

@@ -37,7 +37,7 @@ from .integral import (
 )
 from .linalg import format_rational
 from .protocol import ExternalFunctional, ProtocolError
-from .upperset import inf_set, sup_set
+from .upperset import inf_set, sup_set, weighted_sum
 from .workspace import Workspace, WorkspaceError, parse_workspace
 
 
@@ -127,10 +127,7 @@ def cmd_lattice(ws: Workspace, args) -> int:
     if args.operation == "oplus":
         if len(fs) < 2:
             raise ValidationError("oplus needs at least two set functions")
-        out = fs[0]
-        for g in fs[1:]:
-            out = out.oplus(g)
-        values = out.values
+        values = [weighted_sum(ws.cone, [(1, f.values[i]) for f in fs]) for i in range(len(ws.space))]
     elif args.operation == "scale":
         if args.scalar is None or len(fs) != 1:
             raise ValidationError("scale needs --scalar and exactly one set function")

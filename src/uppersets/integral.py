@@ -42,7 +42,7 @@ from .measure_space import (
     indicator_modify,
     pick_selection,
 )
-from .upperset import PROPER, UpperSet, _planar_sum, cone_upper_set, in_dual_cone, inf_set
+from .upperset import UpperSet, cone_upper_set, in_dual_cone, inf_set, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,13 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
 
 
 def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
-    """⊕ over atoms of μ(x)·F(x), one merge of facet chains for proper planar
-    values; zero-weight atoms contribute C, the neutral element, and are skipped."""
+    """⊕ over atoms of μ(x)·F(x), one ``weighted_sum``, which chooses how to
+    add; zero-weight atoms contribute C, the neutral element, and are skipped."""
     if mu.space != F.space:
         raise ValidationError("measure and set function live on different spaces")
     if not any(mu.weights):  # the weights are nonnegative
         raise ValidationError("the measure must be nonzero")
-    pieces = [(weight, piece) for weight, piece in zip(mu.weights, F.values) if weight]
-    if F.cone.dim == 2 and all(piece.kind == PROPER for _, piece in pieces):
-        return _planar_sum(F.cone, [(w.numerator, w.denominator, piece) for w, piece in pieces])
-    value, *rest = [piece.scale(weight) for weight, piece in pieces]
-    for piece in rest:
-        value = value.oplus(piece)
-    return value
+    return weighted_sum(F.cone, [(weight, value) for weight, value in zip(mu.weights, F.values) if weight])
 
 
 def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:

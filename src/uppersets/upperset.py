@@ -16,17 +16,18 @@ w in C+: ``oplus`` takes these when an operand is a translate of C or a
 halfspace, ``point_plus_cone`` translates C and ``halfspace_set`` a cached
 H(w, 0).  A planar member is one convex chain between two extreme rays: a
 V-rep takes the convex chain of its strict staircase, an H-rep with all
-normals in C+ one angular sweep over its lines, and a planar ⊕ or weighted
-sum (an integral) one merge of the operands' chains, normal by normal, with
-no pair sums and no hull.  Otherwise, over a V-rep plus
-C's generators the run yields the facets, and its incidence the irredundant
-points and rays and the lineality space.  An H-rep with all normals in C+ is
-closed under C already: the run yields the V-rep, and its incidence the facets
-among the inequalities.  Any other H-rep is converted to a V-rep first, by one
-more run (the only one in the plane).  Modulo the lineality space L, each
-point and ray is stored as the representative that is zero at L's pivot
-columns (pivots taken from the last column leftwards), so the stored V-rep
-depends only on the set.
+normals in C+ one angular sweep over its lines, and a planar ⊕ one merge of
+the operands' chains, normal by normal, with no pair sums and no hull.
+``weighted_sum``, Σ λ·S as in an integral, chooses how to add: one such merge
+of all terms when each is proper and planar, else ``oplus`` folded.  Off the
+plane, over a V-rep plus C's generators the run yields the facets, and its
+incidence the irredundant points and rays and the lineality space.  An H-rep
+with all normals in C+ is closed under C already: the run yields the V-rep,
+and its incidence the facets among the inequalities.  Any other H-rep is
+converted to a V-rep first, by one more run (the only one in the plane).
+Modulo the lineality space L, each point and ray is stored as the
+representative that is zero at L's pivot columns (pivots taken from the last
+column leftwards), so the stored V-rep depends only on the set.
 
 Points are stored sorted, as integer numerators over one denominator d > 0
 with gcd(d, numerators) = 1, and facets as (w, n) meaning <z, w> >= n/d: a
@@ -247,7 +248,7 @@ class UpperSet:
                 sigma = d._support_numerator(w)
                 return UpperSet.full(d.cone) if sigma is None else e._translate(*_shift(w, sigma, d.denominator))
         if self.dim == 2:
-            return _planar_sum(self.cone, [(1, 1, self), (1, 1, other)])
+            return _planar_sum(self.cone, [(1, self), (1, other)])
         (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
@@ -383,9 +384,7 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     means the full plane and w1 = w2 a half-plane.  Otherwise z -> (<z, w1>,
     <z, w2>) maps R onto the orthant, and the vertices are the convex chain of
     the strict staircase of the mapped points (Andrew's monotone chain)."""
-    w1, w2 = cone.dual_generators[0], cone.dual_generators[-1]
-    if w1[0] * w2[1] < w1[1] * w2[0]:
-        w1, w2 = w2, w1  # counterclockwise
+    w1, w2 = min(cone.dual_generators, key=_CCW), max(cone.dual_generators, key=_CCW)
     for v in chain(rays, lineality, map(vneg, lineality)):
         s1, s2 = dot(w1, v), dot(w2, v)
         if s1 < 0 and s2 < 0:
@@ -415,8 +414,17 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     return _proper(cone, facets, d, sorted(p for _, _, p in hull), *_planar_recession(w1, w2))
 
 
+def weighted_sum(cone: Cone, terms) -> UpperSet:
+    """Σ λ·S over pairs (λ, S) of a rational λ > 0 and a set over ``cone``, the
+    one place that chooses how to add: one ``_planar_sum`` merge when the cone is
+    planar and every S is proper, else the scaled sets folded with ``oplus``."""
+    if cone.dim == 2 and all(s.kind == PROPER for _, s in terms):
+        return _planar_sum(cone, terms)
+    return functools.reduce(UpperSet.oplus, [s.scale(lam) for lam, s in terms])
+
+
 def _planar_sum(cone: Cone, terms) -> UpperSet:
-    """Σ (k/e)·S over terms (k, e, S) of proper planar sets, k, e > 0, by one
+    """Σ λ·S over pairs (λ, S) of a rational λ > 0 and a proper planar set, by one
     merge of their facet chains (de Berg et al., §13.3), with no pair sums and
     no hull.  The sum's normals are the terms' normals from the latest first
     one, lo, to the earliest last one, hi: lo after hi means the full plane and
@@ -425,14 +433,14 @@ def _planar_sum(cone: Cone, terms) -> UpperSet:
     order by <p, w1> for C+'s first generator w1 counterclockwise; each offset
     is read at an adjacent vertex."""
     w1 = min(cone.dual_generators, key=_CCW)
-    d = lcm(*(s.denominator * e for _, e, s in terms))
+    d = lcm(*(s.denominator * lam.denominator for lam, s in terms))
     owners: dict[Vec, list[int]] = {}  # each normal with the terms that have it
     chains = []  # (weight over d, vertices in chain order, number of normals) per term
-    for i, (k, e, s) in enumerate(terms):
+    for i, (lam, s) in enumerate(terms):
         for w, _ in s.facets:
             owners.setdefault(w, []).append(i)
         vertices = sorted(s.numerators, key=lambda p: p[0] * w1[0] + p[1] * w1[1])
-        chains.append((k * d // (s.denominator * e), vertices, len(s.facets)))
+        chains.append((lam.numerator * d // (s.denominator * lam.denominator), vertices, len(s.facets)))
     passed = [0] * len(terms)  # each term's normals up to the current one
     waiting = len(terms)  # the terms none of whose normals has come yet
     normals, points = [], []
@@ -608,14 +616,10 @@ def inf_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:
         return UpperSet.empty(cone)
     if any(d.is_full for d in nonempty):
         return UpperSet.full(cone)
-    points: set[Vec] = set()
-    rays: list[Vec] = []
-    lineality: list[Vec] = []
-    for d in nonempty:
-        points.update(d.points)
-        rays.extend(d.rays)
-        lineality.extend(d.lineality)
-    return canonicalize(cone, points=points, rays=rays, lineality=lineality)
+    d = lcm(*(s.denominator for s in nonempty))
+    points = {tuple(x * (d // s.denominator) for x in p) for s in nonempty for p in s.numerators}
+    rays = [r for s in nonempty for r in s.rays]
+    return _from_vrep(cone, d, points, rays, [l for s in nonempty for l in s.lineality])
 
 
 def sup_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:

@@ -149,6 +149,36 @@ def test_lattice_ops(ws_path, capsys):
     assert code == 0
 
 
+def test_lattice_oplus_of_three_is_the_pairwise_sum(ws_path, capsys):
+    ws = uppersets.parse_workspace(ws_path)
+    F, G = ws.setfunction("F"), ws.setfunction("G")
+    code, out, _ = run(capsys, "lattice", ws_path, "oplus", "F", "G", "F")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{a}: {v.literal()}" for a, v in zip(ws.space.atoms, F.oplus(G).oplus(F).values)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oplus", "F"], "oplus needs at least two set functions"),
+        (["scale", "F"], "scale needs --scalar and exactly one set function"),
+        (["scale", "F", "G", "--scalar", "2"], "scale needs --scalar and exactly one set function"),
+    ],
+)
+def test_lattice_usage_errors_exit_2(ws_path, capsys, argv, message):
+    code, out, err = run(capsys, "lattice", ws_path, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_mutant_exits_2(ws_path, capsys):
+    code, _, err = run(capsys, "check-axioms", ws_path, "mutant:no-such-mutant:mu", "--seed", "3")
+    assert code == 2
+    assert err == (
+        "error: unknown mutant 'no-such-mutant' (available: additivity-shift, continuity-jump, "
+        "homogeneity-translate, indicator-deform, interchange-tighten, nullity-pad)\n"
+    )
+
+
 def test_chain_check(ws_path, capsys):
     code, out, _ = run(capsys, "chain-check", ws_path, "h", "mu")
     assert code == 0 and "parametric" in out
@@ -479,6 +509,40 @@ def test_serve_rejects_malformed_requests(request_text):
     with pytest.raises(ProtocolError):
         serve(None, orthant(2), AtomicSpace(("x1", "x2")), io.StringIO(request_text), out)
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "request_text, message",
+    [
+        ("hello\n", "bad request header 'hello'"),
+        ("eval 2\nx1 cone\n", "truncated request"),
+        ("eval 2\nx1 cone\nx2 cone\nfinish\n", "missing request trailer"),
+    ],
+)
+def test_serve_names_what_is_malformed(request_text, message):
+    import io
+
+    from uppersets import orthant
+    from uppersets.measure_space import AtomicSpace
+    from uppersets.protocol import ProtocolError, serve
+
+    with pytest.raises(ProtocolError) as exc:
+        serve(None, orthant(2), AtomicSpace(("x1", "x2")), io.StringIO(request_text), io.StringIO())
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("request_text", ["", "\n\n"])
+def test_serve_skips_blank_lines_and_returns_at_end_of_input(request_text):
+    import io
+
+    from uppersets import orthant
+    from uppersets.measure_space import AtomicSpace
+    from uppersets.protocol import serve
+
+    answers = io.StringIO()
+    text = request_text + "eval 2\nx1 cone\nx2 points: [[1, 0]]\nend\n" + request_text
+    assert serve(lambda F: F.values[1], orthant(2), AtomicSpace(("x1", "x2")), io.StringIO(text), answers) is None
+    assert answers.getvalue() == "halfspaces: [[0, 1, 0], [1, 0, 1]]\n"
 
 
 def ext_workspace(tmp_path, ws_path) -> str:

@@ -16,7 +16,7 @@ from uppersets.ddm import (
     rref_basis,
     vrep_to_hrep,
 )
-from uppersets.linalg import dot, primitive, primitive_halfspace, vec
+from uppersets.linalg import NEG_INF, POS_INF, dot, format_rational, primitive, primitive_halfspace, vec
 
 
 def rank(rows):
@@ -311,6 +311,13 @@ def test_primitive_normalization():
     assert primitive((Fraction(2, 3), Fraction(-4, 3))) == (1, -2)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-2, -4)) == (-1, -2)
+
+
+def test_format_rational_prints_the_infinities_and_refuses_other_floats():
+    assert (format_rational(NEG_INF), format_rational(POS_INF)) == ("-inf", "inf")
+    with pytest.raises(ValueError) as exc:
+        format_rational(0.5)
+    assert str(exc.value) == "not an exact rational: 0.5"
 
 
 @pytest.mark.parametrize("seed", range(8))

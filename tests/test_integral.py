@@ -92,6 +92,13 @@ def test_zero_measure_rejected():
         aumann_integral(f, AtomicMeasure.from_map(X2, {}))
 
 
+def test_integral_value_rejects_a_measure_on_another_space():
+    f = constant_function(X2, cone_upper_set(R2))
+    mu = AtomicMeasure.from_map(space("x1", "x2", "x3"), {"x1": 1})
+    with pytest.raises(ValidationError, match="^measure and set function live on different spaces$"):
+        integral_value(f, mu)
+
+
 def test_integral_over_cases():
     f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), point_plus_cone(R2, (0, 1))))
     assert integral_over(f, MU11, ["x1"]).value.set_equal(point_plus_cone(R2, (1, 0)))

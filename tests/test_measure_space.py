@@ -65,6 +65,35 @@ def test_set_function_rejects_empty_values():
         SimpleSetFunction(X2, (UpperSet.empty(R2), cone_upper_set(R2)))
 
 
+X3 = space("x1", "x2", "x3")
+WEDGE = Cone(2, ((1, 0), (1, 1)), (2, 1))
+C2 = cone_upper_set(R2)
+F2 = constant_function(X2, C2)
+F3 = constant_function(X3, C2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AtomicMeasure(X2, (1,)), "measure must assign a weight per atom"),
+        (lambda: ScalarFunction(X2, (1,)), "scalar function must cover every atom"),
+        (lambda: VectorFunction(X2, ((1, 0),)), "vector function must cover every atom"),
+        (lambda: VectorFunction(X2, ((1, 0), (1, 0, 0))), "vector function values must share one dimension"),
+        (lambda: SimpleSetFunction(X2, (C2,)), "set function must cover every atom"),
+        (lambda: SimpleSetFunction(X2, (C2, cone_upper_set(WEDGE))), "set function values must share one ordering cone"),
+        (lambda: F2.oplus(F3), "set functions live on different spaces"),
+        (lambda: F2.translate(VectorFunction(X3, ((0, 0),) * 3)), "set function and vector function spaces differ"),
+        (lambda: F2.pointwise_subset_of(F3), "set functions live on different spaces"),
+        (lambda: halfspace_function(X2, R2, (1, 0), ScalarFunction(X3, (0, 0, 0))), "scalar function lives on a different space"),
+        (lambda: cone_translates(ScalarFunction(X2, (1, NEG_INF)), R2), "cone translate needs finite scalars"),
+    ],
+)
+def test_length_dimension_cone_space_and_finiteness_checks(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_indicator_modify_cases():
     f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), point_plus_cone(R2, (0, 1))))
     all_atoms = indicator_modify(f, ["x1", "x2"])

@@ -20,6 +20,7 @@ from uppersets.upperset import (
     inf_set,
     point_plus_cone,
     sup_set,
+    weighted_sum,
 )
 
 R2 = orthant(2)
@@ -205,6 +206,49 @@ def test_supporting_halfspace_validation():
     with pytest.raises(ValidationError):
         UpperSet.empty(R2).supporting_halfspace((1, 0))
     assert UpperSet.full(R2).supporting_halfspace((1, 0)).is_full
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: canonicalize(R2), "canonicalize needs an H-rep or a V-rep"),
+        (lambda: hs(R2, [((0, 0), 1)]), "halfspace normal must be nonzero"),
+        (lambda: halfspace_set(R2, (1, -1), 0), "halfspace normal must lie in C+ \\ {0}"),
+        (lambda: halfspace_set(R2, (0, 0), 0), "halfspace normal must lie in C+ \\ {0}"),
+        (lambda: inf_set(R2, [cone_upper_set(WEDGE)]), "family member over a different cone"),
+        (lambda: sup_set(R2, [cone_upper_set(R2), cone_upper_set(WEDGE)]), "family member over a different cone"),
+    ],
+)
+def test_representation_normal_and_cone_checks(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cone", [R2, WEDGE, orthant(3)], ids=["orthant2", "wedge2", "orthant3"])
+@pytest.mark.parametrize("seed", range(4))
+def test_weighted_sum_has_the_weighted_supports(cone, seed):
+    # σ of Σ λ·S is Σ λ·σ_S at every normal of the sum and of the terms; in the
+    # plane the merge of all terms at once also equals pairwise ⊕, which takes
+    # the translate and halfspace rules
+    rng = random.Random(seed)
+    w = cone.dual_generators
+    sets = [hs(cone, [(vadd(w[0], w[-1]), 0)]), halfspace_set(cone, w[0], Fraction(1, 3))]
+    for _ in range(4):
+        pts = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(cone.dim)] for _ in range(rng.randint(1, 4))]
+        sets.append(canonicalize(cone, points=pts))
+    for k in range(1, 5):
+        terms = [(Fraction(rng.randint(1, 5), rng.randint(1, 3)), s) for s in rng.sample(sets, k)]
+        value = weighted_sum(cone, terms)
+        for u in {*value.facet_normals(), *(n for _, s in terms for n in s.facet_normals())}:
+            assert value.support(u) == sum(lam * s.support(u) for lam, s in terms), (terms, u)
+        if cone.dim == 2:
+            fold = terms[0][1].scale(terms[0][0])
+            for lam, s in terms[1:]:
+                fold = fold.oplus(s.scale(lam))
+            assert value == fold, terms
+    assert weighted_sum(cone, [(1, UpperSet.full(cone)), (2, sets[2])]).is_full
+    assert weighted_sum(cone, [(1, UpperSet.empty(cone)), (2, sets[2])]).is_empty
 
 
 def test_member_subset_equal():
