@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .axioms import (
+    MUTANT_NAMES,
     SampleSet,
     SetFunctional,
     integral_functional,
@@ -59,12 +60,11 @@ def _build_functional(ws: Workspace, name: str, samples: SampleSet) -> SetFuncti
     if spec.kind == "integral":
         return integral_functional(ws.measure(spec.measure), f"integral:{spec.measure}")
     if spec.kind == "mutant":
-        catalog = mutant_catalog(samples, ws.measure(spec.measure))
-        if spec.mutant not in catalog:
+        if spec.mutant not in MUTANT_NAMES:
             raise ValidationError(
-                f"unknown mutant {spec.mutant!r} (available: {', '.join(sorted(catalog))})"
+                f"unknown mutant {spec.mutant!r} (available: {', '.join(sorted(MUTANT_NAMES))})"
             )
-        return catalog[spec.mutant]
+        return mutant_catalog(samples, ws.measure(spec.measure))[spec.mutant]
     external = ExternalFunctional(spec.command, ws.cone)
     return SetFunctional(external.name, external)
 

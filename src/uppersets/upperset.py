@@ -17,7 +17,8 @@ halfspace, ``point_plus_cone`` translates C and ``halfspace_set`` a cached
 H(w, 0).  A planar member is one convex chain between two extreme rays: a
 V-rep takes the convex chain of its strict staircase, an H-rep with all
 normals in C+ one angular sweep over its lines, and a planar ⊕ one merge of
-the operands' chains, normal by normal, with no pair sums and no hull.
+the operands' chains, normal by normal, with no pair sums and no hull.  All
+three hand the chain's normals and vertices to ``_chain``, the one builder.
 ``weighted_sum``, Σ λ·S as in an integral, chooses how to add: one such merge
 of all terms when each is proper and planar, else ``oplus`` folded.  Off the
 plane, over a V-rep plus C's generators the run yields the facets, and its
@@ -37,6 +38,7 @@ so equality and the hash read these integers; ``points`` and ``halfspaces``
 are Fraction views, built on each read and not kept.  ``translate`` and
 ``scale`` move the numerators and the offsets, keeping the canonical form,
 the order of points and facets, the rays and the lineality without a run.
+``_vector`` is the one reader of the vectors given from outside the module.
 """
 
 from __future__ import annotations
@@ -143,9 +145,7 @@ class UpperSet:
 
     def support(self, w) -> Fraction | float:
         """inf over the set of <y, w>: +inf on empty, -inf when unbounded below."""
-        if any(type(x) is not int for x in w):  # facet normals are integer already
-            w = vec(w)
-        check_dim(self.dim, w, "direction")
+        w = _vector(self.dim, w, "direction")
         if is_zero(w):
             raise ValidationError("support direction must be nonzero")
         if self.is_empty:
@@ -165,9 +165,7 @@ class UpperSet:
         return min(sum(map(mul, p, w)) for p in self.numerators)
 
     def member(self, y) -> bool:
-        y = vec(y)
-        check_dim(self.dim, y, "point")
-        e, (y,) = clear_denominators([y])
+        e, (y,) = clear_denominators([_vector(self.dim, y, "point")])
         return self.member_numerators(e, y)
 
     def member_numerators(self, e: int, y: Vec) -> bool:
@@ -197,9 +195,7 @@ class UpperSet:
 
     def translate(self, v) -> "UpperSet":
         """The set D + {v}; canonical form is preserved."""
-        if any(type(x) is not int for x in v):
-            v = vec(v)
-        check_dim(self.dim, v)
+        v = _vector(self.dim, v, "vector")
         if self.kind != PROPER:
             return self
         e, (v,) = clear_denominators([v])
@@ -257,9 +253,7 @@ class UpperSet:
 
     def supporting_halfspace(self, w) -> "UpperSet":
         """D ⊕ H(w) = {z : <z, w> >= support(D, w)} for w in the dual cone."""
-        if any(type(x) is not int for x in w):  # an integer normal stays as it is
-            w = vec(w)
-        check_dim(self.dim, w, "direction")
+        w = _vector(self.dim, w, "direction")
         if is_zero(w) or not in_dual_cone(self.cone, w):
             raise ValidationError("supporting halfspace direction must lie in C+ \\ {0}")
         if self.is_empty:
@@ -317,10 +311,9 @@ def canonicalize(
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
-    pts = [vec(p) for p in points or ()]
-    rys, lin = [vec(r) for r in rays or ()], [vec(l) for l in lineality or ()]
-    for what, v in [("point", p) for p in pts] + [("ray", r) for r in rys]:
-        check_dim(cone.dim, v, what)
+    pts = [_vector(cone.dim, p, "point") for p in points or ()]
+    rys = [_vector(cone.dim, r, "ray") for r in rays or ()]
+    lin = [_vector(cone.dim, l, "lineality vector") for l in lineality or ()]
     result_h = _from_hrep(cone, halfspaces) if has_h else None
     result_v = _from_vrep(cone, *clear_denominators(pts), rys, lin) if has_v else None
     if result_h is not None and result_v is not None:
@@ -333,11 +326,20 @@ def canonicalize(
     return result_h if result_h is not None else result_v
 
 
+def _vector(dim: int, v, what: str) -> Vec:
+    """A vector given from outside, checked to have ``dim`` entries (``what``
+    names it in the error): as a tuple when every entry is an int, else by ``vec``."""
+    v = tuple(v)
+    if any(type(x) is not int for x in v):
+        v = vec(v)
+    check_dim(dim, v, what)
+    return v
+
+
 def _from_hrep(cone: Cone, pairs) -> UpperSet:
     ineqs = []
     for w, b in pairs:
-        w = vec(w)
-        check_dim(cone.dim, w, "halfspace normal")
+        w = _vector(cone.dim, w, "halfspace normal")
         if is_zero(w):
             raise ValidationError("halfspace normal must be nonzero")
         if b == NEG_INF:
@@ -381,9 +383,9 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
 def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     """The V-rep path in the plane, without a run.  R = cone(rays, C, ±lineality)
     has the dual cone(w1, w2), cut down from C+ one generator at a time: {0}
-    means the full plane and w1 = w2 a half-plane.  Otherwise z -> (<z, w1>,
-    <z, w2>) maps R onto the orthant, and the vertices are the convex chain of
-    the strict staircase of the mapped points (Andrew's monotone chain)."""
+    means the full plane and w1 = w2 a half-plane.  z -> (<z, w1>, <z, w2>)
+    maps R into the orthant, and the vertices are the convex chain of the
+    strict staircase of the mapped points (Andrew's monotone chain)."""
     w1, w2 = min(cone.dual_generators, key=_CCW), max(cone.dual_generators, key=_CCW)
     for v in chain(rays, lineality, map(vneg, lineality)):
         s1, s2 = dot(w1, v), dot(w2, v)
@@ -393,9 +395,6 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
             w1 = primitive(vsub(vscale(s2, w1), vscale(s1, w2)))
         elif s2 < 0:
             w2 = primitive(vsub(vscale(s1, w2), vscale(s2, w1)))
-    if w1 == w2:
-        b, p = min((sum(map(mul, p, w1)), p) for p in points)
-        return _proper(cone, [(w1, b)], d, [p], *_planar_recession(w1, w1))
     hull: list = []  # (<p, w1>, <p, w2>, p): the first increases, the second decreases, strictly
     for a, b, p in sorted((sum(map(mul, p, w1)), sum(map(mul, p, w2)), p) for p in points):
         if hull and b >= hull[-1][1]:
@@ -406,12 +405,9 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
                 break  # hull[-1] lies strictly below the segment from hull[-2] to p
             hull.pop()
         hull.append((a, b, p))
-    facets = [(w1, hull[0][0])]  # each offset <p, w> at a hull point p on the facet
-    for (a, b, p), (a2, b2, _) in zip(hull, hull[1:]):
-        n = primitive(vadd(vscale(b - b2, w1), vscale(a2 - a, w2)))
-        facets.append((n, sum(map(mul, p, n))))
-    facets.append((w2, hull[-1][1]))
-    return _proper(cone, facets, d, sorted(p for _, _, p in hull), *_planar_recession(w1, w2))
+    edges = zip(hull, hull[1:])  # their normals lie strictly between w1 and w2
+    inner = [primitive(vadd(vscale(b - b2, w1), vscale(a2 - a, w2))) for (a, b, _), (a2, b2, _) in edges]
+    return _chain(cone, d, [w1, *inner, w2] if w1 != w2 else [w1], [p for _, _, p in hull])
 
 
 def weighted_sum(cone: Cone, terms) -> UpperSet:
@@ -430,8 +426,7 @@ def _planar_sum(cone: Cone, terms) -> UpperSet:
     one, lo, to the earliest last one, hi: lo after hi means the full plane and
     lo = hi a half-plane.  Between two consecutive normals the vertex is the
     weighted sum of each term's vertex there, a term's vertices being in chain
-    order by <p, w1> for C+'s first generator w1 counterclockwise; each offset
-    is read at an adjacent vertex."""
+    order by <p, w1> for C+'s first generator w1 counterclockwise."""
     w1 = min(cone.dual_generators, key=_CCW)
     d = lcm(*(s.denominator * lam.denominator for lam, s in terms))
     owners: dict[Vec, list[int]] = {}  # each normal with the terms that have it
@@ -457,12 +452,7 @@ def _planar_sum(cone: Cone, terms) -> UpperSet:
             if done:
                 break
             points.append(_vertex(chains, passed))
-    lo, hi = normals[0], normals[-1]
-    if lo == hi:  # through the weighted sum of the minimisers
-        v = _vertex(chains, passed)
-        return _proper(cone, [(lo, v[0] * lo[0] + v[1] * lo[1])], d, [v], *_planar_recession(lo, lo))
-    facets = [(u, sum(map(mul, points[min(t, len(points) - 1)], u))) for t, u in enumerate(normals)]
-    return _proper(cone, facets, d, sorted(points), *_planar_recession(lo, hi))
+    return _chain(cone, d, normals, points or [_vertex(chains, passed)])  # one normal: the minimisers' sum
 
 
 def _vertex(chains, passed) -> Vec:
@@ -497,8 +487,7 @@ def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
     meets = [_meet(l, m) for l, m in zip(lines, lines[1:])]
     meets = meets or [(vscale(b, w), sum(map(mul, w, w))) for w, b in lines]  # one line: its point b·w/<w, w>
     k = lcm(*(s for _, s in meets))  # every x/s is t times a vertex
-    facets, points = [(w, b * k) for w, b in lines], sorted(vscale(k // s, x) for x, s in meets)
-    return _proper(cone, facets, t * k, points, *_planar_recession(lines[0][0], lines[-1][0]))
+    return _chain(cone, t * k, [w for w, _ in lines], [vscale(k // s, x) for x, s in meets])
 
 
 def _meet(l, m) -> tuple[Vec, int]:
@@ -508,13 +497,18 @@ def _meet(l, m) -> tuple[Vec, int]:
     return (b * u[1] - c * w[1], c * w[0] - b * u[0]), w[0] * u[1] - w[1] * u[0]
 
 
-def _planar_recession(w: Vec, u: Vec) -> tuple[list[Vec], list[Vec]]:
-    """(rays, lineality) of a planar set with first and last facet normals w
-    and u, counterclockwise: the rays are perpendicular to them, and one facet
-    is a half-plane, its boundary direction the lineality and its normal the ray."""
-    if w == u:
-        return [w], [max((-w[1], w[0]), (w[1], -w[0]))]  # the reduced basis vector
-    return sorted([(-w[1], w[0]), (u[1], -u[0])]), []
+def _chain(cone: Cone, d: int, normals, vertices) -> UpperSet:
+    """The proper planar set of facet normals in counterclockwise order and the
+    vertices between consecutive ones, integer numerators over d > 0: each
+    offset is read at an adjacent vertex, and the rays are perpendicular to the
+    first and last normal.  One normal is a half-plane through its one vertex,
+    its boundary direction the lineality and its normal the ray."""
+    last = len(vertices) - 1
+    facets = [(u, sum(map(mul, vertices[min(t, last)], u))) for t, u in enumerate(normals)]
+    w, u = normals[0], normals[-1]
+    if len(normals) == 1:
+        return _proper(cone, facets, d, vertices, [w], [max((-w[1], w[0]), (w[1], -w[0]))])
+    return _proper(cone, facets, d, sorted(vertices), sorted([(-w[1], w[0]), (u[1], -u[0])]), [])
 
 
 def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
@@ -571,9 +565,7 @@ def cone_upper_set(cone: Cone) -> UpperSet:
 
 
 def point_plus_cone(cone: Cone, p) -> UpperSet:
-    p = vec(p)
-    check_dim(cone.dim, p, "point")
-    return cone_upper_set(cone).translate(p)
+    return cone_upper_set(cone).translate(_vector(cone.dim, p, "point"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -585,9 +577,7 @@ def _homogeneous_halfspace(cone: Cone, w: Vec) -> UpperSet:
 def halfspace_set(cone: Cone, w, b) -> UpperSet:
     """{z : <z, w> >= b} as an upper set; b = -inf gives the full space and
     b = +inf the empty set.  H(w, b) is H(w, 0) translated onto <z, w> = b."""
-    if any(type(x) is not int for x in w):  # an integer normal stays as it is
-        w = vec(w)
-    check_dim(cone.dim, w, "normal")
+    w = _vector(cone.dim, w, "normal")
     if is_zero(w) or not in_dual_cone(cone, w):
         raise ValidationError("halfspace normal must lie in C+ \\ {0}")
     if b == NEG_INF:

@@ -6,7 +6,16 @@ from itertools import product
 
 import pytest
 
-from uppersets import AtomicMeasure, Cone, SimpleSetFunction, ValidationError, ddm, orthant, space
+from uppersets import (
+    AtomicMeasure,
+    Cone,
+    DimensionMismatchError,
+    SimpleSetFunction,
+    ValidationError,
+    ddm,
+    orthant,
+    space,
+)
 from uppersets.integral import aumann_integral
 from uppersets.linalg import NEG_INF, POS_INF, clear_denominators, dot, primitive_halfspace, vadd, vec, vscale
 from uppersets.upperset import (
@@ -131,6 +140,57 @@ def test_an_offset_is_read_as_vec_reads_an_entry(cone, offset):
     h = halfspace_set(cone, w, offset)
     assert h.halfspaces == (((1,) * cone.dim, Fraction(offset) / 2),)
     assert canonicalize(cone, halfspaces=[(w, offset)]) == h
+
+
+def _vector_entries(cone, v, mixed):
+    """Each entry point that reads an outside vector: v as a point or a normal,
+    and mixed, with a negative entry, as a ray or a lineality vector."""
+    one = (1,) * cone.dim
+    d = point_plus_cone(cone, one)
+    return {
+        "support": lambda: d.support(v),
+        "member": lambda: d.member(v),
+        "translate": lambda: d.translate(v),
+        "supporting_halfspace": lambda: d.supporting_halfspace(v),
+        "canonicalize-points": lambda: canonicalize(cone, points=[v, one]),
+        "canonicalize-rays": lambda: canonicalize(cone, points=[one], rays=[mixed]),
+        "canonicalize-lineality": lambda: canonicalize(cone, points=[one], lineality=[mixed]),
+        "canonicalize-halfspaces": lambda: canonicalize(cone, halfspaces=[(v, 1)]),
+        "point_plus_cone": lambda: point_plus_cone(cone, v),
+        "halfspace_set": lambda: halfspace_set(cone, v, 1),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_vector_entries(R2, (1, 2), (1, -2))))
+@pytest.mark.parametrize("container", [list, tuple], ids=["list", "tuple"])
+@pytest.mark.parametrize(
+    "unit, read",
+    [
+        (1, int),
+        (Fraction(1, 2), Fraction),
+        (Fraction(1, 2), lambda x: f"{x.numerator}/{x.denominator}"),
+        (Fraction(1, 2), float),
+    ],
+    ids=["int", "Fraction", "str", "float"],
+)
+@pytest.mark.parametrize("cone", [R2, orthant(3)], ids=["orthant2", "orthant3"])
+def test_a_vector_is_read_as_vec_reads_its_entries(cone, unit, read, container, entry):
+    # every entry point takes what Fraction() takes, in a list or a tuple, and
+    # answers as for the same entries as Fractions
+    v, mixed = ([unit * Fraction(k) for k in u[: cone.dim]] for u in ((1, 3, 2), (1, -3, 2)))
+    expected = _vector_entries(cone, tuple(v), tuple(mixed))[entry]()
+    read_v, read_mixed = (container(read(x) for x in u) for u in (v, mixed))
+    assert _vector_entries(cone, read_v, read_mixed)[entry]() == expected
+
+
+@pytest.mark.parametrize(
+    "cone, lineality",
+    [(R2, (1,)), (R2, (1, -1, 0)), (orthant(3), (1, -1)), (orthant(3), (1, -1, 0, 5))],
+    ids=["orthant2-short", "orthant2-long", "orthant3-short", "orthant3-long"],
+)
+def test_canonicalize_checks_the_lineality_dimension(cone, lineality):
+    with pytest.raises(DimensionMismatchError, match=f"lineality vector has dimension {len(lineality)}"):
+        canonicalize(cone, points=[(0,) * cone.dim], lineality=[lineality])
 
 
 def test_oplus_halfspace_with_translate():
