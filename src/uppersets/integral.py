@@ -173,20 +173,23 @@ def _random_member(rng: random.Random, value: UpperSet) -> tuple[int, Vec]:
     return 2 * half, tuple(y)
 
 
-def _split(residual: Vec, generators: Sequence[Vec]) -> list[Fraction] | None:
-    """Coefficients c with Σ c_j·g_j = residual, or None: one exact elimination
-    over the rows (g_j ‖ e_j), which reduces (residual ‖ 0) to (0 ‖ -c)."""
+def _split(residual: Vec, generators: Sequence[Vec]) -> tuple[int, list[int]] | None:
+    """(s, t) with Σ (t_j/s)·g_j = residual and s > 0, or None: one integer
+    elimination over the rows (g_j ‖ e_j), which reduces s·(residual ‖ 0) to
+    (0 ‖ -t), each step scaling by the row's positive pivot."""
     dim, n = len(residual), len(generators)
     rows = [tuple(g) + tuple(int(i == j) for i in range(n)) for j, g in enumerate(generators)]
-    x = tuple(residual) + (0,) * n
+    s, (x,) = clear_denominators([residual])
+    x += (0,) * n
     for b in rref_basis(rows, dim + n):
         c = next(i for i, t in enumerate(b) if t)
         if c >= dim:
             break
-        x = vsub(x, vscale(Fraction(x[c]) / b[c], b))
+        if x[c]:
+            x, s = tuple(b[c] * xi - x[c] * bi for xi, bi in zip(x, b)), s * b[c]
     if any(x[:dim]):
         return None
-    return [-t for t in x[dim:]]
+    return s, [-t for t in x[dim:]]
 
 
 def _attaining_selection(
@@ -215,11 +218,12 @@ def _attaining_selection(
     for k in range(len(value.lineality) + 1):  # Carathéodory: dim L rays suffice
         for chosen in combinations(rays, k):
             generators = lineality + list(chosen)
-            coeffs = _split(residual, [vscale(mu.weights[i], g) for i, g in generators])
-            if coeffs is None or any(c < 0 for c in coeffs[len(lineality):]):
+            split = _split(residual, [vscale(mu.weights[i], g) for i, g in generators])
+            if split is None or any(t < 0 for t in split[1][len(lineality):]):
                 continue
-            for (i, g), c in zip(generators, coeffs):
-                selection[i] = vadd(selection[i], vscale(c, g))
+            s, coeffs = split
+            for (i, g), t in zip(generators, coeffs):
+                selection[i] = vadd(selection[i], vscale(Fraction(t, s), g))
             return tuple(selection)
     return None
 

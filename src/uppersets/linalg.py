@@ -7,6 +7,9 @@ vector operations keep integer inputs integer.  ``primitive`` and
 ``clear_denominators`` always return integers and never build a Fraction:
 they read every entry's ``numerator`` and ``denominator`` (an ``int`` has
 denominator 1), and ``primitive`` of an all-``int`` vector is one ``gcd``.
+A ``Fraction`` is built only by ``vec``, by ``format_rational`` and by
+``primitive_halfspace`` for an offset that is neither an ``int`` nor a
+``Fraction``; set literals are read into integers by ``workspace``.
 """
 
 from __future__ import annotations
@@ -98,19 +101,6 @@ def format_rational(x) -> str:
         raise ValueError(f"not an exact rational: {x!r}")
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_rational(text: str):
-    """Inverse of format_rational; '-inf' parses to NEG_INF."""
-    t = text.strip()
-    if t == "-inf":
-        return NEG_INF
-    if t == "inf":
-        return POS_INF
-    try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}") from exc
 
 
 def format_vector(v: Sequence) -> str:

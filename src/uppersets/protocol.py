@@ -12,22 +12,36 @@ sends each distinct input once.  For each evaluation the runner writes
 to the process's stdin and reads back exactly one line holding a canonical
 set literal (``empty``, ``full``, ``cone`` or ``halfspaces: [...]``).  The
 process exits on end-of-input.  It is started once, at the first
-evaluation; one that cannot start or has exited raises ``ProtocolError``,
-which names the child's exit code.
+evaluation; one that cannot start, has exited, or gives no answer within
+``ANSWER_DEADLINE_S`` seconds raises ``ProtocolError``, which names the
+child's exit code or the deadline and quotes the end of the child's stderr,
+kept in a temporary file.
 """
 
 from __future__ import annotations
 
+import os
+import selectors
 import subprocess
+import tempfile
+import time
 
 from .cone import Cone, ValidationError
 from .measure_space import SimpleSetFunction
 from .upperset import UpperSet
 from .workspace import parse_set_literal
 
+ANSWER_DEADLINE_S = 60.0  # the longest wait for one answer, the child's start included
+
 
 class ProtocolError(RuntimeError):
     pass
+
+
+def request(F: SimpleSetFunction) -> str:
+    """The request text of one evaluation of F."""
+    lines = [f"{atom} {value.literal()}" for atom, value in zip(F.space.atoms, F.values)]
+    return "\n".join([f"eval {len(F.space)}", *lines, "end", ""])
 
 
 class ExternalFunctional:
@@ -40,52 +54,82 @@ class ExternalFunctional:
         self.command = tuple(command)
         self.cone = cone
         self._proc: subprocess.Popen | None = None
+        self._stderr = None  # the child's stderr, a temporary file
+        self._pending = b""  # what the child wrote after its last answer
 
     def _ensure_process(self) -> subprocess.Popen:
         """The child, started on the first call; one that has exited is an error."""
         if self._proc is None:
+            self._stderr = tempfile.TemporaryFile()
             try:
                 self._proc = subprocess.Popen(
                     self.command,
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
+                    stderr=self._stderr,
                     text=True,
                     bufsize=1,
                 )
             except OSError as exc:
+                self._stderr.close()
                 raise ProtocolError(f"cannot start {self.name}: {exc}") from exc
         code = self._proc.poll()
         if code is not None:
-            raise ProtocolError(f"{self.name} exited with code {code}")
+            raise ProtocolError(f"{self.name} exited with code {code}{self._stderr_tail()}")
         return self._proc
 
     def __call__(self, F: SimpleSetFunction) -> UpperSet:
         """One round trip: send F, parse the answer."""
         proc = self._ensure_process()
-        lines = [f"eval {len(F.space)}"]
-        for atom, value in zip(F.space.atoms, F.values):
-            lines.append(f"{atom} {value.literal()}")
-        lines.append("end")
         try:
-            proc.stdin.write("\n".join(lines) + "\n")
+            proc.stdin.write(request(F))
             proc.stdin.flush()
-            answer = proc.stdout.readline()
+            answer = self._answer(proc)
         except OSError:  # a broken pipe
             answer = ""
         if not answer:  # the child has exited or is exiting: reap it for its code
             try:
                 code = proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                raise ProtocolError(f"{self.name} closed its output") from None
-            raise ProtocolError(f"{self.name} exited with code {code}")
+                raise ProtocolError(f"{self.name} closed its output{self._stderr_tail()}") from None
+            raise ProtocolError(f"{self.name} exited with code {code}{self._stderr_tail()}")
         try:
             return parse_set_literal(answer.strip(), self.cone)
         except (ValueError, ValidationError) as exc:
             raise ProtocolError(f"unparsable response {answer.strip()!r}: {exc}") from exc
 
+    def _answer(self, proc: subprocess.Popen) -> str:
+        """The child's next line, or '' once it closed its output: one wait
+        and one read when the line comes whole.  A child silent for
+        ANSWER_DEADLINE_S is killed, and that is a ProtocolError."""
+        fd = proc.stdout.fileno()
+        deadline = time.monotonic() + ANSWER_DEADLINE_S
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                if not selector.select(deadline - time.monotonic()):
+                    proc.kill()
+                    proc.wait()
+                    raise ProtocolError(
+                        f"{self.name} gave no answer within {ANSWER_DEADLINE_S:g} s{self._stderr_tail()}"
+                    )
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    break
+                self._pending += chunk
+        line, newline, self._pending = self._pending.partition(b"\n")
+        return (line + newline).decode(errors="replace")
+
+    def _stderr_tail(self) -> str:
+        """The end of what the child wrote to stderr, quoted for an error; '' if nothing."""
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        text = os.pread(fd, 2000, max(0, size - 2000)).decode(errors="replace").strip()
+        return f"; its stderr ends {text!r}" if text else ""
+
     def close(self) -> None:
         """Close the child's input, wait up to 5 s for it to exit, else kill
-        it; then close its output."""
+        it; then close its output and its stderr file."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -96,6 +140,8 @@ class ExternalFunctional:
             proc.kill()
             proc.wait()
         proc.stdout.close()
+        self._stderr.close()
+        self._pending = b""
 
 
 def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:

@@ -23,6 +23,8 @@ three hand the chain's normals and vertices to ``_chain``, the one builder.
 of all terms when each is proper and planar, else ``oplus`` folded.  Off the
 plane, over a V-rep plus C's generators the run yields the facets, and its
 incidence the irredundant points and rays and the lineality space.  An H-rep
+is read as integer rows (w, n, e), meaning <z, w> >= n/e, from ``rows`` as
+they come or from (normal, offset) pairs by ``primitive_halfspace``; one
 with all normals in C+ is closed under C already: the run yields the V-rep,
 and its incidence the facets among the inequalities.  Any other H-rep is
 converted to a V-rep first, by one more run (the only one in the plane).
@@ -299,22 +301,25 @@ def canonicalize(
     points: Iterable | None = None,
     rays: Iterable | None = None,
     lineality: Iterable | None = None,
+    rows: Iterable | None = None,
 ) -> UpperSet:
     """cl co(input + C) in canonical irredundant dual representation.
 
-    Input is an H-rep (pairs (normal, offset), offset -inf meaning absent),
-    a V-rep (points, optional rays/lineality), or both; when both are given
-    they must describe the same upper set.  Constraints whose normals leave
-    C+ after the closure under C are absorbed, never an error.
+    Input is an H-rep (pairs (normal, offset), offset -inf meaning absent, or
+    integer ``rows`` (w, n, e) meaning <z, w> >= n/e, with e = 0 for an offset
+    of +inf if n > 0, else -inf), a V-rep (points, optional rays/lineality), or
+    both; when both are given they must describe the same upper set.
+    Constraints whose normals leave C+ after the closure under C are absorbed.
     """
-    has_h = halfspaces is not None
+    has_h = halfspaces is not None or rows is not None
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
     pts = [_vector(cone.dim, p, "point") for p in points or ()]
     rys = [_vector(cone.dim, r, "ray") for r in rays or ()]
     lin = [_vector(cone.dim, l, "lineality vector") for l in lineality or ()]
-    result_h = _from_hrep(cone, halfspaces) if has_h else None
+    hrep = chain(rows or (), (_row(cone.dim, w, b) for w, b in halfspaces or ()))
+    result_h = _from_hrep(cone, hrep) if has_h else None
     result_v = _from_vrep(cone, *clear_denominators(pts), rys, lin) if has_v else None
     if result_h is not None and result_v is not None:
         if not result_h.set_equal(result_v):
@@ -336,27 +341,36 @@ def _vector(dim: int, v, what: str) -> Vec:
     return v
 
 
-def _from_hrep(cone: Cone, pairs) -> UpperSet:
+def _row(dim: int, normal, offset) -> tuple[Vec, int, int]:
+    """The pair (normal, offset) as a row (w, n, e) of ``_from_hrep``, which refuses a zero w."""
+    normal = _vector(dim, normal, "halfspace normal")
+    if offset == NEG_INF or offset == POS_INF:
+        return normal, 1 if offset > 0 else -1, 0
+    return primitive_halfspace(normal, offset) if any(normal) else (normal, 0, 1)
+
+
+def _from_hrep(cone: Cone, rows) -> UpperSet:
+    """The H-rep path over integer rows (w, n, e), read in order."""
     ineqs = []
-    for w, b in pairs:
-        w = _vector(cone.dim, w, "halfspace normal")
-        if is_zero(w):
+    for w, n, e in rows:
+        if not any(w):
             raise ValidationError("halfspace normal must be nonzero")
-        if b == NEG_INF:
+        if not e:
+            if n > 0:
+                return UpperSet.empty(cone)
             continue  # absent constraint
-        if b == POS_INF:
-            return UpperSet.empty(cone)
-        ineqs.append(primitive_halfspace(w, b))
-    rows = [(vscale(e, w), n) for w, n, e in ineqs]  # <z, e·w> >= n
+        g = gcd(*w)  # (w/g, n, e·g): parallel normals become equal
+        ineqs.append((tuple(x // g for x in w), n, e * g))
+    scaled = ((vscale(e, w), n) for w, n, e in ineqs)  # <z, e·w> >= n, for a run
     if all(in_dual_cone(cone, w) for w, _, _ in ineqs):
         # closed under C already, hence nonempty and full-dimensional
         if not ineqs:
             return UpperSet.full(cone)
         if cone.dim == 2:
             return _planar_hrep(cone, ineqs)
-        d, pts, rys, lin, facets = ddm.hrep_to_vrep(rows, cone.dim, with_facets=True)
+        d, pts, rys, lin, facets = ddm.hrep_to_vrep(scaled, cone.dim, with_facets=True)
         return _proper(cone, facets, d, pts, rys, lin)
-    d, pts, rys, lin = ddm.hrep_to_vrep(rows, cone.dim)
+    d, pts, rys, lin = ddm.hrep_to_vrep(scaled, cone.dim)
     if not pts:
         return UpperSet.empty(cone)
     return _from_vrep(cone, d, pts, rys, lin)
@@ -620,7 +634,4 @@ def sup_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:
             raise ValidationError("family member over a different cone")
     if any(d.is_empty for d in members):
         return UpperSet.empty(cone)
-    rows = [h for d in members for h in d.halfspaces]
-    if not rows:
-        return UpperSet.full(cone)
-    return canonicalize(cone, halfspaces=rows)
+    return canonicalize(cone, rows=[(w, n, d.denominator) for d in members for w, n in d.facets])

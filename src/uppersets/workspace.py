@@ -8,7 +8,11 @@ setfunction) load through one table.  Set literals are one-liners
 (``halfspaces: [[1, 1, 0]]``, ``points: [[0, 0]] rays: [[1, 1]]``, ``full``,
 ``cone``) and the canonical printed form of every set re-parses to an equal
 set.  Values are exact rationals: ``inf``/``-inf`` may appear only as a
-halfspace offset, and ``-inf`` as a scalar value.  ``Workspace.functional_spec``
+halfspace offset, and ``-inf`` as a scalar value.  A literal's numbers are
+read straight into integers (p, q), q = 0 for ``inf``/``-inf``: each halfspace
+row becomes the integer row (w, n, e), meaning <z, w> >= n/e, that
+``canonicalize`` takes, so no ``Fraction`` stands between a protocol line and
+its canonical form; points and rays become ``Fraction``s.  ``Workspace.functional_spec``
 resolves every functional name, inline ``integral:MEASURE`` and
 ``mutant:NAME:MEASURE`` forms included.
 """
@@ -18,10 +22,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .cone import Cone, ValidationError, check_dim
 from .integral import ExplicitChain, ParametricChain
-from .linalg import POS_INF, parse_rational
+from .linalg import NEG_INF
 from .measure_space import (
     AtomicMeasure,
     AtomicSpace,
@@ -51,6 +56,16 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _number(token: str) -> tuple[int, int]:
+    """A number token as integers (p, q) meaning p/q, q = 0 for inf and -inf."""
+    p, _, q = token.partition("/")
+    if p[-1] == "f":
+        return (-1 if p[0] == "-" else 1), 0
+    if not int(q or 1):
+        raise ValueError(f"bad rational literal {token!r}")
+    return int(p), int(q or 1)
+
+
 def _parse_nested(tokens: list[str], pos: int):
     if pos >= len(tokens) or tokens[pos] != "[":
         raise ValueError("expected '['")
@@ -69,15 +84,15 @@ def _parse_nested(tokens: list[str], pos: int):
             inner, pos = _parse_nested(tokens, pos)
             items.append(inner)
         else:
-            items.append(parse_rational(tok))
+            items.append(_number(tok))
             pos += 1
 
 
 def _finite(entries) -> tuple:
-    for x in entries:
-        if isinstance(x, float):
-            raise ValueError(f"unexpected {x}: only halfspace offsets may be infinite")
-    return tuple(entries)
+    for p, q in entries:
+        if not q:
+            raise ValueError(f"unexpected {'inf' if p > 0 else '-inf'}: only halfspace offsets may be infinite")
+    return tuple(Fraction(p, q) for p, q in entries)
 
 
 def parse_vector(text: str):
@@ -90,7 +105,7 @@ def parse_vector(text: str):
 
 
 def parse_vector_list(text: str):
-    """A bracketed list of bracketed vectors: [[...], [...]]; entries may be infinite."""
+    """A bracketed list of bracketed vectors, [[...], [...]], of numbers (p, q)."""
     tokens = _tokenize(text)
     items, end = _parse_nested(tokens, 0)
     if end != len(tokens):
@@ -99,6 +114,13 @@ def parse_vector_list(text: str):
         if not isinstance(item, list) or any(isinstance(x, list) for x in item):
             raise ValueError(f"expected a nested vector in {text!r}")
     return [tuple(item) for item in items]
+
+
+def _halfspace_row(row) -> tuple[tuple[int, ...], int, int]:
+    """[w..., n/e] as the row (m·w, m·n, e) of ``canonicalize``, m the lcm of w's denominators."""
+    *w, (n, e) = row
+    m = lcm(*(q for _, q in w)) or _finite(w)  # 0 for an infinite entry, which _finite refuses
+    return tuple(p * (m // q) for p, q in w), n * m, e
 
 
 _SEGMENT = re.compile(r"(halfspaces|points|rays)\s*:")
@@ -118,19 +140,19 @@ def parse_set_literal(text: str, cone: Cone) -> UpperSet:
         if key in segments:
             raise ValueError(f"duplicate segment {key!r}")
         segments[key] = segment.strip()
-    halfspaces = points = rays = None
+    rows = points = rays = None
     if "halfspaces" in segments:
         rows = parse_vector_list(segments["halfspaces"])
         if any(len(row) != cone.dim + 1 for row in rows):
             raise ValueError(f"halfspace row needs {cone.dim} coordinates plus an offset")
-        halfspaces = [(_finite(row[: cone.dim]), row[cone.dim]) for row in rows]
+        rows = [_halfspace_row(row) for row in rows]
     if "points" in segments:
         points = [_finite(p) for p in parse_vector_list(segments["points"])]
     if "rays" in segments:
         rays = [_finite(r) for r in parse_vector_list(segments["rays"])]
         if points is None:
             raise ValueError("rays need accompanying points")
-    return canonicalize(cone, halfspaces=halfspaces, points=points, rays=rays)
+    return canonicalize(cone, points=points, rays=rays, rows=rows)
 
 
 @dataclass
@@ -247,18 +269,17 @@ def _scan_blocks(text: str, path: str) -> list[_Block]:
     return blocks
 
 
-def _weight(text: str) -> Fraction:
+def _rational(text: str, error: str = "bad rational {!r}") -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational {text!r}") from None
+        raise ValueError(error.format(text)) from None
 
 
 def _scalar(text: str):
-    value = parse_rational(text)
-    if value == POS_INF:
+    if text == "inf":
         raise ValueError("unexpected inf: a scalar value is a rational or -inf")
-    return value
+    return NEG_INF if text == "-inf" else _rational(text, "bad rational literal {!r}")
 
 
 def parse_workspace(path: str) -> Workspace:
@@ -364,7 +385,7 @@ def parse_workspace(path: str) -> Workspace:
     # per-atom blocks, loaded in this order: (keyword, label, table, entry
     # parser, builder from the block's name and its atom -> entry map)
     per_atom = (
-        ("measure", "measure", ws.measures, _weight,
+        ("measure", "measure", ws.measures, _rational,
          lambda _, m: AtomicMeasure.from_map(space, m)),
         ("scalar", "scalar function", ws.scalars, _scalar,
          lambda _, m: ScalarFunction.from_map(space, m)),

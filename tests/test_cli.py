@@ -453,6 +453,61 @@ def test_external_child_exiting_after_its_answer_exits_2(ws_path, capsys, tmp_pa
     assert err == f"error: external:{sys.executable} {child} exited with code 0\n"
 
 
+def test_external_child_that_never_answers_is_killed_at_the_deadline(tmp_path, monkeypatch):
+    import time
+
+    from uppersets import orthant, protocol
+    from uppersets.measure_space import constant_function, space
+    from uppersets.protocol import ExternalFunctional, ProtocolError
+    from uppersets.upperset import cone_upper_set
+
+    monkeypatch.setattr(protocol, "ANSWER_DEADLINE_S", 1.0)
+    child = FIXTURES / "sleeping_child.py"
+    cone = orthant(2)
+    external = ExternalFunctional((sys.executable, str(child)), cone)
+    try:
+        start = time.monotonic()
+        with pytest.raises(ProtocolError) as raised:
+            external(constant_function(space("x1", "x2"), cone_upper_set(cone)))
+        assert 1.0 <= time.monotonic() - start < 5
+        assert str(raised.value) == (
+            f"external:{sys.executable} {child} gave no answer within 1 s; "
+            "its stderr ends 'sleeping instead of answering'"
+        )
+        assert external._proc.poll() is not None  # killed, not left sleeping
+    finally:
+        external.close()
+
+
+def test_external_child_that_never_answers_exits_2(ws_path, capsys, tmp_path, monkeypatch):
+    from uppersets import protocol
+
+    monkeypatch.setattr(protocol, "ANSWER_DEADLINE_S", 1.0)
+    child = FIXTURES / "sleeping_child.py"
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert out.startswith("flags: ") and out.count("\n") == 1
+    assert err == (
+        f"error: external:{sys.executable} {child} gave no answer within 1 s; "
+        "its stderr ends 'sleeping instead of answering'\n"
+    )
+
+
+def test_external_child_exit_quotes_its_stderr(ws_path, capsys, tmp_path):
+    child = tmp_path / "failing_child.py"
+    child.write_text("import sys\nsys.stdin.readline()\nsys.exit('no functional here\\nbye')\n")
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    code, _, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert err == (
+        f"error: external:{sys.executable} {child} exited with code 1; "
+        "its stderr ends 'no functional here\\nbye'\n"
+    )
+
+
 def test_round_trip_of_printed_values(ws_path, capsys):
     from uppersets import orthant
     from uppersets.workspace import parse_set_literal

@@ -22,8 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from uppersets import upperset
+from uppersets import protocol, upperset
 from uppersets.cli import main
+from uppersets.integral import integral_value
+from uppersets.workspace import parse_set_literal, parse_workspace
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -129,6 +131,11 @@ def profiled_calls(command, workdir, function, module):
     """Calls of ``function`` defined in ``module`` while ``command`` runs."""
     profile = cProfile.Profile()
     profile.runcall(transcript, command, workdir)
+    return calls_in(profile, function, module)
+
+
+def calls_in(profile, function, module):
+    """Calls of ``function`` defined in ``module`` that ``profile`` saw."""
     return sum(
         nc
         for (path, _, name), (_, nc, *_) in pstats.Stats(profile).stats.items()
@@ -170,6 +177,36 @@ def test_planar_sums_build_no_pair_sums(workdir):
     clear_module_caches()
     command = ("check-axioms", "wedge2", "integral:mu", "--seed", "3")
     assert profiled_calls(command, workdir, "_planar_vrep", "upperset.py") <= 150
+
+
+def test_the_external_round_trips_build_few_fractions(workdir, monkeypatch):
+    # the requests golden wedge2 check-axioms ext sends, served in-process as
+    # its child serves them, and the answers parsed as the CLI parses them:
+    # 15,212 Fractions when set literals were read through Fraction, none
+    # with halfspace rows read straight into integers
+    ws = parse_workspace(str(workdir / "wedge2.ws"))
+    mu = ws.measure("mu")
+    evaluated = []
+
+    def evaluate(F):
+        return integral_value(F, mu)
+
+    def in_process(self, F):
+        evaluated.append(F)
+        return evaluate(F)
+
+    monkeypatch.setattr(protocol.ExternalFunctional, "__call__", in_process)
+    transcript(("check-axioms", "wedge2", "ext", "--seed", "3"), workdir)
+    assert len(evaluated) == 338
+
+    def round_trips():
+        requests, answers = io.StringIO("".join(map(protocol.request, evaluated))), io.StringIO()
+        protocol.serve(evaluate, ws.cone, ws.space, requests, answers)
+        return [parse_set_literal(line, ws.cone) for line in answers.getvalue().splitlines()]
+
+    profile = cProfile.Profile()
+    assert profile.runcall(round_trips) == list(map(evaluate, evaluated))
+    assert calls_in(profile, "__new__", "fractions.py") <= 200
 
 
 def test_every_transcript_belongs_to_the_corpus():

@@ -1,15 +1,17 @@
 """Aumann integral: worked values, laws, oracle, monotone convergence."""
 
 import contextlib
+import cProfile
 import dataclasses
 import io
+import pstats
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from uppersets import Cone, ValidationError, integral, orthant
+from uppersets import Cone, ValidationError, ddm, integral, orthant
 from uppersets.integral import (
     ExplicitChain,
     ParametricChain,
@@ -382,6 +384,45 @@ def test_oracle_reports_a_wrong_decomposition(selection, reasons, monkeypatch):
     ]
     assert lines[start + 1 + len(reasons)].startswith("upper-set identity")
     assert not report.passed
+
+
+def fraction_split(residual, generators):
+    """``integral._split``'s coefficients by the elimination on Fractions it replaced."""
+    dim, n = len(residual), len(generators)
+    rows = [tuple(g) + tuple(int(i == j) for i in range(n)) for j, g in enumerate(generators)]
+    x = tuple(residual) + (0,) * n
+    for b in ddm.rref_basis(rows, dim + n):
+        c = next(i for i, t in enumerate(b) if t)
+        if c >= dim:
+            break
+        x = tuple(xi - Fraction(x[c]) / b[c] * bi for xi, bi in zip(x, b))
+    return None if any(x[:dim]) else [-t for t in x[dim:]]
+
+
+def test_split_returns_the_fraction_elimination_coefficients_from_integers():
+    rng = random.Random(83)
+    outcomes = set()
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        generators = [
+            tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim))
+            for _ in range(rng.randint(1, 4))
+        ]
+        residual = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5))) for _ in range(dim))
+        if rng.random() < 0.7:  # in the span: a rational combination of the generators
+            ks = [Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in generators]
+            residual = tuple(sum(k * g[i] for k, g in zip(ks, generators)) for i in range(dim))
+        expected = fraction_split(residual, generators)
+        profile = cProfile.Profile()
+        got = profile.runcall(integral._split, residual, generators)
+        assert not [k for k in pstats.Stats(profile).stats if k[2] == "__new__" and k[0].endswith("fractions.py")]
+        if expected is None:
+            assert got is None
+        else:
+            s, t = got
+            assert s > 0 and [Fraction(x, s) for x in t] == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_monotone_explicit_stabilizing_chain():

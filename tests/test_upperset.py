@@ -20,7 +20,6 @@ from uppersets.integral import aumann_integral
 from uppersets.linalg import NEG_INF, POS_INF, clear_denominators, dot, primitive_halfspace, vadd, vec, vscale
 from uppersets.upperset import (
     UpperSet,
-    _from_hrep,
     _from_vrep,
     _proper,
     canonicalize,
@@ -593,7 +592,7 @@ def test_planar_hrep_matches_the_ddm_path(cone, ddm_runs):
     for pairs in filter(None, cases):
         expected = ddm_hrep(cone, pairs)
         runs = len(ddm_runs)
-        got = _from_hrep(cone, pairs)
+        got = canonicalize(cone, halfspaces=pairs)
         assert (stored(got), stored_numerators(got)) == (stored(expected), stored_numerators(expected))
         assert len(ddm_runs) == runs
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uppersets import orthant
+from uppersets import Cone, orthant
+from uppersets.linalg import NEG_INF, POS_INF
 from uppersets.integral import ExplicitChain, ParametricChain
 from uppersets.upperset import canonicalize, halfspace_set, point_plus_cone
 from uppersets.workspace import (
@@ -507,3 +509,72 @@ def test_literal_round_trip_random():
         assert parse_set_literal(d.literal(), R2).set_equal(d)
     for special in ("empty", "full"):
         assert parse_set_literal(special, R2).literal() == special
+
+
+LITERAL_CONES = {
+    "orthant2": R2,
+    "wedge2": Cone(2, ((1, 0), (1, 1)), (2, 1)),
+    "orthant3": orthant(3),
+    "half-plane": Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 1)),
+}
+NUMBERS = st.tuples(st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 4)))  # (p, q), written p or p/q
+OFFSETS = st.one_of(NUMBERS, NUMBERS, NUMBERS, st.sampled_from(("inf", "-inf")))
+
+
+@st.composite
+def halfspace_rows(draw):
+    """A cone and rows (normal, offset) of numbers (p, q) or an infinite offset:
+    normals in C+ or anywhere, each row possibly followed by a duplicate, a
+    positive multiple or a looser copy, in a drawn order."""
+    cone = draw(st.sampled_from(list(LITERAL_CONES.values())))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # in C+, over a common denominator
+            ks = [draw(st.integers(0, 2)) for _ in cone.dual_generators]
+            q = draw(st.sampled_from((1, 2, 3)))
+            normal = [(sum(k * g[i] for k, g in zip(ks, cone.dual_generators)), q) for i in range(cone.dim)]
+        else:
+            normal = [draw(NUMBERS) for _ in range(cone.dim)]
+        if not any(p for p, _ in normal):
+            continue
+        offset = draw(OFFSETS)
+        rows.append((normal, offset))
+        finite = offset not in ("inf", "-inf")
+        copy = draw(st.sampled_from(("none", "duplicate", "scaled", "looser")))
+        if copy == "duplicate":
+            rows.append((normal, offset))
+        elif copy == "scaled":
+            k = draw(st.integers(2, 3))
+            rows.append(([(k * p, q) for p, q in normal], (k * offset[0], offset[1]) if finite else offset))
+        elif copy == "looser" and finite:
+            rows.append((normal, (offset[0] - offset[1], offset[1])))
+    return cone, draw(st.permutations(rows))
+
+
+def written(number) -> str:
+    if isinstance(number, str):
+        return number
+    p, q = number
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def as_rational(number):
+    if isinstance(number, str):
+        return POS_INF if number == "inf" else NEG_INF
+    return Fraction(*number)
+
+
+@settings(max_examples=150, deadline=None)
+@given(halfspace_rows())
+def test_a_halfspace_literal_parses_to_the_set_of_its_rows_as_fractions(drawn):
+    cone, rows = drawn
+    text = "halfspaces: [" + ", ".join(
+        "[" + ", ".join(written(x) for x in (*normal, offset)) + "]" for normal, offset in rows
+    ) + "]"
+    pairs = [(tuple(as_rational(x) for x in normal), as_rational(offset)) for normal, offset in rows]
+    parsed, expected = parse_set_literal(text, cone), canonicalize(cone, halfspaces=pairs)
+    assert parsed == expected
+    assert (parsed.numerators, parsed.rays, parsed.lineality) == (
+        expected.numerators, expected.rays, expected.lineality
+    )
+
