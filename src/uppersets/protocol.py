@@ -12,10 +12,11 @@ sends each distinct input once.  For each evaluation the runner writes
 to the process's stdin and reads back exactly one line holding a canonical
 set literal (``empty``, ``full``, ``cone`` or ``halfspaces: [...]``).  The
 process exits on end-of-input.  It is started once, at the first
-evaluation; one that cannot start, has exited, or gives no answer within
-``ANSWER_DEADLINE_S`` seconds raises ``ProtocolError``, which names the
-child's exit code or the deadline and quotes the end of the child's stderr,
-kept in a temporary file.
+evaluation.  The request is written as the child's input takes it, so one
+deadline covers the request and its answer: a child that cannot start, has
+exited, or does not take and answer a request within ``ANSWER_DEADLINE_S``
+seconds raises ``ProtocolError``, which names the child's exit code or the
+deadline and quotes the end of the child's stderr, kept in a temporary file.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .measure_space import SimpleSetFunction
 from .upperset import UpperSet
 from .workspace import parse_set_literal
 
-ANSWER_DEADLINE_S = 60.0  # the longest wait for one answer, the child's start included
+ANSWER_DEADLINE_S = 60.0  # the longest round trip, request and child's start included
 
 
 class ProtocolError(RuntimeError):
@@ -67,12 +68,11 @@ class ExternalFunctional:
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
                     stderr=self._stderr,
-                    text=True,
-                    bufsize=1,
                 )
             except OSError as exc:
                 self._stderr.close()
                 raise ProtocolError(f"cannot start {self.name}: {exc}") from exc
+            os.set_blocking(self._proc.stdin.fileno(), False)
         code = self._proc.poll()
         if code is not None:
             raise ProtocolError(f"{self.name} exited with code {code}{self._stderr_tail()}")
@@ -82,9 +82,7 @@ class ExternalFunctional:
         """One round trip: send F, parse the answer."""
         proc = self._ensure_process()
         try:
-            proc.stdin.write(request(F))
-            proc.stdin.flush()
-            answer = self._answer(proc)
+            answer = self._answer(proc, request(F).encode())
         except OSError:  # a broken pipe
             answer = ""
         if not answer:  # the child has exited or is exiting: reap it for its code
@@ -95,28 +93,36 @@ class ExternalFunctional:
             raise ProtocolError(f"{self.name} exited with code {code}{self._stderr_tail()}")
         try:
             return parse_set_literal(answer.strip(), self.cone)
-        except (ValueError, ValidationError) as exc:
+        except ValueError as exc:
             raise ProtocolError(f"unparsable response {answer.strip()!r}: {exc}") from exc
 
-    def _answer(self, proc: subprocess.Popen) -> str:
-        """The child's next line, or '' once it closed its output: one wait
-        and one read when the line comes whole.  A child silent for
+    def _answer(self, proc: subprocess.Popen, data: bytes) -> str:
+        """Write ``data`` to the child as fast as its input takes it and
+        return the child's next line, or '' once it closed its output.  A
+        child that neither takes the request nor answers it within
         ANSWER_DEADLINE_S is killed, and that is a ProtocolError."""
-        fd = proc.stdout.fileno()
+        inp, out = proc.stdin.fileno(), proc.stdout.fileno()
         deadline = time.monotonic() + ANSWER_DEADLINE_S
         with selectors.DefaultSelector() as selector:
-            selector.register(fd, selectors.EVENT_READ)
-            while b"\n" not in self._pending:
-                if not selector.select(deadline - time.monotonic()):
+            selector.register(inp, selectors.EVENT_WRITE)
+            selector.register(out, selectors.EVENT_READ)
+            while data or b"\n" not in self._pending:
+                ready = {key.fd for key, _ in selector.select(deadline - time.monotonic())}
+                if not ready:
                     proc.kill()
                     proc.wait()
                     raise ProtocolError(
                         f"{self.name} gave no answer within {ANSWER_DEADLINE_S:g} s{self._stderr_tail()}"
                     )
-                chunk = os.read(fd, 65536)
-                if not chunk:
-                    break
-                self._pending += chunk
+                if inp in ready:
+                    data = data[os.write(inp, data) :]
+                    if not data:
+                        selector.unregister(inp)
+                if out in ready:
+                    chunk = os.read(out, 65536)
+                    if not chunk:
+                        break
+                    self._pending += chunk
         line, newline, self._pending = self._pending.partition(b"\n")
         return (line + newline).decode(errors="replace")
 

@@ -479,6 +479,37 @@ def test_external_child_that_never_answers_is_killed_at_the_deadline(tmp_path, m
         external.close()
 
 
+def test_external_child_that_never_reads_a_large_request_is_killed_at_the_deadline(monkeypatch):
+    # the request is larger than a pipe's buffer, so a blocking write would
+    # wait forever; the watchdog kills the child after 10 s so that such a
+    # write fails the test instead of hanging it
+    import threading
+    import time
+
+    from uppersets import orthant, protocol
+    from uppersets.measure_space import constant_function, space
+    from uppersets.protocol import ExternalFunctional, ProtocolError
+    from uppersets.upperset import point_plus_cone
+
+    monkeypatch.setattr(protocol, "ANSWER_DEADLINE_S", 1.0)
+    child = FIXTURES / "sleeping_child.py"
+    cone = orthant(2)
+    F = constant_function(space(*(f"x{i}" for i in range(4000))), point_plus_cone(cone, (1, 2)))
+    assert len(protocol.request(F)) > 2 * 65536
+    external = ExternalFunctional((sys.executable, str(child)), cone)
+    watchdog = threading.Timer(10, external._ensure_process().kill)
+    watchdog.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="gave no answer within 1 s"):
+            external(F)
+        assert time.monotonic() - start < 5
+        assert external._proc.returncode is not None  # killed and reaped
+    finally:
+        watchdog.cancel()
+        external.close()
+
+
 def test_external_child_that_never_answers_exits_2(ws_path, capsys, tmp_path, monkeypatch):
     from uppersets import protocol
 
