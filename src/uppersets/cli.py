@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import os
 import sys
-from fractions import Fraction
 
 from .axioms import (
     MUTANT_NAMES,
@@ -39,7 +38,7 @@ from .integral import (
 from .linalg import format_rational
 from .protocol import ExternalFunctional, ProtocolError
 from .upperset import inf_set, sup_set, weighted_sum
-from .workspace import Workspace, WorkspaceError, parse_workspace
+from .workspace import Workspace, WorkspaceError, parse_workspace, read_number
 
 
 def _flags_line(args, extra: str = "") -> str:
@@ -69,17 +68,10 @@ def _build_functional(ws: Workspace, name: str, samples: SampleSet) -> SetFuncti
     return SetFunctional(external.name, external)
 
 
-def _rational(text: str, option: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{option} expects a rational number, got {text!r}") from None
-
-
 def _override_schedule(chain, spec: str):
     if spec == "auto":
         return chain
-    rate = _rational(spec, "--epsilon-schedule")
+    rate = read_number(spec, "--epsilon-schedule expects a rational number, got {!r}")
     if rate < 0:
         raise ValidationError(f"--epsilon-schedule expects a nonnegative rate, got {spec!r}")
     if not isinstance(chain, ParametricChain):
@@ -131,7 +123,8 @@ def cmd_lattice(ws: Workspace, args) -> int:
     elif args.operation == "scale":
         if args.scalar is None or len(fs) != 1:
             raise ValidationError("scale needs --scalar and exactly one set function")
-        values = fs[0].scale(_rational(args.scalar, "--scalar")).values
+        factor = read_number(args.scalar, "--scalar expects a rational number, got {!r}")
+        values = fs[0].scale(factor).values
     else:
         op = inf_set if args.operation == "inf" else sup_set
         values = [op(ws.cone, [f.values[i] for f in fs]) for i in range(len(ws.space))]

@@ -24,6 +24,16 @@ def check_dim(expected: int, v, what: str = "vector") -> None:
         raise DimensionMismatchError(f"{what} has dimension {len(v)}, expected {expected}")
 
 
+def checked_vector(dim: int, v, what: str = "vector") -> Vec:
+    """A vector given from outside, checked to have ``dim`` entries (``what``
+    names it in the error): as a tuple when every entry is an int, else by ``vec``."""
+    v = tuple(v)
+    if any(type(x) is not int for x in v):
+        v = vec(v)
+    check_dim(dim, v, what)
+    return v
+
+
 def dual_cone(generators: list, dim: int | None = None) -> list[Vec]:
     """Extreme rays of {w : <z, w> >= 0 for all z in cone(generators)}.
 
@@ -31,12 +41,10 @@ def dual_cone(generators: list, dim: int | None = None) -> list[Vec]:
     space, which makes the dual pointed and its extreme rays canonical.
     Applying the operation twice returns a generating set of the input cone.
     """
-    gens = [vec(g) for g in generators]
-    if not gens:
+    if not generators:
         raise ValidationError("a cone needs at least one generator")
-    dim = dim if dim is not None else len(gens[0])
-    for g in gens:
-        check_dim(dim, g, "generator")
+    dim = dim if dim is not None else len(generators[0])
+    gens = [checked_vector(dim, g, "generator") for g in generators]
     if all(is_zero(g) for g in gens):
         raise ValidationError("all generators are zero")
     lineality, rays = cone_vrep(gens, dim)
@@ -66,17 +74,15 @@ class Cone:
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIMENSION:
             raise ValidationError(f"dimension must be in 1..{MAX_DIMENSION}, got {self.dim}")
-        gens = tuple(primitive(vec(g)) for g in self.generators)
         seen: dict[Vec, None] = {}
-        for g in gens:
-            check_dim(self.dim, g, "cone generator")
+        for g in self.generators:
+            g = primitive(checked_vector(self.dim, g, "cone generator"))
             if not is_zero(g):
                 seen.setdefault(g, None)
         if not seen:
             raise ValidationError("cone has no nonzero generators")
         object.__setattr__(self, "generators", tuple(sorted(seen)))
-        c = vec(self.interior_point)
-        check_dim(self.dim, c, "interior point")
+        c = checked_vector(self.dim, self.interior_point, "interior point")
         object.__setattr__(self, "interior_point", c)
         key = (self.dim, self.generators, tuple((x.numerator, x.denominator) for x in c))  # all int
         object.__setattr__(self, "_key", key)
@@ -105,8 +111,7 @@ class Cone:
 
     def contains(self, z) -> bool:
         """Exact membership z ∈ C, via the dual description."""
-        z = vec(z)
-        check_dim(self.dim, z)
+        z = checked_vector(self.dim, z)
         return all(dot(z, w) >= 0 for w in self.dual_generators)
 
     def base_polytope(self) -> list[Vec]:

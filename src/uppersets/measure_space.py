@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .cone import Cone, ValidationError, check_dim
+from .cone import Cone, ValidationError, check_dim, checked_vector
 from .ddm import hrep_feasible
 from .linalg import NEG_INF, Vec, dot, format_rational, vec
 from .upperset import UpperSet, cone_upper_set, halfspace_set, point_plus_cone
@@ -103,13 +103,6 @@ class ScalarFunction:
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def from_map(space: AtomicSpace, mapping: dict) -> "ScalarFunction":
-        missing = [a for a in space.atoms if a not in mapping]
-        if missing:
-            raise ValidationError(f"scalar function missing atoms {missing}")
-        return ScalarFunction(space, tuple(mapping[a] for a in space.atoms))
-
-    @staticmethod
     def constant(space: AtomicSpace, value) -> "ScalarFunction":
         return ScalarFunction(space, tuple(value for _ in space.atoms))
 
@@ -157,13 +150,6 @@ class VectorFunction:
         if len(dims) > 1:
             raise ValidationError("vector function values must share one dimension")
         object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def from_map(space: AtomicSpace, mapping: dict) -> "VectorFunction":
-        missing = [a for a in space.atoms if a not in mapping]
-        if missing:
-            raise ValidationError(f"vector function missing atoms {missing}")
-        return VectorFunction(space, tuple(mapping[a] for a in space.atoms))
 
     def value(self, atom: str) -> Vec:
         return self.values[self.space.index(atom)]
@@ -283,8 +269,7 @@ def indicator_modify(F: SimpleSetFunction, names: Iterable[str]) -> SimpleSetFun
 
 def point_minus_cone_rows(cone: Cone, y) -> list[tuple[Vec, Fraction]]:
     """H-rep rows of y - C, the 'point minus cone' test set."""
-    y = vec(y)
-    check_dim(cone.dim, y)
+    y = checked_vector(cone.dim, y)
     return [(tuple(-x for x in w), -dot(y, w)) for w in cone.dual_generators]
 
 

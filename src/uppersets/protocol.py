@@ -11,7 +11,8 @@ sends each distinct input once.  For each evaluation the runner writes
 
 to the process's stdin and reads back exactly one line holding a canonical
 set literal (``empty``, ``full``, ``cone`` or ``halfspaces: [...]``).  The
-process exits on end-of-input.  It is started once, at the first
+atom count and the literals' numbers are read by the workspace number grammar.
+The process exits on end-of-input.  It is started once, at the first
 evaluation.  The request is written as the child's input takes it, so one
 deadline covers the request and its answer: a child that cannot start, has
 exited, or does not take and answer a request within ``ANSWER_DEADLINE_S``
@@ -30,7 +31,7 @@ import time
 from .cone import Cone, ValidationError
 from .measure_space import SimpleSetFunction
 from .upperset import UpperSet
-from .workspace import parse_set_literal
+from .workspace import parse_set_literal, read_number
 
 ANSWER_DEADLINE_S = 60.0  # the longest round trip, request and child's start included
 
@@ -166,7 +167,7 @@ def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:
         if not header.startswith("eval "):
             raise ProtocolError(f"bad request header {header!r}")
         try:
-            count = int(header.split()[1])
+            count = read_number(header.split()[1], "bad atom count {!r}", True)
         except ValueError as exc:
             raise ProtocolError(f"bad atom count in {header!r}") from exc
         values = {}

@@ -40,7 +40,7 @@ so equality and the hash read these integers; ``points`` and ``halfspaces``
 are Fraction views, built on each read and not kept.  ``translate`` and
 ``scale`` move the numerators and the offsets, keeping the canonical form,
 the order of points and facets, the rays and the lineality without a run.
-``_vector`` is the one reader of the vectors given from outside the module.
+Every vector given from outside the module is read by ``cone.checked_vector``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cone import Cone, ValidationError, check_dim
+from .cone import Cone, ValidationError, checked_vector
 from . import ddm
 from .linalg import (
     NEG_INF,
@@ -65,7 +65,6 @@ from .linalg import (
     primitive,
     primitive_halfspace,
     vadd,
-    vec,
     vneg,
     vscale,
     vsub,
@@ -147,7 +146,7 @@ class UpperSet:
 
     def support(self, w) -> Fraction | float:
         """inf over the set of <y, w>: +inf on empty, -inf when unbounded below."""
-        w = _vector(self.dim, w, "direction")
+        w = checked_vector(self.dim, w, "direction")
         if is_zero(w):
             raise ValidationError("support direction must be nonzero")
         if self.is_empty:
@@ -167,7 +166,7 @@ class UpperSet:
         return min(sum(map(mul, p, w)) for p in self.numerators)
 
     def member(self, y) -> bool:
-        e, (y,) = clear_denominators([_vector(self.dim, y, "point")])
+        e, (y,) = clear_denominators([checked_vector(self.dim, y, "point")])
         return self.member_numerators(e, y)
 
     def member_numerators(self, e: int, y: Vec) -> bool:
@@ -197,7 +196,7 @@ class UpperSet:
 
     def translate(self, v) -> "UpperSet":
         """The set D + {v}; canonical form is preserved."""
-        v = _vector(self.dim, v, "vector")
+        v = checked_vector(self.dim, v, "vector")
         if self.kind != PROPER:
             return self
         e, (v,) = clear_denominators([v])
@@ -255,7 +254,7 @@ class UpperSet:
 
     def supporting_halfspace(self, w) -> "UpperSet":
         """D ⊕ H(w) = {z : <z, w> >= support(D, w)} for w in the dual cone."""
-        w = _vector(self.dim, w, "direction")
+        w = checked_vector(self.dim, w, "direction")
         if is_zero(w) or not in_dual_cone(self.cone, w):
             raise ValidationError("supporting halfspace direction must lie in C+ \\ {0}")
         if self.is_empty:
@@ -315,9 +314,9 @@ def canonicalize(
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
-    pts = [_vector(cone.dim, p, "point") for p in points or ()]
-    rys = [_vector(cone.dim, r, "ray") for r in rays or ()]
-    lin = [_vector(cone.dim, l, "lineality vector") for l in lineality or ()]
+    pts = [checked_vector(cone.dim, p, "point") for p in points or ()]
+    rys = [checked_vector(cone.dim, r, "ray") for r in rays or ()]
+    lin = [checked_vector(cone.dim, l, "lineality vector") for l in lineality or ()]
     hrep = chain(rows or (), (_row(cone.dim, w, b) for w, b in halfspaces or ()))
     result_h = _from_hrep(cone, hrep) if has_h else None
     result_v = _from_vrep(cone, *clear_denominators(pts), rys, lin) if has_v else None
@@ -331,19 +330,9 @@ def canonicalize(
     return result_h if result_h is not None else result_v
 
 
-def _vector(dim: int, v, what: str) -> Vec:
-    """A vector given from outside, checked to have ``dim`` entries (``what``
-    names it in the error): as a tuple when every entry is an int, else by ``vec``."""
-    v = tuple(v)
-    if any(type(x) is not int for x in v):
-        v = vec(v)
-    check_dim(dim, v, what)
-    return v
-
-
 def _row(dim: int, normal, offset) -> tuple[Vec, int, int]:
     """The pair (normal, offset) as a row (w, n, e) of ``_from_hrep``, which refuses a zero w."""
-    normal = _vector(dim, normal, "halfspace normal")
+    normal = checked_vector(dim, normal, "halfspace normal")
     if offset == NEG_INF or offset == POS_INF:
         return normal, 1 if offset > 0 else -1, 0
     return primitive_halfspace(normal, offset) if any(normal) else (normal, 0, 1)
@@ -579,7 +568,7 @@ def cone_upper_set(cone: Cone) -> UpperSet:
 
 
 def point_plus_cone(cone: Cone, p) -> UpperSet:
-    return cone_upper_set(cone).translate(_vector(cone.dim, p, "point"))
+    return cone_upper_set(cone).translate(checked_vector(cone.dim, p, "point"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -591,7 +580,7 @@ def _homogeneous_halfspace(cone: Cone, w: Vec) -> UpperSet:
 def halfspace_set(cone: Cone, w, b) -> UpperSet:
     """{z : <z, w> >= b} as an upper set; b = -inf gives the full space and
     b = +inf the empty set.  H(w, b) is H(w, 0) translated onto <z, w> = b."""
-    w = _vector(cone.dim, w, "normal")
+    w = checked_vector(cone.dim, w, "normal")
     if is_zero(w) or not in_dual_cone(cone, w):
         raise ValidationError("halfspace normal must lie in C+ \\ {0}")
     if b == NEG_INF:

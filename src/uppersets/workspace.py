@@ -3,11 +3,16 @@ list, and named measures, functions, chains and functionals.
 
 The grammar is block-structured: a non-indented line opens a block
 (``measure mu:``) or states a scalar fact (``dimension: 2``); indented lines
-are ``key: value`` entries; the per-atom blocks (measure, scalar, vector,
-setfunction) load through one table.  Set literals are one-liners
+are ``key: value`` entries, read by one entry check; the per-atom blocks
+(measure, scalar, vector, setfunction) load through one table and one builder,
+which checks that a function covers every atom.  Set literals are one-liners
 (``halfspaces: [[1, 1, 0]]``, ``points: [[0, 0]] rays: [[1, 1]]``, ``full``,
 ``cone``) and the canonical printed form of every set re-parses to an equal
-set.  Values are exact rationals: ``inf``/``-inf`` may appear only as a
+set.  Values are exact rationals: a number is ``p`` or ``p/q`` in ASCII digits
+with an optional leading ``-``, one pattern for a literal's tokens and for
+``read_number``, which reads every other number given as text (weights, scalar
+values, ``dimension`` and chain ``indices``, which take ``p`` only, and the
+CLI's and the protocol's numbers).  ``inf``/``-inf`` may appear only as a
 halfspace offset, and ``-inf`` as a scalar value.  A literal's numbers are
 read straight into integers (p, q), q = 0 for ``inf``/``-inf``: each halfspace
 row becomes the integer row (w, n, e), meaning <z, w> >= n/e, that
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .cone import Cone, ValidationError, check_dim
+from .cone import Cone, ValidationError, checked_vector
 from .integral import ExplicitChain, ParametricChain
 from .linalg import NEG_INF
 from .measure_space import (
@@ -45,7 +50,8 @@ class WorkspaceError(ValueError):
 
 DEFAULT_CHAIN_INDICES = (1, 2, 4, 8, 16, 32, 64)
 
-_TOKEN = re.compile(r"-inf|inf|-?\d+/\d+|-?\d+|\[|\]|,")
+_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # p or p/q in ASCII digits
+_TOKEN = re.compile(rf"-inf|inf|{_NUMBER.pattern}|\[|\]|,")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -56,14 +62,24 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _number(token: str) -> tuple[int, int]:
-    """A number token as integers (p, q) meaning p/q, q = 0 for inf and -inf."""
+def _number(token: str, error: str = "bad rational literal {!r}") -> tuple[int, int]:
+    """A number token of ``_TOKEN`` as integers (p, q) meaning p/q, q = 0 for inf and -inf."""
     p, _, q = token.partition("/")
     if p[-1] == "f":
         return (-1 if p[0] == "-" else 1), 0
     if not int(q or 1):
-        raise ValueError(f"bad rational literal {token!r}")
+        raise ValidationError(error.format(token))
     return int(p), int(q or 1)
+
+
+def read_number(text: str, error: str, integer: bool = False) -> Fraction | int:
+    """``text`` as a ``Fraction`` p/q, or as an int p if ``integer``: the one
+    reader of a number written alone, sharing ``_number`` with the literal
+    tokens.  Other text raises ``ValidationError(error.format(text))``."""
+    if not _NUMBER.fullmatch(text) or integer and "/" in text:
+        raise ValidationError(error.format(text))
+    p, q = _number(text, error)
+    return p if integer else Fraction(p, q)
 
 
 def _parse_nested(tokens: list[str], pos: int):
@@ -269,17 +285,10 @@ def _scan_blocks(text: str, path: str) -> list[_Block]:
     return blocks
 
 
-def _rational(text: str, error: str = "bad rational {!r}") -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(error.format(text)) from None
-
-
 def _scalar(text: str):
     if text == "inf":
         raise ValueError("unexpected inf: a scalar value is a rational or -inf")
-    return NEG_INF if text == "-inf" else _rational(text, "bad rational literal {!r}")
+    return NEG_INF if text == "-inf" else read_number(text, "bad rational literal {!r}")
 
 
 def parse_workspace(path: str) -> Workspace:
@@ -290,7 +299,7 @@ def parse_workspace(path: str) -> Workspace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WorkspaceError(str(exc), path) from exc
     blocks = _scan_blocks(text, path)
     # each block kind the loader dispatches is popped; what is left is unknown
@@ -313,42 +322,35 @@ def parse_workspace(path: str) -> Workspace:
         except ValueError as exc:
             raise WorkspaceError(str(exc), path, line) from None
 
-    def parse_entries(block: _Block, parsers: dict, what: str) -> dict:
-        """The block's entries, each parsed by the parser its key selects."""
+    def parse_entries(block: _Block, parsers: dict, what: str, unknown: str = "") -> dict:
+        """The block's entries, each parsed by the parser its key selects; a key
+        with no parser is an unknown ``unknown`` (``what`` if not given)."""
         parsed = {}
         for lineno, key, value in block.entries:
             if key not in parsers:
-                raise WorkspaceError(f"unknown {what} {key!r}", path, lineno)
+                raise WorkspaceError(f"unknown {unknown or what} {key!r}", path, lineno)
             if key in parsed:
                 raise WorkspaceError(f"duplicate {what} {key!r}", path, lineno)
             parsed[key] = located(lineno, parsers[key], value)
         return parsed
 
     def kind_entries(block: _Block, accepted: dict, kinds: str) -> tuple[str, dict]:
-        """The block's kind and its entries by key, checked against ``accepted``."""
+        """The block's kind and its entries by key as (line, text), checked against ``accepted``."""
         entries = {key: (lineno, value) for lineno, key, value in block.entries}
         kind = entries.get("kind", (block.line, ""))[1]
         if kind not in accepted:
             message = f"{block.keyword} kind must be {kinds}, got {kind!r}"
             raise WorkspaceError(message, path, block.line)
-        known, seen = {"kind", *(key for key, _ in accepted[kind])}, set()
-        for lineno, key, _ in block.entries:
-            if key not in known:
-                message = f"unknown {kind} {block.keyword} entry {key!r}"
-                raise WorkspaceError(message, path, lineno)
-            if key in seen:
-                raise WorkspaceError(f"duplicate {block.keyword} entry {key!r}", path, lineno)
-            seen.add(key)
+        what = f"{block.keyword} entry"
+        keys = ("kind", *(key for key, _ in accepted[kind]))
+        parse_entries(block, dict.fromkeys(keys, str), what, f"{kind} {what}")
         for key, missing in accepted[kind]:
             if missing and key not in entries:
                 raise WorkspaceError(missing.format(block.name), path, block.line)
         return kind, entries
 
-    dim_block = single("dimension")
-    try:
-        dim = int(dim_block.inline or "")
-    except ValueError:
-        raise WorkspaceError("dimension must be an integer", path, dim_block.line) from None
+    dim_block, error = single("dimension"), "dimension must be an integer"
+    dim = located(dim_block.line, read_number, dim_block.inline or "", error, True)
 
     cone_block = single("cone")
     found = parse_entries(cone_block, _CONE_ENTRIES, "cone entry")
@@ -371,33 +373,28 @@ def parse_workspace(path: str) -> Workspace:
                 raise WorkspaceError(f"duplicate {what} {block.name!r}", path, block.line)
             yield block.name, block
 
-    def dim_vector(text: str):
-        v = parse_vector(text)
-        check_dim(dim, v)
-        return v
-
-    def setfunction(name: str, values: dict) -> SimpleSetFunction:
-        missing = [a for a in space.atoms if a not in values]
-        if missing:
-            raise ValidationError(f"set function {name!r} missing atoms {missing}")
-        return SimpleSetFunction(space, tuple(values[a] for a in space.atoms))
-
     # per-atom blocks, loaded in this order: (keyword, label, table, entry
-    # parser, builder from the block's name and its atom -> entry map)
+    # parser, class, message for the atoms a block leaves out, None if they weigh 0)
     per_atom = (
-        ("measure", "measure", ws.measures, _rational,
-         lambda _, m: AtomicMeasure.from_map(space, m)),
-        ("scalar", "scalar function", ws.scalars, _scalar,
-         lambda _, m: ScalarFunction.from_map(space, m)),
-        ("vector", "vector function", ws.vectors, dim_vector,
-         lambda _, m: VectorFunction.from_map(space, m)),
+        ("measure", "measure", ws.measures,
+         lambda text: read_number(text, "bad rational {!r}"), AtomicMeasure, None),
+        ("scalar", "scalar function", ws.scalars,
+         _scalar, ScalarFunction, "scalar function missing atoms {}"),
+        ("vector", "vector function", ws.vectors,
+         lambda text: checked_vector(dim, parse_vector(text)), VectorFunction,
+         "vector function missing atoms {}"),
         ("setfunction", "set function", ws.setfunctions,
-         lambda text: parse_set_literal(text, cone), setfunction),
+         lambda text: parse_set_literal(text, cone), SimpleSetFunction,
+         "set function {name!r} missing atoms {}"),
     )
-    for keyword, label, table, parse_entry, build in per_atom:
+    for keyword, label, table, parse_entry, build, missing in per_atom:
         for name, block in named_blocks(keyword, table, label):
-            mapping = parse_entries(block, dict.fromkeys(space.atoms, parse_entry), "atom")
-            table[name] = located(block.line, build, name, mapping)
+            given = parse_entries(block, dict.fromkeys(space.atoms, parse_entry), "atom")
+            left_out = [a for a in space.atoms if a not in given]
+            if missing and left_out:
+                raise WorkspaceError(missing.format(left_out, name=name), path, block.line)
+            values = tuple(given.get(a, 0) for a in space.atoms)
+            table[name] = located(block.line, build, space, values)
 
     for name, block in named_blocks("chain", ws.chains, "chain"):
         kind, entries = kind_entries(block, _CHAIN_KEYS, "'explicit' or 'harmonic-cone'")
@@ -412,10 +409,8 @@ def parse_workspace(path: str) -> Workspace:
             indices = DEFAULT_CHAIN_INDICES
             if "indices" in entries:
                 lineno, value = entries["indices"]
-                try:
-                    indices = tuple(int(t) for t in value.split())
-                except ValueError:
-                    raise WorkspaceError("indices must be integers", path, lineno) from None
+                error = "indices must be integers"
+                indices = tuple(located(lineno, read_number, t, error, True) for t in value.split())
             ws.chains[name] = located(block.line, ParametricChain, space, cone, indices)
 
     for name, block in named_blocks("functional", ws.functionals, "functional"):

@@ -226,6 +226,8 @@ def test_chain_check_flags_line_has_no_seed(ws_path, capsys):
         ["chain-check", "WS", "stab", "mu", "--epsilon-schedule", "-1"],
         ["chain-check", "WS", "stab", "mu", "--epsilon-schedule", "1/3"],
         ["oracle", "WS", "F", "mu", "--trials", "0"],
+        ["lattice", "WS", "scale", "F", "--scalar", "1.5"],
+        ["chain-check", "WS", "h", "mu", "--epsilon-schedule", "0.5"],
     ],
 )
 def test_bad_option_values_exit_2(ws_path, capsys, argv):
@@ -577,12 +579,23 @@ def test_geometry_error_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ray count exceeded desk scale")
 
 
+def test_a_workspace_that_is_not_utf8_is_an_error_at_its_path(tmp_path, capsys):
+    path = tmp_path / "bad.ws"
+    path.write_bytes(b"dimension: 2\n\xff\xfe\n")
+    code, out, err = run(capsys, "integrate", str(path), "F", "mu")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "request_text",
     [
         "eval 2\nx1 cone\nx9 cone\nend\n",  # unknown atom
         "eval 1\nx1 cone\nend\n",  # missing atom
         "eval two\n",  # non-integer count
+        "eval +2\nx1 cone\nx2 cone\nend\n",  # a count with a sign
+        "eval 0_2\nx1 cone\nx2 cone\nend\n",  # a count with an underscore
         "eval 2\nx1 cone\nx2 [1, 2\nend\n",  # unparsable value
     ],
 )

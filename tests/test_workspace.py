@@ -211,6 +211,17 @@ DIAGNOSTICS = {
     "measure-zero-denominator": ("x2: 2", "x2: 1/0", ":9: bad rational '1/0'"),
     "measure-inf": ("x2: 2", "x2: inf", ":9: bad rational 'inf'"),
     "measure-negative-weight": ("x2: 2", "x2: -2", ":7: negative weight -2 at atom 'x2'"),
+    # a number is p or p/q in ASCII digits, with an optional leading '-'
+    "measure-decimal": ("x2: 2", "x2: 0.5", ":9: bad rational '0.5'"),
+    "measure-exponent": ("x2: 2", "x2: 1e1", ":9: bad rational '1e1'"),
+    "scalar-underscore": ("x2: -inf", "x2: 1_000", ":12: bad rational literal '1_000'"),
+    "dimension-underscore": ("dimension: 2", "dimension: 0_2", ":2: dimension must be an integer"),
+    "chain-indices-plus": ("indices: 1 2 4", "indices: +1 2", ":28: indices must be integers"),
+    "literal-non-ascii-digit": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: [[\u0663, 0], [2, -1]]",
+        ":18: unexpected characters '\u0663'",
+    ),
     "scalar-no-name": ("scalar xi:", "scalar:", ":10: scalar function block needs a name"),
     "scalar-duplicate": (
         None, "scalar xi:\n    x1: 1\n    x2: 1\n", ":39: duplicate scalar function 'xi'"
@@ -440,6 +451,48 @@ def test_workspace_diagnostics(tmp_path, old, new, expected):
     with pytest.raises(WorkspaceError) as err:
         parse_workspace(path)
     assert str(err.value) == path + expected
+
+
+NUMBER_FIELDS = """
+dimension: 2
+cone:
+    generators: [1, 0] [0, 1]
+    interior_point: [1, 1]
+atoms: x1
+measure mu:
+    x1: {weight}
+scalar xi:
+    x1: {text}
+setfunction F:
+    x1: points: [[{text}, 0]]
+"""
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-10**20, 10**20), st.integers(1, 10**20))
+def test_p_and_p_over_q_read_as_one_rational_in_every_field(p, q):
+    """``p`` and ``p/q`` read as Fraction(p, q) as a measure weight, a scalar
+    value, a literal entry and the CLI's ``--scalar`` (those two unsigned)."""
+    import contextlib
+    import io
+    import tempfile
+
+    from uppersets.cli import main
+
+    for text, value in ((str(p), Fraction(p)), (f"{p}/{q}", Fraction(p, q))):
+        unsigned = text.lstrip("-")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), NUMBER_FIELDS.format(weight=unsigned, text=text))
+            ws = parse_workspace(path)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["lattice", path, "scale", "F", "--scalar", unsigned]) == 0
+        assert ws.measures["mu"].weight("x1") == abs(value)
+        assert ws.scalars["xi"].value("x1") == value
+        F = ws.setfunctions["F"]
+        assert F.value("x1").set_equal(point_plus_cone(R2, (value, 0)))
+        scaled = F.scale(abs(value)).value("x1").literal()
+        assert out.getvalue() == f"pointwise scale of F:\nx1: {scaled}\n"
 
 
 def test_readme_workspace_example_loads(tmp_path):
