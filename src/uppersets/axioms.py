@@ -6,12 +6,12 @@ integral for some measure exactly when it is additive, positively
 homogeneous, continuous from above, maps homogeneous halfspaces to
 themselves, maps cone translates ξc+C to cone translates, and commutes with
 pointwise supporting halfspaces.  The checker tests each property on a
-seeded, replayable sample set, the set equalities (A), (P), (N) and (S) in
-one loop up to their first counterexample; (C) checks its parametric chain
-against the measure μ({x}) = k of φ(1_x c + C) = k c + C
-(``indicator_measure``).  It reconstructs that measure from the singleton
-indicators, and re-verifies the representation on a suite that mirrors how
-a general function decomposes into halfspace and point-plus-cone pieces.
+seeded, replayable sample set, all six in one loop up to their first
+counterexample; (C) checks its parametric chain against the measure
+μ({x}) = k of φ(1_x c + C) = k c + C (``indicator_measure``).  It
+reconstructs that measure from the singleton indicators, and re-verifies
+the representation on a suite that mirrors how a general function
+decomposes into halfspace and point-plus-cone pieces.
 
 Six built-in mutants each corrupt the integral on their trigger, so that
 exactly one check fails on the default samples.  One table holds each
@@ -283,28 +283,34 @@ class CheckResult:
         return "\n".join([head, *("    " + line for line in self.details)])
 
 
-def _first_mismatch(axiom: str, cases) -> CheckResult:
-    """Run a set-equality check over its cases up to the first mismatch.
+def _first_failure(axiom: str, cases) -> CheckResult:
+    """Run a check over its cases up to the first failure.
 
-    A case is None, when skipped, or (φ(input), expected, where, named sample
-    functions, (label of φ(input), label of expected)); the report strings
-    are built only for the failing case, and no case after it is drawn.
+    A case is a skip, which is None or a note that a passing check reports,
+    or a pair (holds, report); ``report()`` builds the failure's lines and is
+    called only for the failing case, before any later case is drawn.
     """
-    checked = skipped = 0
+    checked, skips = 0, []
     for case in cases:
-        if case is None:
-            skipped += 1
+        if not isinstance(case, tuple):
+            skips.append(case)
             continue
-        got, expected, where, named, (got_label, expected_label) = case
+        holds, report = case
         checked += 1
-        if not got.set_equal(expected):
-            return CheckResult(axiom, "fail", checked, skipped, (
-                f"counterexample {where}:",
-                *(f"{name} = {F.describe()}" for name, F in named),
-                f"{got_label} = {got.literal()}",
-                f"{expected_label} = {expected.literal()}",
-            ))
-    return CheckResult(axiom, "pass", checked, skipped)
+        if not holds:
+            return CheckResult(axiom, "fail", checked, len(skips), tuple(report()))
+    return CheckResult(axiom, "pass", checked, len(skips), tuple(filter(None, skips)))
+
+
+def _equal(got: UpperSet, expected: UpperSet, where: str, named, labels) -> tuple:
+    """The case φ(input) = expected, reported at ``where`` with the named
+    sample functions and the two sides under ``labels``."""
+    return got.set_equal(expected), lambda: (
+        f"counterexample {where}:",
+        *(f"{name} = {F.describe()}" for name, F in named),
+        f"{labels[0]} = {got.literal()}",
+        f"{labels[1]} = {expected.literal()}",
+    )
 
 
 def check_additivity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
@@ -312,12 +318,12 @@ def check_additivity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
         for i, j in samples.pairs:
             F, G = samples.functions[i], samples.functions[j]
             a, b = phi(F), phi(G)
-            yield None if a.is_empty or b.is_empty else (
+            yield None if a.is_empty or b.is_empty else _equal(
                 phi(samples.pair_sums[(i, j)]), a.oplus(b), f"pair #{i},#{j}",
                 (("F", F), ("G", G)), ("phi(F ⊕ G)", "phi(F) ⊕ phi(G)"),
             )
 
-    return _first_mismatch("A", cases())
+    return _first_failure("A", cases())
 
 
 def check_positive_homogeneity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
@@ -326,43 +332,34 @@ def check_positive_homogeneity(phi: SetFunctional, samples: SampleSet) -> CheckR
             base = phi(F)
             for lam in samples.LAMBDA_GRID:
                 # scale already carries the conventions: 0·D = C and λ·∅ = ∅
-                yield (
+                yield _equal(
                     phi(samples.scaled[(i, lam)]), base.scale(lam),
                     f"at lambda = {format_rational(lam)}, sample #{i}",
                     (("F", F),), ("phi(lambda F)", "lambda phi(F)"),
                 )
 
-    return _first_mismatch("P", cases())
+    return _first_failure("P", cases())
 
 
 def check_continuity_from_above(phi: SetFunctional, samples: SampleSet) -> CheckResult:
-    schedule_measure = indicator_measure(phi, samples.space, samples.cone)
-    checked = skipped = 0
-    details: list[str] = []
-    for chain in samples.chains:
-        if chain.needs_measure and schedule_measure is None:
-            skipped += 1
-            details.append(
-                f"{chain.mode} chain skipped: no candidate measure for the deviation schedule"
-            )
-            continue
-        if phi(chain.steps[0]).is_empty:
-            skipped += 1
-            details.append(f"{chain.mode} chain skipped: phi(F_1) is empty")
-            continue
-        report = chain.check(phi, schedule_measure)
-        checked += 1
-        if not report.ok:
-            return CheckResult(
-                "C", "fail", checked, skipped, tuple([f"{report.mode} chain:"] + list(report.lines))
-            )
-    return CheckResult("C", "pass", checked, skipped, tuple(details))
+    def cases():
+        schedule_measure = indicator_measure(phi, samples.space, samples.cone)
+        for chain in samples.chains:
+            if chain.needs_measure and schedule_measure is None:
+                yield f"{chain.mode} chain skipped: no candidate measure for the deviation schedule"
+            elif phi(chain.steps[0]).is_empty:
+                yield f"{chain.mode} chain skipped: phi(F_1) is empty"
+            else:
+                report = chain.check(phi, schedule_measure)
+                yield report.ok, lambda: [f"{report.mode} chain:", *report.lines]
+
+    return _first_failure("C", cases())
 
 
 def check_nullity(phi: SetFunctional, samples: SampleSet) -> CheckResult:
-    return _first_mismatch("N", (
-        (phi(F), F.values[0], f"normal w = {format_vector(w)}", (),
-         ("phi(constant H(w))", "expected H(w)"))
+    return _first_failure("N", (
+        _equal(phi(F), F.values[0], f"normal w = {format_vector(w)}", (),
+               ("phi(constant H(w))", "expected H(w)"))
         for w, F in zip(samples.nullity_normals, samples.nullity_inputs)
     ))
 
@@ -403,37 +400,21 @@ def indicator_measure(phi: SetFunctional, space: AtomicSpace, cone: Cone) -> Ato
 
 
 def check_indicator(phi: SetFunctional, samples: SampleSet) -> CheckResult:
-    checked = 0
-    for xi, F in zip(samples.indicator_xis, samples.indicator_inputs):
-        out = extract_scalar(phi(F), samples.cone)
-        checked += 1
-        if out == "not_of_form":
-            return CheckResult(
-                "I",
-                "fail",
-                checked,
-                0,
-                (
-                    f"counterexample xi = {xi.describe()}:",
-                    f"phi(xi c + C) = {phi(F).literal()}",
-                    "which is neither empty nor of the form k c + C with k >= 0",
-                ),
+    def cases():
+        for xi, F in zip(samples.indicator_xis, samples.indicator_inputs):
+            yield extract_scalar(phi(F), samples.cone) != "not_of_form", lambda: (
+                f"counterexample xi = {xi.describe()}:",
+                f"phi(xi c + C) = {phi(F).literal()}",
+                "which is neither empty nor of the form k c + C with k >= 0",
             )
-    pos_value = extract_scalar(phi(samples.positive_input), samples.cone)
-    checked += 1
-    if pos_value in ("empty", "not_of_form") or pos_value == 0:
-        return CheckResult(
-            "I",
-            "fail",
-            checked,
-            0,
-            (
-                "nontriviality clause: the strictly positive xi = "
-                f"{samples.positive_xi.describe()} classifies as {_shown(pos_value)}, "
-                "expected a finite strictly positive k",
-            ),
+        k = extract_scalar(phi(samples.positive_input), samples.cone)
+        yield not isinstance(k, str) and k > 0, lambda: (
+            "nontriviality clause: the strictly positive xi = "
+            f"{samples.positive_xi.describe()} classifies as {_shown(k)}, "
+            "expected a finite strictly positive k",
         )
-    return CheckResult("I", "pass", checked, 0)
+
+    return _first_failure("I", cases())
 
 
 def interchange_directions(F: SimpleSetFunction, phi_value: UpperSet, cone: Cone) -> list[Vec]:
@@ -458,12 +439,12 @@ def check_interchange(phi: SetFunctional, samples: SampleSet) -> CheckResult:
                 yield None
                 continue
             inputs = samples.supporting_inputs(F, base)
-            yield (
+            yield _equal(
                 base, sup_set(samples.cone, [phi(G) for _, G in inputs]), f"sample #{i}",
                 (("F", F),), ("phi(F)", f"sup over {len(inputs)} supporting-halfspace images"),
             )
 
-    return _first_mismatch("S", cases())
+    return _first_failure("S", cases())
 
 
 # ---------------------------------------------------------------------------

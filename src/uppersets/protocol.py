@@ -178,6 +178,8 @@ def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:
             atom, _, literal = line.strip().partition(" ")
             if atom not in space.atoms:
                 raise ProtocolError(f"unknown atom {atom!r}")
+            if atom in values:
+                raise ProtocolError(f"duplicate atom {atom!r}")
             try:
                 values[atom] = parse_set_literal(literal, cone)
             except ValueError as exc:

@@ -348,6 +348,41 @@ def test_reconstruct_report_and_evaluation_order(overrides, report, evaluated):
     assert rec.ok == (report[-1] == "status: ok")
 
 
+def test_indicator_stops_at_a_reading_not_of_the_form():
+    samples = SampleSet(X2, R2, seed=0)
+    phi, seen = _integral_except({(0, 0): UpperSet.full(R2)})
+    result = check_indicator(phi, samples)
+    assert (result.status, result.checked, result.skipped) == ("fail", 1, 0)
+    assert seen == samples.indicator_inputs[:1]
+    assert result.details == (
+        "counterexample xi = {x1: 0, x2: 0}:",
+        "phi(xi c + C) = full",
+        "which is neither empty nor of the form k c + C with k >= 0",
+    )
+
+
+def test_continuity_reports_the_failing_chain_and_draws_no_later_chain():
+    # the measure is read first, then the stabilizing chain, whose limit reads empty
+    samples = SampleSet(X2, R2, seed=0)
+    chain = samples.stabilizing_chain
+    seen = []
+
+    def evaluator(F):
+        seen.append(F)
+        return UpperSet.empty(R2) if F == chain.limit else aumann_integral(F, MU).value
+
+    result = check_continuity_from_above(SetFunctional("empty-limit", evaluator), samples)
+    assert (result.status, result.checked, result.skipped) == ("fail", 1, 0)
+    assert result.details == (
+        "explicit chain:",
+        "integral at step 2 not contained in step 3",
+        "inf of integrals halfspaces: [[0, 1, -15/14], [1, 0, -15/14], [4, 5, 33/14], "
+        "[10, 1, -67/14]] differs from the limit integral empty",
+    )
+    assert seen == samples.indicator_inputs[:3] + list(chain.steps[:3])
+    assert not set(seen) & set(samples.parametric_chain.steps)
+
+
 def test_indicator_nontriviality_clause_rejects_a_zero_reading():
     phi = SetFunctional("constant-C", lambda F: cone_upper_set(R2))
     result = check_indicator(phi, SampleSet(X2, R2, seed=0))

@@ -181,6 +181,23 @@ def test_unknown_mutant_exits_2(ws_path, capsys, seed):
     )
 
 
+@pytest.mark.parametrize(
+    "functional, message",
+    [
+        ("mutant:foo", "inline mutant form is mutant:NAME:MEASURE"),
+        (
+            "nope",
+            "{ws}: unknown functional 'nope'; use a workspace name, integral:MEASURE "
+            "or mutant:NAME:MEASURE",
+        ),
+    ],
+    ids=["mutant-without-measure", "unknown-functional"],
+)
+def test_malformed_functional_name_exits_2(ws_path, capsys, functional, message):
+    code, out, err = run(capsys, "check-axioms", ws_path, functional)
+    assert (code, out, err) == (2, "", f"error: {message.format(ws=ws_path)}\n")
+
+
 def test_chain_check(ws_path, capsys):
     code, out, _ = run(capsys, "chain-check", ws_path, "h", "mu")
     assert code == 0 and "parametric" in out
@@ -597,6 +614,7 @@ def test_a_workspace_that_is_not_utf8_is_an_error_at_its_path(tmp_path, capsys):
         "eval +2\nx1 cone\nx2 cone\nend\n",  # a count with a sign
         "eval 0_2\nx1 cone\nx2 cone\nend\n",  # a count with an underscore
         "eval 2\nx1 cone\nx2 [1, 2\nend\n",  # unparsable value
+        "eval 3\nx1 cone\nx2 cone\nx1 full\nend\n",  # a repeated atom
     ],
 )
 def test_serve_rejects_malformed_requests(request_text):
@@ -618,6 +636,8 @@ def test_serve_rejects_malformed_requests(request_text):
         ("hello\n", "bad request header 'hello'"),
         ("eval 2\nx1 cone\n", "truncated request"),
         ("eval 2\nx1 cone\nx2 cone\nfinish\n", "missing request trailer"),
+        # refused at the repeated line, before its literal is parsed
+        ("eval 3\nx1 cone\nx2 cone\nx1 [1, 2\nend\n", "duplicate atom 'x1'"),
     ],
 )
 def test_serve_names_what_is_malformed(request_text, message):

@@ -162,6 +162,13 @@ def test_support_commutation_on_random_directions():
             assert res.value.support(w) == weighted_support_sum(f, mu, w)
 
 
+@pytest.mark.parametrize("weights, expected", [((1, 2), float("-inf")), ((0, 2), 2)])
+def test_weighted_support_sum_skips_zero_weight_atoms_before_minus_inf(weights, expected):
+    # F(x1) = H((1, 0), 0) has support -inf at w = (0, 1); F(x2) = (1, 1) + C has 1
+    f = SimpleSetFunction(X2, (halfspace_set(R2, (1, 0), 0), point_plus_cone(R2, (1, 1))))
+    assert weighted_support_sum(f, AtomicMeasure(X2, weights), (0, 1)) == expected
+
+
 def test_supporting_halfspace_interchange():
     rng = random.Random(14)
     for _ in range(8):

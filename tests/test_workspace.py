@@ -442,6 +442,21 @@ DIAGNOSTICS = {
         "x1: halfspaces: [[inf, 1, 1]]",
         ":17: unexpected inf: only halfspace offsets may be infinite",
     ),
+    "literal-unterminated-bracket": (
+        "    x1: points: [[1, 0]]", "    x1: points: [[0, 0]", ":20: unterminated '['"
+    ),
+    "vector-trailing-number": ("x2: [0, 1]", "x2: [1, 1] 2", ":15: malformed vector '[1, 1] 2'"),
+    "vector-nested-entry": ("x2: [0, 1]", "x2: [[1], 1]", ":15: malformed vector '[[1], 1]'"),
+    "literal-trailing-tokens": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: [[0, 0]] [1]",
+        ":18: trailing tokens in '[[0, 0]] [1]'",
+    ),
+    "literal-duplicate-segment": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: [[0, 0]] points: [[1, 1]]",
+        ":18: duplicate segment 'points'",
+    ),
 }
 
 
