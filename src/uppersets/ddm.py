@@ -25,8 +25,8 @@ Asked for its ``incidence``, ``cone_vrep`` also returns each output ray's
 zero set over the input rows, which is enough to drop redundant input rows
 without a second run: one run over a V-rep yields the facets and the
 irredundant points, rays and lineality, one run over a full-dimensional H-rep
-its V-rep and its facets.  ``upperset`` takes a planar canonical form from
-points, or from normals in C+, by one sort instead; these stay its reference.
+its V-rep and its facets.  ``upperset`` skips the run for planar canonical
+forms (one sort) and pointed 3-D sums (a fan merge); it stays their reference.
 """
 
 from __future__ import annotations

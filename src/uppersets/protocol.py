@@ -164,7 +164,7 @@ def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:
         header = header.strip()
         if not header:
             continue
-        if not header.startswith("eval "):
+        if not header.startswith("eval ") or len(header.split()) != 2:  # "eval <count>", nothing after
             raise ProtocolError(f"bad request header {header!r}")
         try:
             count = read_number(header.split()[1], "bad atom count {!r}", True)

@@ -20,9 +20,10 @@ normals in C+ one angular sweep over its lines, and a planar ⊕ one merge of
 the operands' chains, normal by normal, with no pair sums and no hull.  All
 three hand the chain's normals and vertices to ``_chain``, the one builder.
 ``weighted_sum``, Σ λ·S as in an integral, chooses how to add: one such merge
-of all terms when each is proper and planar, else ``oplus`` folded.  Off the
-plane, over a V-rep plus C's generators the run yields the facets, and its
-incidence the irredundant points and rays and the lineality space.  An H-rep
+of all terms when each is proper and planar, else ``oplus`` folded.  A 3-D ⊕
+without lineality makes no run: ``_fan_sum`` merges the operands' normal fans
+unless their rays cancel.  Else the run over a V-rep plus C's generators yields
+the facets, its incidence the irredundant points, rays and lineality.  An H-rep
 is read as integer rows (w, n, e), meaning <z, w> >= n/e, from ``rows`` as
 they come or from (normal, offset) pairs by ``primitive_halfspace``; one
 with all normals in C+ is closed under C already: the run yields the V-rep,
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -60,6 +61,7 @@ from .linalg import (
     POS_INF,
     Vec,
     clear_denominators,
+    coprime,
     dot,
     is_zero,
     primitive,
@@ -246,6 +248,9 @@ class UpperSet:
                 return UpperSet.full(d.cone) if sigma is None else e._translate(*_shift(w, sigma, d.denominator))
         if self.dim == 2:
             return _planar_sum(self.cone, [(1, self), (1, other)])
+        merged = self.dim == 3 and not (self.lineality or other.lineality) and _fan_sum(self, other)
+        if merged:
+            return merged
         (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
@@ -467,6 +472,81 @@ def _vertex(chains, passed) -> Vec:
         x += f * p[0]
         y += f * p[1]
     return x, y
+
+
+def _fan_sum(a: UpperSet, b: UpperSet) -> UpperSet | None:
+    """A ⊕ B for proper 3-D sets without lineality by merging their normal fans
+    (Fukuda 2004; de Berg et al., ch. 2), None when rays of A and B cancel and
+    the sum's normals do not span R³.  These are each one's normals in the dual
+    of the other's recession cone, and ±(n × m), n = a_i × a_j, m = b_k × b_l,
+    where edge arcs cone(a_i, a_j) and cone(b_k, b_l) in the pointed C+ cross:
+    each has its ends strictly on both sides of the other's plane, and n × m is
+    in the first iff <m, a_i> > 0.  Offsets are σ_A + σ_B; vertices and rays
+    are the pair sums and operand rays where the tight normals have rank 3, 2."""
+    (pa, arcs_a), (pb, arcs_b) = _fan(a), _fan(b)
+    tight = {}  # u: (d_A·σ_A(u), the points of A at it, d_B·σ_B(u), those of B)
+    for (w, n), p in zip(a.facets, pa):
+        if all(_dot3(r, w) >= 0 for r in b.rays):
+            tight[w] = (n, p, *_least(b.numerators, w))
+    for (w, n), p in zip(b.facets, pb):
+        if w not in tight and all(_dot3(r, w) >= 0 for r in a.rays):
+            tight[w] = (*_least(a.numerators, w), n, p)
+    sides = [[_dot3(m, w) for w, _ in a.facets] for _, _, m, _, _ in arcs_b]  # <m, a_i> per arc of B
+    for i, j, n, e, p in arcs_a:
+        t = [_dot3(n, w) for w, _ in b.facets]
+        for (k, l, m, e2, q), s in zip(arcs_b, sides):
+            if s[i] * s[j] < 0 and t[k] * t[l] < 0:
+                u = coprime(_cross(n, m) if s[i] > 0 else _cross(m, n))
+                tight[u] = (_dot3(p, u), e, _dot3(q, u), e2)
+    if _rank(list(tight)) < 3:
+        return None
+    d = lcm(a.denominator, b.denominator)
+    f, g = d // a.denominator, d // b.denominator
+    pairs = product(enumerate(a.numerators), enumerate(b.numerators))
+    points = [tuple(f * x + g * y for x, y in zip(p, q)) for (i, p), (j, q) in pairs
+              if _rank([u for u, (_, at_a, _, at_b) in tight.items() if at_a >> i & at_b >> j & 1]) == 3]
+    rays = [r for r in {*a.rays, *b.rays} if _rank([u for u in tight if not _dot3(r, u)]) == 2]
+    facets = [(u, f * x + g * y) for u, (x, _, y, _) in tight.items()]
+    return _proper(a.cone, facets, d, sorted(points), sorted(rays), ())
+
+
+@functools.lru_cache(maxsize=64)
+def _fan(s: UpperSet) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """The normal fan of a pointed 3-D set: per facet the bitmask of its stored
+    points, and per edge (i, j, a_i × a_j, the bitmask of its points, one of
+    them) for the facets i and j that meet there, at two stored points or at
+    one and a ray."""
+    masks = [(_least(s.numerators, w, n)[1], _least(s.rays, w, 0)[1]) for w, n in s.facets]
+    arcs = []
+    for (i, (p1, r1)), (j, (p2, r2)) in combinations(enumerate(masks), 2):
+        p = p1 & p2
+        if p and (p & p - 1 or r1 & r2):
+            arcs.append((i, j, _cross(s.facets[i][0], s.facets[j][0]), p, s.numerators[p.bit_length() - 1]))
+    return tuple(p for p, _ in masks), tuple(arcs)  # cached, so not mutable
+
+
+def _least(vectors, u, least=None) -> tuple[int, int]:
+    """(v, the bitmask of the vectors x with <x, u> = v), v = ``least`` or else the least <x, u>."""
+    x = [_dot3(p, u) for p in vectors]
+    v = min(x) if least is None else least
+    return v, sum(1 << i for i, y in enumerate(x) if y == v)
+
+
+def _rank(vectors) -> int:
+    """The rank of a list of nonzero 3-D vectors."""
+    for v in vectors:
+        c = _cross(vectors[0], v)
+        if any(c):
+            return 3 if any(_dot3(c, x) for x in vectors) else 2
+    return min(len(vectors), 1)
+
+
+def _cross(a, b) -> Vec:
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _dot3(a, b) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 _CCW = functools.cmp_to_key(lambda w, u: w[1] * u[0] - w[0] * u[1])  # sorts normals in C+ counterclockwise

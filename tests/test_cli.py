@@ -615,6 +615,7 @@ def test_a_workspace_that_is_not_utf8_is_an_error_at_its_path(tmp_path, capsys):
         "eval 0_2\nx1 cone\nx2 cone\nend\n",  # a count with an underscore
         "eval 2\nx1 cone\nx2 [1, 2\nend\n",  # unparsable value
         "eval 3\nx1 cone\nx2 cone\nx1 full\nend\n",  # a repeated atom
+        "eval 2 junk\nx1 cone\nx2 cone\nend\n",  # a trailing token in the header
     ],
 )
 def test_serve_rejects_malformed_requests(request_text):
@@ -634,6 +635,7 @@ def test_serve_rejects_malformed_requests(request_text):
     "request_text, message",
     [
         ("hello\n", "bad request header 'hello'"),
+        ("eval 2 junk\nx1 cone\nx2 cone\nend\n", "bad request header 'eval 2 junk'"),
         ("eval 2\nx1 cone\n", "truncated request"),
         ("eval 2\nx1 cone\nx2 cone\nfinish\n", "missing request trailer"),
         # refused at the repeated line, before its literal is parsed

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from fan_gate import ddm_path, stored
 from uppersets import protocol, upperset
 from uppersets.cli import main
 from uppersets.integral import integral_value
@@ -207,6 +208,27 @@ def test_the_external_round_trips_build_few_fractions(workdir, monkeypatch):
     profile = cProfile.Profile()
     assert profile.runcall(round_trips) == list(map(evaluate, evaluated))
     assert calls_in(profile, "__new__", "fractions.py") <= 200
+
+
+def test_fan_merges_equal_the_pair_sums_in_the_golden_orthant3_commands(workdir, monkeypatch):
+    # a shadow of the 3-D fan merge: each set it builds is built again from
+    # the pair sums through _from_vrep, the DDM path, and every stored field
+    # must be equal; the two orthant3 verdicts make 1,014 merges, while oracle
+    # and integrate add cone translates only
+    merge, merged, differing = upperset._fan_sum, [], []
+
+    def shadowed(a, b):
+        got = merge(a, b)
+        if got is not None:
+            merged.append(got)
+            if stored(got) != stored(ddm_path(a, b)):
+                differing.append((a.literal(), b.literal()))
+        return got
+
+    monkeypatch.setattr(upperset, "_fan_sum", shadowed)
+    for command in (c for c in CORPUS if c[1] == "orthant3"):
+        assert transcript(command, workdir) == (TRANSCRIPTS / transcript_name(command)).read_text(encoding="utf-8")
+    assert not differing and len(merged) > 1000
 
 
 def test_every_transcript_belongs_to_the_corpus():

@@ -276,10 +276,11 @@ def test_oracle_attains_through_rays_orthogonal_to_the_normal():
     assert report.attainment_witnesses == ((vec((0, 0)), (vec((0, 0)), vec((0, 0)))),)
 
 
-def test_oracle_makes_no_ddm_run_beyond_its_integral(ddm_runs):
+def test_oracle_makes_no_ddm_run_beyond_its_integral(ddm_runs, fan_merges):
     # three staircases in the plane x3 = 0 of R3 with edge slopes -2, -1/2
     # and -1: the value has four vertices, and its ⊕ C identity is read off
-    # its facet normals (a planar value would take no run at all)
+    # its facet normals (a planar value would take no run at all); each
+    # general 3-D sum is a fan merge, and the oracle adds none of its own
     f = SimpleSetFunction(
         X3,
         tuple(
@@ -289,13 +290,13 @@ def test_oracle_makes_no_ddm_run_beyond_its_integral(ddm_runs):
     )
     mu = AtomicMeasure(X3, (1, 1, 1))
     cone_upper_set(R3)  # cached after its first run
-    start = len(ddm_runs)
+    start, merged = len(ddm_runs), len(fan_merges)
     aumann_integral(f, mu)
-    integral_runs = len(ddm_runs) - start
+    integral_sums = (len(ddm_runs) - start, len(fan_merges) - merged)
     report = selection_oracle(f, mu, trials=5, seed=0)
     assert report.passed and len(report.value.points) == 4
-    assert integral_runs == 2  # one per general sum of the fold
-    assert len(ddm_runs) - start == 2 * integral_runs
+    assert integral_sums == (0, 2)  # one merge per general sum of the fold
+    assert (len(ddm_runs) - start, len(fan_merges) - merged) == (0, 2 * integral_sums[1])
 
 
 def test_oracle_identity_fails_on_a_normal_outside_the_dual_cone():

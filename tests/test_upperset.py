@@ -377,9 +377,17 @@ def runs_of(calls, make):
     return len(calls) - before
 
 
-def test_one_ddm_run_per_canonical_form(ddm_runs):
+def sums_of(ddm_runs, fan_merges, make):
+    """(DDM runs, 3-D fan merges) that ``make`` costs."""
+    runs, merges = len(ddm_runs), len(fan_merges)
+    make()
+    return len(ddm_runs) - runs, len(fan_merges) - merges
+
+
+def test_one_ddm_run_per_canonical_form(ddm_runs, fan_merges):
     # over R3 a canonical form costs one run, two for an H-rep with a normal
-    # outside C+; the plane takes the staircase hull and the angular sweep
+    # outside C+, and a general ⊕ one fan merge instead; the plane takes the
+    # staircase hull, the angular sweep and the chain merge
     for cone, run in ((orthant(3), 1), (R2, 0)):
         pad = (0,) * (cone.dim - 2)
         units = [tuple(int(i == j) for j in range(cone.dim)) for i in range(cone.dim)]
@@ -389,7 +397,7 @@ def test_one_ddm_run_per_canonical_form(ddm_runs):
         # translates of a cached C and H(w, 0) are closed forms: no run
         cone_upper_set(cone), halfspace_set(cone, w, 0)
         assert runs_of(ddm_runs, lambda: point_plus_cone(cone, (3, 1, *pad))) == 0
-        assert runs_of(ddm_runs, lambda: a.oplus(b)) == run
+        assert sums_of(ddm_runs, fan_merges, lambda: a.oplus(b)) == (0, run)
         assert runs_of(ddm_runs, lambda: a.oplus(point_plus_cone(cone, (3, 1, *pad)))) == 0
         assert runs_of(ddm_runs, lambda: halfspace_set(cone, w, 5).oplus(b)) == 0
         assert runs_of(ddm_runs, lambda: inf_set(cone, [a, b])) == run
@@ -404,7 +412,7 @@ def test_one_ddm_run_per_canonical_form(ddm_runs):
         atoms = space("x1", "x2", "x3")
         F = SimpleSetFunction(atoms, (a, b, a))
         mu = AtomicMeasure(atoms, (1, 2, 0))
-        assert runs_of(ddm_runs, lambda: aumann_integral(F, mu)) == run
+        assert sums_of(ddm_runs, fan_merges, lambda: aumann_integral(F, mu)) == (0, run)
     halfspace_set(HALF_PLANE, (1, 1), 0)
     assert runs_of(ddm_runs, lambda: halfspace_set(HALF_PLANE, (1, 1), 5)) == 0
     assert runs_of(ddm_runs, lambda: canonicalize(HALF_PLANE, points=[(0, 1), (2, -1)])) == 0

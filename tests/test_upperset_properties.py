@@ -1,11 +1,14 @@
 """Algebraic and order laws of the upper-set lattice, property-based."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from uppersets import Cone, ddm, orthant
+from uppersets import Cone, ddm, orthant, upperset
 from uppersets.integral import integral_value
 from uppersets.linalg import NEG_INF, dot, ext_add, primitive
 from uppersets.measure_space import AtomicMeasure, AtomicSpace, SimpleSetFunction
@@ -410,3 +413,103 @@ def test_planar_integral_matches_scale_then_oplus(case):
     for piece in rest:
         value = value.oplus(piece)
     assert stored(got) == stored(value)
+
+
+CONES3 = [orthant(3), Cone(3, ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)), (1, 1, 1))]
+small_vectors3 = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+@st.composite
+def sets3(draw, cone):
+    """Sets from points with up to two extra rays, which may leave C, cancel
+    or span a lineality line, and from H-reps with normals in C+."""
+    if draw(st.booleans()):
+        return canonicalize(cone, points=draw(points_for(cone)), rays=draw(st.lists(small_vectors3, max_size=2)))
+    rows = [(dual_direction(draw, cone), draw(rationals)) for _ in range(draw(st.integers(1, 4)))]
+    return canonicalize(cone, halfspaces=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONES3).flatmap(lambda cone: st.tuples(sets3(cone), sets3(cone))))
+def test_3d_oplus_matches_the_pair_sums(pair):
+    # the fan merge is called directly too, as oplus takes the closed-form
+    # rules first; it declines exactly when the sum has lineality
+    d, e = pair
+    reference = pair_sum_reference(d, e)
+    assert stored(d.oplus(e)) == stored(reference)
+    if d.kind == e.kind == "proper" and not d.lineality and not e.lineality:
+        merged = upperset._fan_sum(d, e)
+        assert (merged is None) == bool(reference.lineality)
+        assert merged is None or stored(merged) == stored(reference)
+
+
+def cross(a, b):
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def edge_arcs(s):
+    """The pairs of facet normals of a pointed 3-D set that meet at an edge."""
+    on = [({p for p in s.numerators if dot(p, w) == n}, {r for r in s.rays if not dot(r, w)}) for w, n in s.facets]
+    return [
+        (s.facets[i][0], s.facets[j][0])
+        for i, j in combinations(range(len(on)), 2)
+        if len(on[i][0] & on[j][0]) > 1 or (on[i][0] & on[j][0] and on[i][1] & on[j][1])
+    ]
+
+
+def degeneracies(d, e):
+    """The degenerate overlays of the normal fans of d and e."""
+    found = set()
+    for s, t in ((d, e), (e, d)):
+        if {w for w, _ in s.facets} & {w for w, _ in t.facets}:
+            found.add("shared normal")
+        for a1, a2 in edge_arcs(s):
+            for b1, b2 in edge_arcs(t):
+                m = cross(b1, b2)
+                if not any(cross(cross(a1, a2), m)):
+                    found.add("parallel edges")
+                if not dot(a1, m) and dot(cross(a1, b2), m) > 0 and dot(cross(b1, a1), m) > 0:
+                    found.add("arc endpoint inside an arc")
+    return found
+
+
+R3 = orthant(3)
+FOUR = CONES3[1]
+
+
+@pytest.mark.parametrize(
+    "d, e, shapes",
+    [
+        (  # the same normals and parallel edges: one staircase and its double
+            canonicalize(R3, points=[(0, 1, 0), (1, 0, 0)]),
+            canonicalize(R3, points=[(0, 2, 0), (2, 0, 0)]),
+            {"shared normal", "parallel edges"},
+        ),
+        (  # (1, 1, 1) = ((1, 1, 0) + (1, 1, 2))/2 inside the other's arc
+            canonicalize(R3, halfspaces=[((1, 1, 1), 0), ((1, 0, 0), -3), ((0, 1, 0), -3), ((0, 0, 1), -3)]),
+            canonicalize(R3, halfspaces=[((1, 1, 0), 0), ((1, 1, 2), 0), ((1, 0, 0), -5), ((0, 1, 0), -5), ((0, 0, 1), -5)]),
+            {"arc endpoint inside an arc"},
+        ),
+        (  # rays outside C over the four-generator cone
+            canonicalize(FOUR, points=[(0, 0, 1), (1, 2, 0)], rays=[(1, 0, -1)]),
+            canonicalize(FOUR, points=[(2, 0, 0), (0, 1, 1)], rays=[(0, 1, -1)]),
+            set(),
+        ),
+    ],
+    ids=["parallel", "endpoint-on-arc", "rays-outside-C"],
+)
+def test_3d_oplus_merges_degenerate_fans(d, e, shapes):
+    assert shapes <= degeneracies(d, e)
+    merged = upperset._fan_sum(d, e)
+    assert merged is not None and stored(merged) == stored(pair_sum_reference(d, e))
+
+
+def test_3d_oplus_of_cancelling_rays_takes_the_ddm_path():
+    # (1, 0, -1) is a ray of A and (-1, 0, 1) one of B: the sum has lineality
+    # while neither operand has, so the merge declines and the run decides
+    a = canonicalize(R3, halfspaces=[((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 0, 1), 0)])
+    b = canonicalize(R3, halfspaces=[((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 1), 0)])
+    assert not a.lineality and not b.lineality
+    assert upperset._fan_sum(a, b) is None
+    assert a.oplus(b).lineality == ((1, 0, -1),)
+    assert stored(a.oplus(b)) == stored(pair_sum_reference(a, b))
