@@ -572,7 +572,7 @@ def representation_suite(space: AtomicSpace, cone: Cone, seed: int = 0):
             (f"halfspace-offsets #{k}", halfspace_function(space, cone, w, ScalarFunction(space, values)))
         )
     w = cone.dual_generators[0]
-    absent = [NEG_INF] + [Fraction(rng.randint(-2, 2)) for _ in range(len(space) - 1)]
+    absent = [NEG_INF] + [rng.randint(-2, 2) for _ in range(len(space) - 1)]
     suite.append(
         ("halfspace-with-absent-offset", halfspace_function(space, cone, w, ScalarFunction(space, tuple(absent))))
     )

@@ -35,10 +35,10 @@ from .integral import (
     monotone_limit_check,
     selection_oracle,
 )
-from .linalg import format_rational
+from .linalg import format_rational, read_number
 from .protocol import ExternalFunctional, ProtocolError
 from .upperset import inf_set, sup_set, weighted_sum
-from .workspace import Workspace, WorkspaceError, parse_workspace, read_number
+from .workspace import Workspace, WorkspaceError, parse_workspace
 
 
 def _flags_line(args, extra: str = "") -> str:

@@ -6,22 +6,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ddm import cone_vrep, rref_basis
-from .linalg import Vec, dot, format_vector, is_zero, primitive, vec
+from .linalg import ValidationError, Vec, dot, format_vector, is_zero, primitive, vec
 
 MAX_DIMENSION = 8
 
 
-class ValidationError(ValueError):
-    """A domain invariant is violated by the given data."""
-
-
 class DimensionMismatchError(ValidationError):
     """Operands live in different ambient dimensions."""
-
-
-def check_dim(expected: int, v, what: str = "vector") -> None:
-    if len(v) != expected:
-        raise DimensionMismatchError(f"{what} has dimension {len(v)}, expected {expected}")
 
 
 def checked_vector(dim: int, v, what: str = "vector") -> Vec:
@@ -29,8 +20,9 @@ def checked_vector(dim: int, v, what: str = "vector") -> Vec:
     names it in the error): as a tuple when every entry is an int, else by ``vec``."""
     v = tuple(v)
     if any(type(x) is not int for x in v):
-        v = vec(v)
-    check_dim(dim, v, what)
+        v = vec(v, what)
+    if len(v) != dim:
+        raise DimensionMismatchError(f"{what} has dimension {len(v)}, expected {dim}")
     return v
 
 

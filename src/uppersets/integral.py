@@ -20,6 +20,7 @@ from typing import Sequence
 from .cone import Cone, ValidationError
 from .ddm import rref_basis
 from .linalg import (
+    INEXACT,
     NEG_INF,
     Vec,
     clear_denominators,
@@ -27,6 +28,7 @@ from .linalg import (
     ext_add,
     format_rational,
     format_vector,
+    read_number,
     vadd,
     vscale,
     vsub,
@@ -355,10 +357,15 @@ class ParametricChain:
     needs_measure = True
 
     def __post_init__(self):
-        if not self.indices or any(n < 1 for n in self.indices):
+        error = "parametric chain index {!r} is not an integer"
+        indices = tuple(read_number(n, error, True) for n in self.indices)
+        if not indices or any(n < 1 for n in indices):
             raise ValidationError("parametric chain indices must be positive")
-        if list(self.indices) != sorted(set(self.indices)):
+        if list(indices) != sorted(set(indices)):
             raise ValidationError("parametric chain indices must be strictly increasing")
+        object.__setattr__(self, "indices", indices)
+        if self.rate is not None:
+            object.__setattr__(self, "rate", read_number(self.rate, "parametric chain rate " + INEXACT))
 
     @functools.cached_property
     def steps(self) -> tuple[SimpleSetFunction, ...]:

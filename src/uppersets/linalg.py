@@ -1,4 +1,5 @@
-"""Exact rational vectors and the small linear-algebra helpers the geometry needs.
+"""Exact rational vectors, the small linear-algebra helpers the geometry needs,
+and ``read_number``, the one reader of every number that enters the library.
 
 Vectors are plain tuples of ``fractions.Fraction`` or ``int``, which
 interoperate; everything here is pure and allocation-light because the
@@ -7,13 +8,14 @@ vector operations keep integer inputs integer.  ``primitive`` and
 ``clear_denominators`` always return integers and never build a Fraction:
 they read every entry's ``numerator`` and ``denominator`` (an ``int`` has
 denominator 1), and ``primitive`` of an all-``int`` vector is one ``gcd``.
-A ``Fraction`` is built only by ``vec``, by ``format_rational`` and by
-``primitive_halfspace`` for an offset that is neither an ``int`` nor a
-``Fraction``; set literals are read into integers by ``workspace``.
+A number is an ``int`` (not a ``bool``), a ``Fraction`` or a string ``p`` or
+``p/q`` in ASCII digits (``NUMBER``, the workspace's pattern); anything else,
+a float included, is refused.  Only ``read_number`` builds a ``Fraction``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -23,11 +25,32 @@ Vec = tuple
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # p or p/q in ASCII digits
+INEXACT = "{!r} is not an int, a Fraction or a string 'p' or 'p/q'"
 
 
-def vec(entries: Iterable) -> Vec:
-    """Build an exact vector, accepting ints, Fractions and 'p/q' strings."""
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+class ValidationError(ValueError):
+    """A domain invariant is violated by the given data."""
+
+
+def read_number(x, error: str, integer: bool = False) -> Fraction | int:
+    """x as a Fraction (an int if ``integer``): an int (not a bool), a Fraction
+    (not if ``integer``) or a string fully matching ``NUMBER`` (p only if
+    ``integer``); anything else raises ``ValidationError(error.format(x))``."""
+    if type(x) is int:
+        return x if integer else Fraction(x)
+    if type(x) is Fraction and not integer:
+        return x
+    if type(x) is str and NUMBER.fullmatch(x):
+        q = x.partition("/")[2]
+        if (not q) if integer else int(q or 1):
+            return int(x) if integer else Fraction(x)
+    raise ValidationError(error.format(x))
+
+
+def vec(entries: Iterable, what: str = "vector") -> Vec:
+    """An exact vector of Fractions, each entry read by ``read_number``."""
+    return tuple(e if type(e) is Fraction else read_number(e, f"{what} entry {INEXACT}") for e in entries)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction | int:
@@ -76,10 +99,9 @@ def primitive(a: Sequence) -> Vec:
 
 def primitive_halfspace(normal: Sequence, offset) -> tuple[Vec, int, int]:
     """{z : <z, normal> >= offset} for a nonzero normal, as (w, n, e) meaning
-    <z, w> >= n/e: w primitive, e > 0 and gcd(n, e) = 1.  The offset is an
-    int, a Fraction or anything ``Fraction`` accepts, such as 'p/q'."""
+    <z, w> >= n/e: w primitive, e > 0 and gcd(n, e) = 1, the offset read by ``read_number``."""
     if type(offset) is not int and type(offset) is not Fraction:
-        offset = Fraction(offset)
+        offset = read_number(offset, "halfspace offset " + INEXACT)
     v = primitive((*normal, -offset))  # <z, v[:-1]> >= -v[-1], a positive rescaling
     e = gcd(*v[:-1])
     return tuple(x // e for x in v[:-1]), -v[-1], e
@@ -94,13 +116,10 @@ def clear_denominators(vectors: Sequence[Sequence]) -> tuple[int, list[Vec]]:
 def format_rational(x) -> str:
     """Render a rational (or +/-inf) as 'p', 'p/q', 'inf' or '-inf'."""
     if isinstance(x, float):
-        if x == NEG_INF:
-            return "-inf"
-        if x == POS_INF:
-            return "inf"
+        if x in (NEG_INF, POS_INF):
+            return "inf" if x > 0 else "-inf"
         raise ValueError(f"not an exact rational: {x!r}")
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def format_vector(v: Sequence) -> str:

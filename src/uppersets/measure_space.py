@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .cone import Cone, ValidationError, check_dim, checked_vector
+from .cone import Cone, ValidationError, checked_vector
 from .ddm import hrep_feasible
-from .linalg import NEG_INF, Vec, dot, format_rational, vec
+from .linalg import INEXACT, NEG_INF, Vec, dot, format_rational, read_number, vec
 from .upperset import UpperSet, cone_upper_set, halfspace_set, point_plus_cone
 
 
@@ -63,7 +63,7 @@ class AtomicMeasure:
     def __post_init__(self):
         if len(self.weights) != len(self.space):
             raise ValidationError("measure must assign a weight per atom")
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(read_number(w, "measure weight " + INEXACT) for w in self.weights)
         for atom, w in zip(self.space.atoms, ws):
             if w < 0:
                 raise ValidationError(f"negative weight {format_rational(w)} at atom {atom!r}")
@@ -72,11 +72,8 @@ class AtomicMeasure:
     @staticmethod
     def from_map(space: AtomicSpace, mapping: dict) -> "AtomicMeasure":
         """Missing atoms get weight zero."""
-        for name in mapping:
-            space.index(name)
-        return AtomicMeasure(
-            space, tuple(Fraction(mapping.get(a, 0)) for a in space.atoms)
-        )
+        space.check_subset(mapping)  # an unknown atom is refused
+        return AtomicMeasure(space, tuple(mapping.get(a, 0) for a in space.atoms))
 
     def weight(self, atom: str) -> Fraction:
         return self.weights[self.space.index(atom)]
@@ -99,7 +96,8 @@ class ScalarFunction:
     def __post_init__(self):
         if len(self.values) != len(self.space):
             raise ValidationError("scalar function must cover every atom")
-        vals = tuple(v if v == NEG_INF else Fraction(v) for v in self.values)
+        error = "scalar value " + INEXACT
+        vals = tuple(v if type(v) is float and v == NEG_INF else read_number(v, error) for v in self.values)
         object.__setattr__(self, "values", vals)
 
     @staticmethod
@@ -274,25 +272,17 @@ def point_minus_cone_rows(cone: Cone, y) -> list[tuple[Vec, Fraction]]:
 
 
 def preimage(F: SimpleSetFunction, region) -> tuple[str, ...]:
-    """Atoms x with F(x) ∩ region ≠ ∅; region is an UpperSet or H-rep rows.
-
-    Exact: feasibility of the joint H-representation per atom.
-    """
+    """Atoms x with F(x) ∩ region ≠ ∅, by feasibility of the joint H-rep; region is
+    an UpperSet or rows (normal, offset), read by ``checked_vector`` and ``read_number``."""
+    dim = F.cone.dim
     if isinstance(region, UpperSet):
         if region.is_empty:
             return ()
         rows = list(region.halfspaces)
     else:
-        rows = [(w, Fraction(b)) for w, b in region]  # offsets as exact rationals, 'p/q' included
-    dim = F.cone.dim
-    for w, _ in rows:
-        check_dim(dim, w, "region normal")
-    hits = []
-    for atom, value in zip(F.space.atoms, F.values):
-        joint = [*value.halfspaces, *rows]
-        if hrep_feasible(joint, dim):
-            hits.append(atom)
-    return tuple(hits)
+        error = "region offset " + INEXACT
+        rows = [(checked_vector(dim, w, "region normal"), read_number(b, error)) for w, b in region]
+    return tuple(a for a, v in zip(F.space.atoms, F.values) if hrep_feasible([*v.halfspaces, *rows], dim))
 
 
 def preimage_identity_check(F: SimpleSetFunction, y) -> bool:

@@ -29,9 +29,10 @@ import tempfile
 import time
 
 from .cone import Cone, ValidationError
+from .linalg import read_number
 from .measure_space import SimpleSetFunction
 from .upperset import UpperSet
-from .workspace import parse_set_literal, read_number
+from .workspace import parse_set_literal
 
 ANSWER_DEADLINE_S = 60.0  # the longest round trip, request and child's start included
 

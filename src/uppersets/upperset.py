@@ -57,6 +57,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .cone import Cone, ValidationError, checked_vector
 from . import ddm
 from .linalg import (
+    INEXACT,
     NEG_INF,
     POS_INF,
     Vec,
@@ -66,6 +67,7 @@ from .linalg import (
     is_zero,
     primitive,
     primitive_halfspace,
+    read_number,
     vadd,
     vneg,
     vscale,
@@ -219,7 +221,7 @@ class UpperSet:
     def scale(self, lam) -> "UpperSet":
         """Pointwise scaling for lam > 0; lam = 0 yields C by convention."""
         if type(lam) is not Fraction:
-            lam = Fraction(lam)
+            lam = read_number(lam, "scale factor " + INEXACT)
         if lam.numerator < 0:
             raise ValidationError("scaling by negative scalars leaves the conlinear structure")
         if not lam.numerator:

@@ -8,18 +8,18 @@ are ``key: value`` entries, read by one entry check; the per-atom blocks
 which checks that a function covers every atom.  Set literals are one-liners
 (``halfspaces: [[1, 1, 0]]``, ``points: [[0, 0]] rays: [[1, 1]]``, ``full``,
 ``cone``) and the canonical printed form of every set re-parses to an equal
-set.  Values are exact rationals: a number is ``p`` or ``p/q`` in ASCII digits
-with an optional leading ``-``, one pattern for a literal's tokens and for
-``read_number``, which reads every other number given as text (weights, scalar
-values, ``dimension`` and chain ``indices``, which take ``p`` only, and the
-CLI's and the protocol's numbers).  ``inf``/``-inf`` may appear only as a
-halfspace offset, and ``-inf`` as a scalar value.  A literal's numbers are
-read straight into integers (p, q), q = 0 for ``inf``/``-inf``: each halfspace
-row becomes the integer row (w, n, e), meaning <z, w> >= n/e, that
-``canonicalize`` takes, so no ``Fraction`` stands between a protocol line and
-its canonical form; points and rays become ``Fraction``s.  ``Workspace.functional_spec``
-resolves every functional name, inline ``integral:MEASURE`` and
-``mutant:NAME:MEASURE`` forms included.
+set.  A number is ``p`` or ``p/q`` in ASCII digits with an optional leading
+``-`` (``linalg.NUMBER``): a literal's tokens match it, and every other number
+given as text (weights, scalar values, and ``dimension`` and chain
+``indices``, which take ``p`` only) is read by ``linalg.read_number``, the
+library's one reader.  ``inf``/``-inf`` may appear only as a halfspace offset,
+and ``-inf`` as a scalar value.  A literal's numbers are read straight into
+integers (p, q), q = 0 for ``inf``/``-inf``: each halfspace row becomes the
+integer row (w, n, e), meaning <z, w> >= n/e, that ``canonicalize`` takes, so
+no ``Fraction`` stands between a protocol line and its canonical form; points
+and rays become ``Fraction``s.  ``Workspace.functional_spec`` resolves every
+functional name, inline ``integral:MEASURE`` and ``mutant:NAME:MEASURE`` forms
+included.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import lcm
 
 from .cone import Cone, ValidationError, checked_vector
 from .integral import ExplicitChain, ParametricChain
-from .linalg import NEG_INF
+from .linalg import NEG_INF, NUMBER, read_number
 from .measure_space import (
     AtomicMeasure,
     AtomicSpace,
@@ -50,8 +50,7 @@ class WorkspaceError(ValueError):
 
 DEFAULT_CHAIN_INDICES = (1, 2, 4, 8, 16, 32, 64)
 
-_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # p or p/q in ASCII digits
-_TOKEN = re.compile(rf"-inf|inf|{_NUMBER.pattern}|\[|\]|,")
+_TOKEN = re.compile(rf"-inf|inf|{NUMBER.pattern}|\[|\]|,")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -62,24 +61,14 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _number(token: str, error: str = "bad rational literal {!r}") -> tuple[int, int]:
+def _number(token: str) -> tuple[int, int]:
     """A number token of ``_TOKEN`` as integers (p, q) meaning p/q, q = 0 for inf and -inf."""
     p, _, q = token.partition("/")
     if p[-1] == "f":
         return (-1 if p[0] == "-" else 1), 0
     if not int(q or 1):
-        raise ValidationError(error.format(token))
+        raise ValidationError(f"bad rational literal {token!r}")
     return int(p), int(q or 1)
-
-
-def read_number(text: str, error: str, integer: bool = False) -> Fraction | int:
-    """``text`` as a ``Fraction`` p/q, or as an int p if ``integer``: the one
-    reader of a number written alone, sharing ``_number`` with the literal
-    tokens.  Other text raises ``ValidationError(error.format(text))``."""
-    if not _NUMBER.fullmatch(text) or integer and "/" in text:
-        raise ValidationError(error.format(text))
-    p, q = _number(text, error)
-    return p if integer else Fraction(p, q)
 
 
 def _parse_nested(tokens: list[str], pos: int):

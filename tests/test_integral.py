@@ -572,6 +572,22 @@ def test_a_schedule_rate_keeps_the_indices():
     assert chain.schedule(3, (1, 0), MU11) == Fraction(2, 3)
 
 
+def test_a_parametric_chain_reads_its_rate_and_indices():
+    # a float rate is refused when the chain is built, not in its report; a
+    # 'p/q' rate is read as its Fraction; a float or a bool index is refused
+    with pytest.raises(ValidationError, match="parametric chain rate 0.001 is not an int, a Fraction"):
+        ParametricChain(X2, R2, (1, 2), rate=0.001)
+    chain = ParametricChain(X2, R2, (1, 3), rate="1/3")
+    assert type(chain.rate) is Fraction and chain.rate == Fraction(1, 3)
+    assert chain.schedule(3, (1, 0), MU11) == Fraction(1, 9)
+    report = chain.check(lambda F: integral_value(F, MU11), MU11)
+    assert not report.ok and report.lines[-1] == "checked indices [1, 3] at 2 facet normals of the limit"
+    assert report.lines[0] == "n=1 normal [0, 1]: deviation 2 exceeds schedule 1/3"
+    for index in (1.0, True):
+        with pytest.raises(ValidationError, match=f"parametric chain index {index!r} is not an integer"):
+            ParametricChain(X2, R2, (index, 2))
+
+
 def test_readme_library_example_prints_its_comments():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

@@ -1,4 +1,5 @@
-"""Module layering: no module of the package imports a sibling's private name."""
+"""Module layering: no module of the package imports a sibling's private name,
+and no module but ``linalg`` reads a number with a ``Fraction(x)`` fallback."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,33 @@ def private_imports(path: Path) -> list[str]:
     return found
 
 
+def fraction_fallbacks(path: Path) -> list[str]:
+    """'line: call' for each one-argument ``Fraction(x)`` in ``path`` whose x is
+    neither an integer literal nor a ``read_number(...)`` call: a number read
+    outside ``linalg.read_number``, which would take floats and any string
+    ``Fraction`` parses."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call) or _name(node.func) != "Fraction":
+            continue
+        args = [*node.args, *(k.value for k in node.keywords)]
+        if len(args) != 1:
+            continue
+        (arg,) = args
+        if isinstance(arg, ast.UnaryOp) and isinstance(arg.operand, ast.Constant):
+            arg = arg.operand  # a negative literal
+        if isinstance(arg, ast.Constant) and type(arg.value) is int:
+            continue
+        if not (isinstance(arg, ast.Call) and _name(arg.func) == "read_number"):
+            found.append((node.lineno, f"{node.lineno}: {ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+def _name(func: ast.expr) -> str | None:
+    """The called name of ``f(...)`` or ``m.f(...)``."""
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
 def test_the_package_has_modules():
     assert len(MODULES) > 5
 
@@ -36,3 +64,22 @@ def test_a_private_import_is_found(tmp_path):
     source = tmp_path / "m.py"
     source.write_text("from .upperset import UpperSet, _planar_sum\nfrom uppersets.ddm import _halfspaces\n")
     assert private_imports(source) == ["upperset._planar_sum", "uppersets.ddm._halfspaces"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "linalg"], ids=[p.stem for p in MODULES if p.stem != "linalg"]
+)
+def test_no_module_but_linalg_reads_a_number_by_fraction(path):
+    assert fraction_fallbacks(path) == []
+
+
+def test_a_fraction_fallback_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "from fractions import Fraction\nimport fractions\n"
+        "a = Fraction(0), Fraction(-2), Fraction(1, 2), Fraction(read_number(x, e))\n"
+        "b = Fraction(x)\nc = fractions.Fraction(w)\nd = Fraction(numerator=y)\ne = Fraction('1/2')\n"
+    )
+    assert fraction_fallbacks(source) == [
+        "4: Fraction(x)", "5: fractions.Fraction(w)", "6: Fraction(numerator=y)", "7: Fraction('1/2')"
+    ]

@@ -119,9 +119,15 @@ def test_preimage_basics():
 
 @pytest.mark.parametrize("offset", [Fraction(-1, 2), "-1/2", -0.5], ids=["Fraction", "str", "float"])
 def test_preimage_reads_a_row_offset_as_fraction_does(offset):
-    # the row -z1 >= -1/2 meets C at 0 but not (1, 0) + C
+    # the row -z1 >= -1/2 meets C at 0 but not (1, 0) + C, and so does the row
+    # -3/2·z1 >= -1/2, its normal given as 'p/q'; a float offset is refused
     f = SimpleSetFunction(X2, (cone_upper_set(R2), point_plus_cone(R2, (1, 0))))
+    if type(offset) is float:
+        with pytest.raises(ValidationError, match="region offset -0.5 is not"):
+            preimage(f, [((-1, 0), offset)])
+        return
     assert preimage(f, [((-1, 0), offset)]) == ("x1",)
+    assert preimage(f, [(("-3/2", 0), offset)]) == ("x1",)
 
 
 def test_preimage_identity_examples():

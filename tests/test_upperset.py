@@ -133,9 +133,14 @@ def test_oplus_empty_absorbs():
 @pytest.mark.parametrize("offset", [1, Fraction(1, 2), "1/2", 0.5], ids=["int", "Fraction", "str", "float"])
 @pytest.mark.parametrize("cone", [R2, orthant(3)], ids=["orthant2", "orthant3"])
 def test_an_offset_is_read_as_vec_reads_an_entry(cone, offset):
-    # both H-rep entry points take what Fraction() takes; the normal 2·(1, ..., 1)
-    # halves the offset of the primitive facet
+    # both H-rep entry points take an int, a Fraction or 'p/q' and refuse a
+    # float; the normal 2·(1, ..., 1) halves the offset of the primitive facet
     w = (2,) * cone.dim
+    if type(offset) is float:
+        for build in (lambda: halfspace_set(cone, w, offset), lambda: hs(cone, [(w, offset)])):
+            with pytest.raises(ValidationError, match="halfspace offset 0.5 is not"):
+                build()
+        return
     h = halfspace_set(cone, w, offset)
     assert h.halfspaces == (((1,) * cone.dim, Fraction(offset) / 2),)
     assert canonicalize(cone, halfspaces=[(w, offset)]) == h
@@ -174,11 +179,15 @@ def _vector_entries(cone, v, mixed):
 )
 @pytest.mark.parametrize("cone", [R2, orthant(3)], ids=["orthant2", "orthant3"])
 def test_a_vector_is_read_as_vec_reads_its_entries(cone, unit, read, container, entry):
-    # every entry point takes what Fraction() takes, in a list or a tuple, and
-    # answers as for the same entries as Fractions
+    # every entry point takes ints, Fractions and 'p/q' strings, in a list or a
+    # tuple, and answers as for the same entries as Fractions; it refuses floats
     v, mixed = ([unit * Fraction(k) for k in u[: cone.dim]] for u in ((1, 3, 2), (1, -3, 2)))
-    expected = _vector_entries(cone, tuple(v), tuple(mixed))[entry]()
     read_v, read_mixed = (container(read(x) for x in u) for u in (v, mixed))
+    if read is float:
+        with pytest.raises(ValidationError, match=r"entry 0\.5 is not an int, a Fraction"):
+            _vector_entries(cone, read_v, read_mixed)[entry]()
+        return
+    expected = _vector_entries(cone, tuple(v), tuple(mixed))[entry]()
     assert _vector_entries(cone, read_v, read_mixed)[entry]() == expected
 
 
