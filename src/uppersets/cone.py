@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ddm import cone_vrep, rref_basis
-from .linalg import ValidationError, Vec, dot, format_vector, is_zero, primitive, vec
+from .linalg import ValidationError, Vec, dot, format_vector, is_zero, primitive, read_number, vec
 
 MAX_DIMENSION = 8
 
@@ -64,6 +64,7 @@ class Cone:
     dual_generators: tuple[Vec, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", read_number(self.dim, "cone dimension {!r} is not an int", True))
         if not 1 <= self.dim <= MAX_DIMENSION:
             raise ValidationError(f"dimension must be in 1..{MAX_DIMENSION}, got {self.dim}")
         seen: dict[Vec, None] = {}

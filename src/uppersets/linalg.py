@@ -15,6 +15,7 @@ a float included, is refused.  Only ``read_number`` builds a ``Fraction``.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -35,16 +36,17 @@ class ValidationError(ValueError):
 
 def read_number(x, error: str, integer: bool = False) -> Fraction | int:
     """x as a Fraction (an int if ``integer``): an int (not a bool), a Fraction
-    (not if ``integer``) or a string fully matching ``NUMBER`` (p only if
-    ``integer``); anything else raises ``ValidationError(error.format(x))``."""
+    (not if ``integer``) or a string fully matching ``NUMBER`` (p only if ``integer``)
+    in no more digits than ``int()`` reads; else ``ValidationError(error.format(x))``."""
     if type(x) is int:
         return x if integer else Fraction(x)
     if type(x) is Fraction and not integer:
         return x
     if type(x) is str and NUMBER.fullmatch(x):
         q = x.partition("/")[2]
-        if (not q) if integer else int(q or 1):
-            return int(x) if integer else Fraction(x)
+        with contextlib.suppress(ValueError):  # more digits than int() reads
+            if (not q) if integer else int(q or 1):
+                return int(x) if integer else Fraction(x)
     raise ValidationError(error.format(x))
 
 

@@ -11,7 +11,8 @@ sends each distinct input once.  For each evaluation the runner writes
 
 to the process's stdin and reads back exactly one line holding a canonical
 set literal (``empty``, ``full``, ``cone`` or ``halfspaces: [...]``).  The
-atom count and the literals' numbers are read by the workspace number grammar.
+atom count and the literals' numbers are read by the workspace number grammar;
+at both ends a literal in the form ``UpperSet.literal`` writes is read in one pass.
 The process exits on end-of-input.  It is started once, at the first
 evaluation.  The request is written as the child's input takes it, so one
 deadline covers the request and its answer: a child that cannot start, has

@@ -321,26 +321,26 @@ def canonicalize(
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
+    hrep = chain(rows or (), (_row(cone.dim, w, b) for w, b in halfspaces or ()))
+    if not has_v:
+        return _from_hrep(cone, hrep)
     pts = [checked_vector(cone.dim, p, "point") for p in points or ()]
     rys = [checked_vector(cone.dim, r, "ray") for r in rays or ()]
     lin = [checked_vector(cone.dim, l, "lineality vector") for l in lineality or ()]
-    hrep = chain(rows or (), (_row(cone.dim, w, b) for w, b in halfspaces or ()))
     result_h = _from_hrep(cone, hrep) if has_h else None
-    result_v = _from_vrep(cone, *clear_denominators(pts), rys, lin) if has_v else None
-    if result_h is not None and result_v is not None:
-        if not result_h.set_equal(result_v):
-            raise ValidationError(
-                "inconsistent representation: halfspaces and points/rays disagree "
-                f"({result_h.literal()} vs {result_v.literal()})"
-            )
-        return result_h
-    return result_h if result_h is not None else result_v
+    result_v = _from_vrep(cone, *clear_denominators(pts), rys, lin)
+    if result_h is not None and not result_h.set_equal(result_v):
+        raise ValidationError(
+            "inconsistent representation: halfspaces and points/rays disagree "
+            f"({result_h.literal()} vs {result_v.literal()})"
+        )
+    return result_v if result_h is None else result_h
 
 
 def _row(dim: int, normal, offset) -> tuple[Vec, int, int]:
     """The pair (normal, offset) as a row (w, n, e) of ``_from_hrep``, which refuses a zero w."""
     normal = checked_vector(dim, normal, "halfspace normal")
-    if offset == NEG_INF or offset == POS_INF:
+    if type(offset) is float and offset in (NEG_INF, POS_INF):
         return normal, 1 if offset > 0 else -1, 0
     return primitive_halfspace(normal, offset) if any(normal) else (normal, 0, 1)
 
@@ -356,9 +356,9 @@ def _from_hrep(cone: Cone, rows) -> UpperSet:
                 return UpperSet.empty(cone)
             continue  # absent constraint
         g = gcd(*w)  # (w/g, n, e·g): parallel normals become equal
-        ineqs.append((tuple(x // g for x in w), n, e * g))
+        ineqs.append((tuple(x // g for x in w), n, e * g) if g > 1 else (tuple(w), n, e))
     scaled = ((vscale(e, w), n) for w, n, e in ineqs)  # <z, e·w> >= n, for a run
-    if all(in_dual_cone(cone, w) for w, _, _ in ineqs):
+    if all(sum(map(mul, g, w)) >= 0 for w, _, _ in ineqs for g in cone.generators):  # all in C+
         # closed under C already, hence nonempty and full-dimensional
         if not ineqs:
             return UpperSet.full(cone)
@@ -557,22 +557,20 @@ _CCW = functools.cmp_to_key(lambda w, u: w[1] * u[0] - w[0] * u[1])  # sorts nor
 def _planar_hrep(cone: Cone, ineqs) -> UpperSet:
     """The C+ branch of ``_from_hrep`` in the plane, without a run: the largest
     offset per normal, normals in counterclockwise order, and a line dropped
-    while the meet of its kept neighbours satisfies it (de Berg et al., §4.2).
-    The vertices are the meets of consecutive kept lines."""
+    while its meet with the kept line before it is not strictly inside the next
+    (de Berg et al., §4.2).  The vertices are the meets of consecutive kept lines."""
     t = lcm(*(e for _, _, e in ineqs))  # a line (w, b) means <z, w> >= b/t
     best = dict(sorted(((w, n * (t // e)) for w, n, e in ineqs), key=lambda h: h[1]))  # the largest b per w
-    lines: list = []
+    lines, meets = [], []  # the kept lines, and the meets of consecutive ones
     for w in sorted(best, key=_CCW):
-        while len(lines) > 1:
-            (x, s), (u, c) = _meet(lines[-2], (w, best[w])), lines[-1]
-            if sum(map(mul, x, u)) < c * s:
-                break  # lines[-1] cuts off the meet of its neighbours
-            lines.pop()
+        while meets and sum(map(mul, meets[-1][0], w)) <= best[w] * meets[-1][1]:
+            del lines[-1], meets[-1]  # the meet before lines[-1] is not strictly inside w's line
+        if lines:
+            meets.append(_meet(lines[-1], (w, best[w])))
         lines.append((w, best[w]))
-    meets = [_meet(l, m) for l, m in zip(lines, lines[1:])]
     meets = meets or [(vscale(b, w), sum(map(mul, w, w))) for w, b in lines]  # one line: its point b·w/<w, w>
     k = lcm(*(s for _, s in meets))  # every x/s is t times a vertex
-    return _chain(cone, t * k, [w for w, _ in lines], [vscale(k // s, x) for x, s in meets])
+    return _chain(cone, t * k, [w for w, _ in lines], [(k // s * x, k // s * y) for (x, y), s in meets])
 
 
 def _meet(l, m) -> tuple[Vec, int]:
@@ -588,8 +586,7 @@ def _chain(cone: Cone, d: int, normals, vertices) -> UpperSet:
     offset is read at an adjacent vertex, and the rays are perpendicular to the
     first and last normal.  One normal is a half-plane through its one vertex,
     its boundary direction the lineality and its normal the ray."""
-    last = len(vertices) - 1
-    facets = [(u, sum(map(mul, vertices[min(t, last)], u))) for t, u in enumerate(normals)]
+    facets = [(u, p[0] * u[0] + p[1] * u[1]) for u, p in zip(normals, [*vertices, vertices[-1]])]
     w, u = normals[0], normals[-1]
     if len(normals) == 1:
         return _proper(cone, facets, d, vertices, [w], [max((-w[1], w[0]), (w[1], -w[0]))])
@@ -665,10 +662,8 @@ def halfspace_set(cone: Cone, w, b) -> UpperSet:
     w = checked_vector(cone.dim, w, "normal")
     if is_zero(w) or not in_dual_cone(cone, w):
         raise ValidationError("halfspace normal must lie in C+ \\ {0}")
-    if b == NEG_INF:
-        return UpperSet.full(cone)
-    if b == POS_INF:
-        return UpperSet.empty(cone)
+    if type(b) is float and b in (NEG_INF, POS_INF):
+        return UpperSet.full(cone) if b < 0 else UpperSet.empty(cone)
     w, n, e = primitive_halfspace(w, b)
     return _homogeneous_halfspace(cone, w)._translate(*_shift(w, n, e))
 

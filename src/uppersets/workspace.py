@@ -15,11 +15,12 @@ given as text (weights, scalar values, and ``dimension`` and chain
 library's one reader.  ``inf``/``-inf`` may appear only as a halfspace offset,
 and ``-inf`` as a scalar value.  A literal's numbers are read straight into
 integers (p, q), q = 0 for ``inf``/``-inf``: each halfspace row becomes the
-integer row (w, n, e), meaning <z, w> >= n/e, that ``canonicalize`` takes, so
-no ``Fraction`` stands between a protocol line and its canonical form; points
-and rays become ``Fraction``s.  ``Workspace.functional_spec`` resolves every
-functional name, inline ``integral:MEASURE`` and ``mutant:NAME:MEASURE`` forms
-included.
+integer row (w, n, e), meaning <z, w> >= n/e, that ``canonicalize`` takes, no
+``Fraction`` between; points and rays become ``Fraction``s.  Rows as
+``UpperSet.literal`` writes them (integers, the offset ``p`` or ``p/q``, ``, ``
+between) are read in one regex pass, else as tokens.
+``Workspace.functional_spec`` resolves every functional name, inline
+``integral:MEASURE`` and ``mutant:NAME:MEASURE`` forms included.
 """
 
 from __future__ import annotations
@@ -128,6 +129,24 @@ def _halfspace_row(row) -> tuple[tuple[int, ...], int, int]:
     return tuple(p * (m // q) for p, q in w), n * m, e
 
 
+_ROW = r"\[(?:-?[0-9]+, )*-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?\]"  # integers, the last p or p/q, q > 0
+_WRITTEN = re.compile(rf"\[{_ROW}(?:, {_ROW})*\]")  # a vector list as ``UpperSet.literal`` writes it
+
+
+def _written_rows(text: str, n: int) -> list | None:
+    """The rows of n entries of a list in ``_WRITTEN``'s form, read in one pass as
+    (w, p, q), meaning [*w, p/q], numbers in the tokens' order; None for any other text."""
+    if not _WRITTEN.fullmatch(text):
+        return None
+    rows = []
+    for row in text[2:-2].split("], ["):
+        *w, last = row.split(", ")
+        if len(w) != n - 1:
+            return None
+        rows.append((tuple(map(int, w)), *_number(last)))
+    return rows
+
+
 _SEGMENT = re.compile(r"(halfspaces|points|rays)\s*:")
 _NAMED_SETS = {"empty": UpperSet.empty, "full": UpperSet.full, "cone": cone_upper_set}
 
@@ -147,10 +166,12 @@ def parse_set_literal(text: str, cone: Cone) -> UpperSet:
         segments[key] = segment.strip()
     rows = points = rays = None
     if "halfspaces" in segments:
-        rows = parse_vector_list(segments["halfspaces"])
-        if any(len(row) != cone.dim + 1 for row in rows):
-            raise ValueError(f"halfspace row needs {cone.dim} coordinates plus an offset")
-        rows = [_halfspace_row(row) for row in rows]
+        rows = _written_rows(segments["halfspaces"], cone.dim + 1)
+        if rows is None:
+            rows = parse_vector_list(segments["halfspaces"])
+            if any(len(row) != cone.dim + 1 for row in rows):
+                raise ValueError(f"halfspace row needs {cone.dim} coordinates plus an offset")
+            rows = [_halfspace_row(row) for row in rows]
     if "points" in segments:
         points = [_finite(p) for p in parse_vector_list(segments["points"])]
     if "rays" in segments:

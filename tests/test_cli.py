@@ -254,6 +254,18 @@ def test_bad_option_values_exit_2(ws_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+MANY_DIGITS = "1" * 5000  # more than int() reads by default
+has_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits")
+
+
+@has_digit_limit
+def test_a_scalar_with_more_digits_than_int_reads_exits_2(ws_path, capsys):
+    # Fraction() raised its own ValueError past the digit limit: exit 1 with a traceback
+    code, out, err = run(capsys, "lattice", ws_path, "scale", "F", "--scalar", MANY_DIGITS)
+    assert (code, out) == (2, "")
+    assert err == f"error: --scalar expects a rational number, got {MANY_DIGITS!r}\n"
+
+
 def test_check_axioms_integral(ws_path, capsys):
     code, out, _ = run(
         capsys, "check-axioms", ws_path, "phi", "--sample-count", "8", "--seed", "1"
@@ -470,6 +482,35 @@ def test_external_child_exiting_after_its_answer_exits_2(ws_path, capsys, tmp_pa
     assert code == 2
     assert out.startswith("flags: ") and out.count("\n") == 1
     assert err == f"error: external:{sys.executable} {child} exited with code 0\n"
+
+
+@has_digit_limit
+@pytest.mark.parametrize(
+    "answer", [f"halfspaces: [[1, 1, {MANY_DIGITS}]]", f"halfspaces: [[1,1,{MANY_DIGITS}]]"], ids=["one-pass", "tokens"]
+)
+def test_an_offset_with_more_digits_than_int_reads_is_a_protocol_error(tmp_path, answer):
+    # the first answer is in the form a literal is written, read in one pass;
+    # the second, without spaces, is tokenized: both report int()'s refusal
+    from uppersets import orthant
+    from uppersets.measure_space import constant_function, space
+    from uppersets.protocol import ExternalFunctional, ProtocolError
+    from uppersets.upperset import cone_upper_set
+
+    child = tmp_path / "long_child.py"
+    child.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'end':\n"
+        f"        print({answer!r}, flush=True)\n"
+    )
+    cone = orthant(2)
+    external = ExternalFunctional((sys.executable, str(child)), cone)
+    try:
+        with pytest.raises(ProtocolError) as raised:
+            external(constant_function(space("x1"), cone_upper_set(cone)))
+    finally:
+        external.close()
+    assert str(raised.value).startswith(f"unparsable response {answer!r}: Exceeds the limit")
 
 
 def test_external_child_that_never_answers_is_killed_at_the_deadline(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Every number that enters the library is read in one grammar: an int (not a
 bool), a Fraction, or a string p or p/q in ASCII digits."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from uppersets.measure_space import (
 )
 from uppersets.upperset import canonicalize, cone_upper_set, halfspace_set, point_plus_cone
 
-REFUSED = [0.1, 1e1, "1e1", "0_5", " 3", Decimal("1"), True, "٣", "inf"]
+REFUSED = [0.1, 1e1, 2.0, "1e1", "0_5", " 3", Decimal("1"), True, "٣", "inf"]
 ACCEPTED = [3, Fraction(1, 2), "-1/2"]
 R2, SP = orthant(2), space("a", "b")
 D = point_plus_cone(R2, (1, 1))
@@ -49,6 +50,7 @@ ENTRIES = {
     "preimage-normal": ("region normal entry", lambda x: preimage(F, [((x, 1), 0)])),
     "chain-rate": ("parametric chain rate", lambda x: ParametricChain(SP, R2, (1, 2), x)),
     "chain-indices": ("parametric chain index", lambda x: ParametricChain(SP, R2, (x, 5))),
+    "cone-dimension": ("cone dimension", lambda x: Cone(x, ((1, 0), (0, 1)), (1, 1))),
 }
 
 
@@ -71,7 +73,7 @@ def test_every_entry_reads_a_number_in_the_workspace_grammar(entry, x, accepted)
     # same domain refusal (a negative weight or scale factor); an integer entry
     # takes 3 only
     field, build = ENTRIES[entry]
-    integer = entry == "chain-indices"  # reads p only
+    integer = entry in ("chain-indices", "cone-dimension")  # reads p only
     if integer and type(x) is not int:
         accepted = False
     if not accepted:
@@ -106,3 +108,20 @@ def test_only_the_float_infinities_pass_as_sentinels():
     with pytest.raises(ValidationError, match=r"scalar value Decimal\('-Infinity'\) is not"):
         ScalarFunction(SP, (Decimal("-Infinity"), 1))
     assert halfspace_set(R2, (1, 1), NEG_INF).is_full and halfspace_set(R2, (1, 1), POS_INF).is_empty
+    assert canonicalize(R2, halfspaces=[((1, 1), NEG_INF)]).is_full
+    assert canonicalize(R2, halfspaces=[((1, 1), POS_INF)]).is_empty
+    for b in (Decimal("Infinity"), Decimal("-Infinity")):  # were taken as POS_INF and NEG_INF
+        for build in (lambda: halfspace_set(R2, (1, 1), b), lambda: canonicalize(R2, halfspaces=[((1, 1), b)])):
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert str(exc.value).startswith(f"halfspace offset {b!r} is not ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits")
+def test_a_number_with_more_digits_than_int_reads_is_refused():
+    # int() and Fraction() raised their own ValueError past the digit limit
+    many = "1" * 5000
+    for text, integer in ((many, False), (many, True), (f"1/{many}", False), (f"-{many}/3", False)):
+        with pytest.raises(ValidationError) as exc:
+            read_number(text, "bad number {!r}", integer)
+        assert str(exc.value) == f"bad number {text!r}"

@@ -146,6 +146,16 @@ def test_an_offset_is_read_as_vec_reads_an_entry(cone, offset):
     assert canonicalize(cone, halfspaces=[(w, offset)]) == h
 
 
+@pytest.mark.parametrize("cone", [R2, orthant(3)], ids=["orthant2", "orthant3"])
+def test_integer_rows_take_a_normal_as_any_sequence(cone):
+    # a primitive normal skips the gcd division, and a list is read as the
+    # tuple that the division would have built
+    one = (1,) * cone.dim
+    expected = canonicalize(cone, halfspaces=[(one, Fraction(1, 2))])
+    for w, n, e in ((one, 1, 2), (list(one), 1, 2), ([2] * cone.dim, 1, 1)):
+        assert canonicalize(cone, rows=[(w, n, e)]) == expected
+
+
 def _vector_entries(cone, v, mixed):
     """Each entry point that reads an outside vector: v as a point or a normal,
     and mixed, with a negative entry, as a ray or a lineality vector."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uppersets import Cone, orthant
+from uppersets import Cone, orthant, workspace
 from uppersets.linalg import NEG_INF, POS_INF
 from uppersets.integral import ExplicitChain, ParametricChain
 from uppersets.upperset import canonicalize, halfspace_set, point_plus_cone
@@ -591,9 +591,10 @@ OFFSETS = st.one_of(NUMBERS, NUMBERS, NUMBERS, st.sampled_from(("inf", "-inf")))
 
 @st.composite
 def halfspace_rows(draw):
-    """A cone and rows (normal, offset) of numbers (p, q) or an infinite offset:
-    normals in C+ or anywhere, each row possibly followed by a duplicate, a
-    positive multiple or a looser copy, in a drawn order."""
+    """A cone, rows (normal, offset) of numbers (p, q) or an infinite offset, and
+    the text between entries: either normals in C+ or anywhere, each row
+    possibly followed by a duplicate, a positive multiple or a looser copy, in
+    a drawn order, or the rows of ``written_rows``."""
     cone = draw(st.sampled_from(list(LITERAL_CONES.values())))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
@@ -616,7 +617,37 @@ def halfspace_rows(draw):
             rows.append(([(k * p, q) for p, q in normal], (k * offset[0], offset[1]) if finite else offset))
         elif copy == "looser" and finite:
             rows.append((normal, (offset[0] - offset[1], offset[1])))
-    return cone, draw(st.permutations(rows))
+    rows = draw(st.permutations(rows)) if draw(st.booleans()) else draw(written_rows(cone))
+    return cone, rows, draw(st.sampled_from((", ", ", ", ", ", ",", " ,  ")))
+
+
+@st.composite
+def written_rows(draw, cone):
+    """The facets of the canonical form of a set of drawn points, as rows
+    (normal, offset) written as ``UpperSet.literal`` writes them, or with one
+    change: a redundant row, an unsorted pair, a non-primitive normal or an
+    offset not in lowest terms."""
+    rational = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    s = canonicalize(cone, points=draw(st.lists(st.tuples(*[rational] * cone.dim), min_size=1, max_size=4)))
+    offsets = [Fraction(n, s.denominator) for _, n in s.facets]
+    rows = [([(x, 1) for x in w], (b.numerator, b.denominator)) for (w, _), b in zip(s.facets, offsets)]
+    change = draw(st.sampled_from(("none", "redundant", "unsorted", "non-primitive", "unreduced")))
+    i = draw(st.integers(0, len(rows) - 1))
+    k = draw(st.integers(2, 3))
+    w, (p, q) = rows[i]
+    if change == "redundant":  # a normal in C+ with an offset at or below the support there
+        u = [sum(g[j] for g in cone.dual_generators) + x for j, (x, _) in enumerate(w)]
+        if s.support(u) == NEG_INF:  # the set has more recession directions than C
+            u = [x for x, _ in w]
+        b = s.support(u) - draw(st.integers(0, 1))
+        rows.insert(draw(st.integers(0, len(rows))), ([(x, 1) for x in u], (b.numerator, b.denominator)))
+    elif change == "unsorted" and len(rows) > 1:
+        rows[i - 1], rows[i] = rows[i], rows[i - 1]
+    elif change == "non-primitive":
+        rows[i] = ([(k * x, 1) for x, _ in w], (k * p, q))
+    elif change == "unreduced":
+        rows[i] = (w, (k * p, k * q))
+    return rows
 
 
 def written(number) -> str:
@@ -635,9 +666,12 @@ def as_rational(number):
 @settings(max_examples=150, deadline=None)
 @given(halfspace_rows())
 def test_a_halfspace_literal_parses_to_the_set_of_its_rows_as_fractions(drawn):
-    cone, rows = drawn
-    text = "halfspaces: [" + ", ".join(
-        "[" + ", ".join(written(x) for x in (*normal, offset)) + "]" for normal, offset in rows
+    # drawn rows in any order, and the canonical rows of a set with one change
+    # or none, each with ", " between entries as a literal is written (read in
+    # one pass) or with other spacing (read as tokens)
+    cone, rows, comma = drawn
+    text = "halfspaces: [" + comma.join(
+        "[" + comma.join(written(x) for x in (*normal, offset)) + "]" for normal, offset in rows
     ) + "]"
     pairs = [(tuple(as_rational(x) for x in normal), as_rational(offset)) for normal, offset in rows]
     parsed, expected = parse_set_literal(text, cone), canonicalize(cone, halfspaces=pairs)
@@ -646,3 +680,47 @@ def test_a_halfspace_literal_parses_to_the_set_of_its_rows_as_fractions(drawn):
         expected.numerators, expected.rays, expected.lineality
     )
 
+
+# literals near the form ``UpperSet.literal`` writes: what each parses to, or
+# the error it raises, exactly as before the one-pass read
+NEAR_MISSES = {
+    "zero-denominator": ("halfspaces: [[1, 1, 1/0]]", "ValidationError: bad rational literal '1/0'"),
+    "zero-denominator-with-zeros": ("halfspaces: [[1, 1, 1/00]]", "ValidationError: bad rational literal '1/00'"),
+    "short-row": ("halfspaces: [[1, 1, 1], [1, 1]]", "ValueError: halfspace row needs 2 coordinates plus an offset"),
+    "long-row": ("halfspaces: [[1, 1, 1, 1]]", "ValueError: halfspace row needs 2 coordinates plus an offset"),
+    "missing-bracket": ("halfspaces: [[1, 1, 1], [1, 0, 2]", "ValueError: unterminated '['"),
+    "extra-bracket": ("halfspaces: [[1, 1, 1]]]", "ValueError: trailing tokens in '[[1, 1, 1]]]'"),
+    "no-comma-between-rows": ("halfspaces: [[1, 1, 1] [1, 0, 2]]", "halfspaces: [[1, 0, 2], [1, 1, 1]]"),
+    "trailing-comma": ("halfspaces: [[1, 1, 1], ]", "halfspaces: [[1, 1, 1]]"),
+    "trailing-comma-in-a-row": ("halfspaces: [[1, 1, 1,]]", "halfspaces: [[1, 1, 1]]"),
+    "minus-inf-offset": ("halfspaces: [[1, 1, 1], [1, 0, -inf]]", "halfspaces: [[1, 1, 1]]"),
+    "minus-inf-entry": (
+        "halfspaces: [[1, -inf, 1]]", "ValueError: unexpected -inf: only halfspace offsets may be infinite"
+    ),
+    "zero-normal": ("halfspaces: [[1, 1, 1], [0, 0, 1]]", "ValidationError: halfspace normal must be nonzero"),
+    "fraction-in-a-normal": ("halfspaces: [[1/2, 1, 1]]", "halfspaces: [[1, 2, 2]]"),
+    "leading-zeros": ("halfspaces: [[1, 1, 01/02]]", "halfspaces: [[1, 1, 1/2]]"),
+    "two-segments": ("halfspaces: [[0, 1, 1], [1, 0, 1]] points: [[1, 1]]", "halfspaces: [[0, 1, 1], [1, 0, 1]]"),
+}
+
+
+@pytest.mark.parametrize("text, outcome", NEAR_MISSES.values(), ids=NEAR_MISSES)
+def test_a_literal_near_the_written_form_reads_as_before(text, outcome):
+    try:
+        got = parse_set_literal(text, R2).literal()
+    except ValueError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == outcome
+
+
+def test_a_literal_as_written_is_read_without_tokens(monkeypatch):
+    # the form UpperSet.literal writes is read in one pass, with no tokens
+    sets = [
+        canonicalize(cone, points=[(0,) * cone.dim, (1,) + (Fraction(-1, 2),) * (cone.dim - 1)])
+        for cone in LITERAL_CONES.values()
+    ]
+    monkeypatch.setattr(workspace, "_tokenize", None)
+    parsed = [parse_set_literal(s.literal(), s.cone) for s in sets]
+    assert [(p, p.numerators, p.rays, p.lineality) for p in parsed] == [
+        (s, s.numerators, s.rays, s.lineality) for s in sets
+    ]
