@@ -21,12 +21,12 @@ because the description is kept minimal at every step: a pair is adjacent iff
 no third ray's mask contains its meet, one C-level count over the masks.  A
 meet with fewer rows than a two-dimensional face needs skips that count.
 
-Asked for its ``incidence``, ``cone_vrep`` also returns each output ray's
-zero set over the input rows, which is enough to drop redundant input rows
-without a second run: one run over a V-rep yields the facets and the
-irredundant points, rays and lineality, one run over a full-dimensional H-rep
-its V-rep and its facets.  ``upperset`` skips the run for planar canonical
-forms (one sort) and pointed 3-D sums (a fan merge); it stays their reference.
+``cone_vrep`` always returns each output ray's zero set over the input rows,
+which drops redundant input rows without a second run: one run over a V-rep
+(``vrep_to_hrep``) yields its facets and irredundant points, rays and
+lineality, one run over an H-rep (``hrep_to_vrep``) its V-rep and its facets.
+``upperset`` skips the run for planar canonical forms (one sort) and pointed
+3-D sums (a fan merge); it stays their reference.
 """
 
 from __future__ import annotations
@@ -69,14 +69,14 @@ def rref_basis(vectors, dim: int) -> list[Vec]:
     return mat[:r]
 
 
-def cone_vrep(rows, dim: int, *, incidence: bool = False):
-    """Minimal V-rep (lineality basis, extreme rays) of {x : <row,x> >= 0 ∀rows}.
+def cone_vrep(rows, dim: int):
+    """(lineality basis, extreme rays, masks, rows): the minimal V-rep of
+    {x : <row,x> >= 0 ∀rows} and its incidence.
 
     Extreme rays are modulo the lineality space; both come back as sorted
-    primitive integer vectors.  The zero cone yields ([], []).  With
-    ``incidence``, two lists follow: for each ray the bitmask of the rows
-    tight at it, and those rows, the sorted primitive forms of the nonzero
-    input rows (bit k stands for the k-th).
+    primitive integer vectors, and the zero cone has neither.  ``masks[j]`` is
+    the bitmask of the rows tight at ray j, bit k standing for ``rows[k]``;
+    ``rows`` are the sorted primitive forms of the nonzero input rows.
     """
     rows = [r for r in map(tuple, rows) if not is_zero(r)]
     prows = sorted({primitive(r) for r in rows})
@@ -131,31 +131,26 @@ def cone_vrep(rows, dim: int, *, incidence: bool = False):
                 raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
 
     rays.sort()  # by vector first
-    out_rays = [entry[0] for entry in rays]
-    if incidence:
-        return rref_basis(lin, dim), out_rays, [entry[1] for entry in rays], prows
-    return rref_basis(lin, dim), out_rays
+    return rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
 
 
-def hrep_to_vrep(ineqs, dim: int, *, with_facets: bool = False):
-    """V-rep (d, points, rays, lineality) of {z : <z, w> >= b for (w, b) in ineqs}.
+def hrep_to_vrep(ineqs, dim: int):
+    """(d, points, rays, lineality, facets) of {z : <z, w> >= b for (w, b) in ineqs}.
 
     Points come back as sorted integer numerators over the least common
     denominator d, one per minimal face; rays and lineality as primitive
-    integer vectors.  An infeasible system yields no points.  ``with_facets``
-    appends the irredundant inequalities as sorted facets (w, n) over d,
-    which requires a full-dimensional polyhedron.
+    integer vectors.  An infeasible system yields no points.  The facets are
+    the irredundant inequalities, sorted, as (w, n) meaning <z, w> >= n/d;
+    they describe the polyhedron only when it is full-dimensional.
     """
     rows = [(*w, -b) for w, b in ineqs]
     rows.append(_unit(dim + 1, dim))  # homogenization variable >= 0
-    lin, rays, *incidence = cone_vrep(rows, dim + 1, incidence=with_facets)
+    lin, rays, *incidence = cone_vrep(rows, dim + 1)
     if any(v[dim] != 0 for v in lin):
         raise GeometryError("homogenization lineality with nonzero level")
-    vrep = (*_dehomogenize(rays, dim), sorted(v[:dim] for v in lin))
-    if not with_facets:
-        return vrep
-    keep, _ = _irredundant(*incidence)
-    return (*vrep, _halfspaces(keep, dim, vrep[0]))  # the level row has a zero normal
+    d, points, rays = _dehomogenize(rays, dim)
+    keep, _ = _irredundant(*incidence)  # the level row has a zero normal: no facet
+    return d, points, rays, sorted(v[:dim] for v in lin), _halfspaces(keep, dim, d)
 
 
 def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
@@ -176,7 +171,7 @@ def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
     for l in lineality:
         rows.append(tuple(l) + (0,))
         rows.append(vneg(l) + (0,))
-    lin, facet_rays, *incidence = cone_vrep(rows, dim + 1, incidence=True)
+    lin, facet_rays, *incidence = cone_vrep(rows, dim + 1)
     if lin:
         raise GeometryError("facet enumeration on a lower-dimensional polyhedron")
     keep, lineal = _irredundant(*incidence)
@@ -236,8 +231,3 @@ def _bits(mask: int):
         yield low.bit_length() - 1
         mask ^= low
 
-
-def hrep_feasible(ineqs, dim: int) -> bool:
-    """Whether {z : <z, w> >= b for (w, b) in ineqs} is nonempty."""
-    _, points, _, _ = hrep_to_vrep(ineqs, dim)
-    return bool(points)

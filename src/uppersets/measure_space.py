@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .cone import Cone, ValidationError, checked_vector
-from .ddm import hrep_feasible
 from .linalg import INEXACT, NEG_INF, Vec, dot, format_rational, read_number, vec
-from .upperset import UpperSet, cone_upper_set, halfspace_set, point_plus_cone
+from .upperset import UpperSet, canonicalize, cone_upper_set, halfspace_set, point_plus_cone
 
 
 @dataclass(frozen=True)
@@ -272,8 +271,9 @@ def point_minus_cone_rows(cone: Cone, y) -> list[tuple[Vec, Fraction]]:
 
 
 def preimage(F: SimpleSetFunction, region) -> tuple[str, ...]:
-    """Atoms x with F(x) ∩ region ≠ ∅, by feasibility of the joint H-rep; region is
-    an UpperSet or rows (normal, offset), read by ``checked_vector`` and ``read_number``."""
+    """Atoms x with F(x) ∩ region ≠ ∅, by canonicalizing the joint H-rep, which closing
+    under C leaves empty or not; region is an UpperSet or rows (normal, offset), read by
+    ``checked_vector`` and ``read_number``, a zero normal refused as in any H-rep."""
     dim = F.cone.dim
     if isinstance(region, UpperSet):
         if region.is_empty:
@@ -282,7 +282,8 @@ def preimage(F: SimpleSetFunction, region) -> tuple[str, ...]:
     else:
         error = "region offset " + INEXACT
         rows = [(checked_vector(dim, w, "region normal"), read_number(b, error)) for w, b in region]
-    return tuple(a for a, v in zip(F.space.atoms, F.values) if hrep_feasible([*v.halfspaces, *rows], dim))
+    meets = (canonicalize(F.cone, [*v.halfspaces, *rows]) for v in F.values)
+    return tuple(a for a, meet in zip(F.space.atoms, meets) if not meet.is_empty)
 
 
 def preimage_identity_check(F: SimpleSetFunction, y) -> bool:

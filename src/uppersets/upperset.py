@@ -25,10 +25,10 @@ without lineality makes no run: ``_fan_sum`` merges the operands' normal fans
 unless their rays cancel.  Else the run over a V-rep plus C's generators yields
 the facets, its incidence the irredundant points, rays and lineality.  An H-rep
 is read as integer rows (w, n, e), meaning <z, w> >= n/e, from ``rows`` as
-they come or from (normal, offset) pairs by ``primitive_halfspace``; one
-with all normals in C+ is closed under C already: the run yields the V-rep,
-and its incidence the facets among the inequalities.  Any other H-rep is
-converted to a V-rep first, by one more run (the only one in the plane).
+they come or from (normal, offset) pairs by ``primitive_halfspace``.  Unless
+the sweep takes it, one run yields its V-rep and the facets among the
+inequalities: the canonical form when all normals lie in C+ (the H-rep is
+closed under C already).  Else the V-rep takes the V-rep path.
 Modulo the lineality space L, each point and ray is stored as the
 representative that is zero at L's pivot columns (pivots taken from the last
 column leftwards), so the stored V-rep depends only on the set.
@@ -357,19 +357,15 @@ def _from_hrep(cone: Cone, rows) -> UpperSet:
             continue  # absent constraint
         g = gcd(*w)  # (w/g, n, e·g): parallel normals become equal
         ineqs.append((tuple(x // g for x in w), n, e * g) if g > 1 else (tuple(w), n, e))
+    if not ineqs:
+        return UpperSet.full(cone)
+    # all normals in C+: closed under C already, hence nonempty and full-dimensional
+    closed = all(sum(map(mul, g, w)) >= 0 for w, _, _ in ineqs for g in cone.generators)
+    if closed and cone.dim == 2:
+        return _planar_hrep(cone, ineqs)
     scaled = ((vscale(e, w), n) for w, n, e in ineqs)  # <z, e·w> >= n, for a run
-    if all(sum(map(mul, g, w)) >= 0 for w, _, _ in ineqs for g in cone.generators):  # all in C+
-        # closed under C already, hence nonempty and full-dimensional
-        if not ineqs:
-            return UpperSet.full(cone)
-        if cone.dim == 2:
-            return _planar_hrep(cone, ineqs)
-        d, pts, rys, lin, facets = ddm.hrep_to_vrep(scaled, cone.dim, with_facets=True)
-        return _proper(cone, facets, d, pts, rys, lin)
-    d, pts, rys, lin = ddm.hrep_to_vrep(scaled, cone.dim)
-    if not pts:
-        return UpperSet.empty(cone)
-    return _from_vrep(cone, d, pts, rys, lin)
+    d, pts, rys, lin, facets = ddm.hrep_to_vrep(scaled, cone.dim)
+    return _proper(cone, facets, d, pts, rys, lin) if closed else _from_vrep(cone, d, pts, rys, lin)
 
 
 def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:

@@ -73,25 +73,22 @@ def _number(token: str) -> tuple[int, int]:
 
 
 def _parse_nested(tokens: list[str], pos: int):
+    """The list opened at tokens[pos] and the position after its ']', by a stack of open lists."""
     if pos >= len(tokens) or tokens[pos] != "[":
         raise ValueError("expected '['")
-    pos += 1
-    items = []
-    while True:
-        if pos >= len(tokens):
-            raise ValueError("unterminated '['")
-        tok = tokens[pos]
-        if tok == "]":
-            return items, pos + 1
-        if tok == ",":
-            pos += 1
-            continue
+    stack = [[]]
+    for end in range(pos + 1, len(tokens)):
+        tok = tokens[end]
         if tok == "[":
-            inner, pos = _parse_nested(tokens, pos)
-            items.append(inner)
-        else:
-            items.append(_number(tok))
-            pos += 1
+            stack.append([])
+        elif tok == "]":
+            items = stack.pop()
+            if not stack:
+                return items, end + 1
+            stack[-1].append(items)
+        elif tok != ",":
+            stack[-1].append(_number(tok))
+    raise ValueError("unterminated '['")
 
 
 def _finite(entries) -> tuple:

@@ -484,6 +484,30 @@ def test_external_child_exiting_after_its_answer_exits_2(ws_path, capsys, tmp_pa
     assert err == f"error: external:{sys.executable} {child} exited with code 0\n"
 
 
+def test_a_literal_nested_1200_deep_is_a_parse_error(ws_path, capsys, tmp_path):
+    # the nested-list reader keeps a stack, not a recursion: no depth makes it
+    # raise anything but its diagnostics, in a workspace or in a child's answer
+    deep = "points: " + "[" * 1200 + "]" * 1200
+    p = tmp_path / "ws_deep.txt"
+    p.write_text(WS.replace("x1: points: [[1, 0]]", "x1: " + deep))
+    code, out, err = run(capsys, "integrate", str(p), "F", "mu")
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}:14: expected a nested vector in {deep[len('points: '):]!r}\n"
+
+    child = tmp_path / "deep_child.py"
+    child.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'end':\n"
+        f"        print({deep!r}, flush=True)\n"
+    )
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert out.startswith("flags: ") and out.count("\n") == 1
+    assert err.startswith(f"error: unparsable response {deep!r}: expected a nested vector in ")
+
+
 @has_digit_limit
 @pytest.mark.parametrize(
     "answer", [f"halfspaces: [[1, 1, {MANY_DIGITS}]]", f"halfspaces: [[1,1,{MANY_DIGITS}]]"], ids=["one-pass", "tokens"]

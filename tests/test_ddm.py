@@ -11,7 +11,6 @@ from uppersets.ddm import (
     GeometryError,
     _halfspaces,
     cone_vrep,
-    hrep_feasible,
     hrep_to_vrep,
     rref_basis,
     vrep_to_hrep,
@@ -40,33 +39,33 @@ def valid_rows_for(lineality, rays, dim):
 
 def test_dual_of_orthant_rows_is_orthant():
     rows = [(1, 0), (0, 1)]
-    lin, rays = cone_vrep(rows, 2)
+    lin, rays, *_ = cone_vrep(rows, 2)
     assert lin == []
     assert rays == [(0, 1), (1, 0)]
 
 
 def test_wedge_dual():
     # {w : w1 >= 0, w1 + w2 >= 0} is generated by (0,1) and (1,-1)
-    lin, rays = cone_vrep([(1, 0), (1, 1)], 2)
+    lin, rays, *_ = cone_vrep([(1, 0), (1, 1)], 2)
     assert lin == []
     assert sorted(rays) == [(0, 1), (1, -1)]
 
 
 def test_halfspace_cone_has_lineality():
-    lin, rays = cone_vrep([(1, 1)], 2)
+    lin, rays, *_ = cone_vrep([(1, 1)], 2)
     assert lin == [(1, -1)]
     # the single extreme ray is only defined modulo lineality
     assert len(rays) == 1 and dot(rays[0], (1, 1)) > 0
 
 
 def test_zero_dual_of_full_space():
-    lin, rays = cone_vrep([], 3)
+    lin, rays, *_ = cone_vrep([], 3)
     assert rays == []
     assert len(lin) == 3
 
 
 def test_infeasible_strict_opposites_leave_zero_cone():
-    lin, rays = cone_vrep([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    lin, rays, *_ = cone_vrep([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
     assert lin == [] and rays == []
 
 
@@ -77,7 +76,7 @@ def test_cone_vrep_matches_grid_oracle(seed):
     rng = random.Random(seed)
     dim = rng.choice([2, 2, 3, 3, 4])
     rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
-    lin, rays = cone_vrep(rows, dim)
+    lin, rays, *_ = cone_vrep(rows, dim)
     oracle_rows = valid_rows_for(lin, rays, dim)
     for x in product(range(-2, 3), repeat=dim):
         lhs = in_cone_by_rows(rows, x)
@@ -92,7 +91,7 @@ def test_cone_vrep_rays_are_extreme(seed):
     rng = random.Random(100 + seed)
     dim = rng.choice([2, 3, 3, 4])
     rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(2, 6))]
-    lin, rays = cone_vrep(rows, dim)
+    lin, rays, *_ = cone_vrep(rows, dim)
     nonzero = [r for r in rows if any(r)]
     for r in rays:
         tight = [row for row in nonzero if dot(row, r) == 0]
@@ -167,7 +166,7 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
     else:
         rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(6, 12))]
     rows = sorted({primitive(r) for r in rows if any(r)})
-    lin, rays = cone_vrep(rows, dim)
+    lin, rays, *_ = cone_vrep(rows, dim)
     assert len(lin) == dim - rank(rows)
     for l in lin:
         assert all(dot(row, l) == 0 for row in rows)
@@ -180,7 +179,7 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
     assert len(zero_sets) == len(rays)
     assert zero_sets == extreme_zero_sets(rows, dim), (rows, rays)
     # the incidence _irredundant reads: bit k of a ray's mask is prows[k] tight at it
-    lin_i, rays_i, masks, prows = cone_vrep(rows, dim, incidence=True)
+    lin_i, rays_i, masks, prows = cone_vrep(rows, dim)
     assert (lin_i, rays_i, prows) == (lin, rays, rows)
     for r, mask in zip(rays, masks):
         assert mask == sum(1 << k for k, row in enumerate(prows) if dot(row, r) == 0), (rows, r)
@@ -189,33 +188,33 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
 def test_two_rays_with_an_empty_meet_are_adjacent():
     # No row is tight at both rays, so their meet is empty; no third ray
     # contains it, so the pair is adjacent and spans the cone.
-    assert cone_vrep([(-1, -1), (-1, 0), (-1, 1)], 2) == ([], [(-1, -1), (-1, 1)])
+    assert cone_vrep([(-1, -1), (-1, 0), (-1, 1)], 2)[:2] == ([], [(-1, -1), (-1, 1)])
 
 
 def test_hrep_to_vrep_simplex():
     ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -2)]  # x,y >= 0, x+y <= 2
-    d, points, rays, lin = hrep_to_vrep(ineqs, 2)
+    d, points, rays, lin, _ = hrep_to_vrep(ineqs, 2)
     assert (d, points) == (1, [(0, 0), (0, 2), (2, 0)])
     assert rays == [] and lin == []
 
 
 def test_hrep_to_vrep_translated_orthant():
     ineqs = [((1, 0), 1), ((0, 1), 2)]
-    d, points, rays, lin = hrep_to_vrep(ineqs, 2)
+    d, points, rays, lin, _ = hrep_to_vrep(ineqs, 2)
     assert (d, points) == (1, [(1, 2)])
     assert rays == [(0, 1), (1, 0)]
     assert lin == []
 
 
 def test_hrep_to_vrep_halfspace_lineality():
-    d, points, rays, lin = hrep_to_vrep([((1, 1), 0)], 2)
+    d, points, rays, lin, _ = hrep_to_vrep([((1, 1), 0)], 2)
     assert lin == [(1, -1)]
     assert (d, points) == (1, [(0, 0)])
 
 
 def test_hrep_infeasible():
-    assert not hrep_feasible([((1, 0), 1), ((-1, 0), 0)], 2)
-    assert hrep_feasible([((1, 0), 1), ((-1, 0), -1)], 2)
+    assert not hrep_to_vrep([((1, 0), 1), ((-1, 0), 0)], 2)[1]
+    assert hrep_to_vrep([((1, 0), 1), ((-1, 0), -1)], 2)[1]
 
 
 def test_vrep_to_hrep_staircase():
@@ -245,7 +244,7 @@ def test_hrep_vrep_round_trip(seed):
         if not any(w):
             continue
         ineqs.append((w, Fraction(rng.randint(-2, 1))))
-    d, points, rays, lin = hrep_to_vrep(ineqs, dim)
+    d, points, rays, lin, _ = hrep_to_vrep(ineqs, dim)
     if not points:
         return
     interior_hits = 0
@@ -333,8 +332,8 @@ def test_integer_rows_skip_the_denominator_pass_with_the_same_output(seed):
         if rng.random() < 0.5:
             rows.append(tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3)) * x for x in r))
     as_fractions = [vec(r) for r in rows]
-    mixed = cone_vrep(rows, dim, incidence=True)
-    assert mixed == cone_vrep(as_fractions, dim, incidence=True)
+    mixed = cone_vrep(rows, dim)
+    assert mixed == cone_vrep(as_fractions, dim)
     assert mixed[3] == sorted({primitive(r) for r in as_fractions if any(r)})
     assert all(type(x) is int for r in mixed[3] for x in r)
 
@@ -395,7 +394,7 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     assert facets == vrep_to_hrep(points, rays, lineality, dim)[0]
     assert lin == rref_basis(lineality, dim)
     rows = [(tuple(d * x for x in w), n) for w, n in facets]  # <z, d·w> >= n
-    v_d, v_nums, v_rays, v_lin = hrep_to_vrep(rows, dim)
+    v_d, v_nums, v_rays, v_lin, _ = hrep_to_vrep(rows, dim)
     assert v_lin == sorted(lin)
     if not lineality:
         assert (d, pts, rys) == (v_d, v_nums, v_rays)
@@ -409,6 +408,6 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     looser = [(w, b - 1) for w, b in rows]
     ineqs = looser + rows + rescaled
     rng.shuffle(ineqs)
-    *vrep, h_facets = hrep_to_vrep(ineqs, dim, with_facets=True)
+    *vrep, h_facets = hrep_to_vrep(ineqs, dim)
     assert vrep == [v_d, v_nums, v_rays, v_lin]
     assert over_d(v_d, h_facets) == over_d(d, facets)

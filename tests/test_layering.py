@@ -1,5 +1,6 @@
 """Module layering: no module of the package imports a sibling's private name,
-and no module but ``linalg`` reads a number with a ``Fraction(x)`` fallback."""
+only the kernel's clients import from ``ddm``, and no module but ``linalg``
+reads a number with a ``Fraction(x)`` fallback."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,35 @@ def private_imports(path: Path) -> list[str]:
         if node.level == 0 and module.split(".")[0] != PACKAGE.name:
             continue
         found += [f"{module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+# the double-description kernel's clients and what each imports from it; every
+# other module asks ``upperset`` or ``cone`` for a conversion
+KERNEL_CLIENTS = {
+    "cone": ["cone_vrep", "rref_basis"],
+    "upperset": ["ddm"],
+    "integral": ["rref_basis"],
+    "cli": ["GeometryError"],
+}
+
+
+def kernel_imports(path: Path) -> list[str]:
+    """The names ``path`` imports from ``ddm``, and 'ddm' for the module itself,
+    relatively or through the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += ["ddm" for alias in node.names if alias.name == f"{PACKAGE.name}.ddm"]
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != PACKAGE.name:
+            continue
+        if module.split(".")[-1] == "ddm":
+            found += [alias.name for alias in node.names]
+        elif module in ("", PACKAGE.name):
+            found += ["ddm" for alias in node.names if alias.name == "ddm"]
     return found
 
 
@@ -64,6 +94,20 @@ def test_a_private_import_is_found(tmp_path):
     source = tmp_path / "m.py"
     source.write_text("from .upperset import UpperSet, _planar_sum\nfrom uppersets.ddm import _halfspaces\n")
     assert private_imports(source) == ["upperset._planar_sum", "uppersets.ddm._halfspaces"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_the_kernel_clients_import_from_ddm(path):
+    assert kernel_imports(path) == KERNEL_CLIENTS.get(path.stem, [])
+
+
+def test_a_kernel_import_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "from .ddm import hrep_to_vrep, rref_basis\nfrom . import ddm, linalg\nfrom uppersets import cone, ddm\n"
+        "import uppersets.ddm\nfrom uppersets.ddm import GeometryError\nfrom .upperset import UpperSet\nimport ddm\n"
+    )
+    assert kernel_imports(source) == ["hrep_to_vrep", "rref_basis", "ddm", "ddm", "ddm", "GeometryError"]
 
 
 @pytest.mark.parametrize(

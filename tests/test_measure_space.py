@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uppersets import Cone, ValidationError, orthant
+from uppersets import Cone, ValidationError, ddm, orthant
 from uppersets.linalg import NEG_INF
 from uppersets.measure_space import (
     AtomicMeasure,
@@ -128,6 +128,68 @@ def test_preimage_reads_a_row_offset_as_fraction_does(offset):
         return
     assert preimage(f, [((-1, 0), offset)]) == ("x1",)
     assert preimage(f, [(("-3/2", 0), offset)]) == ("x1",)
+
+
+def test_preimage_refuses_a_zero_region_normal():
+    # as every H-rep does: 0 >= -1 and 0 >= 1 are no regions to read
+    f = constant_function(X2, cone_upper_set(R2))
+    for offset in (-1, 1):
+        with pytest.raises(ValidationError, match="^halfspace normal must be nonzero$"):
+            preimage(f, [((0, 0), offset)])
+
+
+def kernel_preimage(F, region):
+    """The reference: atoms whose joint H-rep with the region the kernel finds feasible."""
+    if isinstance(region, UpperSet):
+        if region.is_empty:
+            return ()
+        region = region.halfspaces
+    return tuple(
+        a for a, v in zip(F.space.atoms, F.values) if ddm.hrep_to_vrep([*v.halfspaces, *region], F.cone.dim)[1]
+    )
+
+
+@pytest.mark.parametrize(
+    "cone", [R2, Cone(2, ((1, 0), (1, 1)), (2, 1)), orthant(3)], ids=["orthant2", "wedge2", "orthant3"]
+)
+def test_preimage_agrees_with_the_kernels_feasibility(cone):
+    # canonicalizing F(x) ∩ region closes it under C, which keeps it empty or
+    # not; regions with normals outside C+, disjoint from some values, and
+    # upper sets (the empty set among them) are each seen to keep and drop atoms
+    rng = random.Random(34)
+    dim = cone.dim
+
+    def number():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+
+    def upper_set():
+        if rng.random() < 0.3:
+            return halfspace_set(cone, rng.choice(cone.dual_generators), number())
+        return canonicalize(cone, points=[tuple(number() for _ in range(dim)) for _ in range(rng.randint(1, 3))])
+
+    def normal():
+        w = (0,) * dim
+        while not any(w):
+            w = tuple(rng.randint(-2, 2) for _ in range(dim))
+        return w
+
+    regions = {
+        "point-minus-cone": lambda: point_minus_cone_rows(cone, tuple(number() for _ in range(dim))),
+        "any-normals": lambda: [(normal(), number()) for _ in range(rng.randint(1, 3))],
+        "upper-bound": lambda: [(tuple(-x for x in rng.choice(cone.dual_generators)), number())],
+        "upper-set": upper_set,
+    }
+    kept_and_dropped = {kind: [0, 0] for kind in regions}
+    for trial in range(25):
+        atoms = space(*[f"a{i}" for i in range(rng.randint(1, 3))])
+        f = SimpleSetFunction(atoms, tuple(upper_set() for _ in atoms.atoms))
+        for kind, draw in regions.items():
+            region = UpperSet.empty(cone) if kind == "upper-set" and trial % 5 == 0 else draw()
+            kept = preimage(f, region)
+            assert kept == kernel_preimage(f, region), (kind, f, region)
+            kept_and_dropped[kind][0] += len(kept)
+            kept_and_dropped[kind][1] += len(atoms) - len(kept)
+    assert all(kept and dropped for kept, dropped in kept_and_dropped.values()), kept_and_dropped
 
 
 def test_preimage_identity_examples():

@@ -569,7 +569,7 @@ def ddm_vrep(cone, d, points, rays, lineality):
 def ddm_hrep(cone, pairs):
     """The C+ branch of ``_from_hrep`` the double-description way."""
     rows = [(vscale(e, w), n) for w, n, e in (primitive_halfspace(vec(w), b) for w, b in pairs)]
-    d, points, rays, lineality, facets = ddm.hrep_to_vrep(rows, cone.dim, with_facets=True)
+    d, points, rays, lineality, facets = ddm.hrep_to_vrep(rows, cone.dim)
     return _proper(cone, facets, d, points, rays, lineality)
 
 

@@ -299,7 +299,7 @@ def stored_v(d):
 def test_one_pass_vrep_matches_vertex_enumeration_of_facets(d):
     if d.lineality:
         return
-    denominator, points, rays, lineality = ddm.hrep_to_vrep(list(d.halfspaces), d.dim)
+    denominator, points, rays, lineality, _ = ddm.hrep_to_vrep(list(d.halfspaces), d.dim)
     assert lineality == []
     assert (d.denominator, d.numerators, d.rays) == (denominator, tuple(points), tuple(rays))
 

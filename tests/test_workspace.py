@@ -408,6 +408,11 @@ DIAGNOSTICS = {
         "x2: points: [[[0, 0]]]",
         ":18: expected a nested vector in '[[[0, 0]]]'",
     ),
+    "setfunction-point-nested-1200-deep": (
+        "x2: points: [[0, 0], [2, -1]]",
+        "x2: points: " + "[" * 1200 + "]" * 1200,
+        ":18: expected a nested vector in " + repr("[" * 1200 + "]" * 1200),
+    ),
     # inf and -inf: only a halfspace offset may be infinite, and a scalar -inf
     "inf-generator": (
         "generators: [1, 0] [0, 1]",
