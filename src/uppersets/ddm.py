@@ -16,10 +16,11 @@ at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
 (both are >= 0 on every processed row and both coefficients are positive), so
 its mask is the parents' meet plus the current row.  A ray projected along a
 lineality vector keeps its mask: that vector is orthogonal to every processed
-row.  Adjacency is the combinatorial zero-set test of Fukuda & Prodon, valid
-because the description is kept minimal at every step: a pair is adjacent iff
-no third ray's mask contains its meet, one C-level count over the masks.  A
-meet with fewer rows than a two-dimensional face needs skips that count.
+row.  Adjacency is the zero-set test of Fukuda & Prodon, valid since the
+description stays minimal: no third ray is tight on all of an adjacent pair's
+meet.  Each row keeps the ids (bits, never reused) of the rays tight at it,
+updated as rays come and go, and the test ANDs the live ids with the meet's
+rows' sets until only the pair is left; a meet of too few rows is skipped.
 
 ``cone_vrep`` always returns each output ray's zero set over the input rows,
 which drops redundant input rows without a second run: one run over a V-rep
@@ -81,7 +82,9 @@ def cone_vrep(rows, dim: int):
     rows = [r for r in map(tuple, rows) if not is_zero(r)]
     prows = sorted({primitive(r) for r in rows})
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
-    rays: list[list] = []  # [vector, zero-set bitmask over processed rows]
+    rays: list[list] = []  # [vector, zero-set bitmask over processed rows, id bit]
+    tight: list[int] = []  # per processed row, the ids of the rays tight at it
+    live = ids = 0  # the ids of the current rays; the number of ids handed out
 
     for k, a in enumerate(prows):
         bit = 1 << k
@@ -101,34 +104,46 @@ def cone_vrep(rows, dim: int):
                 if val != 0:
                     entry[0] = coprime(tuple(val0 * x - val * y for x, y in zip(entry[0], v0)))
                 entry[1] |= bit  # projected rays are tight at the new row
-            rays.append([v0, bit - 1])  # tight at every earlier row; lin is primitive
-        else:
-            vals = [sum(map(mul, a, entry[0])) for entry in rays]
-            pos = [(entry, v) for entry, v in zip(rays, vals) if v > 0]
-            neg = [(entry, v) for entry, v in zip(rays, vals) if v < 0]
-            zero = [entry for entry, v in zip(rays, vals) if v == 0]
-            for entry in zero:
-                entry[1] |= bit
-            # two adjacent rays span a face of dimension len(lin) + 2, so the
-            # rows tight on both have rank, hence count, at least this
-            face_rank = dim - len(lin) - 2
-            masks = [entry[1] for entry in rays]
-            combined: dict[Vec, list] = {}
-            for p, val_p in pos:
-                for n, val_n in neg:
-                    meet = p[1] & n[1]
-                    if meet.bit_count() < face_rank:
-                        continue
-                    # adjacent iff p and n are the only rays tight on all of meet
-                    if list(map(meet.__and__, masks)).count(meet) != 2:
-                        continue
-                    vecq = coprime(tuple(val_p * x - val_n * y for x, y in zip(n[0], p[0])))
-                    if is_zero(vecq) or vecq in combined:
-                        continue
-                    combined[vecq] = [vecq, meet | bit]
-            rays = [entry for entry, _ in pos] + zero + list(combined.values())
-            if len(rays) > MAX_RAYS:
-                raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
+            tight = [t | 1 << ids for t in tight] + [live]  # v0 is tight at every earlier row
+            rays.append([v0, bit - 1, 1 << ids])  # lin is primitive
+            live, ids = live | 1 << ids, ids + 1
+            continue
+        vals = [sum(map(mul, a, entry[0])) for entry in rays]
+        pos = [(entry, v) for entry, v in zip(rays, vals) if v > 0]
+        neg = [(entry, v) for entry, v in zip(rays, vals) if v < 0]
+        zero = [entry for entry, v in zip(rays, vals) if v == 0]
+        for entry in zero:
+            entry[1] |= bit
+        tight.append(sum(entry[2] for entry in zero))
+        # two adjacent rays span a face of dimension len(lin) + 2, so the
+        # rows tight on both have rank, hence count, at least this
+        face_rank = dim - len(lin) - 2
+        combined: dict[Vec, list] = {}
+        for p, val_p in pos:
+            for n, val_n in neg:
+                meet = p[1] & n[1]
+                if meet.bit_count() < face_rank:
+                    continue
+                pair, common, rest = p[2] | n[2], live, meet  # adjacent iff no other live ray is tight on meet
+                while rest and common != pair:
+                    low = rest & -rest
+                    common &= tight[low.bit_length() - 1]
+                    rest ^= low
+                if common != pair:
+                    continue
+                vecq = [val_p * x - val_n * y for x, y in zip(n[0], p[0])]
+                g = gcd(*vecq)  # 0 only for the zero ray
+                vecq = tuple([x // g for x in vecq]) if g > 1 else tuple(vecq)
+                if g and vecq not in combined:
+                    combined[vecq] = [vecq, meet | bit, 1 << (ids + len(combined))]
+        for _, mask, new in combined.values():
+            for j in _bits(mask):
+                tight[j] |= new
+        dropped, added = sum(entry[2] for entry, _ in neg), ((1 << len(combined)) - 1) << ids
+        live, ids = live & ~dropped | added, ids + len(combined)
+        rays = [entry for entry, _ in pos] + zero + list(combined.values())
+        if len(rays) > MAX_RAYS:
+            raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
 
     rays.sort()  # by vector first
     return rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
@@ -201,10 +216,10 @@ def _irredundant(masks, rows) -> tuple[list[Vec], list[Vec]]:
 
     ``masks[j]`` holds the rows tight at output ray j.  A row tight at every
     ray lies in the lineality part of the other description.  Any other row k
-    is irredundant iff every row tight at all rays k is tight at shares k's
-    zero set or is such a lineality row (Fukuda & Prodon, 1996); one row is
-    kept per zero set.  Returns the kept rows and the lineality rows, in time
-    linear in the number of incidences.
+    is irredundant iff each row tight at all of k's rays has k's zero set or
+    is such a lineality row (Fukuda & Prodon, 1996); one row is kept per zero
+    set.  Returns the kept rows and the lineality rows, in time linear in the
+    number of incidences.
     """
     zero_sets = [0] * len(rows)  # per row: the rays tight at it
     for j, mask in enumerate(masks):

@@ -3,7 +3,8 @@
 The integral is computed as the exact Minkowski sum of the measure-scaled
 values (``integral_value``); ``aumann_integral`` carries the support-function
 representation along as a certificate (one equality per facet normal), so
-every integral it computes cross-checks itself.
+every integral it computes cross-checks itself.  Both sides read supports at
+integer normals as integer numerators and build one Fraction each.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .cone import Cone, ValidationError
+from .cone import Cone, ValidationError, checked_vector
 from .ddm import rref_basis
 from .linalg import (
     INEXACT,
     NEG_INF,
+    POS_INF,
     Vec,
     clear_denominators,
     dot,
-    ext_add,
     format_rational,
     format_vector,
     read_number,
@@ -73,20 +74,22 @@ class IntegralResult:
 
 
 def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction | float:
-    """Σ μ(x)·support(F(x), w) with the zero-weight and -inf conventions.
+    """Σ μ(x)·support(F(x), w) with the zero-weight and infinite conventions.
 
-    Zero-weight atoms contribute the support of C, which is 0 for w in the
-    dual cone; a -inf support on a positive-weight atom forces -inf.
+    Zero-weight atoms contribute C's support, 0 for w in the dual cone; a -inf
+    support forces -inf, else an empty atom +inf.  The supports at the integer
+    e·w are integer numerators (e > 0), summed over one common denominator.
     """
-    total: Fraction | float = Fraction(0)
-    for weight, value in zip(mu.weights, F.values):
-        if weight == 0:
-            continue
-        sigma = value.support(w)
-        if sigma == NEG_INF:
-            return NEG_INF
-        total = ext_add(total, weight * sigma)
-    return total
+    e, (w,) = clear_denominators([checked_vector(F.cone.dim, w, "direction")])
+    if not any(w):
+        raise ValidationError("support direction must be nonzero")
+    terms = [(weight, value) for weight, value in zip(mu.weights, F.values) if weight]
+    sigmas = [POS_INF if value.is_empty else value._support_numerator(w) for _, value in terms]
+    if None in sigmas or POS_INF in sigmas:
+        return NEG_INF if None in sigmas else POS_INF
+    d = lcm(*(q.denominator * v.denominator for q, v in terms))
+    total = sum(s * q.numerator * d // (q.denominator * v.denominator) for (q, v), s in zip(terms, sigmas))
+    return Fraction(total, d * e)
 
 
 def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
@@ -102,8 +105,10 @@ def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
 def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:
     """The integral's value with its support certificate."""
     value = integral_value(F, mu)
+    normals = value.facet_normals()
     certificate = tuple(
-        (w, value.support(w), weighted_support_sum(F, mu, w)) for w in value.facet_normals()
+        (w, NEG_INF if s is None else Fraction(s, value.denominator), weighted_support_sum(F, mu, w))
+        for w, s in zip(normals, map(value._support_numerator, normals))
     )
     return IntegralResult(value, certificate)
 

@@ -126,12 +126,3 @@ def format_rational(x) -> str:
 
 def format_vector(v: Sequence) -> str:
     return "[" + ", ".join(format_rational(x) for x in v) + "]"
-
-
-def ext_add(a, b):
-    """Extended addition on Q ∪ {-inf, +inf}; +inf dominates -inf."""
-    if a == POS_INF or b == POS_INF:
-        return POS_INF
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b

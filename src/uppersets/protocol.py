@@ -36,6 +36,7 @@ from .upperset import UpperSet
 from .workspace import parse_set_literal
 
 ANSWER_DEADLINE_S = 60.0  # the longest round trip, request and child's start included
+MAX_ANSWER_BYTES = 64 << 20  # the longest answer line, its newline excluded
 
 
 class ProtocolError(RuntimeError):
@@ -59,7 +60,7 @@ class ExternalFunctional:
         self.cone = cone
         self._proc: subprocess.Popen | None = None
         self._stderr = None  # the child's stderr, a temporary file
-        self._pending = b""  # what the child wrote after its last answer
+        self._pending = bytearray()  # what the child wrote after its last answer
 
     def _ensure_process(self) -> subprocess.Popen:
         """The child, started on the first call; one that has exited is an error."""
@@ -103,29 +104,34 @@ class ExternalFunctional:
         """Write ``data`` to the child as fast as its input takes it and
         return the child's next line, or '' once it closed its output.  A
         child that neither takes the request nor answers it within
-        ANSWER_DEADLINE_S is killed, and that is a ProtocolError."""
+        ANSWER_DEADLINE_S, or writes an answer line longer than
+        MAX_ANSWER_BYTES, is killed, and that is a ProtocolError."""
         inp, out = proc.stdin.fileno(), proc.stdout.fileno()
         deadline = time.monotonic() + ANSWER_DEADLINE_S
+        answered = b"\n" in self._pending
         with selectors.DefaultSelector() as selector:
             selector.register(inp, selectors.EVENT_WRITE)
             selector.register(out, selectors.EVENT_READ)
-            while data or b"\n" not in self._pending:
+            while data or not answered:
                 ready = {key.fd for key, _ in selector.select(deadline - time.monotonic())}
-                if not ready:
-                    proc.kill()
-                    proc.wait()
-                    raise ProtocolError(
-                        f"{self.name} gave no answer within {ANSWER_DEADLINE_S:g} s{self._stderr_tail()}"
-                    )
-                if inp in ready:
-                    data = data[os.write(inp, data) :]
-                    if not data:
-                        selector.unregister(inp)
                 if out in ready:
                     chunk = os.read(out, 65536)
                     if not chunk:
                         break
                     self._pending += chunk
+                    answered = answered or b"\n" in chunk
+                pending = self._pending
+                too_long = len(pending) > MAX_ANSWER_BYTES and b"\n" not in pending[: MAX_ANSWER_BYTES + 1]
+                if too_long or time.monotonic() >= deadline:
+                    proc.kill()
+                    proc.wait()
+                    problem = f"wrote an answer line longer than {MAX_ANSWER_BYTES} bytes"
+                    problem = problem if too_long else f"gave no answer within {ANSWER_DEADLINE_S:g} s"
+                    raise ProtocolError(f"{self.name} {problem}{self._stderr_tail()}")
+                if inp in ready:
+                    data = data[os.write(inp, data) :]
+                    if not data:
+                        selector.unregister(inp)
         line, newline, self._pending = self._pending.partition(b"\n")
         return (line + newline).decode(errors="replace")
 
@@ -150,7 +156,7 @@ class ExternalFunctional:
             proc.wait()
         proc.stdout.close()
         self._stderr.close()
-        self._pending = b""
+        self._pending = bytearray()
 
 
 def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:

@@ -20,18 +20,16 @@ from __future__ import annotations
 
 import contextlib
 import io
-import statistics
 import sys
-import time
 from math import lcm
 from pathlib import Path
 
+from gates import shares, stored, summary
 from uppersets import upperset
 from uppersets.cli import main
 
 WORKSPACE = Path(__file__).parent / "golden" / "orthant3.ws"
 VERDICTS = ("check-axioms", "reconstruct")
-ALTERNATIONS = 10
 GATE = 0.6
 
 
@@ -67,16 +65,11 @@ def merge_path(a, b):
     return upperset._fan_sum(a, b) or ddm_path(a, b)
 
 
-def stored(s) -> tuple:
-    return s.kind, s.facets, s.denominator, s.numerators, s.rays, s.lineality
-
-
-def cpu(path, pairs) -> float:
-    upperset._fan.cache_clear()  # each pass reads every fan afresh, as the verdicts did
-    start = time.process_time()
+def every_sum(path, pairs):
+    """A pass of ``path`` over the recorded pairs, reading every fan afresh, as the verdicts did."""
+    upperset._fan.cache_clear()
     for a, b in pairs:
         path(a, b)
-    return time.process_time() - start
 
 
 def run() -> int:
@@ -84,21 +77,11 @@ def run() -> int:
     differing = [(a, b) for a, b in pairs if stored(merge_path(a, b)) != stored(ddm_path(a, b))]
     for a, b in differing[:3]:
         print(f"differs: {a.literal()} ⊕ {b.literal()}")
-    ratios = []
-    for k in range(ALTERNATIONS):
-        if k % 2:
-            merge_s = cpu(merge_path, pairs)
-            ddm_s = cpu(ddm_path, pairs)
-        else:
-            ddm_s = cpu(ddm_path, pairs)
-            merge_s = cpu(merge_path, pairs)
-        ratios.append(merge_s / ddm_s)
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    ratios = shares(lambda: every_sum(merge_path, pairs), lambda: every_sum(ddm_path, pairs))
     merged = sum(upperset._fan_sum(a, b) is not None for a, b in pairs)
     print(
         f"{len(pairs)} general 3-D sums, {merged} merged, {len(differing)} differ from the DDM path; "
-        f"merge/DDM CPU x{median:.3f} (q1 {q1:.3f}, q3 {q3:.3f}) over {ALTERNATIONS} alternations, "
-        f"gate x{GATE}: {'met' if median <= GATE else 'not met'}"
+        f"merge/DDM CPU {summary(ratios, GATE)}"
     )
     return 1 if differing else 0
 

@@ -22,19 +22,17 @@ from __future__ import annotations
 
 import contextlib
 import io
-import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
+from gates import shares, stored, summary
 from test_golden import copy_workspaces, transcript
 from uppersets import protocol, workspace
 from uppersets.integral import integral_value
 from uppersets.workspace import parse_set_literal, parse_workspace
 
 FUNCTIONALS = ("ext", "ext-shift")  # the fixture child, the second shifting its answers
-ALTERNATIONS = 10
 GATE = 0.6
 
 
@@ -76,29 +74,6 @@ def tokens(literals, cone) -> list:
         workspace._written_rows = written
 
 
-def stored(s) -> tuple:
-    return s.kind, s.facets, s.denominator, s.numerators, s.rays, s.lineality
-
-
-def cpu(path, literals, cone) -> float:
-    start = time.process_time()
-    path(literals, cone)
-    return time.process_time() - start
-
-
-def ratios(literals, cone) -> list[float]:
-    shares = []
-    for k in range(ALTERNATIONS):
-        if k % 2:
-            fast = cpu(one_pass, literals, cone)
-            slow = cpu(tokens, literals, cone)
-        else:
-            slow = cpu(tokens, literals, cone)
-            fast = cpu(one_pass, literals, cone)
-        shares.append(fast / slow)
-    return shares
-
-
 def run() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy_workspaces(Path(tmp))
@@ -112,11 +87,8 @@ def run() -> int:
         print(f"differs: {text}")
     print(f"{len(requests)} request and {len(answers)} answer literals, {len(differing)} differ from the token path")
     for what, group in (("requests", requests), ("answers", answers)):
-        q1, median, q3 = statistics.quantiles(ratios(group, cone), n=4, method="inclusive")
-        print(
-            f"{what}: one-pass/token CPU x{median:.3f} (q1 {q1:.3f}, q3 {q3:.3f}) over {ALTERNATIONS} "
-            f"alternations, gate x{GATE}: {'met' if median <= GATE else 'not met'}"
-        )
+        ratios = shares(lambda: one_pass(group, cone), lambda: tokens(group, cone))
+        print(f"{what}: one-pass/token CPU {summary(ratios, GATE)}")
     return 1 if differing else 0
 
 

@@ -610,6 +610,44 @@ def test_external_child_that_never_answers_exits_2(ws_path, capsys, tmp_path, mo
     )
 
 
+def test_external_child_that_streams_without_a_newline_exits_2_at_the_deadline(capsys, tmp_path, monkeypatch):
+    # a child that always has written something more kept the parent reading
+    # past the deadline, which was checked only when nothing was ready to read;
+    # its small writes stay far below MAX_ANSWER_BYTES in the 1 s
+    import time
+
+    from uppersets import protocol
+
+    monkeypatch.setattr(protocol, "ANSWER_DEADLINE_S", 1.0)
+    child = tmp_path / "streaming_child.py"
+    child.write_text("import os, sys\nsys.stdin.readline()\nwhile True:\n    os.write(1, b'x' * 8)\n")
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    start = time.monotonic()
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert time.monotonic() - start < 2.0
+    assert err == f"error: external:{sys.executable} {child} gave no answer within 1 s\n"
+
+
+def test_external_answer_line_past_the_bound_exits_2(capsys, tmp_path, monkeypatch):
+    from uppersets import protocol
+
+    monkeypatch.setattr(protocol, "MAX_ANSWER_BYTES", 1000)
+    child = tmp_path / "long_line_child.py"
+    child.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'end':\n"
+        "        print('x' * 1001, flush=True)\n"
+    )
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert err == f"error: external:{sys.executable} {child} wrote an answer line longer than 1000 bytes\n"
+
+
 def test_external_child_exit_quotes_its_stderr(ws_path, capsys, tmp_path):
     child = tmp_path / "failing_child.py"
     child.write_text("import sys\nsys.stdin.readline()\nsys.exit('no functional here\\nbye')\n")

@@ -6,7 +6,9 @@ from itertools import combinations, product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kernel_gate import mask_scan_vrep
 from uppersets.ddm import (
     GeometryError,
     _halfspaces,
@@ -183,6 +185,38 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
     assert (lin_i, rays_i, prows) == (lin, rays, rows)
     for r, mask in zip(rays, masks):
         assert mask == sum(1 << k for k, row in enumerate(prows) if dot(row, r) == 0), (rows, r)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(rows, dim) in dims 2-6: random rows with entries in [-3, 3] or
+    [-1, 1], or cube vertices (s, 1), s in {-1, 1}^(dim-1), a degenerate set
+    whose cone has rays tight at up to 2^(dim-2) rows; each row may come with
+    a repeat, a positive multiple, its opposite (a lineality direction) or a
+    zero row."""
+    dim = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(["wide", "small", "cube"]))
+    if shape == "cube":
+        signs = list(product((-1, 1), repeat=dim - 1))
+        rows = [(*s, 1) for s in draw(st.lists(st.sampled_from(signs), min_size=1, max_size=12, unique=True))]
+    else:
+        entry = st.integers(-3, 3) if shape == "wide" else st.integers(-1, 1)
+        rows = draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=10))
+    for row in list(rows):
+        kind = draw(st.sampled_from(["repeat", "multiple", "opposite", "zero", "none", "none"]))
+        if kind != "none":
+            extra = {"repeat": row, "multiple": tuple(2 * x for x in row), "opposite": tuple(-x for x in row)}
+            rows.append(extra.get(kind, (0,) * dim))
+    return draw(st.permutations(rows)), dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_cone_vrep_matches_the_mask_scan_reference(case):
+    # the tight-ray sets kept per row decide adjacency as counting over every
+    # ray's mask did, so the lineality, rays, masks and rows are the same
+    rows, dim = case
+    assert cone_vrep(rows, dim) == mask_scan_vrep(rows, dim)
 
 
 def test_two_rays_with_an_empty_meet_are_adjacent():

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from fan_gate import ddm_path, stored
+from fan_gate import ddm_path
+from gates import stored
 from uppersets import protocol, upperset
 from uppersets.cli import main
 from uppersets.integral import integral_value

@@ -8,6 +8,7 @@ import pstats
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,7 @@ from uppersets.integral import (
     selection_oracle,
     weighted_support_sum,
 )
-from uppersets.linalg import dot, vec
+from uppersets.linalg import NEG_INF, POS_INF, dot, vec
 from uppersets.measure_space import (
     AtomicMeasure,
     ScalarFunction,
@@ -167,6 +168,67 @@ def test_weighted_support_sum_skips_zero_weight_atoms_before_minus_inf(weights, 
     # F(x1) = H((1, 0), 0) has support -inf at w = (0, 1); F(x2) = (1, 1) + C has 1
     f = SimpleSetFunction(X2, (halfspace_set(R2, (1, 0), 0), point_plus_cone(R2, (1, 1))))
     assert weighted_support_sum(f, AtomicMeasure(X2, weights), (0, 1)) == expected
+
+
+CERTIFICATE_CONES = {
+    "orthant2": R2,
+    "wedge2": Cone(2, ((1, 0), (1, 1)), (2, 1)),
+    "orthant3": orthant(3),
+    "half-plane": Cone(2, ((1, 1), (1, -1), (-1, 1)), (1, 1)),
+}
+
+
+def support_sum_through_support(f, mu, w):
+    """Σ μ(x)·support(F(x), w) over positive-weight atoms by the public
+    ``support``: -inf if any is -inf, else +inf if any atom is empty."""
+    terms = [weight * value.support(w) for weight, value in zip(mu.weights, f.values) if weight]
+    return NEG_INF if NEG_INF in terms else sum(terms, Fraction(0))
+
+
+@pytest.mark.parametrize("shape", sorted(CERTIFICATE_CONES))
+def test_certificate_rows_equal_the_public_supports(shape):
+    # the certificate reads supports as integer numerators; each row must be
+    # what the public support gives, at zero and fractional weights, and so
+    # must weighted_support_sum at fractional directions, -inf ones included
+    cone = CERTIFICATE_CONES[shape]
+    sp = space("x1", "x2", "x3")
+    rng = random.Random(5)
+    for _ in range(10):
+        f = random_set_function(rng, sp, cone)
+        weights = [rng.choice([0, Fraction(1, 2), 1, Fraction(5, 3)]) for _ in sp.atoms]
+        mu = AtomicMeasure(sp, weights if any(weights) else [Fraction(1, 3), 0, 0])
+        res = aumann_integral(f, mu)
+        assert [w for w, _, _ in res.support_certificate] == res.value.facet_normals()
+        for w, lhs, rhs in res.support_certificate:
+            assert (lhs, rhs) == (res.value.support(w), weighted_support_sum(f, mu, w))
+            assert rhs == support_sum_through_support(f, mu, w)
+        for _ in range(5):
+            w = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(cone.dim)]
+            w[0] = w[0] or 1
+            assert weighted_support_sum(f, mu, w) == support_sum_through_support(f, mu, w)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_weighted_support_sum_keeps_minus_inf_over_plus_inf(reverse):
+    # in either atom order: an empty atom (support +inf) beside H((1, 0), 0)
+    # or the full set (both -inf at (0, 1)) sums to -inf, beside (1, 1) + C to
+    # +inf; SimpleSetFunction refuses an empty value, so a stand-in carries it
+    def at_0_1(*values):
+        f = SimpleNamespace(cone=R2, values=values[::-1] if reverse else values)
+        return weighted_support_sum(f, MU11, (0, 1))
+
+    with pytest.raises(ValidationError, match="is empty"):
+        SimpleSetFunction(X2, (UpperSet.empty(R2), UpperSet.full(R2)))
+    empty = UpperSet.empty(R2)
+    assert at_0_1(empty, halfspace_set(R2, (1, 0), 0)) == NEG_INF
+    assert at_0_1(empty, UpperSet.full(R2)) == NEG_INF
+    assert at_0_1(empty, point_plus_cone(R2, (1, 1))) == POS_INF
+
+
+def test_weighted_support_sum_refuses_a_zero_direction():
+    f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 1)), point_plus_cone(R2, (0, 2))))
+    with pytest.raises(ValidationError, match="support direction must be nonzero"):
+        weighted_support_sum(f, MU11, (0, Fraction(0)))
 
 
 def test_supporting_halfspace_interchange():

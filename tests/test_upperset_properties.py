@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from uppersets import Cone, ddm, orthant, upperset
 from uppersets.integral import integral_value
-from uppersets.linalg import NEG_INF, dot, ext_add, primitive
+from uppersets.linalg import NEG_INF, POS_INF, dot, primitive
 from uppersets.measure_space import AtomicMeasure, AtomicSpace, SimpleSetFunction
 from uppersets.upperset import (
     UpperSet,
@@ -101,6 +101,13 @@ def test_scale_composition(d, lam):
 def test_scale_distributes_over_oplus(pair, lam):
     _, (d, e) = pair
     assert d.oplus(e).scale(lam).set_equal(d.scale(lam).oplus(e.scale(lam)))
+
+
+def ext_add(a, b):
+    """Extended addition on Q ∪ {-inf, +inf}: the empty set's +inf absorbs -inf."""
+    if POS_INF in (a, b):
+        return POS_INF
+    return NEG_INF if NEG_INF in (a, b) else a + b
 
 
 @settings(**SETTINGS)
