@@ -675,23 +675,34 @@ def decompose_nonneg(f: VectorFunction, cone: Cone) -> tuple[ScalarFunction, Vec
 # mutant catalog
 
 
-MUTANT_NAMES = (
-    "additivity-shift",
-    "homogeneity-translate",
-    "continuity-jump",
-    "nullity-pad",
-    "indicator-deform",
-    "interchange-tighten",
-)
+def _shifted(samples: SampleSet, v: UpperSet) -> UpperSet:
+    return v.translate(samples.cone.interior_point)
+
+
+# name -> (home(samples, family, key, F) of probed inputs, corruption(samples, value))
+MUTANTS = {
+    "additivity-shift": (lambda samples, fam, key, F: (fam, key) == ("pair-sums", (0, 1)), _shifted),
+    "homogeneity-translate": (lambda samples, fam, key, F: (fam, key) == ("scaled", (2, 3)), _shifted),
+    "continuity-jump": (
+        lambda samples, fam, key, F: fam == "stabilizing-chain" and F == samples.stabilizing_limit,
+        lambda samples, v: UpperSet.empty(samples.cone),
+    ),
+    "nullity-pad": (lambda samples, fam, key, F: fam == "nullity", _shifted),
+    "indicator-deform": (
+        lambda samples, fam, key, F: fam == "indicators" and len(set(samples.indicator_xis[key].values)) > 1,
+        lambda samples, v: v.supporting_halfspace(samples.cone.dual_generators[0]),
+    ),
+    "interchange-tighten": (lambda samples, fam, key, F: fam == "supporting-halfspace", _shifted),
+}
+MUTANT_NAMES = tuple(MUTANTS)
 
 
 def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFunctional]:
     """Six corruptions of the integral, each tripping exactly one check.
 
-    Each row of the table is name -> (home, corruption).  A home is a test on
-    a probed sample input (family, key, F), and the mutant answers
-    corruption(∫F dμ) on the inputs its home selects, ∫F dμ elsewhere.  An
-    input of a home that is probed again outside that home is refused.
+    The mutant ``name`` answers corruption(∫F dμ) on the inputs its home in
+    ``MUTANTS`` selects, ∫F dμ elsewhere.  An input of a home that is probed
+    again outside that home is refused.
     """
     cone, space = samples.cone, samples.space
     if len(space) < 2:
@@ -701,41 +712,22 @@ def mutant_catalog(samples: SampleSet, mu: AtomicMeasure) -> dict[str, SetFuncti
     if samples.count < 3:
         raise ValidationError("the mutant catalog needs at least three sample functions")
     base = integral_functional(mu)
-    c, w0, xis = cone.interior_point, cone.dual_generators[0], samples.indicator_xis
-
-    def shifted(v: UpperSet) -> UpperSet:
-        return v.translate(c)
-
-    table = {  # name -> (home, corruption)
-        "additivity-shift": (lambda fam, key, F: (fam, key) == ("pair-sums", (0, 1)), shifted),
-        "homogeneity-translate": (lambda fam, key, F: (fam, key) == ("scaled", (2, 3)), shifted),
-        "continuity-jump": (
-            lambda fam, key, F: fam == "stabilizing-chain" and F == samples.stabilizing_limit,
-            lambda v: UpperSet.empty(cone),
-        ),
-        "nullity-pad": (lambda fam, key, F: fam == "nullity", shifted),
-        "indicator-deform": (
-            lambda fam, key, F: fam == "indicators" and len(set(xis[key].values)) > 1,
-            lambda v: v.supporting_halfspace(w0),
-        ),
-        "interchange-tighten": (lambda fam, key, F: fam == "supporting-halfspace", shifted),
-    }
     # (family, F, homes selecting it) per probe, with (S)'s directions the integral's
     probes = [
-        (family, F, {name for name, (home, _) in table.items() if home(family, key, F)})
+        (family, F, {name for name, (home, _) in MUTANTS.items() if home(samples, family, key, F)})
         for family, key, F in samples.probes(base)
     ]
     homes: dict[SimpleSetFunction, set[str]] = {}
     for _, F, selected in probes:
         homes.setdefault(F, set()).update(selected)
     for family, F, selected in probes:
-        for name in table:
+        for name in MUTANTS:
             if name in homes[F] - selected:
                 raise ValidationError(f"mutant {name}: trigger fires on a {family} sample")
     return {
         name: SetFunctional(
             f"mutant:{name}",
-            lambda F, name=name, bad=bad: bad(base(F)) if name in homes.get(F, ()) else base(F),
+            lambda F, name=name, bad=bad: bad(samples, base(F)) if name in homes.get(F, ()) else base(F),
         )
-        for name, (_, bad) in table.items()
+        for name, (_, bad) in MUTANTS.items()
     }

@@ -27,7 +27,6 @@ from .axioms import (
     verify_representation,
 )
 from .cone import ValidationError
-from .ddm import GeometryError
 from .integral import (
     ParametricChain,
     aumann_integral,
@@ -38,7 +37,7 @@ from .integral import (
 from .linalg import format_rational, read_number
 from .protocol import ExternalFunctional, ProtocolError
 from .upperset import inf_set, sup_set, weighted_sum
-from .workspace import Workspace, WorkspaceError, parse_workspace
+from .workspace import Workspace, parse_workspace
 
 
 def _flags_line(args, extra: str = "") -> str:
@@ -72,8 +71,6 @@ def _override_schedule(chain, spec: str):
     if spec == "auto":
         return chain
     rate = read_number(spec, "--epsilon-schedule expects a rational number, got {!r}")
-    if rate < 0:
-        raise ValidationError(f"--epsilon-schedule expects a nonnegative rate, got {spec!r}")
     if not isinstance(chain, ParametricChain):
         raise ValidationError("--epsilon-schedule applies only to a parametric chain")
     return dataclasses.replace(chain, rate=rate)
@@ -116,6 +113,8 @@ def cmd_oracle(ws: Workspace, args) -> int:
 def cmd_lattice(ws: Workspace, args) -> int:
     names = args.functions
     fs = [ws.setfunction(n) for n in names]
+    if args.scalar is not None and args.operation != "scale":
+        raise ValidationError("--scalar applies only to scale")
     if args.operation == "oplus":
         if len(fs) < 2:
             raise ValidationError("oplus needs at least two set functions")
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
         code = args.fn(parse_workspace(args.workspace), args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
-    except (WorkspaceError, ValidationError, GeometryError, ProtocolError) as exc:
+    except (ValidationError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -7,9 +7,10 @@ homogenization in one extra dimension.
 
 Every row, lineality vector and ray is a primitive integer vector (an
 integer gcd keeps it so), so the inner loops run on machine ints, and
-``rref_basis`` eliminates on integers.  Rational input is scaled to
-integers once, by ``primitive``.  Points come back as sorted integer
-numerators over one denominator d, and facets as (w, n) meaning <z, w> >= n/d.
+``rref_basis`` and ``modulo`` eliminate on integers.  Rational input is
+scaled to integers once, by ``primitive``.  Points come back as sorted
+integer numerators over one denominator d, and facets as (w, n) meaning
+<z, w> >= n/d.
 
 Each ray carries its zero set, a bitmask of the processed rows it is tight
 at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
@@ -35,10 +36,10 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import Vec, coprime, is_zero, primitive, vneg
+from .linalg import ValidationError, Vec, coprime, is_zero, primitive, vneg
 
 
-class GeometryError(ValueError):
+class GeometryError(ValidationError):
     """Raised when a polyhedral computation is malformed or out of scale."""
 
 
@@ -68,6 +69,17 @@ def rref_basis(vectors, dim: int) -> list[Vec]:
         if r == len(mat):
             break
     return mat[:r]
+
+
+def modulo(x: Vec, pivots) -> tuple[Vec, int]:
+    """(y, s), s > 0, with y/s the representative of the integer vector x
+    modulo the span of the pivots that is zero at every pivot column; the
+    pivots are pairs (c, b) with b[c] > 0 and b zero at the others' columns."""
+    s = 1
+    for c, b in pivots:
+        if x[c]:
+            x, s = tuple(b[c] * xi - x[c] * bi for xi, bi in zip(x, b)), s * b[c]
+    return x, s
 
 
 def cone_vrep(rows, dim: int):

@@ -4,7 +4,8 @@ The integral is computed as the exact Minkowski sum of the measure-scaled
 values (``integral_value``); ``aumann_integral`` carries the support-function
 representation along as a certificate (one equality per facet normal), so
 every integral it computes cross-checks itself.  Both sides read supports at
-integer normals as integer numerators and build one Fraction each.
+integer normals as integer numerators and build one Fraction each.  The
+selection oracle splits a point over generators by the kernel's ``modulo``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from operator import mul
 from typing import Sequence
 
 from .cone import Cone, ValidationError, checked_vector
-from .ddm import rref_basis
+from .ddm import modulo, rref_basis
 from .linalg import (
     INEXACT,
     NEG_INF,
-    POS_INF,
     Vec,
     clear_denominators,
     dot,
@@ -77,16 +77,16 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
     """Σ μ(x)·support(F(x), w) with the zero-weight and infinite conventions.
 
     Zero-weight atoms contribute C's support, 0 for w in the dual cone; a -inf
-    support forces -inf, else an empty atom +inf.  The supports at the integer
-    e·w are integer numerators (e > 0), summed over one common denominator.
+    support forces -inf.  The supports at the integer e·w are integer
+    numerators (e > 0), summed over one common denominator.
     """
     e, (w,) = clear_denominators([checked_vector(F.cone.dim, w, "direction")])
     if not any(w):
         raise ValidationError("support direction must be nonzero")
     terms = [(weight, value) for weight, value in zip(mu.weights, F.values) if weight]
-    sigmas = [POS_INF if value.is_empty else value._support_numerator(w) for _, value in terms]
-    if None in sigmas or POS_INF in sigmas:
-        return NEG_INF if None in sigmas else POS_INF
+    sigmas = [value._support_numerator(w) for _, value in terms]
+    if None in sigmas:
+        return NEG_INF
     d = lcm(*(q.denominator * v.denominator for q, v in terms))
     total = sum(s * q.numerator * d // (q.denominator * v.denominator) for (q, v), s in zip(terms, sigmas))
     return Fraction(total, d * e)
@@ -181,22 +181,17 @@ def _random_member(rng: random.Random, value: UpperSet) -> tuple[int, Vec]:
 
 
 def _split(residual: Vec, generators: Sequence[Vec]) -> tuple[int, list[int]] | None:
-    """(s, t) with Σ (t_j/s)·g_j = residual and s > 0, or None: one integer
-    elimination over the rows (g_j ‖ e_j), which reduces s·(residual ‖ 0) to
-    (0 ‖ -t), each step scaling by the row's positive pivot."""
+    """(s, t) with Σ (t_j/s)·g_j = residual and s > 0, or None: ``modulo``
+    reduces e·(residual ‖ 0), e its denominator, by the reduced basis vectors
+    of the rows (g_j ‖ e_j) that pivot before column dim, to (0 ‖ -t) over s/e."""
     dim, n = len(residual), len(generators)
     rows = [tuple(g) + tuple(int(i == j) for i in range(n)) for j, g in enumerate(generators)]
-    s, (x,) = clear_denominators([residual])
-    x += (0,) * n
-    for b in rref_basis(rows, dim + n):
-        c = next(i for i, t in enumerate(b) if t)
-        if c >= dim:
-            break
-        if x[c]:
-            x, s = tuple(b[c] * xi - x[c] * bi for xi, bi in zip(x, b)), s * b[c]
+    pivots = [(next(i for i, t in enumerate(b) if t), b) for b in rref_basis(rows, dim + n) if any(b[:dim])]
+    e, (x,) = clear_denominators([residual])
+    x, s = modulo(x + (0,) * n, pivots)
     if any(x[:dim]):
         return None
-    return s, [-t for t in x[dim:]]
+    return e * s, [-t for t in x[dim:]]
 
 
 def _attaining_selection(
@@ -321,7 +316,7 @@ class ExplicitChain:
             if not hull.set_equal(self.limit.value(atom)):
                 problems.append(f"pointwise hull at {atom} differs from the declared limit")
         if problems:
-            return ChainReport(self.mode, False, False, tuple(f"precondition: {p}" for p in problems))
+            return ChainReport(self.mode, False, tuple(f"precondition: {p}" for p in problems))
         integrals = [evaluate(F) for F in self.steps]
         limit_integral = evaluate(self.limit)
         ok = True
@@ -339,7 +334,7 @@ class ExplicitChain:
             )
         else:
             lines.append(f"inf of {len(integrals)} integrals equals the limit integral exactly")
-        return ChainReport(self.mode, ok, True, tuple(lines))
+        return ChainReport(self.mode, ok, tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -350,8 +345,8 @@ class ParametricChain:
     The family nests: for n < m, (1/n)c + C ⊆ (1/m)c + C since
     (1/n - 1/m)c ∈ C, and every step lies in the limit C.  ``schedule(n, w,
     mu)`` bounds |support(∫F_n, w) - support(∫C, w)| at facet normals w of
-    the limit integral by ``rate``/n, or by the exact deviation mass·<c, w>/n
-    when ``rate`` is None.
+    the limit integral by ``rate``/n, a rate >= 0, or by the exact deviation
+    mass·<c, w>/n when ``rate`` is None.
     """
 
     space: AtomicSpace
@@ -371,6 +366,8 @@ class ParametricChain:
         object.__setattr__(self, "indices", indices)
         if self.rate is not None:
             object.__setattr__(self, "rate", read_number(self.rate, "parametric chain rate " + INEXACT))
+            if self.rate < 0:
+                raise ValidationError("parametric chain rate must be nonnegative")
 
     @functools.cached_property
     def steps(self) -> tuple[SimpleSetFunction, ...]:
@@ -412,14 +409,13 @@ class ParametricChain:
         lines.append(
             f"checked indices {list(self.indices)} at {len(normals)} facet normals of the limit"
         )
-        return ChainReport(self.mode, ok, True, tuple(lines))
+        return ChainReport(self.mode, ok, tuple(lines))
 
 
 @dataclass(frozen=True)
 class ChainReport:
     mode: str
     ok: bool
-    precondition_ok: bool
     lines: tuple[str, ...]
 
     def describe(self) -> str:

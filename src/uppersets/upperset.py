@@ -210,7 +210,7 @@ class UpperSet:
         """D + v/e for an integer vector v and e > 0, built from the stored form:
         v is reduced modulo L, and lex order and the facets are unchanged."""
         if self.lineality:
-            v, s = _modulo(v, _pivots(self.lineality))
+            v, s = ddm.modulo(v, _pivots(self.lineality))
             e *= s
         d = lcm(self.denominator, e)
         a, k = d // self.denominator, d // e
@@ -597,11 +597,11 @@ def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
     lineality = tuple(sorted(lineality))
     if lineality:
         pivots = _pivots(lineality)
-        moved = [_modulo(p, pivots) for p in points]
+        moved = [ddm.modulo(p, pivots) for p in points]
         m = lcm(*(s for _, s in moved))
         points = sorted({tuple(x * (m // s) for x in p) for p, s in moved})
         facets, d = [(w, n * m) for w, n in facets], d * m
-        rays = sorted({primitive(_modulo(r, pivots)[0]) for r in rays})
+        rays = sorted({primitive(ddm.modulo(r, pivots)[0]) for r in rays})
     if not points:
         raise ValidationError("internal: proper set with empty vertex enumeration")
     facets, d, points = _reduced(sorted(facets), d, points)
@@ -615,16 +615,6 @@ def _pivots(lineality: tuple[Vec, ...]) -> tuple[tuple[int, Vec], ...]:
     dim = len(lineality[0])
     basis = [b[::-1] for b in ddm.rref_basis([v[::-1] for v in lineality], dim)]
     return tuple((max(i for i, x in enumerate(b) if x), b) for b in basis)
-
-
-def _modulo(x: Vec, pivots) -> tuple[Vec, int]:
-    """(y, s) with y/s the representative of the integer vector x modulo the
-    pivots' span that is zero at every pivot column; s > 0."""
-    s = 1
-    for c, b in pivots:
-        if x[c]:
-            x, s = tuple(b[c] * xi - x[c] * bi for xi, bi in zip(x, b)), s * b[c]
-    return x, s
 
 
 def _reduced(facets, d: int, points) -> tuple[tuple, int, tuple[Vec, ...]]:
@@ -671,12 +661,17 @@ def _shift(w: Vec, n: int, e: int) -> tuple[int, Vec]:
     return abs(w[i]) * e, tuple((n if w[i] > 0 else -n) if j == i else 0 for j in range(len(w)))
 
 
+def _members(cone: Cone, family: Iterable[UpperSet]) -> list[UpperSet]:
+    """The family as a list, each member checked to be over ``cone``."""
+    members = list(family)
+    if any(d.cone != cone for d in members):
+        raise ValidationError("family member over a different cone")
+    return members
+
+
 def inf_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:
     """Greatest lower bound for ⊇: cl co of the union.  inf ∅ = ∅."""
-    members = list(family)
-    for d in members:
-        if d.cone != cone:
-            raise ValidationError("family member over a different cone")
+    members = _members(cone, family)
     nonempty = [d for d in members if not d.is_empty]
     if not nonempty:
         return UpperSet.empty(cone)
@@ -690,10 +685,7 @@ def inf_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:
 
 def sup_set(cone: Cone, family: Iterable[UpperSet]) -> UpperSet:
     """Least upper bound for ⊇: the intersection.  sup ∅ = R^m."""
-    members = list(family)
-    for d in members:
-        if d.cone != cone:
-            raise ValidationError("family member over a different cone")
+    members = _members(cone, family)
     if any(d.is_empty for d in members):
         return UpperSet.empty(cone)
     return canonicalize(cone, rows=[(w, n, d.denominator) for d in members for w, n in d.facets])

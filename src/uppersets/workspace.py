@@ -43,7 +43,7 @@ from .measure_space import (
 from .upperset import UpperSet, canonicalize, cone_upper_set
 
 
-class WorkspaceError(ValueError):
+class WorkspaceError(ValidationError):
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         where = f"{path or '<workspace>'}" + (f":{line}" if line else "")
         super().__init__(f"{where}: {message}")

@@ -236,6 +236,8 @@ def test_chain_check_flags_line_has_no_seed(ws_path, capsys):
         ["chain-check", "WS", "h", "mu", "--epsilon-schedule", "1/0"],
         ["lattice", "WS", "scale", "F", "--scalar", "abc"],
         ["lattice", "WS", "scale", "F", "--scalar", "1/0"],
+        ["lattice", "WS", "inf", "F", "G", "--scalar", "abc"],
+        ["lattice", "WS", "oplus", "F", "G", "--scalar", "3"],
         ["check-axioms", "WS", "phi", "--sample-count", "0"],
         ["check-axioms", "WS", "mutant:nullity-pad:mu", "--sample-count", "2"],
         ["check-axioms", "WS", "phi", "--w-samples", "-5"],
@@ -697,6 +699,17 @@ def test_geometry_error_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "lattice", str(p), "inf", "F", "G")
     assert code == 2
     assert err.startswith("error: ray count exceeded desk scale")
+
+
+def test_the_refused_inputs_are_one_family_of_errors():
+    # cli.main maps ValidationError and ProtocolError to exit 2; a geometry
+    # or workspace error is a ValidationError, a child's misbehaviour is not
+    from uppersets.ddm import GeometryError
+    from uppersets.protocol import ProtocolError
+
+    assert issubclass(GeometryError, uppersets.ValidationError)
+    assert issubclass(uppersets.WorkspaceError, uppersets.ValidationError)
+    assert not issubclass(ProtocolError, ValueError)
 
 
 def test_a_workspace_that_is_not_utf8_is_an_error_at_its_path(tmp_path, capsys):

@@ -14,6 +14,7 @@ from uppersets.ddm import (
     _halfspaces,
     cone_vrep,
     hrep_to_vrep,
+    modulo,
     rref_basis,
     vrep_to_hrep,
 )
@@ -338,6 +339,35 @@ def test_rref_basis_matches_a_fraction_gauss_jordan_reference(dim):
         assert all(type(x) is int for v in basis for x in v)
         deficient += len(basis) < len(rows)
     assert deficient > 5
+
+
+@st.composite
+def modulo_inputs(draw):
+    """(x, vectors, keep, dim): an integer vector, integer vectors whose reduced
+    basis is taken, and which of the basis's pivots to reduce by."""
+    dim = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=dim + 1))
+    keep = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    return draw(st.tuples(*[st.integers(-9, 9)] * dim)), vectors, keep, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulo_inputs(), st.booleans())
+def test_modulo_is_zero_at_every_pivot_and_moves_x_within_the_span(inputs, reverse):
+    # forward pivots, each vector's first nonzero column (integral._split
+    # keeps some of them), and reversed ones, the last nonzero column of the
+    # basis of the reversed vectors (upperset._pivots)
+    x, vectors, keep, dim = inputs
+    flip = (lambda v: v[::-1]) if reverse else (lambda v: v)
+    basis = [flip(b) for b in rref_basis([flip(v) for v in vectors], dim)]
+    columns = range(dim - 1, -1, -1) if reverse else range(dim)
+    pivots = [(next(c for c in columns if b[c]), b) for b, k in zip(basis, keep) if k]
+    assert all(b[c] > 0 for c, b in pivots)
+    y, s = modulo(x, pivots)
+    assert s > 0 and all(type(t) is int for t in y)
+    assert all(y[c] == 0 for c, _ in pivots)
+    moved = tuple(s * a - b for a, b in zip(x, y))
+    assert rank([b for _, b in pivots] + [moved]) == len(pivots)
 
 
 def test_primitive_normalization():

@@ -8,7 +8,6 @@ import pstats
 import random
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +22,7 @@ from uppersets.integral import (
     selection_oracle,
     weighted_support_sum,
 )
-from uppersets.linalg import NEG_INF, POS_INF, dot, vec
+from uppersets.linalg import NEG_INF, dot, vec
 from uppersets.measure_space import (
     AtomicMeasure,
     ScalarFunction,
@@ -209,20 +208,19 @@ def test_certificate_rows_equal_the_public_supports(shape):
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_weighted_support_sum_keeps_minus_inf_over_plus_inf(reverse):
-    # in either atom order: an empty atom (support +inf) beside H((1, 0), 0)
-    # or the full set (both -inf at (0, 1)) sums to -inf, beside (1, 1) + C to
-    # +inf; SimpleSetFunction refuses an empty value, so a stand-in carries it
+def test_weighted_support_sum_is_minus_inf_at_an_unbounded_atom(reverse):
+    # in either atom order: H((1, 0), 0) or the full set (both -inf at (0, 1))
+    # beside (1, 1) + C sums to -inf; SimpleSetFunction refuses an empty value,
+    # so no atom's support is +inf
     def at_0_1(*values):
-        f = SimpleNamespace(cone=R2, values=values[::-1] if reverse else values)
-        return weighted_support_sum(f, MU11, (0, 1))
+        return weighted_support_sum(SimpleSetFunction(X2, values[::-1] if reverse else values), MU11, (0, 1))
 
     with pytest.raises(ValidationError, match="is empty"):
         SimpleSetFunction(X2, (UpperSet.empty(R2), UpperSet.full(R2)))
-    empty = UpperSet.empty(R2)
-    assert at_0_1(empty, halfspace_set(R2, (1, 0), 0)) == NEG_INF
-    assert at_0_1(empty, UpperSet.full(R2)) == NEG_INF
-    assert at_0_1(empty, point_plus_cone(R2, (1, 1))) == POS_INF
+    finite = point_plus_cone(R2, (1, 1))
+    assert at_0_1(finite, halfspace_set(R2, (1, 0), 0)) == NEG_INF
+    assert at_0_1(finite, UpperSet.full(R2)) == NEG_INF
+    assert at_0_1(finite, finite) == 2
 
 
 def test_weighted_support_sum_refuses_a_zero_direction():
@@ -515,7 +513,12 @@ def test_monotone_rejects_non_nested():
     b = constant_function(X2, point_plus_cone(R2, (1, 1)))
     chain = ExplicitChain((a, b), b)  # a ⊇ b pointwise, so not increasing
     report = monotone_limit_check(chain, MU11)
-    assert not report.ok and not report.precondition_ok
+    assert not report.ok
+    assert report.lines == (
+        "precondition: step 1 is not pointwise contained in step 2",
+        "precondition: pointwise hull at x1 differs from the declared limit",
+        "precondition: pointwise hull at x2 differs from the declared limit",
+    )
 
 
 def test_monotone_parametric_harmonic_chain():
@@ -648,6 +651,16 @@ def test_a_parametric_chain_reads_its_rate_and_indices():
     for index in (1.0, True):
         with pytest.raises(ValidationError, match=f"parametric chain index {index!r} is not an integer"):
             ParametricChain(X2, R2, (index, 2))
+
+
+def test_a_parametric_chain_refuses_a_negative_rate():
+    # the chain owns the check, so a chain built through the API and one whose
+    # rate --epsilon-schedule replaces are refused alike
+    with pytest.raises(ValidationError, match="^parametric chain rate must be nonnegative$"):
+        ParametricChain(X2, R2, (1, 2), rate=-1)
+    chain = ParametricChain(X2, R2, (1, 2), rate=0)
+    with pytest.raises(ValidationError, match="^parametric chain rate must be nonnegative$"):
+        dataclasses.replace(chain, rate=Fraction(-1, 2))
 
 
 def test_readme_library_example_prints_its_comments():

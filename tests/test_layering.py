@@ -30,8 +30,7 @@ def private_imports(path: Path) -> list[str]:
 KERNEL_CLIENTS = {
     "cone": ["cone_vrep", "rref_basis"],
     "upperset": ["ddm"],
-    "integral": ["rref_basis"],
-    "cli": ["GeometryError"],
+    "integral": ["modulo", "rref_basis"],
 }
 
 
