@@ -45,7 +45,6 @@ from .measure_space import (
     vector_plus_cone,
 )
 from .upperset import (
-    PROPER,
     UpperSet,
     canonicalize,
     cone_upper_set,
@@ -125,7 +124,7 @@ def cone_translate_scalar(S: UpperSet, cone: Cone) -> Fraction | None:
     makes <c, w> > 0, so the first facet fixes λ and the others verify it.
     """
     facets = cone_upper_set(cone).facets  # C's offsets are 0
-    if S.kind != PROPER or len(S.facets) != len(facets):
+    if len(S.facets) != len(facets):
         return None
     e, (c,) = clear_denominators([cone.interior_point])  # S's offsets n/d are λ<c, w>/e
     (_, n0), s0 = S.facets[0], dot(c, facets[0][0])
@@ -426,8 +425,7 @@ def interchange_directions(F: SimpleSetFunction, phi_value: UpperSet, cone: Cone
     """
     normals = {w for v in F.values for w in v.facet_normals()}
     normals.update(cone.dual_generators)
-    if not phi_value.is_empty:
-        normals.update(phi_value.facet_normals())
+    normals.update(phi_value.facet_normals())
     return sorted(normals)
 
 

@@ -73,6 +73,13 @@ class IntegralResult:
         return "\n".join(lines)
 
 
+def _weighted_values(F: SimpleSetFunction, mu: AtomicMeasure) -> list[tuple[Fraction, UpperSet]]:
+    """The pairs (μ(x), F(x)) of the positive-weight atoms, μ on F's space."""
+    if mu.space != F.space:
+        raise ValidationError("measure and set function live on different spaces")
+    return [(weight, value) for weight, value in zip(mu.weights, F.values) if weight]
+
+
 def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction | float:
     """Σ μ(x)·support(F(x), w) with the zero-weight and infinite conventions.
 
@@ -83,7 +90,7 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
     e, (w,) = clear_denominators([checked_vector(F.cone.dim, w, "direction")])
     if not any(w):
         raise ValidationError("support direction must be nonzero")
-    terms = [(weight, value) for weight, value in zip(mu.weights, F.values) if weight]
+    terms = _weighted_values(F, mu)
     sigmas = [value._support_numerator(w) for _, value in terms]
     if None in sigmas:
         return NEG_INF
@@ -95,11 +102,10 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
 def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
     """⊕ over atoms of μ(x)·F(x), one ``weighted_sum``, which chooses how to
     add; zero-weight atoms contribute C, the neutral element, and are skipped."""
-    if mu.space != F.space:
-        raise ValidationError("measure and set function live on different spaces")
-    if not any(mu.weights):  # the weights are nonnegative
+    terms = _weighted_values(F, mu)
+    if not terms:
         raise ValidationError("the measure must be nonzero")
-    return weighted_sum(F.cone, [(weight, value) for weight, value in zip(mu.weights, F.values) if weight])
+    return weighted_sum(F.cone, terms)
 
 
 def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .cone import Cone, ValidationError, checked_vector
 from .linalg import INEXACT, NEG_INF, Vec, dot, format_rational, read_number, vec
-from .upperset import UpperSet, canonicalize, cone_upper_set, halfspace_set, point_plus_cone
+from .upperset import UpperSet, canonicalize, cone_upper_set, halfspace_set, point_plus_cone, sup_set
 
 
 @dataclass(frozen=True)
@@ -272,17 +272,13 @@ def point_minus_cone_rows(cone: Cone, y) -> list[tuple[Vec, Fraction]]:
 
 def preimage(F: SimpleSetFunction, region) -> tuple[str, ...]:
     """Atoms x with F(x) ∩ region ≠ ∅, by canonicalizing the joint H-rep, which closing
-    under C leaves empty or not; region is an UpperSet or rows (normal, offset), read by
-    ``checked_vector`` and ``read_number``, a zero normal refused as in any H-rep."""
-    dim = F.cone.dim
+    under C leaves empty or not; region is an UpperSet over F's cone, met by ``sup_set``,
+    or rows (normal, offset), read beside F(x)'s stored facets as any H-rep is."""
     if isinstance(region, UpperSet):
-        if region.is_empty:
-            return ()
-        rows = list(region.halfspaces)
+        meets = (sup_set(F.cone, [v, region]) for v in F.values)
     else:
-        error = "region offset " + INEXACT
-        rows = [(checked_vector(dim, w, "region normal"), read_number(b, error)) for w, b in region]
-    meets = (canonicalize(F.cone, [*v.halfspaces, *rows]) for v in F.values)
+        region = list(region)
+        meets = (canonicalize(F.cone, region, rows=[(w, n, v.denominator) for w, n in v.facets]) for v in F.values)
     return tuple(a for a, meet in zip(F.space.atoms, meets) if not meet.is_empty)
 
 

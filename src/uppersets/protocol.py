@@ -15,14 +15,16 @@ atom count and the literals' numbers are read by the workspace number grammar;
 at both ends a literal in the form ``UpperSet.literal`` writes is read in one pass.
 The process exits on end-of-input.  It is started once, at the first
 evaluation.  The request is written as the child's input takes it, so one
-deadline covers the request and its answer: a child that cannot start, has
-exited, or does not take and answer a request within ``ANSWER_DEADLINE_S``
-seconds raises ``ProtocolError``, which names the child's exit code or the
-deadline and quotes the end of the child's stderr, kept in a temporary file.
+deadline covers the request and its answer, and nothing is kept between round
+trips: a child that cannot start, has exited, writes more than one line, or
+does not take and answer a request within ``ANSWER_DEADLINE_S`` seconds raises
+``ProtocolError``, which names the child's exit code or its fault and quotes
+the end of the child's stderr, kept in a temporary file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import selectors
 import subprocess
@@ -37,6 +39,7 @@ from .workspace import parse_set_literal
 
 ANSWER_DEADLINE_S = 60.0  # the longest round trip, request and child's start included
 MAX_ANSWER_BYTES = 64 << 20  # the longest answer line, its newline excluded
+EXIT_WAIT_S = 5.0  # how long a child that closed its output or input is given to exit
 
 
 class ProtocolError(RuntimeError):
@@ -60,10 +63,9 @@ class ExternalFunctional:
         self.cone = cone
         self._proc: subprocess.Popen | None = None
         self._stderr = None  # the child's stderr, a temporary file
-        self._pending = bytearray()  # what the child wrote after its last answer
 
     def _ensure_process(self) -> subprocess.Popen:
-        """The child, started on the first call; one that has exited is an error."""
+        """The child, started on the first call."""
         if self._proc is None:
             self._stderr = tempfile.TemporaryFile()
             try:
@@ -77,39 +79,27 @@ class ExternalFunctional:
                 self._stderr.close()
                 raise ProtocolError(f"cannot start {self.name}: {exc}") from exc
             os.set_blocking(self._proc.stdin.fileno(), False)
-        code = self._proc.poll()
-        if code is not None:
-            raise ProtocolError(f"{self.name} exited with code {code}{self._stderr_tail()}")
         return self._proc
 
     def __call__(self, F: SimpleSetFunction) -> UpperSet:
         """One round trip: send F, parse the answer."""
-        proc = self._ensure_process()
+        answer = self._answer(self._ensure_process(), request(F).encode())
         try:
-            answer = self._answer(proc, request(F).encode())
-        except OSError:  # a broken pipe
-            answer = ""
-        if not answer:  # the child has exited or is exiting: reap it for its code
-            try:
-                code = proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                raise ProtocolError(f"{self.name} closed its output{self._stderr_tail()}") from None
-            raise ProtocolError(f"{self.name} exited with code {code}{self._stderr_tail()}")
-        try:
-            return parse_set_literal(answer.strip(), self.cone)
+            return parse_set_literal(answer, self.cone)
         except ValueError as exc:
-            raise ProtocolError(f"unparsable response {answer.strip()!r}: {exc}") from exc
+            raise ProtocolError(f"unparsable response {answer!r}: {exc}") from exc
 
     def _answer(self, proc: subprocess.Popen, data: bytes) -> str:
         """Write ``data`` to the child as fast as its input takes it and
-        return the child's next line, or '' once it closed its output.  A
-        child that neither takes the request nor answers it within
-        ANSWER_DEADLINE_S, or writes an answer line longer than
-        MAX_ANSWER_BYTES, is killed, and that is a ProtocolError."""
+        return its one answer line, stripped.  Anything more (a byte read
+        before the whole request is written is left from an earlier answer),
+        a closed pipe, no answer within ANSWER_DEADLINE_S, or an answer line
+        longer than MAX_ANSWER_BYTES is a ProtocolError; a child that closed
+        a pipe is reaped for its exit code, and one too slow or too long killed."""
         inp, out = proc.stdin.fileno(), proc.stdout.fileno()
         deadline = time.monotonic() + ANSWER_DEADLINE_S
-        answered = b"\n" in self._pending
-        with selectors.DefaultSelector() as selector:
+        written, answered, early = bytearray(), False, False
+        with selectors.DefaultSelector() as selector, contextlib.suppress(BrokenPipeError):
             selector.register(inp, selectors.EVENT_WRITE)
             selector.register(out, selectors.EVENT_READ)
             while data or not answered:
@@ -118,10 +108,9 @@ class ExternalFunctional:
                     chunk = os.read(out, 65536)
                     if not chunk:
                         break
-                    self._pending += chunk
-                    answered = answered or b"\n" in chunk
-                pending = self._pending
-                too_long = len(pending) > MAX_ANSWER_BYTES and b"\n" not in pending[: MAX_ANSWER_BYTES + 1]
+                    written += chunk
+                    answered, early = answered or b"\n" in chunk, early or bool(data)
+                too_long = len(written) > MAX_ANSWER_BYTES and b"\n" not in written[: MAX_ANSWER_BYTES + 1]
                 if too_long or time.monotonic() >= deadline:
                     proc.kill()
                     proc.wait()
@@ -132,8 +121,17 @@ class ExternalFunctional:
                     data = data[os.write(inp, data) :]
                     if not data:
                         selector.unregister(inp)
-        line, newline, self._pending = self._pending.partition(b"\n")
-        return (line + newline).decode(errors="replace")
+            else:
+                line, _, rest = written.partition(b"\n")
+                if rest or early:
+                    start = written[:200].decode(errors="replace")
+                    raise ProtocolError(f"{self.name} wrote more than one line for one request: {start!r}")
+                return line.decode(errors="replace").strip()
+        try:  # the child has exited or is exiting: reap it for its code
+            code = proc.wait(timeout=EXIT_WAIT_S)
+        except subprocess.TimeoutExpired:
+            raise ProtocolError(f"{self.name} closed its output{self._stderr_tail()}") from None
+        raise ProtocolError(f"{self.name} exited with code {code}{self._stderr_tail()}")
 
     def _stderr_tail(self) -> str:
         """The end of what the child wrote to stderr, quoted for an error; '' if nothing."""
@@ -143,20 +141,19 @@ class ExternalFunctional:
         return f"; its stderr ends {text!r}" if text else ""
 
     def close(self) -> None:
-        """Close the child's input, wait up to 5 s for it to exit, else kill
-        it; then close its output and its stderr file."""
+        """Close the child's input, wait up to EXIT_WAIT_S for it to exit,
+        else kill it; then close its output and its stderr file."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
         try:
             proc.stdin.close()
-            proc.wait(timeout=5)
+            proc.wait(timeout=EXIT_WAIT_S)
         except (OSError, subprocess.TimeoutExpired):
             proc.kill()
             proc.wait()
         proc.stdout.close()
         self._stderr.close()
-        self._pending = bytearray()
 
 
 def serve(evaluate, cone: Cone, space, stdin, stdout) -> None:

@@ -495,6 +495,18 @@ def test_mutant_catalog_requires_pointed_cone(samples):
         mutant_catalog(flat_samples, mu)
 
 
+def test_mutant_catalog_requires_two_atoms():
+    one = space("x1")
+    with pytest.raises(ValidationError, match="^the mutant catalog needs at least two atoms$"):
+        mutant_catalog(SampleSet(one, R2, seed=0, count=4), AtomicMeasure.from_map(one, {"x1": 1}))
+
+
+def test_a_functional_that_returns_no_upper_set_is_refused():
+    phi = SetFunctional("bad", lambda F: 3)
+    with pytest.raises(ValidationError, match="^functional bad returned int$"):
+        phi(constant_function(X2, cone_upper_set(R2)))
+
+
 def _replaced(samples, family, key, F):
     """A copy of ``samples`` whose ``family`` dict holds F at ``key``."""
     out = copy.copy(samples)

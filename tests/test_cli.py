@@ -663,6 +663,141 @@ def test_external_child_exit_quotes_its_stderr(ws_path, capsys, tmp_path):
     )
 
 
+def _external(child):
+    from uppersets import orthant
+    from uppersets.protocol import ExternalFunctional
+
+    return ExternalFunctional((sys.executable, str(child)), orthant(2))
+
+
+def _constant_cone():
+    from uppersets import orthant
+    from uppersets.measure_space import constant_function, space
+    from uppersets.upperset import cone_upper_set
+
+    return constant_function(space("x1", "x2"), cone_upper_set(orthant(2)))
+
+
+def chatty_child(tmp_path):
+    """A child that serves the integral for mu and writes an extra 'full'
+    line after each answer, in the same write to its output."""
+    child = tmp_path / "chatty_child.py"
+    child.write_text(
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(Path(uppersets.__file__).parents[1])!r})\n"
+        "from uppersets.integral import integral_value\n"
+        "from uppersets.protocol import serve\n"
+        "from uppersets.workspace import parse_workspace\n"
+        "class Chatty:\n"
+        "    text = ''\n"
+        "    def write(self, text):\n"
+        "        self.text += text\n"
+        "    def flush(self):\n"
+        "        os.write(1, (self.text + 'full\\n').encode())\n"
+        "        self.text = ''\n"
+        "ws = parse_workspace(sys.argv[1])\n"
+        "mu = ws.measure('mu')\n"
+        "serve(lambda F: integral_value(F, mu), ws.cone, ws.space, sys.stdin, Chatty())\n"
+    )
+    return child
+
+
+def test_external_child_writing_two_lines_per_request_exits_2(ws_path, capsys, tmp_path):
+    # the runner keeps nothing between round trips: the extra line is not
+    # taken as the next request's answer, which shifted every later answer
+    child = chatty_child(tmp_path)
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child} {ws_path}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert out.startswith("flags: ") and out.count("\n") == 1
+    assert err == (
+        f"error: external:{sys.executable} {child} {ws_path} wrote more than one line for one request: "
+        "'halfspaces: [[0, 1, -3], [1, 0, -2], [3, 2, 0], [8, 1, -13/2]]\\nfull\\n'\n"
+    )
+
+
+def test_external_child_writing_before_its_request_is_written_is_a_protocol_error(tmp_path):
+    # a line already waiting when a request is sent is left from an earlier
+    # answer, or written unasked: it is not taken as this request's answer
+    import selectors
+
+    from uppersets.protocol import ProtocolError
+
+    child = tmp_path / "eager_child.py"
+    child.write_text("import sys\nprint('cone', flush=True)\nsys.stdin.read()\n")
+    external = _external(child)
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(external._ensure_process().stdout, selectors.EVENT_READ)
+            assert selector.select(30)
+        with pytest.raises(ProtocolError) as raised:
+            external(_constant_cone())
+        assert str(raised.value) == (
+            f"external:{sys.executable} {child} wrote more than one line for one request: 'cone\\n'"
+        )
+    finally:
+        external.close()
+
+
+def test_external_child_that_closed_its_input_is_reaped_for_its_exit_code(tmp_path):
+    # the child closes its input and is still running when the request is
+    # written: the write's broken pipe is followed by the wait for its exit
+    import select
+    import time
+
+    from uppersets.protocol import ProtocolError
+
+    child = tmp_path / "deaf_child.py"
+    child.write_text("import os, sys, time\nos.close(0)\ntime.sleep(0.5)\nsys.exit(3)\n")
+    external = _external(child)
+    try:
+        poller = select.poll()
+        poller.register(external._ensure_process().stdin, select.POLLOUT)
+        deadline = time.monotonic() + 30
+        while not any(events & select.POLLERR for _, events in poller.poll(0)):  # the child's input is closed
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert external._proc.poll() is None
+        with pytest.raises(ProtocolError) as raised:
+            external(_constant_cone())
+        assert str(raised.value) == f"external:{sys.executable} {child} exited with code 3"
+        assert external._proc.returncode == 3
+    finally:
+        external.close()
+
+
+def test_external_child_that_closed_its_output_is_killed_on_close(tmp_path, monkeypatch):
+    # a child that closes its output but does not exit is reported once
+    # EXIT_WAIT_S has passed, and close() kills it when it ignores its
+    # closed input too
+    import signal
+
+    from uppersets import protocol
+    from uppersets.protocol import ProtocolError
+
+    monkeypatch.setattr(protocol, "EXIT_WAIT_S", 0.2)
+    child = tmp_path / "mute_child.py"
+    child.write_text("import os, time\nos.close(1)\ntime.sleep(60)\n")
+    external = _external(child)
+    proc = external._ensure_process()
+    try:
+        with pytest.raises(ProtocolError) as raised:
+            external(_constant_cone())
+        assert str(raised.value) == f"external:{sys.executable} {child} closed its output"
+        assert proc.poll() is None
+    finally:
+        external.close()
+    assert proc.returncode == -signal.SIGKILL
+
+
+def test_external_functional_with_an_empty_command_exits_2(capsys, tmp_path):
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + "functional ext:\n    kind: external\n    command:\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert (code, out, err) == (2, "", "error: external functional needs a command\n")
+
+
 def test_round_trip_of_printed_values(ws_path, capsys):
     from uppersets import orthant
     from uppersets.workspace import parse_set_literal

@@ -70,6 +70,11 @@ def test_dual_rejects_degenerate():
         dual_cone([(0, 0)], 2)
 
 
+def test_cone_refuses_generators_that_are_all_zero():
+    with pytest.raises(ValidationError, match="^cone has no nonzero generators$"):
+        Cone(2, [(0, 0)], (1, 1))
+
+
 def test_cone_contains():
     c = orthant(2)
     assert c.contains((1, 1))

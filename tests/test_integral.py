@@ -101,6 +101,14 @@ def test_integral_value_rejects_a_measure_on_another_space():
         integral_value(f, mu)
 
 
+def test_weighted_support_sum_rejects_a_measure_on_another_space():
+    # two weights over (y1, y2) were read against F's atoms (x1, x2) by position
+    f = constant_function(X2, point_plus_cone(R2, (1, 0)))
+    mu = AtomicMeasure.from_map(space("y1", "y2"), {"y1": 1, "y2": 2})
+    with pytest.raises(ValidationError, match="^measure and set function live on different spaces$"):
+        weighted_support_sum(f, mu, (1, 1))
+
+
 def test_integral_over_cases():
     f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), point_plus_cone(R2, (0, 1))))
     assert integral_over(f, MU11, ["x1"]).value.set_equal(point_plus_cone(R2, (1, 0)))

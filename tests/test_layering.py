@@ -1,6 +1,7 @@
 """Module layering: no module of the package imports a sibling's private name,
-only the kernel's clients import from ``ddm``, and no module but ``linalg``
-reads a number with a ``Fraction(x)`` fallback."""
+only the kernel's clients import from ``ddm``, no module but ``linalg`` reads
+a number with a ``Fraction(x)`` fallback, and no module reads an upper set's
+``halfspaces`` view."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,17 @@ def fraction_fallbacks(path: Path) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
+def halfspaces_reads(path: Path) -> list[str]:
+    """'line: expression' for each read of a ``halfspaces`` attribute in
+    ``path``: the view of the stored facets as Fraction offsets, which the
+    library reads as the integer rows ``facets`` instead."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "halfspaces":
+            found.append((node.lineno, f"{node.lineno}: {ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
 def _name(func: ast.expr) -> str | None:
     """The called name of ``f(...)`` or ``m.f(...)``."""
     return getattr(func, "id", getattr(func, "attr", None))
@@ -126,3 +138,17 @@ def test_a_fraction_fallback_is_found(tmp_path):
     assert fraction_fallbacks(source) == [
         "4: Fraction(x)", "5: fractions.Fraction(w)", "6: Fraction(numerator=y)", "7: Fraction('1/2')"
     ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_reads_the_halfspaces_view(path):
+    assert halfspaces_reads(path) == []
+
+
+def test_a_halfspaces_read_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "def halfspaces(self):\n    return self.facets\n"
+        "rows = list(region.halfspaces)\nmeets = [*v.halfspaces, *rows]\nu = canonicalize(c, halfspaces=rows)\n"
+    )
+    assert halfspaces_reads(source) == ["3: region.halfspaces", "4: v.halfspaces"]

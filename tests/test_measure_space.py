@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uppersets import Cone, ValidationError, ddm, orthant
-from uppersets.linalg import NEG_INF
+from uppersets.linalg import NEG_INF, POS_INF
 from uppersets.measure_space import (
     AtomicMeasure,
     AtomicSpace,
@@ -123,7 +123,7 @@ def test_preimage_reads_a_row_offset_as_fraction_does(offset):
     # -3/2·z1 >= -1/2, its normal given as 'p/q'; a float offset is refused
     f = SimpleSetFunction(X2, (cone_upper_set(R2), point_plus_cone(R2, (1, 0))))
     if type(offset) is float:
-        with pytest.raises(ValidationError, match="region offset -0.5 is not"):
+        with pytest.raises(ValidationError, match="halfspace offset -0.5 is not"):
             preimage(f, [((-1, 0), offset)])
         return
     assert preimage(f, [((-1, 0), offset)]) == ("x1",)
@@ -136,6 +136,22 @@ def test_preimage_refuses_a_zero_region_normal():
     for offset in (-1, 1):
         with pytest.raises(ValidationError, match="^halfspace normal must be nonzero$"):
             preimage(f, [((0, 0), offset)])
+
+
+def test_preimage_reads_the_offset_sentinels_as_every_hrep_does():
+    # an absent constraint keeps every atom and an infeasible one none; rows
+    # given once, by an iterator, are read for every atom
+    f = SimpleSetFunction(X2, (cone_upper_set(R2), point_plus_cone(R2, (1, 0))))
+    assert preimage(f, [((1, 0), NEG_INF)]) == ("x1", "x2")
+    assert preimage(f, [((1, 0), POS_INF)]) == ()
+    assert preimage(f, iter([((-1, 0), "-1/2")])) == ("x1",)
+
+
+def test_preimage_refuses_a_region_over_another_cone():
+    wedge = Cone(2, ((1, 0), (1, 1)), (2, 1))
+    f = constant_function(X2, cone_upper_set(R2))
+    with pytest.raises(ValidationError, match="^family member over a different cone$"):
+        preimage(f, cone_upper_set(wedge))
 
 
 def kernel_preimage(F, region):

@@ -46,8 +46,8 @@ ENTRIES = {
     "measure-from_map": ("measure weight", lambda x: AtomicMeasure.from_map(SP, {"a": x})),
     "scalar": ("scalar value", lambda x: ScalarFunction(SP, (x, 1))),
     "scale": ("scale factor", lambda x: D.scale(x)),
-    "preimage-offset": ("region offset", lambda x: preimage(F, [((1, 0), x)])),
-    "preimage-normal": ("region normal entry", lambda x: preimage(F, [((x, 1), 0)])),
+    "preimage-offset": ("halfspace offset", lambda x: preimage(F, [((1, 0), x)])),
+    "preimage-normal": ("halfspace normal entry", lambda x: preimage(F, [((x, 1), 0)])),
     "chain-rate": ("parametric chain rate", lambda x: ParametricChain(SP, R2, (1, 2), x)),
     "chain-indices": ("parametric chain index", lambda x: ParametricChain(SP, R2, (x, 5))),
     "cone-dimension": ("cone dimension", lambda x: Cone(x, ((1, 0), (0, 1)), (1, 1))),
