@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cone import Cone, ValidationError
+from .cone import Cone, ValidationError, checked_vector
 from .integral import ExplicitChain, ParametricChain, integral_value
 from .linalg import NEG_INF, Vec, clear_denominators, dot, format_rational, format_vector
 from .measure_space import (
@@ -660,6 +660,7 @@ def decompose_nonneg(f: VectorFunction, cone: Cone) -> tuple[ScalarFunction, Vec
     xs = []
     gs = []
     for v in f.values:
+        v = checked_vector(cone.dim, v)
         xi = max(Fraction(0), max(dot(v, w) for w in base))
         g = tuple(xi * ci - vi for ci, vi in zip(c, v))
         if not cone.contains(g):

@@ -2,9 +2,10 @@
 
 The integral is computed as the exact Minkowski sum of the measure-scaled
 values (``integral_value``); ``aumann_integral`` carries the support-function
-representation along as a certificate (one equality per facet normal), so
-every integral it computes cross-checks itself.  Both sides read supports at
-integer normals as integer numerators and build one Fraction each.  The
+representation along as a certificate, so every integral it computes
+cross-checks itself: at each stored facet (w, n) of the value, its offset n/d
+against the weighted sum of the atoms' supports at w, integer numerators each.
+Every sum over atoms reads them through ``AtomicMeasure.pairs``.  The
 selection oracle splits a point over generators by the kernel's ``modulo``.
 """
 
@@ -73,13 +74,6 @@ class IntegralResult:
         return "\n".join(lines)
 
 
-def _weighted_values(F: SimpleSetFunction, mu: AtomicMeasure) -> list[tuple[Fraction, UpperSet]]:
-    """The pairs (μ(x), F(x)) of the positive-weight atoms, μ on F's space."""
-    if mu.space != F.space:
-        raise ValidationError("measure and set function live on different spaces")
-    return [(weight, value) for weight, value in zip(mu.weights, F.values) if weight]
-
-
 def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction | float:
     """Σ μ(x)·support(F(x), w) with the zero-weight and infinite conventions.
 
@@ -90,7 +84,7 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
     e, (w,) = clear_denominators([checked_vector(F.cone.dim, w, "direction")])
     if not any(w):
         raise ValidationError("support direction must be nonzero")
-    terms = _weighted_values(F, mu)
+    terms = mu.pairs(F.space, F.values)
     sigmas = [value._support_numerator(w) for _, value in terms]
     if None in sigmas:
         return NEG_INF
@@ -102,7 +96,7 @@ def weighted_support_sum(F: SimpleSetFunction, mu: AtomicMeasure, w) -> Fraction
 def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
     """⊕ over atoms of μ(x)·F(x), one ``weighted_sum``, which chooses how to
     add; zero-weight atoms contribute C, the neutral element, and are skipped."""
-    terms = _weighted_values(F, mu)
+    terms = mu.pairs(F.space, F.values)
     if not terms:
         raise ValidationError("the measure must be nonzero")
     return weighted_sum(F.cone, terms)
@@ -111,10 +105,8 @@ def integral_value(F: SimpleSetFunction, mu: AtomicMeasure) -> UpperSet:
 def aumann_integral(F: SimpleSetFunction, mu: AtomicMeasure) -> IntegralResult:
     """The integral's value with its support certificate."""
     value = integral_value(F, mu)
-    normals = value.facet_normals()
     certificate = tuple(
-        (w, NEG_INF if s is None else Fraction(s, value.denominator), weighted_support_sum(F, mu, w))
-        for w, s in zip(normals, map(value._support_numerator, normals))
+        (w, Fraction(n, value.denominator), weighted_support_sum(F, mu, w)) for w, n in value.facets
     )
     return IntegralResult(value, certificate)
 
@@ -216,21 +208,21 @@ def _attaining_selection(
     e, (q,) = clear_denominators([p])  # p = q/e on the facet (w, n) iff <q, w>·d = n·e
     tight = [w for w, n in value.facets if dot(q, w) * value.denominator == n * e]
     u = tuple(map(sum, zip((0,) * F.cone.dim, *tight)))
-    positive = [i for i, w in enumerate(mu.weights) if w]
+    positive = mu.pairs(F.space, range(len(F.space)))
     selection = list(pick_selection(F).values)
-    for i in positive:
+    for _, i in positive:
         selection[i] = min(F.values[i].points, key=lambda q: dot(q, u))
     residual = vsub(p, VectorFunction(F.space, selection).integral(mu))
-    lineality = [(i, l) for i in positive for l in F.values[i].lineality]
-    rays = [(i, r) for i in positive for r in F.values[i].rays if dot(r, u) == 0]
+    lineality = [(m, i, l) for m, i in positive for l in F.values[i].lineality]
+    rays = [(m, i, r) for m, i in positive for r in F.values[i].rays if dot(r, u) == 0]
     for k in range(len(value.lineality) + 1):  # Carathéodory: dim L rays suffice
         for chosen in combinations(rays, k):
             generators = lineality + list(chosen)
-            split = _split(residual, [vscale(mu.weights[i], g) for i, g in generators])
+            split = _split(residual, [vscale(m, g) for m, _, g in generators])
             if split is None or any(t < 0 for t in split[1][len(lineality):]):
                 continue
             s, coeffs = split
-            for (i, g), t in zip(generators, coeffs):
+            for (_, i, g), t in zip(generators, coeffs):
                 selection[i] = vadd(selection[i], vscale(Fraction(t, s), g))
             return tuple(selection)
     return None
@@ -252,7 +244,7 @@ def selection_oracle(
     result = aumann_integral(F, mu)
     value = result.value
     rng = random.Random(seed)
-    positive = [(i, w.numerator, w.denominator) for i, w in enumerate(mu.weights) if w]
+    positive = [(i, w.numerator, w.denominator) for w, i in mu.pairs(F.space, range(len(F.space)))]
     containment_failures = []
     for _ in range(trials):
         picks = [_random_member(rng, v) for v in F.values]

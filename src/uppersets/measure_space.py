@@ -77,6 +77,13 @@ class AtomicMeasure:
     def weight(self, atom: str) -> Fraction:
         return self.weights[self.space.index(atom)]
 
+    def pairs(self, space: AtomicSpace, values) -> list[tuple[Fraction, object]]:
+        """(μ(x), v) for each positive-weight atom x, in atom order, v the entry of
+        ``values`` at x: the atoms every sum over μ reads, for a function on ``space``."""
+        if space != self.space:
+            raise ValidationError("measure and function live on different spaces")
+        return [(w, v) for w, v in zip(self.weights, values) if w]
+
     def total(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
@@ -116,14 +123,10 @@ class ScalarFunction:
 
     def integral(self, mu: AtomicMeasure) -> Fraction:
         """Σ μ(x)·ξ(x); zero-weight atoms contribute nothing, even at -inf."""
-        total = Fraction(0)
-        for w, v in zip(mu.weights, self.values):
-            if w == 0:
-                continue
-            if v == NEG_INF:
-                raise ValidationError("integral of -inf over a positive-weight atom")
-            total += w * v
-        return total
+        terms = mu.pairs(self.space, self.values)
+        if any(v == NEG_INF for _, v in terms):
+            raise ValidationError("integral of -inf over a positive-weight atom")
+        return sum((w * v for w, v in terms), Fraction(0))
 
     def describe(self) -> str:
         parts = ", ".join(
@@ -152,12 +155,9 @@ class VectorFunction:
         return self.values[self.space.index(atom)]
 
     def integral(self, mu: AtomicMeasure) -> Vec:
-        dim = len(self.values[0])
-        total = [Fraction(0)] * dim
-        for w, v in zip(mu.weights, self.values):
-            for i in range(dim):
-                total[i] += w * v[i]
-        return tuple(total)
+        """Σ μ(x)·f(x)."""
+        terms = mu.pairs(self.space, self.values)
+        return tuple(sum((w * v[i] for w, v in terms), Fraction(0)) for i in range(len(self.values[0])))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ deadline covers the request and its answer, and nothing is kept between round
 trips: a child that cannot start, has exited, writes more than one line, or
 does not take and answer a request within ``ANSWER_DEADLINE_S`` seconds raises
 ``ProtocolError``, which names the child's exit code or its fault and quotes
-the end of the child's stderr, kept in a temporary file.
+the end of the child's stderr, kept in a temporary file.  Requests carry no
+number, so an extra line that arrives only after the next request is written
+in full is read as that request's answer: a child must write exactly one line
+per request.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def test_zero_measure_rejected():
 def test_integral_value_rejects_a_measure_on_another_space():
     f = constant_function(X2, cone_upper_set(R2))
     mu = AtomicMeasure.from_map(space("x1", "x2", "x3"), {"x1": 1})
-    with pytest.raises(ValidationError, match="^measure and set function live on different spaces$"):
+    with pytest.raises(ValidationError, match="^measure and function live on different spaces$"):
         integral_value(f, mu)
 
 
@@ -105,7 +105,7 @@ def test_weighted_support_sum_rejects_a_measure_on_another_space():
     # two weights over (y1, y2) were read against F's atoms (x1, x2) by position
     f = constant_function(X2, point_plus_cone(R2, (1, 0)))
     mu = AtomicMeasure.from_map(space("y1", "y2"), {"y1": 1, "y2": 2})
-    with pytest.raises(ValidationError, match="^measure and set function live on different spaces$"):
+    with pytest.raises(ValidationError, match="^measure and function live on different spaces$"):
         weighted_support_sum(f, mu, (1, 1))
 
 

@@ -1,7 +1,8 @@
 """Module layering: no module of the package imports a sibling's private name,
 only the kernel's clients import from ``ddm``, no module but ``linalg`` reads
-a number with a ``Fraction(x)`` fallback, and no module reads an upper set's
-``halfspaces`` view."""
+a number with a ``Fraction(x)`` fallback, no module reads an upper set's
+``halfspaces`` view, and no module but the measure's own methods walks its
+weights."""
 
 import ast
 from pathlib import Path
@@ -87,6 +88,22 @@ def halfspaces_reads(path: Path) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
+def weights_walks(path: Path) -> list[str]:
+    """'line: call' for each ``zip(...)`` or ``enumerate(...)`` in ``path`` that
+    takes a ``weights`` attribute of anything but ``self``: a sum over a measure's
+    atoms read outside ``AtomicMeasure.pairs``, which checks the function's space."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call) or _name(node.func) not in ("zip", "enumerate"):
+            continue
+        if any(
+            isinstance(arg, ast.Attribute) and arg.attr == "weights" and getattr(arg.value, "id", None) != "self"
+            for arg in node.args
+        ):
+            found.append((node.lineno, f"{node.lineno}: {ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
 def _name(func: ast.expr) -> str | None:
     """The called name of ``f(...)`` or ``m.f(...)``."""
     return getattr(func, "id", getattr(func, "attr", None))
@@ -152,3 +169,18 @@ def test_a_halfspaces_read_is_found(tmp_path):
         "rows = list(region.halfspaces)\nmeets = [*v.halfspaces, *rows]\nu = canonicalize(c, halfspaces=rows)\n"
     )
     assert halfspaces_reads(source) == ["3: region.halfspaces", "4: v.halfspaces"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_walks_the_weights_of_another_measure(path):
+    assert weights_walks(path) == []
+
+
+def test_a_weights_walk_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "pairs = zip(self.weights, atoms)\ntotal = sum(mu.weights)\n"
+        "terms = [w for w, v in zip(mu.weights, F.values) if w]\n"
+        "positive = [i for i, w in enumerate(measure.weights) if w]\nw = mu.weights[0]\n"
+    )
+    assert weights_walks(source) == ["3: zip(mu.weights, F.values)", "4: enumerate(measure.weights)"]

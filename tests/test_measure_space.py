@@ -260,6 +260,23 @@ def test_vector_function_integral():
     assert f.integral(mu) == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [ScalarFunction(X2, (1, 1)), VectorFunction(X2, ((1, 0), (0, 1)))],
+    ids=["scalar", "vector"],
+)
+def test_function_integrals_refuse_a_measure_on_another_space(f):
+    # two weights over (y1, y2) were read against the atoms (x1, x2) by position
+    mu = AtomicMeasure.from_map(space("y1", "y2"), {"y1": 1, "y2": 2})
+    with pytest.raises(ValidationError, match="^measure and function live on different spaces$"):
+        f.integral(mu)
+
+
+def test_the_pairs_are_the_positive_weight_atoms_in_order():
+    mu = AtomicMeasure.from_map(space("x1", "x2", "x3"), {"x1": 2, "x3": Fraction(1, 2)})
+    assert mu.pairs(mu.space, "abc") == [(2, "a"), (Fraction(1, 2), "c")]
+
+
 def test_builders():
     xi = ScalarFunction(X2, (1, 3))
     hw = halfspace_function(X2, R2, (1, 1), xi)

@@ -1,5 +1,6 @@
 """Every number that enters the library is read in one grammar: an int (not a
-bool), a Fraction, or a string p or p/q in ASCII digits."""
+bool), a Fraction, or a string p or p/q in ASCII digits; each vector the
+public entries read is checked against the cone's dimension."""
 
 import sys
 from decimal import Decimal
@@ -8,17 +9,21 @@ from fractions import Fraction
 import pytest
 
 import uppersets
-from uppersets import Cone, ValidationError, linalg, orthant
+from uppersets import Cone, DimensionMismatchError, ValidationError, decompose_nonneg, linalg, orthant
 from uppersets.cone import checked_vector
-from uppersets.integral import ParametricChain
+from uppersets.integral import ParametricChain, weighted_support_sum
 from uppersets.linalg import NEG_INF, POS_INF, primitive_halfspace, read_number, vec
 from uppersets.measure_space import (
     AtomicMeasure,
     ScalarFunction,
     SimpleSetFunction,
     VectorFunction,
+    halfspace_function,
+    point_minus_cone_rows,
     preimage,
+    preimage_identity_check,
     space,
+    vector_plus_cone,
 )
 from uppersets.upperset import canonicalize, cone_upper_set, halfspace_set, point_plus_cone
 
@@ -53,6 +58,31 @@ ENTRIES = {
     "cone-dimension": ("cone dimension", lambda x: Cone(x, ((1, 0), (0, 1)), (1, 1))),
 }
 
+# the public entries that read a vector over R2, each as a function of the vector v
+DIMENSIONS = {
+    "support": lambda v: D.support(v),
+    "member": lambda v: D.member(v),
+    "translate": lambda v: D.translate(v),
+    "supporting_halfspace": lambda v: D.supporting_halfspace(v),
+    "point_plus_cone": lambda v: point_plus_cone(R2, v),
+    "halfspace_set": lambda v: halfspace_set(R2, v, 0),
+    "canonicalize-normal": lambda v: canonicalize(R2, halfspaces=[(v, 0)]),
+    "canonicalize-point": lambda v: canonicalize(R2, points=[v]),
+    "canonicalize-ray": lambda v: canonicalize(R2, points=[(0, 0)], rays=[v]),
+    "canonicalize-lineality": lambda v: canonicalize(R2, points=[(0, 0)], lineality=[v]),
+    "cone-contains": lambda v: R2.contains(v),
+    "cone-interior-point": lambda v: Cone(2, ((1, 0), (0, 1)), v),
+    "weighted_support_sum": lambda v: weighted_support_sum(F, AtomicMeasure(SP, (1, 1)), v),
+    "preimage-row": lambda v: preimage(F, [(v, 0)]),
+    "point_minus_cone_rows": lambda v: point_minus_cone_rows(R2, v),
+    "preimage_identity_check": lambda v: preimage_identity_check(F, v),
+    "set-function-translate": lambda v: F.translate(VectorFunction(SP, (v, v))),
+    "set-function-supporting": lambda v: F.supporting(v),
+    "vector_plus_cone": lambda v: vector_plus_cone(VectorFunction(SP, (v, v)), R2),
+    "halfspace_function": lambda v: halfspace_function(SP, R2, v, ScalarFunction(SP, (0, 1))),
+    "decompose_nonneg": lambda v: decompose_nonneg(VectorFunction(SP, (v, v)), R2),
+}
+
 
 def _outcome(build, x):
     """The entry's result for x, or the text of the ValidationError it raises."""
@@ -85,6 +115,13 @@ def test_every_entry_reads_a_number_in_the_workspace_grammar(entry, x, accepted)
     outcome = _outcome(build, x)
     assert outcome == _outcome(build, reference)
     assert " is not " not in str(outcome)
+
+
+@pytest.mark.parametrize("entry", list(DIMENSIONS))
+def test_every_vector_entry_refuses_a_vector_one_entry_too_long(entry):
+    DIMENSIONS[entry]((1, 1))
+    with pytest.raises(DimensionMismatchError):
+        DIMENSIONS[entry]((1, 1, 0))
 
 
 def test_the_reader_keeps_its_callers_messages_and_forms():
