@@ -27,8 +27,8 @@ rows' sets until only the pair is left; a meet of too few rows is skipped.
 which drops redundant input rows without a second run: one run over a V-rep
 (``vrep_to_hrep``) yields its facets and irredundant points, rays and
 lineality, one run over an H-rep (``hrep_to_vrep``) its V-rep and its facets.
-``upperset`` skips the run for planar canonical forms (one sort) and pointed
-3-D sums (a fan merge); it stays their reference.
+``upperset`` skips the run for planar forms and pointed 3-D sums (it stays their
+reference), and feeds it only those pair sums of a general sum that may be vertices.
 """
 
 from __future__ import annotations

@@ -379,6 +379,7 @@ class ParametricChain:
         return constant_function(self.space, cone_upper_set(self.cone))
 
     def schedule(self, n: int, w: Vec, mu: AtomicMeasure) -> Fraction:
+        w = checked_vector(self.cone.dim, w, "direction")
         if self.rate is not None:
             return self.rate / n
         return mu.total() * dot(self.cone.interior_point, w) / n

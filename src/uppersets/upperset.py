@@ -23,12 +23,15 @@ three hand the chain's normals and vertices to ``_chain``, the one builder.
 of all terms when each is proper and planar, else ``oplus`` folded.  A 3-D ⊕
 without lineality makes no run: ``_fan_sum`` merges the operands' normal fans
 unless their rays cancel.  Else the run over a V-rep plus C's generators yields
-the facets, its incidence the irredundant points, rays and lineality.  An H-rep
-is read as integer rows (w, n, e), meaning <z, w> >= n/e, from ``rows`` as
-they come or from (normal, offset) pairs by ``primitive_halfspace``.  Unless
-the sweep takes it, one run yields its V-rep and the facets among the
-inequalities: the canonical form when all normals lie in C+ (the H-rep is
-closed under C already).  Else the V-rep takes the V-rep path.
+the facets, its incidence the irredundant points, rays and lineality.  A pair
+sum p + q is left out of a general ⊕'s run when it is proven no vertex: a
+direction e ≠ 0 feasible at p has <w, e> <= 0 at every facet w tight at q (or
+the mirror), so p + q ± εe lie in the sum (Fukuda 2004), a test that needs the
+sum pointed.  An H-rep is read as integer rows (w, n, e), meaning
+<z, w> >= n/e, from ``rows`` as they come or from (normal, offset) pairs by
+``primitive_halfspace``.  Unless the sweep takes it, one run yields its V-rep
+and the facets among the inequalities: the canonical form when all normals lie
+in C+ (the H-rep is closed under C already).  Else the V-rep takes the V-rep path.
 Modulo the lineality space L, each point and ray is stored as the
 representative that is zero at L's pivot columns (pivots taken from the last
 column leftwards), so the stored V-rep depends only on the set.
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .cone import Cone, ValidationError, checked_vector
@@ -87,6 +90,7 @@ class Halfspace(NamedTuple):
 
 
 def in_dual_cone(cone: Cone, w: Sequence) -> bool:
+    w = checked_vector(cone.dim, w, "direction")
     return all(dot(g, w) >= 0 for g in cone.generators)
 
 
@@ -256,7 +260,7 @@ class UpperSet:
         (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
         d = lcm(d1, d2)
         a, b = d // d1, d // d2
-        sums = {tuple(a * x + b * y for x, y in zip(p, q)) for p in ps for q in qs}
+        sums = {tuple(a * x + b * y for x, y in zip(ps[i], qs[j])) for i, j in _vertex_candidates(self, other)}
         return _from_vrep(self.cone, d, sums, self.rays + other.rays, self.lineality + other.lineality)
 
     def supporting_halfspace(self, w) -> "UpperSet":
@@ -321,7 +325,8 @@ def canonicalize(
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
-    hrep = chain(rows or (), (_row(cone.dim, w, b) for w, b in halfspaces or ()))
+    rows = ((checked_vector(cone.dim, w, "halfspace normal"), n, e) for w, n, e in rows or ())
+    hrep = chain(rows, (_row(cone.dim, w, b) for w, b in halfspaces or ()))
     if not has_v:
         return _from_hrep(cone, hrep)
     pts = [checked_vector(cone.dim, p, "point") for p in points or ()]
@@ -379,7 +384,7 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     if not facets:
         return UpperSet.full(cone)
     for w, _ in facets:
-        if not in_dual_cone(cone, w):
+        if any(sum(map(mul, g, w)) < 0 for g in cone.generators):  # a normal from the run, not checked
             raise ValidationError(
                 f"facet normal {w} escaped the dual cone; input was not closed under C"
             )
@@ -470,6 +475,39 @@ def _vertex(chains, passed) -> Vec:
         x += f * p[0]
         y += f * p[1]
     return x, y
+
+
+def _vertex_candidates(a: UpperSet, b: UpperSet):
+    """The index pairs (i, j) of stored points p_i of A and q_j of B whose sum may
+    be a vertex of A ⊕ B: all of them unless neither has lineality and every ray
+    is positive on the sum of C+'s generators, making A ⊕ B pointed."""
+    s = [sum(c) for c in zip(*a.cone.dual_generators)]
+    if a.lineality or b.lineality or any(sum(map(mul, r, s)) <= 0 for r in chain(a.rays, b.rays)):
+        return product(range(len(a.numerators)), range(len(b.numerators)))
+    at_b, at_a = _slides(a, b), _slides(b, a)  # per q_j the p_i that slide, per p_i the q_j
+    return [(i, j) for i, qs in enumerate(at_a) for j, ps in enumerate(at_b) if not (ps >> i & 1 or qs >> j & 1)]
+
+
+def _slides(x: UpperSet, y: UpperSet) -> list[int]:
+    """Per stored point q of y, the bitmask of x's stored points p with a
+    direction e feasible at p in x and <w, e> <= 0 at every facet w of y tight at q."""
+    # per facet w of y and point p: the p' ≠ p with <p', w> <= <p, w>, and from bit k the rays r with <r, w> <= 0
+    k, targets = len(x.numerators), []
+    for w, _ in y.facets:
+        values = [sum(map(mul, p, w)) for p in x.numerators]
+        at = {}
+        for i, v in enumerate(values):
+            at[v] = at.get(v, 0) | 1 << i
+        below = sum(1 << k + i for i, r in enumerate(x.rays) if sum(map(mul, r, w)) <= 0)
+        for v in sorted(at):
+            below = at[v] = below | at[v]
+        targets.append([at[v] ^ 1 << i for i, v in enumerate(values)])
+    rows, slides = list(zip(*targets)), []
+    for q in y.numerators:
+        tight = [t for t, (w, n) in enumerate(y.facets) if sum(map(mul, q, w)) == n]
+        ends = (functools.reduce(and_, map(row.__getitem__, tight)) for row in rows)
+        slides.append(sum(1 << i for i, e in enumerate(ends) if e))
+    return slides
 
 
 def _fan_sum(a: UpperSet, b: UpperSet) -> UpperSet | None:

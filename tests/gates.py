@@ -1,6 +1,7 @@
-"""What the CI gates (``fan_gate.py``, ``literal_gate.py``, ``kernel_gate.py``)
-share: the stored fields of a set, and timing a fast path against its
-reference, alternating which goes first.  pytest does not collect this file.
+"""What the CI gates (``fan_gate.py``, ``literal_gate.py``, ``kernel_gate.py``,
+``sum_gate.py``) share: the stored fields of a set, and timing a fast path
+against its reference, alternating which goes first.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations

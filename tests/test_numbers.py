@@ -25,7 +25,7 @@ from uppersets.measure_space import (
     space,
     vector_plus_cone,
 )
-from uppersets.upperset import canonicalize, cone_upper_set, halfspace_set, point_plus_cone
+from uppersets.upperset import canonicalize, cone_upper_set, halfspace_set, in_dual_cone, point_plus_cone
 
 REFUSED = [0.1, 1e1, 2.0, "1e1", "0_5", " 3", Decimal("1"), True, "٣", "inf"]
 ACCEPTED = [3, Fraction(1, 2), "-1/2"]
@@ -70,6 +70,9 @@ DIMENSIONS = {
     "canonicalize-point": lambda v: canonicalize(R2, points=[v]),
     "canonicalize-ray": lambda v: canonicalize(R2, points=[(0, 0)], rays=[v]),
     "canonicalize-lineality": lambda v: canonicalize(R2, points=[(0, 0)], lineality=[v]),
+    "canonicalize-rows": lambda v: canonicalize(R2, rows=[(v, 0, 1)]),
+    "in_dual_cone": lambda v: in_dual_cone(R2, v),
+    "chain-schedule": lambda v: ParametricChain(SP, R2, (1, 2)).schedule(2, v, AtomicMeasure(SP, (1, 1))),
     "cone-contains": lambda v: R2.contains(v),
     "cone-interior-point": lambda v: Cone(2, ((1, 0), (0, 1)), v),
     "weighted_support_sum": lambda v: weighted_support_sum(F, AtomicMeasure(SP, (1, 1)), v),
@@ -122,6 +125,11 @@ def test_every_vector_entry_refuses_a_vector_one_entry_too_long(entry):
     DIMENSIONS[entry]((1, 1))
     with pytest.raises(DimensionMismatchError):
         DIMENSIONS[entry]((1, 1, 0))
+
+
+def test_a_short_row_normal_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError, match="halfspace normal has dimension 1, expected 2"):
+        canonicalize(R2, rows=[((1,), 0, 1)])
 
 
 def test_the_reader_keeps_its_callers_messages_and_forms():

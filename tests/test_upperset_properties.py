@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uppersets import Cone, ddm, orthant, upperset
 from uppersets.integral import integral_value
@@ -520,3 +520,62 @@ def test_3d_oplus_of_cancelling_rays_takes_the_ddm_path():
     assert upperset._fan_sum(a, b) is None
     assert a.oplus(b).lineality == ((1, 0, -1),)
     assert stored(a.oplus(b)) == stored(pair_sum_reference(a, b))
+
+
+def square_cone(dim):
+    """Pointed, not simplicial: a cone over a square in the first three
+    coordinates times the remaining coordinate axes."""
+    e = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    plus = lambda a, b: tuple(x + y for x, y in zip(a, b))
+    return Cone(dim, (e[0], e[1], plus(e[0], e[2]), plus(e[1], e[2]), *e[3:]), (1,) * dim)
+
+
+R4 = orthant(4)
+CONES45 = [R4, orthant(5), square_cone(4), square_cone(5)]
+
+
+@st.composite
+def sets45(draw, cone):
+    """Sets from two to four points with up to two extra rays, which may leave
+    C, cancel the other operand's or span a line, and at times a lineality line."""
+    vectors = st.tuples(*[st.integers(-1, 2)] * cone.dim).filter(any)
+    points = draw(st.lists(st.tuples(*[rationals] * cone.dim), min_size=2, max_size=4))
+    lineality = [draw(vectors)] if draw(st.integers(0, 4)) == 0 else []
+    return canonicalize(cone, points=points, rays=draw(st.lists(vectors, max_size=2)), lineality=lineality)
+
+
+CANCELLING = (  # neither has lineality, the sum has: the filter declines
+    canonicalize(R4, points=[(0, 0, 0, 0), (1, 1, 0, 0)], rays=[(1, 0, 0, -1)]),
+    canonicalize(R4, points=[(0, 1, 0, 0), (1, 0, 1, 0)], rays=[(-1, 0, 0, 1)]),
+)
+PERMUTED = (  # pointed, with every ray in C
+    canonicalize(R4, points=[(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1), (0, 3, 1, 2)]),
+    canonicalize(R4, points=[(1, 0, 0, 2), (0, 2, 1, 0), (2, 1, 0, 0), (0, 0, 2, 1)]),
+)
+OUTSIDE_C = canonicalize(R4, points=[(0, 1, 0, 0), (1, 0, 2, 0)], rays=[(2, -1, 0, 0)])
+LINEAL = (  # the first one's edge lies along the second one's lineality
+    canonicalize(R4, points=[(0, 0, 0, 0), (1, -1, 0, 0)]),
+    canonicalize(R4, points=[(0, 1, 0, 0), (1, 0, 2, 0)], lineality=[(1, -1, 0, 0)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CONES45).flatmap(lambda cone: st.tuples(sets45(cone), sets45(cone))))
+@example(CANCELLING)
+@example((PERMUTED[0], OUTSIDE_C))
+@example(LINEAL)
+def test_oplus_in_dims_4_and_5_matches_the_pair_sums(pair):
+    # the general path hands the run only the pair sums that may be vertices
+    d, e = pair
+    assert stored(d.oplus(e)) == stored(pair_sum_reference(d, e))
+
+
+def test_the_kept_pair_sums_hold_every_vertex_and_not_every_pair():
+    a, b = CANCELLING  # the guard declines: every pair is kept
+    assert len(list(upperset._vertex_candidates(a, b))) == len(a.numerators) * len(b.numerators)
+    assert CANCELLING[0].oplus(CANCELLING[1]).lineality == ((1, 0, 0, -1),)
+    for a, b in (PERMUTED, (PERMUTED[0], OUTSIDE_C)):
+        kept = {tuple(x + y for x, y in zip(a.points[i], b.points[j])) for i, j in upperset._vertex_candidates(a, b)}
+        assert set(a.oplus(b).points) <= kept
+        assert len(kept) < len(a.numerators) * len(b.numerators)
+        assert len(kept) == len(a.oplus(b).numerators)  # on these two sums each kept pair sum is a vertex
