@@ -39,7 +39,7 @@ def dual_cone(generators: list, dim: int | None = None) -> list[Vec]:
     gens = [checked_vector(dim, g, "generator") for g in generators]
     if all(is_zero(g) for g in gens):
         raise ValidationError("all generators are zero")
-    lineality, rays, *_ = cone_vrep(gens, dim)
+    lineality, rays, *_ = cone_vrep(sorted(map(primitive, gens)), dim)
     if lineality:
         raise ValidationError(
             "cone has empty interior (its span is not the whole space); dual is not pointed"

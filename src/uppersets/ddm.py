@@ -28,7 +28,11 @@ which drops redundant input rows without a second run: one run over a V-rep
 (``vrep_to_hrep``) yields its facets and irredundant points, rays and
 lineality, one run over an H-rep (``hrep_to_vrep``) its V-rep and its facets.
 ``upperset`` skips the run for planar forms and pointed 3-D sums (it stays their
-reference), and feeds it only those pair sums of a general sum that may be vertices.
+reference), makes one run per pointed sum of k > 2 terms in dims >= 4, and feeds
+it only the point sums that may be vertices.  Rows are processed in the order
+given, which decides how far a run grows (Avis, Bremner & Seidel 1997): ``vrep_to_hrep``
+takes rays and ± lineality first, then the points (``upperset`` puts the lowest on the
+sum of C+'s generators first), ``hrep_to_vrep`` and ``cone.dual_cone`` sorted rows.
 """
 
 from __future__ import annotations
@@ -89,10 +93,10 @@ def cone_vrep(rows, dim: int):
     Extreme rays are modulo the lineality space; both come back as sorted
     primitive integer vectors, and the zero cone has neither.  ``masks[j]`` is
     the bitmask of the rows tight at ray j, bit k standing for ``rows[k]``;
-    ``rows`` are the sorted primitive forms of the nonzero input rows.
+    ``rows`` are the sorted primitive forms of the nonzero input rows.  The
+    rows are processed in the order given, repeats dropped.
     """
-    rows = [r for r in map(tuple, rows) if not is_zero(r)]
-    prows = sorted({primitive(r) for r in rows})
+    prows = list(dict.fromkeys(primitive(r) for r in map(tuple, rows) if not is_zero(r)))
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
     rays: list[list] = []  # [vector, zero-set bitmask over processed rows, id bit]
     tight: list[int] = []  # per processed row, the ids of the rays tight at it
@@ -158,7 +162,17 @@ def cone_vrep(rows, dim: int):
             raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
 
     rays.sort()  # by vector first
-    return rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
+    masks, prows = _in_sorted_order([entry[1] for entry in rays], prows)
+    return rref_basis(lin, dim), [entry[0] for entry in rays], masks, prows
+
+
+def _in_sorted_order(masks, rows) -> tuple[list[int], list[Vec]]:
+    """(masks, rows) with the rows sorted and each mask's bits moved with them."""
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    if order == list(range(len(rows))):
+        return masks, rows
+    at = {k: 1 << j for j, k in enumerate(order)}  # old bit k moves to j
+    return [sum(at[k] for k in _bits(mask)) for mask in masks], [rows[k] for k in order]
 
 
 def hrep_to_vrep(ineqs, dim: int):
@@ -172,7 +186,7 @@ def hrep_to_vrep(ineqs, dim: int):
     """
     rows = [(*w, -b) for w, b in ineqs]
     rows.append(_unit(dim + 1, dim))  # homogenization variable >= 0
-    lin, rays, *incidence = cone_vrep(rows, dim + 1)
+    lin, rays, *incidence = cone_vrep(sorted(map(primitive, rows)), dim + 1)
     if any(v[dim] != 0 for v in lin):
         raise GeometryError("homogenization lineality with nonzero level")
     d, points, rays = _dehomogenize(rays, dim)
@@ -193,11 +207,11 @@ def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
     """
     if not points:
         raise GeometryError("vrep_to_hrep needs at least one point")
-    rows = [tuple(p) + (level,) for p in points]
-    rows += [tuple(r) + (0,) for r in rays]
+    rows = [tuple(r) + (0,) for r in rays]  # the recession rows first, then the points in the order given
     for l in lineality:
         rows.append(tuple(l) + (0,))
         rows.append(vneg(l) + (0,))
+    rows += [tuple(p) + (level,) for p in points]
     lin, facet_rays, *incidence = cone_vrep(rows, dim + 1)
     if lin:
         raise GeometryError("facet enumeration on a lower-dimensional polyhedron")

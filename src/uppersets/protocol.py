@@ -29,9 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import selectors
-import subprocess
-import tempfile
 import time
 
 from .cone import Cone, ValidationError
@@ -70,6 +67,8 @@ class ExternalFunctional:
     def _ensure_process(self) -> subprocess.Popen:
         """The child, started on the first call."""
         if self._proc is None:
+            import subprocess  # the parent's modules, here so that a child that only serves skips them
+            import tempfile
             self._stderr = tempfile.TemporaryFile()
             try:
                 self._proc = subprocess.Popen(
@@ -99,6 +98,8 @@ class ExternalFunctional:
         a closed pipe, no answer within ANSWER_DEADLINE_S, or an answer line
         longer than MAX_ANSWER_BYTES is a ProtocolError; a child that closed
         a pipe is reaped for its exit code, and one too slow or too long killed."""
+        import selectors
+        import subprocess
         inp, out = proc.stdin.fileno(), proc.stdout.fileno()
         deadline = time.monotonic() + ANSWER_DEADLINE_S
         written, answered, early = bytearray(), False, False
@@ -149,6 +150,7 @@ class ExternalFunctional:
         proc, self._proc = self._proc, None
         if proc is None:
             return
+        import subprocess
         try:
             proc.stdin.close()
             proc.wait(timeout=EXIT_WAIT_S)

@@ -20,15 +20,19 @@ normals in C+ one angular sweep over its lines, and a planar ⊕ one merge of
 the operands' chains, normal by normal, with no pair sums and no hull.  All
 three hand the chain's normals and vertices to ``_chain``, the one builder.
 ``weighted_sum``, Σ λ·S as in an integral, chooses how to add: one such merge
-of all terms when each is proper and planar, else ``oplus`` folded.  A 3-D ⊕
-without lineality makes no run: ``_fan_sum`` merges the operands' normal fans
-unless their rays cancel.  Else the run over a V-rep plus C's generators yields
-the facets, its incidence the irredundant points, rays and lineality.  A pair
-sum p + q is left out of a general ⊕'s run when it is proven no vertex: a
+of all terms when each is proper and planar; in dims >= 4, one run over the
+sums of one stored point per term, when there are more than two terms, each
+proper, and the sum is pointed; else ``oplus`` folded.  A 3-D ⊕ without
+lineality makes no run: ``_fan_sum`` merges the operands' normal fans unless
+their rays cancel.  Else the run over a V-rep plus C's generators yields the
+facets, its incidence the irredundant points, rays and lineality; it takes the
+rays first, then the points lowest on the sum of C+'s generators first.  A pair
+sum p + q is left out of a general sum's run when it is proven no vertex: a
 direction e ≠ 0 feasible at p has <w, e> <= 0 at every facet w tight at q (or
 the mirror), so p + q ± εe lie in the sum (Fukuda 2004), a test that needs the
-sum pointed.  An H-rep is read as integer rows (w, n, e), meaning
-<z, w> >= n/e, from ``rows`` as they come or from (normal, offset) pairs by
+sum pointed; a run over k terms takes only the point tuples whose every pair is
+kept.  An H-rep is read as integer rows (w, n, e), meaning <z, w> >= n/e, from
+``rows`` as they come or from (normal, offset) pairs by
 ``primitive_halfspace``.  Unless the sweep takes it, one run yields its V-rep
 and the facets among the inequalities: the canonical form when all normals lie
 in C+ (the H-rep is closed under C already).  Else the V-rep takes the V-rep path.
@@ -255,13 +259,7 @@ class UpperSet:
         if self.dim == 2:
             return _planar_sum(self.cone, [(1, self), (1, other)])
         merged = self.dim == 3 and not (self.lineality or other.lineality) and _fan_sum(self, other)
-        if merged:
-            return merged
-        (d1, ps), (d2, qs) = (self.denominator, self.numerators), (other.denominator, other.numerators)
-        d = lcm(d1, d2)
-        a, b = d // d1, d // d2
-        sums = {tuple(a * x + b * y for x, y in zip(ps[i], qs[j])) for i, j in _vertex_candidates(self, other)}
-        return _from_vrep(self.cone, d, sums, self.rays + other.rays, self.lineality + other.lineality)
+        return merged or _vertex_sum(self.cone, [self, other])
 
     def supporting_halfspace(self, w) -> "UpperSet":
         """D ⊕ H(w) = {z : <z, w> >= support(D, w)} for w in the dual cone."""
@@ -380,6 +378,8 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
         return UpperSet.empty(cone)
     if cone.dim == 2:
         return _planar_vrep(cone, d, points, rays, lineality)
+    s = [sum(c) for c in zip(*cone.dual_generators)]  # points lowest on s first: the run stays small
+    points = sorted(points, key=lambda p: (sum(map(mul, p, s)), p))
     facets, d, pts, rys, lin = ddm.vrep_to_hrep(points, (*rays, *cone.generators), lineality, cone.dim, d)
     if not facets:
         return UpperSet.full(cone)
@@ -424,10 +424,15 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
 def weighted_sum(cone: Cone, terms) -> UpperSet:
     """Σ λ·S over pairs (λ, S) of a rational λ > 0 and a set over ``cone``, the
     one place that chooses how to add: one ``_planar_sum`` merge when the cone is
-    planar and every S is proper, else the scaled sets folded with ``oplus``."""
+    planar and every S is proper, one ``_vertex_sum`` of more than two scaled
+    sets in dims >= 4 when each is proper and their sum pointed, else the scaled
+    sets folded with ``oplus``."""
     if cone.dim == 2 and all(s.kind == PROPER for _, s in terms):
         return _planar_sum(cone, terms)
-    return functools.reduce(UpperSet.oplus, [s.scale(lam) for lam, s in terms])
+    sets = [s.scale(lam) for lam, s in terms]
+    if cone.dim >= 4 and len(sets) > 2 and all(s.kind == PROPER for s in sets) and _pointed(sets):
+        return _vertex_sum(cone, sets)
+    return functools.reduce(UpperSet.oplus, sets)
 
 
 def _planar_sum(cone: Cone, terms) -> UpperSet:
@@ -477,12 +482,36 @@ def _vertex(chains, passed) -> Vec:
     return x, y
 
 
+def _vertex_sum(cone: Cone, sets) -> UpperSet:
+    """Σ S over proper sets by one run over the sums of one stored point per set
+    whose every pair ``_vertex_candidates`` keeps, as each pair of a vertex's
+    terms is a vertex of that pair's sum (Fukuda 2004).  ``fits[i][x]`` holds,
+    per later set, the bitmask of its points kept with point x of set i, and a
+    partial sum carries, per set to come, the AND of its points' bitmasks."""
+    d = lcm(*(s.denominator for s in sets))
+    points = [[vscale(d // s.denominator, p) for p in s.numerators] for s in sets]
+    fits = [[[0] * (len(sets) - i - 1) for _ in s.numerators] for i, s in enumerate(sets)]
+    for (i, a), (j, b) in combinations(enumerate(sets), 2):
+        for x, y in _vertex_candidates(a, b):
+            fits[i][x][j - i - 1] |= 1 << y
+    partial = [((0,) * cone.dim, [(1 << len(pts)) - 1 for pts in points])]
+    for pts, fit in zip(points, fits):
+        partial = [(vadd(total, p), rest) for total, (mask, *later) in partial for y, p in enumerate(pts)
+                   if mask >> y & 1 and all(rest := list(map(and_, later, fit[y])))]
+    rays, lineality = [r for s in sets for r in s.rays], [l for s in sets for l in s.lineality]
+    return _from_vrep(cone, d, {total for total, _ in partial}, rays, lineality)
+
+
+def _pointed(sets) -> bool:
+    """Whether the sets' sum is pointed: no lineality, every ray positive on the sum of C+'s generators."""
+    s = [sum(c) for c in zip(*sets[0].cone.dual_generators)]
+    return not any(x.lineality for x in sets) and all(sum(map(mul, r, s)) > 0 for x in sets for r in x.rays)
+
+
 def _vertex_candidates(a: UpperSet, b: UpperSet):
     """The index pairs (i, j) of stored points p_i of A and q_j of B whose sum may
-    be a vertex of A ⊕ B: all of them unless neither has lineality and every ray
-    is positive on the sum of C+'s generators, making A ⊕ B pointed."""
-    s = [sum(c) for c in zip(*a.cone.dual_generators)]
-    if a.lineality or b.lineality or any(sum(map(mul, r, s)) <= 0 for r in chain(a.rays, b.rays)):
+    be a vertex of A ⊕ B: all of them unless ``_pointed``."""
+    if not _pointed((a, b)):
         return product(range(len(a.numerators)), range(len(b.numerators)))
     at_b, at_a = _slides(a, b), _slides(b, a)  # per q_j the p_i that slide, per p_i the q_j
     return [(i, j) for i, qs in enumerate(at_a) for j, ps in enumerate(at_b) if not (ps >> i & 1 or qs >> j & 1)]

@@ -50,9 +50,10 @@ ALTERNATIONS = {"golden": 10, "integrate-large": 10, "dims 7-8": 4}  # the last 
 
 def mask_scan_vrep(rows, dim: int):
     """``ddm.cone_vrep`` with the adjacency test that counts, for each
-    candidate pair, the current rays whose mask contains the pair's meet."""
-    rows = [r for r in map(tuple, rows) if not is_zero(r)]
-    prows = sorted({primitive(r) for r in rows})
+    candidate pair, the current rays whose mask contains the pair's meet.
+    It processes the rows in the kernel's order, so that the CPU share
+    measures the adjacency test alone."""
+    prows = list(dict.fromkeys(primitive(r) for r in map(tuple, rows) if not is_zero(r)))
     lin: list[Vec] = [ddm._unit(dim, i) for i in range(dim)]
     rays: list[list] = []  # [vector, zero-set bitmask over processed rows]
 
@@ -101,7 +102,8 @@ def mask_scan_vrep(rows, dim: int):
                 raise ddm.GeometryError(f"ray count exceeded desk scale ({ddm.MAX_RAYS})")
 
     rays.sort()
-    return ddm.rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
+    masks, prows = ddm._in_sorted_order([entry[1] for entry in rays], prows)
+    return ddm.rref_basis(lin, dim), [entry[0] for entry in rays], masks, prows
 
 
 def recording(work) -> list[tuple]:

@@ -1,20 +1,27 @@
-"""General Minkowski sums with and without the vertex filter, on recorded sums.
+"""General Minkowski sums with and without the vertex filter, and k-term sums
+in one run against the pairwise fold, on recorded sums.
 
-Records the operands of every sum that ``UpperSet.oplus`` hands to its general
-path, the double-description run over pair sums, in
+The corpora are
 
 * integrate-large at benchmark seeds 1-3: the 54 integrals of its first three
   rounds, as ``kernel_gate.py`` builds them from ``perfbench/bench_inputs.py``;
-* ``kernel_gate.py``'s two desk-size sums in dimensions 7 and 8,
+* ``kernel_gate.py``'s two desk-size sums in dimensions 7 and 8.
 
-and then, per corpus,
+Per corpus, the gate
 
-* builds each sum as ``oplus`` does, from the pair sums that
-  ``upperset._vertex_candidates`` keeps, and from every pair sum, and compares
-  every stored field;
-* prints the pair sums kept out of all distinct pair sums;
-* times both ways over the corpus, in CPU seconds, alternating which goes
-  first, and prints the median of the filtered path's share of the other's time.
+* records the operands of every call to ``upperset._vertex_candidates``: the
+  two operands of a general ``UpperSet.oplus``, and each pair of terms of a
+  ``weighted_sum`` made in one run (441 calls on integrate-large, where the
+  pairwise fold makes 189 general sums, most of them of partial sums);
+* builds each recorded pair's sum as ``oplus`` does, from the pair sums the
+  filter keeps, and from every pair sum, compares every stored field, prints
+  the pair sums kept out of all distinct pair sums, and times both ways;
+* builds each integral or desk sum by ``weighted_sum`` and by folding its
+  scaled terms with ``oplus``, compares every stored field, and times both
+  ways.
+
+Times are CPU seconds over the corpus, alternating which way goes first; the
+gate prints the median of the first-named way's share of the other's time.
 
     PYTHONPATH=src python tests/sum_gate.py
 
@@ -24,14 +31,14 @@ they are printed, not enforced.  pytest does not collect this file.
 
 from __future__ import annotations
 
+import functools
 import sys
 from math import lcm
 
 from fan_gate import ddm_path
 from gates import shares, stored, summary
-from kernel_gate import DESK_CASES, desk_case, desk_sum, integrals
-from uppersets import upperset
-from uppersets.integral import aumann_integral
+from kernel_gate import DESK_CASES, desk_case, integrals
+from uppersets import canonicalize, upperset
 
 ALTERNATIONS = {"integrate-large": 10, "dims 7-8": 4}  # an unfiltered dims 7-8 pass takes seconds
 
@@ -63,12 +70,19 @@ def kept(a, b) -> tuple[int, int]:
 
 
 def corpora() -> list[tuple[str, list]]:
-    problems = integrals()
+    """(name, the (cone, terms) of each sum) per corpus: an integral's terms
+    as ``integral_value`` passes them, a desk sum's values with weight 1."""
+    problems = [(F.cone, mu.pairs(F.space, F.values)) for F, mu in integrals()]
     cases = [desk_case(*case) for case in DESK_CASES]
     return [
-        ("integrate-large", recording(lambda: [aumann_integral(F, mu) for F, mu in problems])),
-        ("dims 7-8", recording(lambda: [desk_sum(*case) for case in cases])),
+        ("integrate-large", problems),
+        ("dims 7-8", [(C, [(1, canonicalize(C, points=pts)) for pts in points]) for C, points in cases]),
     ]
+
+
+def fold(cone, terms):
+    """The scaled terms folded with ``oplus``, as ``weighted_sum`` did in every dimension above 2."""
+    return functools.reduce(upperset.UpperSet.oplus, [s.scale(lam) for lam, s in terms])
 
 
 def every_sum(path, pairs) -> None:
@@ -78,7 +92,8 @@ def every_sum(path, pairs) -> None:
 
 def run() -> int:
     failed = 0
-    for name, pairs in corpora():
+    for name, sums in corpora():
+        pairs = recording(lambda: [upperset.weighted_sum(*case) for case in sums])
         differing = [(a, b) for a, b in pairs if stored(a.oplus(b)) != stored(ddm_path(a, b))]
         for a, b in differing[:3]:
             print(f"differs: {a.literal()} ⊕ {b.literal()}")
@@ -87,11 +102,21 @@ def run() -> int:
             lambda: every_sum(upperset.UpperSet.oplus, pairs), lambda: every_sum(ddm_path, pairs), ALTERNATIONS[name]
         )
         print(
-            f"{name}: {len(pairs)} general sums, {len(differing)} differ from the unfiltered path; "
+            f"{name}: {len(pairs)} filtered pairs, {len(differing)} differ from the unfiltered path; "
             f"{sum(k for k, _ in counts)} of {sum(n for _, n in counts)} pair sums kept; "
             f"filtered/unfiltered CPU {summary(ratios)}"
         )
-        failed += len(differing)
+        folds = [case for case in sums if stored(upperset.weighted_sum(*case)) != stored(fold(*case))]
+        for _, terms in folds[:3]:
+            print(f"differs: {' + '.join(f'{lam}·{s.literal()}' for lam, s in terms)}")
+        ratios = shares(
+            lambda: every_sum(upperset.weighted_sum, sums), lambda: every_sum(fold, sums), ALTERNATIONS[name]
+        )
+        print(
+            f"{name}: {len(sums)} sums, {len(folds)} differ from the pairwise fold; "
+            f"one-run/fold CPU {summary(ratios)}"
+        )
+        failed += len(differing) + len(folds)
     return 1 if failed else 0
 
 

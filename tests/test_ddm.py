@@ -149,11 +149,9 @@ def extreme_zero_sets(rows, dim):
     return found
 
 
-@pytest.mark.parametrize("seed", range(16))
-def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
-    # Dims 5-6 with 6-12 rows.  On odd seeds the rows that involve the last
-    # coordinate sort last, so the run removes that lineality direction only
-    # after rays were combined, and projects rays with parent-derived masks.
+def brute_force_input(seed):
+    """(rows, dim): dims 5-6 with 6-12 sorted primitive rows.  On odd seeds the
+    rows that involve the last coordinate sort last."""
     rng = random.Random(300 + seed)
     dim = 5 + seed % 2 if seed < 8 else rng.choice([5, 6])
     if seed % 2:
@@ -168,7 +166,14 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
         ]
     else:
         rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(6, 12))]
-    rows = sorted({primitive(r) for r in rows if any(r)})
+    return sorted({primitive(r) for r in rows if any(r)}), dim
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
+    # On odd seeds the run removes the last coordinate's lineality direction
+    # only after rays were combined, and projects rays with parent-derived masks.
+    rows, dim = brute_force_input(seed)
     lin, rays, *_ = cone_vrep(rows, dim)
     assert len(lin) == dim - rank(rows)
     for l in lin:
@@ -186,6 +191,17 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
     assert (lin_i, rays_i, prows) == (lin, rays, rows)
     for r, mask in zip(rays, masks):
         assert mask == sum(1 << k for k, row in enumerate(prows) if dot(row, r) == 0), (rows, r)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_cone_vrep_does_not_depend_on_the_row_order(seed):
+    # the rows are processed as given; the output is the one of the sorted rows
+    rows, dim = brute_force_input(seed)
+    expected = cone_vrep(rows, dim)
+    orders = [random.Random(700 + 3 * seed + k).sample(rows, len(rows)) for k in range(3)]
+    orders.append(sorted(rows, key=lambda row: row[-1] != 0))  # the last-coordinate-0 rows first
+    for order in orders:
+        assert cone_vrep(order, dim) == expected, order
 
 
 @st.composite

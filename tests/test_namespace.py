@@ -27,11 +27,11 @@ PUBLIC = """
 """.split()
 
 
-def fresh(code: str):
-    """What ``code`` prints as JSON, run in a fresh interpreter on ``src``."""
+def fresh(code: str, *flags: str):
+    """What ``code`` prints as JSON, run in a fresh interpreter on ``src`` with ``flags``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code],
+        [sys.executable, *flags, "-c", "import json, sys\n" + code],
         env=env,
         capture_output=True,
         text=True,
@@ -52,6 +52,13 @@ def test_an_external_childs_imports_load_neither_the_checker_nor_the_cli():
     loaded = fresh("import uppersets.integral, uppersets.protocol, uppersets.workspace\n" + LOADED)
     assert "uppersets.protocol" in loaded
     assert "uppersets.axioms" not in loaded and "uppersets.cli" not in loaded
+
+
+def test_an_external_childs_imports_load_none_of_the_parents_process_modules():
+    # -S: no site, whose .pth files may import anything; the parent loads these on starting a child
+    parents = ["selectors", "subprocess", "tempfile"]
+    code = "import uppersets.integral, uppersets.protocol, uppersets.workspace\n"
+    assert fresh(code + f"print(json.dumps([m for m in {parents!r} if m in sys.modules]))", "-S") == []
 
 
 def test_a_name_imported_from_the_package_is_not_cached_in_it():

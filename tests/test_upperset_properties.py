@@ -1,5 +1,6 @@
 """Algebraic and order laws of the upper-set lattice, property-based."""
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -579,3 +580,51 @@ def test_the_kept_pair_sums_hold_every_vertex_and_not_every_pair():
         assert set(a.oplus(b).points) <= kept
         assert len(kept) < len(a.numerators) * len(b.numerators)
         assert len(kept) == len(a.oplus(b).numerators)  # on these two sums each kept pair sum is a vertex
+
+
+def fold(terms):
+    """The scaled terms folded with ``oplus``: a sum of k terms makes k - 1 general sums."""
+    return functools.reduce(UpperSet.oplus, [s.scale(lam) for lam, s in terms])
+
+
+WEIGHTS = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+POINTED4 = (*PERMUTED, OUTSIDE_C, canonicalize(R4, points=[(1, 0, 1, 0), (0, 1, 0, 1), (2, 2, 0, 0)]))
+
+
+@st.composite
+def pointed45(draw, cone):
+    """Sets from two to four points with up to two extra rays, each positive on
+    the sum of C+'s generators, and some outside C."""
+    s = [sum(c) for c in zip(*cone.dual_generators)]
+    vectors = st.tuples(*[st.integers(-1, 2)] * cone.dim).filter(lambda r: dot(r, s) > 0)
+    points = draw(st.lists(st.tuples(*[rationals] * cone.dim), min_size=2, max_size=4))
+    return canonicalize(cone, points=points, rays=draw(st.lists(vectors, max_size=2)))
+
+
+def terms45(cone):
+    """Three to five weighted sets, all pointed or all drawn by ``sets45``."""
+    sets = st.sampled_from([pointed45, sets45])
+    return sets.flatmap(lambda kind: st.lists(st.tuples(WEIGHTS, kind(cone)), min_size=3, max_size=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([R4, orthant(5), square_cone(4)]).flatmap(terms45))
+@example([(Fraction(1, 2), POINTED4[0]), (Fraction(3), POINTED4[1]), (Fraction(2, 3), POINTED4[2])])
+@example([(Fraction(1), LINEAL[0]), (Fraction(2), POINTED4[1]), (Fraction(1, 3), LINEAL[1])])
+def test_weighted_sum_in_dims_4_and_5_equals_the_pairwise_fold(terms):
+    # a pointed sum of proper terms is one run over the point tuples whose
+    # every pair the filter keeps; any other sum is the fold
+    assert stored(upperset.weighted_sum(terms[0][1].cone, terms)) == stored(fold(terms))
+
+
+def test_a_pointed_integral_in_dim_4_is_one_run_and_lineality_takes_the_fold(ddm_runs):
+    atoms = AtomicSpace(("x1", "x2", "x3", "x4"))
+    mu = AtomicMeasure(atoms, (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)))
+    value = integral_value(SimpleSetFunction(atoms, POINTED4), mu)
+    assert len(ddm_runs) == 1  # the pairwise fold made 3
+    assert stored(value) == stored(fold(mu.pairs(atoms, POINTED4)))
+    del ddm_runs[:]
+    terms = [(1, LINEAL[0]), (1, POINTED4[1]), (1, LINEAL[1])]
+    value = upperset.weighted_sum(R4, terms)
+    assert len(ddm_runs) == 2  # a term with lineality: the fold
+    assert stored(value) == stored(fold(terms))
