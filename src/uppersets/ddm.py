@@ -29,10 +29,10 @@ which drops redundant input rows without a second run: one run over a V-rep
 lineality, one run over an H-rep (``hrep_to_vrep``) its V-rep and its facets.
 ``upperset`` skips the run for planar forms and pointed 3-D sums (it stays their
 reference), makes one run per pointed sum of k > 2 terms in dims >= 4, and feeds
-it only the point sums that may be vertices.  Rows are processed in the order
-given, which decides how far a run grows (Avis, Bremner & Seidel 1997): ``vrep_to_hrep``
-takes rays and ± lineality first, then the points (``upperset`` puts the lowest on the
-sum of C+'s generators first), ``hrep_to_vrep`` and ``cone.dual_cone`` sorted rows.
+it only the point sums that may be vertices.  Rows are processed, and come back,
+in the order given, which decides how far a run grows (Avis, Bremner & Seidel 1997):
+``vrep_to_hrep`` takes rays and ± lineality first, then the points, ``hrep_to_vrep``
+and ``cone.dual_cone`` sorted rows.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def cone_vrep(rows, dim: int):
     Extreme rays are modulo the lineality space; both come back as sorted
     primitive integer vectors, and the zero cone has neither.  ``masks[j]`` is
     the bitmask of the rows tight at ray j, bit k standing for ``rows[k]``;
-    ``rows`` are the sorted primitive forms of the nonzero input rows.  The
-    rows are processed in the order given, repeats dropped.
+    ``rows`` are the primitive forms of the nonzero input rows, repeats
+    dropped, in the order given, which is the order they are processed in.
     """
     prows = list(dict.fromkeys(primitive(r) for r in map(tuple, rows) if not is_zero(r)))
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
@@ -162,17 +162,7 @@ def cone_vrep(rows, dim: int):
             raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
 
     rays.sort()  # by vector first
-    masks, prows = _in_sorted_order([entry[1] for entry in rays], prows)
-    return rref_basis(lin, dim), [entry[0] for entry in rays], masks, prows
-
-
-def _in_sorted_order(masks, rows) -> tuple[list[int], list[Vec]]:
-    """(masks, rows) with the rows sorted and each mask's bits moved with them."""
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    if order == list(range(len(rows))):
-        return masks, rows
-    at = {k: 1 << j for j, k in enumerate(order)}  # old bit k moves to j
-    return [sum(at[k] for k in _bits(mask)) for mask in masks], [rows[k] for k in order]
+    return rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
 
 
 def hrep_to_vrep(ineqs, dim: int):
@@ -244,8 +234,8 @@ def _irredundant(masks, rows) -> tuple[list[Vec], list[Vec]]:
     ray lies in the lineality part of the other description.  Any other row k
     is irredundant iff each row tight at all of k's rays has k's zero set or
     is such a lineality row (Fukuda & Prodon, 1996); one row is kept per zero
-    set.  Returns the kept rows and the lineality rows, in time linear in the
-    number of incidences.
+    set, the first processed.  Returns the kept rows and the lineality rows,
+    in time linear in the number of incidences.
     """
     zero_sets = [0] * len(rows)  # per row: the rays tight at it
     for j, mask in enumerate(masks):

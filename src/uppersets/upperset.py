@@ -22,21 +22,21 @@ three hand the chain's normals and vertices to ``_chain``, the one builder.
 ``weighted_sum``, Σ λ·S as in an integral, chooses how to add: one such merge
 of all terms when each is proper and planar; in dims >= 4, one run over the
 sums of one stored point per term, when there are more than two terms, each
-proper, and the sum is pointed; else ``oplus`` folded.  A 3-D ⊕ without
-lineality makes no run: ``_fan_sum`` merges the operands' normal fans unless
-their rays cancel.  Else the run over a V-rep plus C's generators yields the
-facets, its incidence the irredundant points, rays and lineality; it takes the
-rays first, then the points lowest on the sum of C+'s generators first.  A pair
-sum p + q is left out of a general sum's run when it is proven no vertex: a
-direction e ≠ 0 feasible at p has <w, e> <= 0 at every facet w tight at q (or
-the mirror), so p + q ± εe lie in the sum (Fukuda 2004), a test that needs the
-sum pointed; a run over k terms takes only the point tuples whose every pair is
-kept.  An H-rep is read as integer rows (w, n, e), meaning <z, w> >= n/e, from
-``rows`` as they come or from (normal, offset) pairs by
+proper, and the sum is pointed; else ``oplus`` folded.  A 3-D ⊕ makes no run
+when ``_pointed`` finds the sum pointed: ``_fan_sum`` merges the operands'
+normal fans, and never declines.  Else the run over a V-rep plus C's generators
+yields the facets, its incidence the irredundant points, rays and lineality; it
+takes the rays first, then the points lowest on the sum of C+'s generators
+first.  A pair sum p + q is left out of a general sum's run when it is proven no
+vertex: a direction e ≠ 0 feasible at p has <w, e> <= 0 at every facet w tight
+at q (or the mirror), so p + q ± εe lie in the sum (Fukuda 2004), a test that
+needs the sum pointed; a run over k terms takes only the point tuples whose
+every pair is kept.  An H-rep is read as integer rows (w, n, e), meaning
+<z, w> >= n/e, from ``rows`` as they come or from (normal, offset) pairs by
 ``primitive_halfspace``.  Unless the sweep takes it, one run yields its V-rep
 and the facets among the inequalities: the canonical form when all normals lie
-in C+ (the H-rep is closed under C already).  Else the V-rep takes the V-rep path.
-Modulo the lineality space L, each point and ray is stored as the
+in C+ (the H-rep is closed under C already).  Else the V-rep takes the V-rep
+path.  Modulo the lineality space L, each point and ray is stored as the
 representative that is zero at L's pivot columns (pivots taken from the last
 column leftwards), so the stored V-rep depends only on the set.
 
@@ -258,8 +258,9 @@ class UpperSet:
                 return UpperSet.full(d.cone) if sigma is None else e._translate(*_shift(w, sigma, d.denominator))
         if self.dim == 2:
             return _planar_sum(self.cone, [(1, self), (1, other)])
-        merged = self.dim == 3 and not (self.lineality or other.lineality) and _fan_sum(self, other)
-        return merged or _vertex_sum(self.cone, [self, other])
+        if self.dim == 3 and _pointed((self, other)):
+            return _fan_sum(self, other)
+        return _vertex_sum(self.cone, [self, other])
 
     def supporting_halfspace(self, w) -> "UpperSet":
         """D ⊕ H(w) = {z : <z, w> >= support(D, w)} for w in the dual cone."""
@@ -539,15 +540,16 @@ def _slides(x: UpperSet, y: UpperSet) -> list[int]:
     return slides
 
 
-def _fan_sum(a: UpperSet, b: UpperSet) -> UpperSet | None:
-    """A ⊕ B for proper 3-D sets without lineality by merging their normal fans
-    (Fukuda 2004; de Berg et al., ch. 2), None when rays of A and B cancel and
-    the sum's normals do not span R³.  These are each one's normals in the dual
-    of the other's recession cone, and ±(n × m), n = a_i × a_j, m = b_k × b_l,
-    where edge arcs cone(a_i, a_j) and cone(b_k, b_l) in the pointed C+ cross:
-    each has its ends strictly on both sides of the other's plane, and n × m is
-    in the first iff <m, a_i> > 0.  Offsets are σ_A + σ_B; vertices and rays
-    are the pair sums and operand rays where the tight normals have rank 3, 2."""
+def _fan_sum(a: UpperSet, b: UpperSet) -> UpperSet:
+    """A ⊕ B for proper 3-D sets by merging their normal fans (Fukuda 2004;
+    de Berg et al., ch. 2).  ``oplus`` alone calls it, once ``_pointed`` finds
+    the sum pointed, so its normals span R³ and the merge never declines.
+    These are each one's normals in the dual of the other's recession cone,
+    and ±(n × m), n = a_i × a_j, m = b_k × b_l, where edge arcs cone(a_i, a_j)
+    and cone(b_k, b_l) in the pointed C+ cross: each has its ends strictly on
+    both sides of the other's plane, and n × m is in the first iff <m, a_i> > 0.
+    Offsets are σ_A + σ_B; vertices and rays are the pair sums and operand rays
+    where the tight normals have rank 3, 2."""
     (pa, arcs_a), (pb, arcs_b) = _fan(a), _fan(b)
     tight = {}  # u: (d_A·σ_A(u), the points of A at it, d_B·σ_B(u), those of B)
     for (w, n), p in zip(a.facets, pa):
@@ -563,8 +565,6 @@ def _fan_sum(a: UpperSet, b: UpperSet) -> UpperSet | None:
             if s[i] * s[j] < 0 and t[k] * t[l] < 0:
                 u = coprime(_cross(n, m) if s[i] > 0 else _cross(m, n))
                 tight[u] = (_dot3(p, u), e, _dot3(q, u), e2)
-    if _rank(list(tight)) < 3:
-        return None
     d = lcm(a.denominator, b.denominator)
     f, g = d // a.denominator, d // b.denominator
     pairs = product(enumerate(a.numerators), enumerate(b.numerators))

@@ -2,8 +2,10 @@
 
 Runs the golden orthant3 ``check-axioms`` and ``reconstruct`` verdicts of
 ``integral:mu`` at seed 3 in-process, records every general 3-D sum that
-``UpperSet.oplus`` hands to the fan merge, and then
+``UpperSet.oplus`` hands to the fan merge, which it does only when
+``_pointed`` finds the sum pointed, and then
 
+* checks that ``_pointed`` holds for each recorded pair;
 * builds each recorded sum both ways, by the merge and by the pair sums
   through ``_from_vrep``, and compares every stored field;
 * times both ways over all recorded sums, in CPU seconds, alternating which
@@ -12,8 +14,9 @@ Runs the golden orthant3 ``check-axioms`` and ``reconstruct`` verdicts of
 
     PYTHONPATH=src python tests/fan_gate.py
 
-Exits 1 when a sum differs, else 0: CPU shares vary from host to host, so
-the gate is printed, not enforced.  pytest does not collect this file.
+Exits 1 when a recorded pair is not pointed or a sum differs, else 0: CPU
+shares vary from host to host, so the gate is printed, not enforced.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ def ddm_path(a, b):
     return upperset._from_vrep(a.cone, d, sums, a.rays + b.rays, a.lineality + b.lineality)
 
 
-def merge_path(a, b):
-    """A ⊕ B as ``oplus`` builds it: the merge, or the DDM path when the sum has lineality."""
-    return upperset._fan_sum(a, b) or ddm_path(a, b)
-
-
 def every_sum(path, pairs):
     """A pass of ``path`` over the recorded pairs, reading every fan afresh, as the verdicts did."""
     upperset._fan.cache_clear()
@@ -74,16 +72,18 @@ def every_sum(path, pairs):
 
 def run() -> int:
     pairs = record()
-    differing = [(a, b) for a, b in pairs if stored(merge_path(a, b)) != stored(ddm_path(a, b))]
+    unpointed = [(a, b) for a, b in pairs if not upperset._pointed((a, b))]
+    differing = [(a, b) for a, b in pairs if stored(upperset._fan_sum(a, b)) != stored(ddm_path(a, b))]
+    for a, b in unpointed[:3]:
+        print(f"not pointed: {a.literal()} ⊕ {b.literal()}")
     for a, b in differing[:3]:
         print(f"differs: {a.literal()} ⊕ {b.literal()}")
-    ratios = shares(lambda: every_sum(merge_path, pairs), lambda: every_sum(ddm_path, pairs))
-    merged = sum(upperset._fan_sum(a, b) is not None for a, b in pairs)
+    ratios = shares(lambda: every_sum(upperset._fan_sum, pairs), lambda: every_sum(ddm_path, pairs))
     print(
-        f"{len(pairs)} general 3-D sums, {merged} merged, {len(differing)} differ from the DDM path; "
-        f"merge/DDM CPU {summary(ratios, GATE)}"
+        f"{len(pairs)} general 3-D sums merged, {len(unpointed)} not pointed, {len(differing)} differ from "
+        f"the DDM path; merge/DDM CPU {summary(ratios, GATE)}"
     )
-    return 1 if differing else 0
+    return 1 if unpointed or differing else 0
 
 
 if __name__ == "__main__":

@@ -102,8 +102,7 @@ def mask_scan_vrep(rows, dim: int):
                 raise ddm.GeometryError(f"ray count exceeded desk scale ({ddm.MAX_RAYS})")
 
     rays.sort()
-    masks, prows = ddm._in_sorted_order([entry[1] for entry in rays], prows)
-    return ddm.rref_basis(lin, dim), [entry[0] for entry in rays], masks, prows
+    return ddm.rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
 
 
 def recording(work) -> list[tuple]:

@@ -195,13 +195,20 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_cone_vrep_does_not_depend_on_the_row_order(seed):
-    # the rows are processed as given; the output is the one of the sorted rows
-    rows, dim = brute_force_input(seed)
-    expected = cone_vrep(rows, dim)
+    # the rows are processed, and come back, in the order given; the lineality,
+    # the rays, the rows and the rows tight at each ray do not depend on it
+    rows, dim = brute_force_input(seed)  # primitive, nonzero and distinct
+
+    def incidence(order):
+        lin, rays, masks, prows = cone_vrep(order, dim)
+        assert prows == order
+        return lin, rays, [{row for k, row in enumerate(prows) if mask >> k & 1} for mask in masks], set(prows)
+
+    expected = incidence(rows)
     orders = [random.Random(700 + 3 * seed + k).sample(rows, len(rows)) for k in range(3)]
     orders.append(sorted(rows, key=lambda row: row[-1] != 0))  # the last-coordinate-0 rows first
     for order in orders:
-        assert cone_vrep(order, dim) == expected, order
+        assert incidence(order) == expected, order
 
 
 @st.composite
@@ -414,7 +421,7 @@ def test_integer_rows_skip_the_denominator_pass_with_the_same_output(seed):
     as_fractions = [vec(r) for r in rows]
     mixed = cone_vrep(rows, dim)
     assert mixed == cone_vrep(as_fractions, dim)
-    assert mixed[3] == sorted({primitive(r) for r in as_fractions if any(r)})
+    assert mixed[3] == list(dict.fromkeys(primitive(r) for r in as_fractions if any(r)))  # as given, repeats dropped
     assert all(type(x) is int for r in mixed[3] for x in r)
 
 

@@ -1,8 +1,8 @@
 """Module layering: no module of the package imports a sibling's private name,
 only the kernel's clients import from ``ddm``, no module but ``linalg`` reads
 a number with a ``Fraction(x)`` fallback, no module reads an upper set's
-``halfspaces`` view, and no module but the measure's own methods walks its
-weights."""
+``halfspaces`` view, no module but the measure's own methods walks its
+weights, and only ``UpperSet.oplus`` calls the 3-D fan merge."""
 
 import ast
 from pathlib import Path
@@ -104,6 +104,24 @@ def weights_walks(path: Path) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
+def fan_sum_uses(path: Path) -> list[str]:
+    """'line: scope' for each use of ``_fan_sum`` in ``path`` outside
+    ``UpperSet.oplus``, called or not: the merge does not check that the sum
+    is pointed, and ``oplus`` routes a sum to it only once ``_pointed`` has."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "_fan_sum" and scope != "UpperSet.oplus":
+            found.append((node.lineno, f"{node.lineno}: {scope or '<module>'}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return [text for _, text in sorted(found)]
+
+
 def _name(func: ast.expr) -> str | None:
     """The called name of ``f(...)`` or ``m.f(...)``."""
     return getattr(func, "id", getattr(func, "attr", None))
@@ -184,3 +202,19 @@ def test_a_weights_walk_is_found(tmp_path):
         "positive = [i for i, w in enumerate(measure.weights) if w]\nw = mu.weights[0]\n"
     )
     assert weights_walks(source) == ["3: zip(mu.weights, F.values)", "4: enumerate(measure.weights)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_oplus_calls_the_fan_merge(path):
+    assert fan_sum_uses(path) == []
+
+
+def test_a_fan_merge_outside_oplus_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "class UpperSet:\n    def oplus(self, other):\n        return _fan_sum(self, other)\n"
+        "    def scale(self, lam):\n        return upperset._fan_sum(self, self)\n"
+        "def weighted_sum(cone, terms):\n    merge = _fan_sum\n    return [lambda: _fan_sum(a, b) for a, b in terms]\n"
+        "def _fan_sum(a, b):\n    return a\ntotal = _fan_sum(x, y)\n"
+    )
+    assert fan_sum_uses(source) == ["5: UpperSet.scale", "7: weighted_sum", "8: weighted_sum", "11: <module>"]

@@ -1,6 +1,7 @@
 """Algebraic and order laws of the upper-set lattice, property-based."""
 
 import functools
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -441,14 +442,14 @@ def sets3(draw, cone):
 @given(st.sampled_from(CONES3).flatmap(lambda cone: st.tuples(sets3(cone), sets3(cone))))
 def test_3d_oplus_matches_the_pair_sums(pair):
     # the fan merge is called directly too, as oplus takes the closed-form
-    # rules first; it declines exactly when the sum has lineality
+    # rules first, on the pairs oplus would route to it: a sum _pointed finds
+    # pointed has no lineality
     d, e = pair
     reference = pair_sum_reference(d, e)
     assert stored(d.oplus(e)) == stored(reference)
-    if d.kind == e.kind == "proper" and not d.lineality and not e.lineality:
-        merged = upperset._fan_sum(d, e)
-        assert (merged is None) == bool(reference.lineality)
-        assert merged is None or stored(merged) == stored(reference)
+    if d.kind == e.kind == "proper" and upperset._pointed((d, e)):
+        assert not reference.lineality
+        assert stored(upperset._fan_sum(d, e)) == stored(reference)
 
 
 def cross(a, b):
@@ -506,21 +507,25 @@ FOUR = CONES3[1]
     ],
     ids=["parallel", "endpoint-on-arc", "rays-outside-C"],
 )
-def test_3d_oplus_merges_degenerate_fans(d, e, shapes):
+def test_3d_oplus_merges_degenerate_fans(d, e, shapes, fan_merges):
     assert shapes <= degeneracies(d, e)
-    merged = upperset._fan_sum(d, e)
-    assert merged is not None and stored(merged) == stored(pair_sum_reference(d, e))
+    assert upperset._pointed((d, e))
+    assert stored(d.oplus(e)) == stored(pair_sum_reference(d, e))
+    assert fan_merges == [(d, e)]
 
 
-def test_3d_oplus_of_cancelling_rays_takes_the_ddm_path():
+def test_3d_oplus_of_cancelling_rays_takes_the_ddm_path(ddm_runs, fan_merges):
     # (1, 0, -1) is a ray of A and (-1, 0, 1) one of B: the sum has lineality
-    # while neither operand has, so the merge declines and the run decides
+    # while neither operand has, so _pointed sends it to the run
     a = canonicalize(R3, halfspaces=[((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 0, 1), 0)])
     b = canonicalize(R3, halfspaces=[((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 1), 0)])
     assert not a.lineality and not b.lineality
-    assert upperset._fan_sum(a, b) is None
-    assert a.oplus(b).lineality == ((1, 0, -1),)
-    assert stored(a.oplus(b)) == stored(pair_sum_reference(a, b))
+    assert not upperset._pointed((a, b))
+    runs = len(ddm_runs)
+    summed = a.oplus(b)
+    assert (len(ddm_runs) - runs, fan_merges) == (1, [])
+    assert summed.lineality == ((1, 0, -1),)
+    assert stored(summed) == stored(pair_sum_reference(a, b))
 
 
 def square_cone(dim):
@@ -628,3 +633,35 @@ def test_a_pointed_integral_in_dim_4_is_one_run_and_lineality_takes_the_fold(ddm
     value = upperset.weighted_sum(R4, terms)
     assert len(ddm_runs) == 2  # a term with lineality: the fold
     assert stored(value) == stored(fold(terms))
+
+
+def shuffled_inputs(rng, cone):
+    """(points, rays, lineality) over ``cone``: two to five rational points and
+    up to two rays, which may leave C or cancel; in one case of three a
+    lineality line or two, with copies of some points and rays moved along it
+    by a rational multiple, so that two input rows share a zero set."""
+    vector = lambda: tuple(rng.randint(-1, 2) for _ in range(cone.dim))
+    points = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cone.dim))
+              for _ in range(rng.randint(2, 5))]
+    rays = [r for r in (vector() for _ in range(rng.randint(0, 2))) if any(r)]
+    lineality = [l for l in (vector() for _ in range(rng.randint(1, 2))) if any(l)] if rng.randrange(3) == 0 else []
+    for l in lineality:
+        moved = lambda v, t: tuple(x + t * y for x, y in zip(v, l))
+        points += [moved(p, Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for p in points if rng.random() < 0.5]
+        rays += [r for r in (moved(r, rng.randint(-2, 2)) for r in rays) if any(r)]
+    return points, rays, lineality
+
+
+@pytest.mark.parametrize("dim", (3, 4, 5))
+def test_a_canonical_form_does_not_depend_on_the_input_order(dim):
+    # the kernel reports rows in the order it is fed them, and _irredundant
+    # keeps the first of two rows with one zero set, such as points or rays a
+    # lineality vector apart: the stored fields must not depend on which
+    for cone in (orthant(dim), square_cone(dim)):
+        rng, order = random.Random(dim), random.Random(1000 + dim)
+        for _ in range(200):
+            points, rays, lineality = shuffled_inputs(rng, cone)
+            expected = stored(canonicalize(cone, points=points, rays=rays, lineality=lineality))
+            for _ in range(3):
+                p, r, l = (order.sample(v, len(v)) for v in (points, rays, lineality))
+                assert stored(canonicalize(cone, points=p, rays=r, lineality=l)) == expected, (points, rays, lineality)
