@@ -46,7 +46,7 @@ def dual_cone(generators: list, dim: int | None = None) -> list[Vec]:
         )
     if not rays:
         raise ValidationError("cone is the whole space; dual is trivial")
-    return rays
+    return sorted(rays)  # the order of C+'s generators
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ homogenization in one extra dimension.
 Every row, lineality vector and ray is a primitive integer vector (an
 integer gcd keeps it so), so the inner loops run on machine ints, and
 ``rref_basis`` and ``modulo`` eliminate on integers.  Rational input is
-scaled to integers once, by ``primitive``.  Points come back as sorted
-integer numerators over one denominator d, and facets as (w, n) meaning
-<z, w> >= n/d.
+scaled to integers once, by ``primitive``.  Points come back as integer
+numerators over one denominator d, and facets as (w, n) meaning <z, w> >= n/d.
 
 Each ray carries its zero set, a bitmask of the processed rows it is tight
 at.  A new ray ``val_p·n - val_n·p`` is tight exactly where both parents are
@@ -32,7 +31,8 @@ reference), makes one run per pointed sum of k > 2 terms in dims >= 4, and feeds
 it only the point sums that may be vertices.  Rows are processed, and come back,
 in the order given, which decides how far a run grows (Avis, Bremner & Seidel 1997):
 ``vrep_to_hrep`` takes rays and ± lineality first, then the points, ``hrep_to_vrep``
-and ``cone.dual_cone`` sorted rows.
+and ``cone.dual_cone`` sorted rows.  Every output comes back in the order the run
+produces it, not sorted: the stored order is ``upperset._proper``'s to decide.
 """
 
 from __future__ import annotations
@@ -90,11 +90,11 @@ def cone_vrep(rows, dim: int):
     """(lineality basis, extreme rays, masks, rows): the minimal V-rep of
     {x : <row,x> >= 0 ∀rows} and its incidence.
 
-    Extreme rays are modulo the lineality space; both come back as sorted
-    primitive integer vectors, and the zero cone has neither.  ``masks[j]`` is
-    the bitmask of the rows tight at ray j, bit k standing for ``rows[k]``;
-    ``rows`` are the primitive forms of the nonzero input rows, repeats
-    dropped, in the order given, which is the order they are processed in.
+    Extreme rays are modulo the lineality space, in the order the run leaves
+    them; both are primitive integer vectors, and the zero cone has neither.
+    ``masks[j]`` is the bitmask of the rows tight at ray j, bit k standing for
+    ``rows[k]``; ``rows`` are the primitive forms of the nonzero input rows,
+    repeats dropped, in the order given, which is the order they are processed in.
     """
     prows = list(dict.fromkeys(primitive(r) for r in map(tuple, rows) if not is_zero(r)))
     lin: list[Vec] = [_unit(dim, i) for i in range(dim)]
@@ -161,18 +161,17 @@ def cone_vrep(rows, dim: int):
         if len(rays) > MAX_RAYS:
             raise GeometryError(f"ray count exceeded desk scale ({MAX_RAYS})")
 
-    rays.sort()  # by vector first
     return rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
 
 
 def hrep_to_vrep(ineqs, dim: int):
     """(d, points, rays, lineality, facets) of {z : <z, w> >= b for (w, b) in ineqs}.
 
-    Points come back as sorted integer numerators over the least common
-    denominator d, one per minimal face; rays and lineality as primitive
-    integer vectors.  An infeasible system yields no points.  The facets are
-    the irredundant inequalities, sorted, as (w, n) meaning <z, w> >= n/d;
-    they describe the polyhedron only when it is full-dimensional.
+    Points come back as integer numerators over the least common denominator
+    d, one per minimal face; rays and lineality as primitive integer vectors.
+    An infeasible system yields no points.  The facets are the irredundant
+    inequalities, as (w, n) meaning <z, w> >= n/d; they describe the
+    polyhedron only when it is full-dimensional.  All come in processing order.
     """
     rows = [(*w, -b) for w, b in ineqs]
     rows.append(_unit(dim + 1, dim))  # homogenization variable >= 0
@@ -181,7 +180,7 @@ def hrep_to_vrep(ineqs, dim: int):
         raise GeometryError("homogenization lineality with nonzero level")
     d, points, rays = _dehomogenize(rays, dim)
     keep, _ = _irredundant(*incidence)  # the level row has a zero normal: no facet
-    return d, points, rays, sorted(v[:dim] for v in lin), _halfspaces(keep, dim, d)
+    return d, points, rays, [v[:dim] for v in lin], _halfspaces(keep, dim, d)
 
 
 def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
@@ -191,9 +190,9 @@ def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
     Requires at least one point and a full-dimensional result; facets (w, n)
     mean {z : <z, w> >= n/d} with primitive integer normals, and a full-space
     input yields none.  The irredundant input points follow, one per minimal
-    face, as sorted integer numerators over their least common denominator
-    d; then the extreme rays (modulo lineality) and the reduced basis of the
-    lineality space.
+    face, as integer numerators over their least common denominator d; then
+    the extreme rays (modulo lineality) and the reduced basis of the lineality
+    space.  Facets, points and rays come in processing order.
     """
     if not points:
         raise GeometryError("vrep_to_hrep needs at least one point")
@@ -211,20 +210,20 @@ def vrep_to_hrep(points, rays, lineality, dim: int, level: int = 1):
 
 
 def _dehomogenize(vectors, dim: int) -> tuple[int, list[Vec], list[Vec]]:
-    """(d, points, rays) of primitive vectors: sorted points (level t > 0) as
-    numerators over d, the lcm of the t and so their least common denominator,
-    and sorted rays (level 0)."""
+    """(d, points, rays) of primitive vectors, in their order: points (level
+    t > 0) as numerators over d, the lcm of the t and so their least common
+    denominator, and rays (level 0)."""
     tops = [v for v in vectors if v[dim] > 0]
     d = lcm(*(v[dim] for v in tops))
-    points = sorted(tuple(x * (d // v[dim]) for x in v[:dim]) for v in tops)
-    return d, points, sorted(v[:dim] for v in vectors if v[dim] == 0)
+    points = [tuple(x * (d // v[dim]) for x in v[:dim]) for v in tops]
+    return d, points, [v[:dim] for v in vectors if v[dim] == 0]
 
 
 def _halfspaces(vectors, dim: int, d: int) -> list[tuple[Vec, int]]:
-    """Sorted facets (w/g, n), n/d = b/g, of primitive integer rows (w, -b), g
-    the gcd of w, skipping w = 0; n is exact when each facet holds a point over d."""
+    """Facets (w/g, n), n/d = b/g, of primitive integer rows (w, -b), in their order,
+    g the gcd of w, skipping w = 0; n is exact when each facet holds a point over d."""
     gcds = [(v, gcd(*v[:dim])) for v in vectors]
-    return sorted((tuple(x // g for x in v[:dim]), -v[dim] * d // g) for v, g in gcds if g)
+    return [(tuple(x // g for x in v[:dim]), -v[dim] * d // g) for v, g in gcds if g]
 
 
 def _irredundant(masks, rows) -> tuple[list[Vec], list[Vec]]:

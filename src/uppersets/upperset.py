@@ -22,8 +22,8 @@ three hand the chain's normals and vertices to ``_chain``, the one builder.
 ``weighted_sum``, Σ λ·S as in an integral, chooses how to add: one such merge
 of all terms when each is proper and planar; in dims >= 4, one run over the
 sums of one stored point per term, when there are more than two terms, each
-proper, and the sum is pointed; else ``oplus`` folded.  A 3-D ⊕ makes no run
-when ``_pointed`` finds the sum pointed: ``_fan_sum`` merges the operands'
+proper, and ``_pointed`` holds; else ``oplus`` folded.  A 3-D ⊕ makes no run
+when ``_pointed``, a sufficient test, holds: ``_fan_sum`` merges the operands'
 normal fans, and never declines.  Else the run over a V-rep plus C's generators
 yields the facets, its incidence the irredundant points, rays and lineality; it
 takes the rays first, then the points lowest on the sum of C+'s generators
@@ -40,15 +40,15 @@ path.  Modulo the lineality space L, each point and ray is stored as the
 representative that is zero at L's pivot columns (pivots taken from the last
 column leftwards), so the stored V-rep depends only on the set.
 
-Points are stored sorted, as integer numerators over one denominator d > 0
-with gcd(d, numerators) = 1, and facets as (w, n) meaning <z, w> >= n/d: a
-facet contains a minimal face, whose stored point p is off by a lineality
-vector, orthogonal to w, so n = <p, w> is an integer.  d is unique to the set,
-so equality and the hash read these integers; ``points`` and ``halfspaces``
-are Fraction views, built on each read and not kept.  ``translate`` and
-``scale`` move the numerators and the offsets, keeping the canonical form,
-the order of points and facets, the rays and the lineality without a run.
-Every vector given from outside the module is read by ``cone.checked_vector``.
+``_proper`` alone sorts the stored fields.  Points are integer numerators over
+one denominator d > 0 with gcd(d, numerators) = 1, and facets (w, n) mean
+<z, w> >= n/d: a facet contains a minimal face, whose stored point p is off by
+a lineality vector, orthogonal to w, so n = <p, w> is an integer.  d is unique
+to the set, so equality and the hash read these integers; ``points`` and
+``halfspaces`` are Fraction views, built on each read and not kept.
+``translate`` and ``scale`` move the numerators and the offsets, keeping the
+canonical form and its order without a run.  Every vector given from outside
+the module is read by ``cone.checked_vector``.
 """
 
 from __future__ import annotations
@@ -94,8 +94,11 @@ class Halfspace(NamedTuple):
 
 
 def in_dual_cone(cone: Cone, w: Sequence) -> bool:
-    w = checked_vector(cone.dim, w, "direction")
-    return all(dot(g, w) >= 0 for g in cone.generators)
+    return _in_dual(cone, checked_vector(cone.dim, w, "direction"))
+
+
+def _in_dual(cone: Cone, w: Vec) -> bool:  # for a w already read
+    return all(sum(map(mul, g, w)) >= 0 for g in cone.generators)
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ class UpperSet:
     def supporting_halfspace(self, w) -> "UpperSet":
         """D ⊕ H(w) = {z : <z, w> >= support(D, w)} for w in the dual cone."""
         w = checked_vector(self.dim, w, "direction")
-        if is_zero(w) or not in_dual_cone(self.cone, w):
+        if is_zero(w) or not _in_dual(self.cone, w):
             raise ValidationError("supporting halfspace direction must lie in C+ \\ {0}")
         if self.is_empty:
             raise ValidationError("supporting halfspace of the empty set is undefined")
@@ -363,8 +366,7 @@ def _from_hrep(cone: Cone, rows) -> UpperSet:
         ineqs.append((tuple(x // g for x in w), n, e * g) if g > 1 else (tuple(w), n, e))
     if not ineqs:
         return UpperSet.full(cone)
-    # all normals in C+: closed under C already, hence nonempty and full-dimensional
-    closed = all(sum(map(mul, g, w)) >= 0 for w, _, _ in ineqs for g in cone.generators)
+    closed = all(_in_dual(cone, w) for w, _, _ in ineqs)  # closed under C, hence nonempty and full-dimensional
     if closed and cone.dim == 2:
         return _planar_hrep(cone, ineqs)
     scaled = ((vscale(e, w), n) for w, n, e in ineqs)  # <z, e·w> >= n, for a run
@@ -385,10 +387,8 @@ def _from_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
     if not facets:
         return UpperSet.full(cone)
     for w, _ in facets:
-        if any(sum(map(mul, g, w)) < 0 for g in cone.generators):  # a normal from the run, not checked
-            raise ValidationError(
-                f"facet normal {w} escaped the dual cone; input was not closed under C"
-            )
+        if not _in_dual(cone, w):  # a normal from the run, not checked
+            raise ValidationError(f"facet normal {w} escaped the dual cone; input was not closed under C")
     return _proper(cone, facets, d, pts, rys, lin)
 
 
@@ -426,7 +426,7 @@ def weighted_sum(cone: Cone, terms) -> UpperSet:
     """Σ λ·S over pairs (λ, S) of a rational λ > 0 and a set over ``cone``, the
     one place that chooses how to add: one ``_planar_sum`` merge when the cone is
     planar and every S is proper, one ``_vertex_sum`` of more than two scaled
-    sets in dims >= 4 when each is proper and their sum pointed, else the scaled
+    sets in dims >= 4 when each is proper and ``_pointed`` holds, else the scaled
     sets folded with ``oplus``."""
     if cone.dim == 2 and all(s.kind == PROPER for _, s in terms):
         return _planar_sum(cone, terms)
@@ -504,7 +504,7 @@ def _vertex_sum(cone: Cone, sets) -> UpperSet:
 
 
 def _pointed(sets) -> bool:
-    """Whether the sets' sum is pointed: no lineality, every ray positive on the sum of C+'s generators."""
+    """Sufficient for a pointed sum, not necessary: no lineality, each ray positive on C+'s generators' sum."""
     s = [sum(c) for c in zip(*sets[0].cone.dual_generators)]
     return not any(x.lineality for x in sets) and all(sum(map(mul, r, s)) > 0 for x in sets for r in x.rays)
 
@@ -572,7 +572,7 @@ def _fan_sum(a: UpperSet, b: UpperSet) -> UpperSet:
               if _rank([u for u, (_, at_a, _, at_b) in tight.items() if at_a >> i & at_b >> j & 1]) == 3]
     rays = [r for r in {*a.rays, *b.rays} if _rank([u for u in tight if not _dot3(r, u)]) == 2]
     facets = [(u, f * x + g * y) for u, (x, _, y, _) in tight.items()]
-    return _proper(a.cone, facets, d, sorted(points), sorted(rays), ())
+    return _proper(a.cone, facets, d, points, rays, ())
 
 
 @functools.lru_cache(maxsize=64)
@@ -653,26 +653,26 @@ def _chain(cone: Cone, d: int, normals, vertices) -> UpperSet:
     w, u = normals[0], normals[-1]
     if len(normals) == 1:
         return _proper(cone, facets, d, vertices, [w], [max((-w[1], w[0]), (w[1], -w[0]))])
-    return _proper(cone, facets, d, sorted(vertices), sorted([(-w[1], w[0]), (u[1], -u[0])]), [])
+    return _proper(cone, facets, d, vertices, [(-w[1], w[0]), (u[1], -u[0])], [])
 
 
 def _proper(cone: Cone, facets, d: int, points, rays, lineality) -> UpperSet:
-    """The canonical proper set of points that are sorted integer numerators
-    over d > 0 and facets (w, n) meaning <z, w> >= n/d.  With lineality L,
-    each point and ray becomes its representative modulo L that is zero at
-    L's pivot columns, pivots taken from the last column leftwards."""
+    """The canonical proper set, sorted here alone, of points (integer numerators
+    over d > 0), facets (w, n) meaning <z, w> >= n/d, rays and lineality in any
+    order.  With lineality L, each point and ray becomes its representative modulo
+    L that is zero at L's pivot columns, pivots taken from the last column leftwards."""
     lineality = tuple(sorted(lineality))
     if lineality:
         pivots = _pivots(lineality)
         moved = [ddm.modulo(p, pivots) for p in points]
         m = lcm(*(s for _, s in moved))
-        points = sorted({tuple(x * (m // s) for x in p) for p, s in moved})
+        points = {tuple(x * (m // s) for x in p) for p, s in moved}
         facets, d = [(w, n * m) for w, n in facets], d * m
-        rays = sorted({primitive(ddm.modulo(r, pivots)[0]) for r in rays})
+        rays = {primitive(ddm.modulo(r, pivots)[0]) for r in rays}
     if not points:
         raise ValidationError("internal: proper set with empty vertex enumeration")
-    facets, d, points = _reduced(sorted(facets), d, points)
-    return UpperSet(cone, PROPER, facets, d, points, tuple(rays), lineality)
+    facets, d, points = _reduced(sorted(facets), d, sorted(points))
+    return UpperSet(cone, PROPER, facets, d, points, tuple(sorted(rays)), lineality)
 
 
 @functools.lru_cache(maxsize=None)
@@ -713,7 +713,7 @@ def halfspace_set(cone: Cone, w, b) -> UpperSet:
     """{z : <z, w> >= b} as an upper set; b = -inf gives the full space and
     b = +inf the empty set.  H(w, b) is H(w, 0) translated onto <z, w> = b."""
     w = checked_vector(cone.dim, w, "normal")
-    if is_zero(w) or not in_dual_cone(cone, w):
+    if is_zero(w) or not _in_dual(cone, w):
         raise ValidationError("halfspace normal must lie in C+ \\ {0}")
     if type(b) is float and b in (NEG_INF, POS_INF):
         return UpperSet.full(cone) if b < 0 else UpperSet.empty(cone)

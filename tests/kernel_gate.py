@@ -101,7 +101,6 @@ def mask_scan_vrep(rows, dim: int):
             if len(rays) > ddm.MAX_RAYS:
                 raise ddm.GeometryError(f"ray count exceeded desk scale ({ddm.MAX_RAYS})")
 
-    rays.sort()
     return ddm.rref_basis(lin, dim), [entry[0] for entry in rays], [entry[1] for entry in rays], prows
 
 

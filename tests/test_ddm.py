@@ -41,10 +41,11 @@ def valid_rows_for(lineality, rays, dim):
 
 
 def test_dual_of_orthant_rows_is_orthant():
+    # the rays come back in the order the run leaves them, not sorted
     rows = [(1, 0), (0, 1)]
     lin, rays, *_ = cone_vrep(rows, 2)
     assert lin == []
-    assert rays == [(0, 1), (1, 0)]
+    assert rays == [(1, 0), (0, 1)]
 
 
 def test_wedge_dual():
@@ -195,14 +196,16 @@ def test_cone_vrep_matches_brute_force_in_dims_5_and_6(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_cone_vrep_does_not_depend_on_the_row_order(seed):
-    # the rows are processed, and come back, in the order given; the lineality,
-    # the rays, the rows and the rows tight at each ray do not depend on it
+    # the rows are processed, and come back, in the order given, and so are the
+    # rays; the lineality, the set of rays, each with the rows tight at it, and
+    # the set of rows do not depend on it
     rows, dim = brute_force_input(seed)  # primitive, nonzero and distinct
 
     def incidence(order):
         lin, rays, masks, prows = cone_vrep(order, dim)
         assert prows == order
-        return lin, rays, [{row for k, row in enumerate(prows) if mask >> k & 1} for mask in masks], set(prows)
+        tight = [frozenset(row for k, row in enumerate(prows) if mask >> k & 1) for mask in masks]
+        return lin, sorted(zip(rays, tight)), set(prows)
 
     expected = incidence(rows)
     orders = [random.Random(700 + 3 * seed + k).sample(rows, len(rows)) for k in range(3)]
@@ -245,15 +248,18 @@ def test_cone_vrep_matches_the_mask_scan_reference(case):
 
 def test_two_rays_with_an_empty_meet_are_adjacent():
     # No row is tight at both rays, so their meet is empty; no third ray
-    # contains it, so the pair is adjacent and spans the cone.
-    assert cone_vrep([(-1, -1), (-1, 0), (-1, 1)], 2)[:2] == ([], [(-1, -1), (-1, 1)])
+    # contains it, so the pair is adjacent and spans the cone.  The rays come
+    # in the order the run leaves them: the one positive on the last row first.
+    assert cone_vrep([(-1, -1), (-1, 0), (-1, 1)], 2)[:2] == ([], [(-1, 1), (-1, -1)])
 
 
 def test_hrep_to_vrep_simplex():
     ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -2)]  # x,y >= 0, x+y <= 2
-    d, points, rays, lin, _ = hrep_to_vrep(ineqs, 2)
-    assert (d, points) == (1, [(0, 0), (0, 2), (2, 0)])
+    d, points, rays, lin, facets = hrep_to_vrep(ineqs, 2)
+    # in processing order: the rows sorted, then the points and facets as the run leaves them
+    assert (d, points) == (1, [(2, 0), (0, 0), (0, 2)])
     assert rays == [] and lin == []
+    assert facets == [((-1, -1), -2), ((0, 1), 0), ((1, 0), 0)]
 
 
 def test_hrep_to_vrep_translated_orthant():
@@ -426,7 +432,8 @@ def test_integer_rows_skip_the_denominator_pass_with_the_same_output(seed):
 
 
 def test_halfspaces_read_facets_off_primitive_integer_rows():
-    # the gcd of the normal part divides the normal, and the offset over d
+    # the gcd of the normal part divides the normal, and the offset over d;
+    # the facets come in the rows' order
     rng = random.Random(17)
     wide_normals = 0
     for _ in range(60):
@@ -440,7 +447,7 @@ def test_halfspaces_read_facets_off_primitive_integer_rows():
                 wide_normals += primitive(row[:dim]) != row[:dim]
         facets = [primitive_halfspace(v[:dim], -v[dim]) for v in rows[1:]]
         d = lcm(*(e for _, _, e in facets)) * rng.randint(1, 3)
-        assert _halfspaces(rows, dim, d) == sorted((w, n * d // e) for w, n, e in facets)
+        assert _halfspaces(rows, dim, d) == [(w, n * d // e) for w, n, e in facets]
     assert wide_normals > 20
 
 
@@ -464,7 +471,8 @@ def same_modulo(a, b, lineality):
 def test_one_run_redundancy_removal_matches_a_second_run(seed):
     # The incidence of one run names what a second run would recompute: the
     # vertices and extreme rays among repeated and redundant generators, and
-    # the facets among repeated, rescaled and redundant inequalities.
+    # the facets among repeated, rescaled and redundant inequalities.  Runs fed
+    # other rows report in other orders, so the outputs are compared sorted.
     rng = random.Random(3000 + seed)
     dim = rng.choice([2, 3, 4])
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
@@ -478,13 +486,13 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
         i, j = rng.sample(range(dim), 2)
         lineality = [tuple(1 if k == i else -1 if k == j else 0 for k in range(dim))]
     facets, d, pts, rys, lin = vrep_to_hrep(points + points[:1], rays + [(2,) * dim], lineality, dim)
-    assert facets == vrep_to_hrep(points, rays, lineality, dim)[0]
+    assert sorted(facets) == sorted(vrep_to_hrep(points, rays, lineality, dim)[0])
     assert lin == rref_basis(lineality, dim)
     rows = [(tuple(d * x for x in w), n) for w, n in facets]  # <z, d·w> >= n
     v_d, v_nums, v_rays, v_lin, _ = hrep_to_vrep(rows, dim)
-    assert v_lin == sorted(lin)
+    assert sorted(v_lin) == sorted(lin)
     if not lineality:
-        assert (d, pts, rys) == (v_d, v_nums, v_rays)
+        assert (d, sorted(pts), sorted(rys)) == (v_d, sorted(v_nums), sorted(v_rays))
     pts, v_points = over(d, pts), over(v_d, v_nums)
     assert len(pts) == len(v_points) and len(rys) == len(v_rays)
     assert all(any(same_modulo(p, q, lin) for q in v_points) for p in pts)
@@ -495,6 +503,7 @@ def test_one_run_redundancy_removal_matches_a_second_run(seed):
     looser = [(w, b - 1) for w, b in rows]
     ineqs = looser + rows + rescaled
     rng.shuffle(ineqs)
-    *vrep, h_facets = hrep_to_vrep(ineqs, dim)
-    assert vrep == [v_d, v_nums, v_rays, v_lin]
-    assert over_d(v_d, h_facets) == over_d(d, facets)
+    h_d, h_nums, h_rays, h_lin, h_facets = hrep_to_vrep(ineqs, dim)
+    assert h_d == v_d and h_lin == v_lin
+    assert (sorted(h_nums), sorted(h_rays)) == (sorted(v_nums), sorted(v_rays))
+    assert sorted(over_d(v_d, h_facets)) == sorted(over_d(d, facets))

@@ -669,29 +669,38 @@ def test_translate_is_canonical_over_a_cone_with_lineality():
 LINE_CONE = Cone(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)), (1, 1, 0))
 
 
-def mixed_points(rng, count):
-    """Points near the surface x1·x2 = 12/d² whose coordinates mix the
-    denominators 2, 3 and 5; many of them are vertices."""
+def mixed_points(rng, count, dim):
+    """Points in R^dim near the surface x1·x2 = 12/d² whose coordinates mix
+    the denominators 2, 3 and 5; many of them are vertices."""
     points = []
     for _ in range(count):
         t, d = rng.randint(1, 12), rng.choice((2, 3, 5))
-        x3 = Fraction(rng.randint(-6, 6), rng.choice((2, 3, 5)))
-        points.append((Fraction(t, d), Fraction(12, t * d), x3))
+        rest = [Fraction(rng.randint(-6, 6), rng.choice((2, 3, 5))) for _ in range(dim - 2)]
+        points.append((Fraction(t, d), Fraction(12, t * d), *rest))
     return points
 
 
 @pytest.mark.parametrize(
     "cone, lineality",
-    [(orthant(3), []), (orthant(3), [(1, -1, 0)]), (LINE_CONE, [])],
-    ids=["pointed", "set-lineality", "cone-lineality"],
+    [
+        (orthant(3), []),
+        (orthant(3), [(1, -1, 0)]),
+        (LINE_CONE, []),
+        (WEDGE, []),
+        (orthant(4), []),
+        (orthant(4), [(1, -1, 0, 0), (0, 0, 1, -1)]),  # a reduced basis out of lex order
+    ],
+    ids=["pointed", "set-lineality", "cone-lineality", "planar", "4-d", "4-d-lineality"],
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_points_are_stored_in_fraction_order_on_every_path(cone, lineality, seed):
     # Sorting by integer numerators is the Fractions' order only over one
-    # common denominator; every constructor must store sorted Fraction points.
+    # common denominator; every constructor must store sorted Fraction points,
+    # and sorted facets, rays and lineality, whatever order the kernel or a
+    # planar chain (_planar_vrep, _planar_hrep, _planar_sum) reports in.  Over
+    # the pointed 4-D input, weighted_sum adds its three terms by one _vertex_sum run.
     rng = random.Random(seed)
-    a = canonicalize(cone, points=mixed_points(rng, 6), lineality=lineality)
-    b = canonicalize(cone, points=mixed_points(rng, 6), lineality=lineality)
+    a, b, c = (canonicalize(cone, points=mixed_points(rng, 6, cone.dim), lineality=lineality) for _ in "abc")
     built = {
         "vrep": a,
         "hrep": canonicalize(cone, halfspaces=list(a.halfspaces)),
@@ -699,15 +708,18 @@ def test_points_are_stored_in_fraction_order_on_every_path(cone, lineality, seed
             cone, halfspaces=list(a.halfspaces), points=a.points, rays=a.rays, lineality=a.lineality
         ),
         "oplus": a.oplus(b),
-        "translate": a.translate((Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2))),
+        "translate": a.translate((Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2), Fraction(1, 7))[: cone.dim]),
         "scale": a.scale(Fraction(3, 7)),
         "inf_set": inf_set(cone, [a, b]),
         "sup_set": sup_set(cone, [a, b]),
+        "weighted_sum": weighted_sum(cone, [(1, a), (Fraction(1, 2), b), (Fraction(2, 3), c)]),
     }
     for path, d in built.items():
         assert all(type(x) is Fraction for p in d.points for x in p), path
         assert list(d.points) == sorted(d.points), path
         assert list(d.rays) == sorted(d.rays), path
+        assert list(d.facets) == sorted(d.facets), path
+        assert list(d.lineality) == sorted(d.lineality), path
     assert built["hrep"].points == a.points and built["both"].points == a.points
     # the check has teeth: several vertices with mixed denominators
     assert any(

@@ -310,7 +310,8 @@ def test_one_pass_vrep_matches_vertex_enumeration_of_facets(d):
         return
     denominator, points, rays, lineality, _ = ddm.hrep_to_vrep(list(d.halfspaces), d.dim)
     assert lineality == []
-    assert (d.denominator, d.numerators, d.rays) == (denominator, tuple(points), tuple(rays))
+    # the run reports in processing order, the stored form sorted
+    assert (d.denominator, d.numerators, d.rays) == (denominator, tuple(sorted(points)), tuple(sorted(rays)))
 
 
 @settings(**SETTINGS)
@@ -526,6 +527,21 @@ def test_3d_oplus_of_cancelling_rays_takes_the_ddm_path(ddm_runs, fan_merges):
     assert (len(ddm_runs) - runs, fan_merges) == (1, [])
     assert summed.lineality == ((1, 0, -1),)
     assert stored(summed) == stored(pair_sum_reference(a, b))
+
+
+def test_pointed_is_sufficient_not_necessary(ddm_runs, fan_merges):
+    # the sum is pointed, but its ray (1, 1, -3) is negative on the sum of C+'s
+    # generators: _pointed says no, oplus takes the run, and the fan merge
+    # builds the same stored form without one
+    a = canonicalize(R3, points=[(0, 0, 0), (1, 0, 0)], rays=[(1, 1, -3)])
+    b = canonicalize(R3, points=[(0, 1, 0), (0, 0, 1)])
+    assert not upperset._pointed((a, b))
+    runs = len(ddm_runs)
+    summed = a.oplus(b)
+    assert (len(ddm_runs) - runs, fan_merges) == (1, [])
+    assert not summed.lineality and (1, 1, -3) in summed.rays
+    merged = upperset._fan_sum(a, b)
+    assert (merged.facets, merged.numerators, merged.rays) == (summed.facets, summed.numerators, summed.rays)
 
 
 def square_cone(dim):
