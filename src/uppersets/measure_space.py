@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .cone import Cone, ValidationError, checked_vector
 from .linalg import INEXACT, NEG_INF, Vec, dot, format_rational, read_number, vec
@@ -118,9 +118,6 @@ class ScalarFunction:
     def value(self, atom: str):
         return self.values[self.space.index(atom)]
 
-    def is_finite(self) -> bool:
-        return all(v != NEG_INF for v in self.values)
-
     def integral(self, mu: AtomicMeasure) -> Fraction:
         """Σ μ(x)·ξ(x); zero-weight atoms contribute nothing, even at -inf."""
         terms = mu.pairs(self.space, self.values)
@@ -191,9 +188,6 @@ class SimpleSetFunction:
     def value(self, atom: str) -> UpperSet:
         return self.values[self.space.index(atom)]
 
-    def map_values(self, fn: Callable[[UpperSet], UpperSet]) -> "SimpleSetFunction":
-        return SimpleSetFunction(self.space, tuple(fn(v) for v in self.values))
-
     def oplus(self, other: "SimpleSetFunction") -> "SimpleSetFunction":
         if self.space != other.space:
             raise ValidationError("set functions live on different spaces")
@@ -202,7 +196,7 @@ class SimpleSetFunction:
         )
 
     def scale(self, lam) -> "SimpleSetFunction":
-        return self.map_values(lambda v: v.scale(lam))
+        return SimpleSetFunction(self.space, tuple(v.scale(lam) for v in self.values))
 
     def translate(self, f: VectorFunction) -> "SimpleSetFunction":
         if self.space != f.space:
@@ -213,7 +207,7 @@ class SimpleSetFunction:
 
     def supporting(self, w) -> "SimpleSetFunction":
         """The pointwise supporting-halfspace function F^w."""
-        return self.map_values(lambda v: v.supporting_halfspace(w))
+        return SimpleSetFunction(self.space, tuple(v.supporting_halfspace(w) for v in self.values))
 
     def pointwise_subset_of(self, other: "SimpleSetFunction") -> bool:
         if self.space != other.space:
@@ -245,7 +239,7 @@ def halfspace_function(space: AtomicSpace, cone: Cone, w, xi: ScalarFunction) ->
 
 def cone_translates(xi: ScalarFunction, cone: Cone) -> SimpleSetFunction:
     """x ↦ ξ(x)·c + C with c the cone's distinguished interior point."""
-    if not xi.is_finite():
+    if NEG_INF in xi.values:
         raise ValidationError("cone translate needs finite scalars")
     c = cone.interior_point
     return SimpleSetFunction(

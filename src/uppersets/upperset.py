@@ -87,10 +87,10 @@ PROPER = "proper"
 
 
 class Halfspace(NamedTuple):
-    """{z : <z, normal> >= offset}; offset -inf means the constraint is absent."""
+    """{z : <z, normal> >= offset}, a stored facet: a primitive normal and a finite offset."""
 
     normal: Vec
-    offset: Fraction | float
+    offset: Fraction
 
 
 def in_dual_cone(cone: Cone, w: Sequence) -> bool:
@@ -231,10 +231,7 @@ class UpperSet:
 
     def scale(self, lam) -> "UpperSet":
         """Pointwise scaling for lam > 0; lam = 0 yields C by convention."""
-        if type(lam) is not Fraction:
-            lam = read_number(lam, "scale factor " + INEXACT)
-        if lam.numerator < 0:
-            raise ValidationError("scaling by negative scalars leaves the conlinear structure")
+        lam = _factor(lam)
         if not lam.numerator:
             return cone_upper_set(self.cone)
         if self.kind != PROPER:
@@ -294,6 +291,14 @@ class UpperSet:
         return self.literal()
 
 
+def _factor(lam) -> Fraction:
+    """A scale factor lam >= 0, read by ``read_number``."""
+    lam = lam if type(lam) is Fraction else read_number(lam, "scale factor " + INEXACT)
+    if lam.numerator < 0:
+        raise ValidationError("scaling by negative scalars leaves the conlinear structure")
+    return lam
+
+
 def _is_cone_translate(e: UpperSet) -> bool:
     """Whether the proper set e is p + C, p its one stored point."""
     if len(e.numerators) != 1:
@@ -317,11 +322,11 @@ def canonicalize(
 ) -> UpperSet:
     """cl co(input + C) in canonical irredundant dual representation.
 
-    Input is an H-rep (pairs (normal, offset), offset -inf meaning absent, or
-    integer ``rows`` (w, n, e) meaning <z, w> >= n/e, with e = 0 for an offset
-    of +inf if n > 0, else -inf), a V-rep (points, optional rays/lineality), or
-    both; when both are given they must describe the same upper set.
-    Constraints whose normals leave C+ after the closure under C are absorbed.
+    Input is an H-rep (pairs (normal, offset), offset -inf meaning absent and
+    +inf empty, or integer ``rows`` (w, n, e) meaning <z, w> >= n/e, e = 0 for
+    an offset of ±inf, the sign of n), a V-rep (points, optional rays/lineality),
+    or both, which must describe the same upper set.  Every row is read and checked
+    before the set is decided; normals that leave C+ under the closure by C are absorbed.
     """
     has_h = halfspaces is not None or rows is not None
     has_v = points is not None or rays is not None or lineality is not None
@@ -353,17 +358,17 @@ def _row(dim: int, normal, offset) -> tuple[Vec, int, int]:
 
 
 def _from_hrep(cone: Cone, rows) -> UpperSet:
-    """The H-rep path over integer rows (w, n, e), read in order."""
-    ineqs = []
+    """The H-rep path over integer rows (w, n, e), each read and checked before the set is decided."""
+    ineqs, empty = [], False
     for w, n, e in rows:
         if not any(w):
             raise ValidationError("halfspace normal must be nonzero")
-        if not e:
-            if n > 0:
-                return UpperSet.empty(cone)
-            continue  # absent constraint
-        g = gcd(*w)  # (w/g, n, e·g): parallel normals become equal
-        ineqs.append((tuple(x // g for x in w), n, e * g) if g > 1 else (tuple(w), n, e))
+        empty |= not e and n > 0  # an offset +inf; -inf means an absent constraint
+        if e:
+            g = gcd(*w)  # (w/g, n, e·g): parallel normals become equal
+            ineqs.append((tuple(x // g for x in w), n, e * g) if g > 1 else (tuple(w), n, e))
+    if empty:
+        return UpperSet.empty(cone)
     if not ineqs:
         return UpperSet.full(cone)
     closed = all(_in_dual(cone, w) for w, _, _ in ineqs)  # closed under C, hence nonempty and full-dimensional
@@ -423,11 +428,16 @@ def _planar_vrep(cone: Cone, d: int, points, rays, lineality) -> UpperSet:
 
 
 def weighted_sum(cone: Cone, terms) -> UpperSet:
-    """Σ λ·S over pairs (λ, S) of a rational λ > 0 and a set over ``cone``, the
-    one place that chooses how to add: one ``_planar_sum`` merge when the cone is
-    planar and every S is proper, one ``_vertex_sum`` of more than two scaled
-    sets in dims >= 4 when each is proper and ``_pointed`` holds, else the scaled
-    sets folded with ``oplus``."""
+    """Σ λ·S over pairs (λ, S) of a factor λ, read as ``scale`` reads it, and a set
+    over ``cone``, all read first; a term 0·S = C is dropped and the empty sum is C.
+    The one place that chooses how to add: one ``_planar_sum`` merge when the cone
+    is planar and every S is proper, one ``_vertex_sum`` of more than two scaled
+    sets in dims >= 4 when each is proper and ``_pointed`` holds, else ``oplus`` folded."""
+    terms = [(_factor(lam), s) for lam, s in terms]
+    _members(cone, (s for _, s in terms))
+    terms = [(lam, s) for lam, s in terms if lam]
+    if not terms:
+        return cone_upper_set(cone)
     if cone.dim == 2 and all(s.kind == PROPER for _, s in terms):
         return _planar_sum(cone, terms)
     sets = [s.scale(lam) for lam, s in terms]

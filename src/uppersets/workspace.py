@@ -15,7 +15,7 @@ given as text (weights, scalar values, and ``dimension`` and chain
 library's one reader.  ``inf``/``-inf`` may appear only as a halfspace offset,
 and ``-inf`` as a scalar value.  A literal's numbers are read straight into
 integers (p, q), q = 0 for ``inf``/``-inf``: each halfspace row becomes the
-integer row (w, n, e), meaning <z, w> >= n/e, that ``canonicalize`` takes, no
+integer row (w, n, e), meaning <z, w> >= n/e, that ``canonicalize`` checks, no
 ``Fraction`` between; points and rays become ``Fraction``s.  Rows as
 ``UpperSet.literal`` writes them (integers, the offset ``p`` or ``p/q``, ``, ``
 between) are read in one regex pass, else as tokens.
@@ -120,7 +120,9 @@ def parse_vector_list(text: str):
 
 
 def _halfspace_row(row) -> tuple[tuple[int, ...], int, int]:
-    """[w..., n/e] as the row (m·w, m·n, e) of ``canonicalize``, m the lcm of w's denominators."""
+    """[w..., n/e] as the row (m·w, m·n, e), m the lcm of w's denominators, that ``canonicalize`` checks."""
+    if not row:
+        raise ValueError("halfspace row needs an offset")
     *w, (n, e) = row
     m = lcm(*(q for _, q in w)) or _finite(w)  # 0 for an infinite entry, which _finite refuses
     return tuple(p * (m // q) for p, q in w), n * m, e
@@ -130,16 +132,14 @@ _ROW = r"\[(?:-?[0-9]+, )*-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?\]"  # integers, the la
 _WRITTEN = re.compile(rf"\[{_ROW}(?:, {_ROW})*\]")  # a vector list as ``UpperSet.literal`` writes it
 
 
-def _written_rows(text: str, n: int) -> list | None:
-    """The rows of n entries of a list in ``_WRITTEN``'s form, read in one pass as
-    (w, p, q), meaning [*w, p/q], numbers in the tokens' order; None for any other text."""
+def _written_rows(text: str) -> list | None:
+    """The rows of a list in ``_WRITTEN``'s form, read in one pass as (w, p, q),
+    meaning [*w, p/q], numbers in the tokens' order; None for any other text."""
     if not _WRITTEN.fullmatch(text):
         return None
     rows = []
     for row in text[2:-2].split("], ["):
         *w, last = row.split(", ")
-        if len(w) != n - 1:
-            return None
         rows.append((tuple(map(int, w)), *_number(last)))
     return rows
 
@@ -163,12 +163,8 @@ def parse_set_literal(text: str, cone: Cone) -> UpperSet:
         segments[key] = segment.strip()
     rows = points = rays = None
     if "halfspaces" in segments:
-        rows = _written_rows(segments["halfspaces"], cone.dim + 1)
-        if rows is None:
-            rows = parse_vector_list(segments["halfspaces"])
-            if any(len(row) != cone.dim + 1 for row in rows):
-                raise ValueError(f"halfspace row needs {cone.dim} coordinates plus an offset")
-            rows = [_halfspace_row(row) for row in rows]
+        hrep = segments["halfspaces"]
+        rows = _written_rows(hrep) or [_halfspace_row(row) for row in parse_vector_list(hrep)]
     if "points" in segments:
         points = [_finite(p) for p in parse_vector_list(segments["points"])]
     if "rays" in segments:
@@ -190,7 +186,6 @@ class FunctionalSpec:
 @dataclass
 class Workspace:
     path: str
-    dim: int
     cone: Cone
     space: AtomicSpace
     measures: dict[str, AtomicMeasure] = field(default_factory=dict)
@@ -369,7 +364,7 @@ def parse_workspace(path: str) -> Workspace:
 
     atoms_block = single("atoms")
     space = located(atoms_block.line, AtomicSpace, tuple((atoms_block.inline or "").split()))
-    ws = Workspace(path, dim, cone, space)
+    ws = Workspace(path, cone, space)
 
     def named_blocks(keyword: str, table: dict, what: str):
         """(name, block) for each block of ``keyword``, its name not yet in ``table``."""

@@ -67,7 +67,7 @@ def one_pass(literals, cone) -> list:
 def tokens(literals, cone) -> list:
     """The literals parsed with the one-pass read switched off."""
     written = workspace._written_rows
-    workspace._written_rows = lambda text, n: None
+    workspace._written_rows = lambda text: None
     try:
         return one_pass(literals, cone)
     finally:

@@ -413,6 +413,25 @@ def test_external_infinite_point_is_protocol_error(ws_path, capsys, tmp_path):
     )
 
 
+def test_an_answer_with_a_bad_row_after_an_infinite_offset_is_a_protocol_error(ws_path, capsys, tmp_path):
+    # every row of an answer is read before its set is decided: the +inf
+    # offset does not make it the empty set before the zero normal is seen
+    answer = "halfspaces: [[1, 1, inf], [0, 0, 1]]"
+    child = tmp_path / "inf_child.py"
+    child.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'end':\n"
+        f"        print({answer!r}, flush=True)\n"
+    )
+    p = tmp_path / "ws_ext.txt"
+    p.write_text(WS + f"functional ext:\n    kind: external\n    command: {sys.executable} {child}\n")
+    code, out, err = run(capsys, "check-axioms", str(p), "ext", "--sample-count", "4")
+    assert code == 2
+    assert out.startswith("flags: ") and out.count("\n") == 1
+    assert err == f"error: unparsable response {answer!r}: halfspace normal must be nonzero\n"
+
+
 def test_external_command_that_cannot_start_exits_2(ws_path, capsys, tmp_path):
     missing = tmp_path / "no-such-child"
     p = tmp_path / "ws_ext.txt"
@@ -1070,6 +1089,17 @@ def test_readme_cli_block_lists_every_long_option():
         if option.startswith("--")
     }
     assert set(re.findall(r"--[a-z][a-z-]*", block)) == options
+
+
+def test_readme_install_block_lists_every_gate_ci_runs():
+    import re
+
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Install and test", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    ci = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    gates = set(re.findall(r"tests/\w+_gate\.py", ci))
+    assert gates and gates <= set(re.findall(r"tests/\w+_gate\.py", block))
 
 
 def test_closed_stdout_exits_2_without_a_traceback(ws_path):

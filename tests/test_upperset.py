@@ -320,6 +320,9 @@ def test_weighted_sum_has_the_weighted_supports(cone, seed):
         value = weighted_sum(cone, terms)
         for u in {*value.facet_normals(), *(n for _, s in terms for n in s.facet_normals())}:
             assert value.support(u) == sum(lam * s.support(u) for lam, s in terms), (terms, u)
+        # a zero weight drops its term (0·S = C), and a weight may be given as text
+        more = [(Fraction(0), sets[2]), *((str(lam), s) for lam, s in terms)]
+        assert stored(weighted_sum(cone, more)) == stored(value), terms
         if cone.dim == 2:
             fold = terms[0][1].scale(terms[0][0])
             for lam, s in terms[1:]:
@@ -327,6 +330,34 @@ def test_weighted_sum_has_the_weighted_supports(cone, seed):
             assert value == fold, terms
     assert weighted_sum(cone, [(1, UpperSet.full(cone)), (2, sets[2])]).is_full
     assert weighted_sum(cone, [(1, UpperSet.empty(cone)), (2, sets[2])]).is_empty
+    for terms in ([], [(Fraction(0), sets[2])], [(0, UpperSet.empty(cone)), (0, sets[3])]):
+        assert stored(weighted_sum(cone, terms)) == stored(cone_upper_set(cone))
+
+
+@pytest.mark.parametrize(
+    "cone", [R2, WEDGE, orthant(3), orthant(4)], ids=["orthant2", "wedge2", "orthant3", "orthant4"]
+)
+@pytest.mark.parametrize(
+    "weight, other, message",
+    [
+        (-1, False, "scaling by negative scalars leaves the conlinear structure"),
+        (0.5, False, "scale factor 0.5 is not an int, a Fraction or a string 'p' or 'p/q'"),
+        (True, False, "scale factor True is not an int, a Fraction or a string 'p' or 'p/q'"),
+        (1, True, "family member over a different cone"),
+        (0, True, "family member over a different cone"),
+    ],
+    ids=["negative", "float", "bool", "other-cone", "zero-weight-other-cone"],
+)
+def test_weighted_sum_refuses_what_scale_and_the_cone_refuse(cone, weight, other, message):
+    # each term is read before a path is chosen, with scale's messages, and
+    # every set must lie over the cone, whatever its weight
+    s = canonicalize(cone, points=[(0,) * cone.dim, (1,) + (-1,) * (cone.dim - 1)])
+    far = {2: WEDGE if cone == R2 else R2, 3: orthant(4), 4: orthant(3)}[cone.dim]
+    t = cone_upper_set(far) if other else s
+    for terms in ([(weight, t)], [(1, s), (weight, t), (2, s)]):
+        with pytest.raises(ValidationError) as exc:
+            weighted_sum(cone, terms)
+        assert str(exc.value) == message
 
 
 def test_member_subset_equal():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from uppersets import Cone, orthant, workspace
 from uppersets.linalg import NEG_INF, POS_INF
 from uppersets.integral import ExplicitChain, ParametricChain
+from uppersets.measure_space import constant_function, preimage, space
 from uppersets.upperset import canonicalize, halfspace_set, point_plus_cone
 from uppersets.workspace import (
     WorkspaceError,
@@ -83,7 +84,7 @@ def write(tmp_path, text, name="ws.txt"):
 
 def test_minimal_workspace_loads(tmp_path):
     ws = parse_workspace(write(tmp_path, MINIMAL))
-    assert ws.dim == 2 and ws.space.atoms == ("x1",)
+    assert ws.cone.dim == 2 and ws.space.atoms == ("x1",)
     assert ws.measures["mu"].total() == 1
     assert ws.setfunctions["F"].value("x1").set_equal(
         point_plus_cone(R2, (0, 0))
@@ -687,12 +688,16 @@ def test_a_halfspace_literal_parses_to_the_set_of_its_rows_as_fractions(drawn):
 
 
 # literals near the form ``UpperSet.literal`` writes: what each parses to, or
-# the error it raises, exactly as before the one-pass read
+# the error it raises, as before the one-pass read; a row of the wrong length
+# is refused by ``canonicalize``, the one checker of a row, as the API's is
 NEAR_MISSES = {
     "zero-denominator": ("halfspaces: [[1, 1, 1/0]]", "ValidationError: bad rational literal '1/0'"),
     "zero-denominator-with-zeros": ("halfspaces: [[1, 1, 1/00]]", "ValidationError: bad rational literal '1/00'"),
-    "short-row": ("halfspaces: [[1, 1, 1], [1, 1]]", "ValueError: halfspace row needs 2 coordinates plus an offset"),
-    "long-row": ("halfspaces: [[1, 1, 1, 1]]", "ValueError: halfspace row needs 2 coordinates plus an offset"),
+    "short-row": (
+        "halfspaces: [[1, 1, 1], [1, 1]]", "DimensionMismatchError: halfspace normal has dimension 1, expected 2"
+    ),
+    "long-row": ("halfspaces: [[1, 1, 1, 1]]", "DimensionMismatchError: halfspace normal has dimension 3, expected 2"),
+    "empty-row": ("halfspaces: [[1, 1, 1], []]", "ValueError: halfspace row needs an offset"),
     "missing-bracket": ("halfspaces: [[1, 1, 1], [1, 0, 2]", "ValueError: unterminated '['"),
     "extra-bracket": ("halfspaces: [[1, 1, 1]]]", "ValueError: trailing tokens in '[[1, 1, 1]]]'"),
     "no-comma-between-rows": ("halfspaces: [[1, 1, 1] [1, 0, 2]]", "halfspaces: [[1, 0, 2], [1, 1, 1]]"),
@@ -716,6 +721,52 @@ def test_a_literal_near_the_written_form_reads_as_before(text, outcome):
     except ValueError as exc:
         got = f"{type(exc).__name__}: {exc}"
     assert got == outcome
+
+
+# one malformed row each: as a pair (normal, offset), as an integer row (w, n, e)
+# (None where a row has no such entry), as written in a literal, and the error
+# ``canonicalize`` raises for it; a literal's float is the tokenizer's error
+MALFORMED_ROWS = {
+    "float-normal-entry": (
+        ((0.5, 1), 1), ((0.5, 1), 1, 1), "[0.5, 1, 1]",
+        "ValidationError: halfspace normal entry 0.5 is not an int, a Fraction or a string 'p' or 'p/q'",
+    ),
+    "float-offset": (
+        ((1, 1), 0.5), None, "[1, 1, 0.5]",
+        "ValidationError: halfspace offset 0.5 is not an int, a Fraction or a string 'p' or 'p/q'",
+    ),
+    "short-normal": (
+        ((1,), 1), ((1,), 1, 1), "[1, 1]", "DimensionMismatchError: halfspace normal has dimension 1, expected 2"
+    ),
+    "zero-normal": (((0, 0), 1), ((0, 0), 1, 1), "[0, 0, 1]", "ValidationError: halfspace normal must be nonzero"),
+}
+
+
+def _error(build) -> str:
+    with pytest.raises(ValueError) as exc:
+        build()
+    return f"{type(exc.value).__name__}: {exc.value}"
+
+
+@pytest.mark.parametrize("pair, row, literal, error", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS)
+def test_a_malformed_row_is_refused_before_and_after_an_infinite_offset(monkeypatch, pair, row, literal, error):
+    # canonicalize reads every row before it decides, so a row with offset +inf
+    # does not end the read as the empty set, wherever it stands
+    F = constant_function(space("x1", "x2"), canonicalize(R2, points=[(0, 0)]))
+    for pairs in ([pair], [((1, 1), POS_INF), pair], [pair, ((1, 1), POS_INF)]):
+        assert _error(lambda: canonicalize(R2, halfspaces=pairs)) == error
+        assert _error(lambda: preimage(F, pairs)) == error
+    for rows in ([row], [((1, 1), 1, 0), row], [row, ((1, 1), 1, 0)]) if row else ():
+        assert _error(lambda: canonicalize(R2, rows=rows)) == error
+    # the row alone is in the written form, read in one pass where it matches;
+    # beside the +inf offset, and with the one-pass read off, it is tokenized
+    alone = f"halfspaces: [{literal}]"
+    texts = [alone, f"halfspaces: [[1, 1, inf], {literal}]", f"halfspaces: [{literal}, [1, 1, inf]]"]
+    literal_error = _error(lambda: parse_set_literal(alone, R2))
+    assert literal_error == (error if "." not in literal else "ValueError: unexpected characters '.'")
+    assert [_error(lambda: parse_set_literal(t, R2)) for t in texts] == [literal_error] * 3
+    monkeypatch.setattr(workspace, "_written_rows", lambda text: None)
+    assert [_error(lambda: parse_set_literal(t, R2)) for t in texts] == [literal_error] * 3
 
 
 def test_a_literal_as_written_is_read_without_tokens(monkeypatch):
