@@ -332,7 +332,7 @@ def canonicalize(
     has_v = points is not None or rays is not None or lineality is not None
     if not has_h and not has_v:
         raise ValidationError("canonicalize needs an H-rep or a V-rep")
-    rows = ((checked_vector(cone.dim, w, "halfspace normal"), n, e) for w, n, e in rows or ())
+    rows = (_checked_row(cone.dim, *row) for row in rows or ())
     hrep = chain(rows, (_row(cone.dim, w, b) for w, b in halfspaces or ()))
     if not has_v:
         return _from_hrep(cone, hrep)
@@ -347,6 +347,13 @@ def canonicalize(
             f"({result_h.literal()} vs {result_v.literal()})"
         )
     return result_v if result_h is None else result_h
+
+
+def _checked_row(dim: int, w, n, e) -> tuple[Vec, int, int]:
+    """A row (w, n, e) as given: n and e integers, not bools, e >= 0, and n != 0 where e = 0."""
+    if not (type(n) is type(e) is int and e >= 0 and (e or n)):
+        raise ValidationError(f"halfspace row offset n/e needs integers e >= 0 and n != 0 if e = 0, got {n!r}/{e!r}")
+    return checked_vector(dim, w, "halfspace normal"), n, e
 
 
 def _row(dim: int, normal, offset) -> tuple[Vec, int, int]:

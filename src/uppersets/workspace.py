@@ -1,24 +1,23 @@
 """Workspace files: a line-oriented text format binding one cone, one atom
-list, and named measures, functions, chains and functionals.
+list, and named measures, set functions, chains and functionals.
 
 The grammar is block-structured: a non-indented line opens a block
-(``measure mu:``) or states a scalar fact (``dimension: 2``); indented lines
+(``measure mu:``) or states a fact (``dimension: 2``); indented lines
 are ``key: value`` entries, read by one entry check; the per-atom blocks
-(measure, scalar, vector, setfunction) load through one table and one builder,
-which checks that a function covers every atom.  Set literals are one-liners
+(measure, setfunction) load through one table and one builder, which checks
+that a set function covers every atom.  Set literals are one-liners
 (``halfspaces: [[1, 1, 0]]``, ``points: [[0, 0]] rays: [[1, 1]]``, ``full``,
 ``cone``) and the canonical printed form of every set re-parses to an equal
 set.  A number is ``p`` or ``p/q`` in ASCII digits with an optional leading
 ``-`` (``linalg.NUMBER``): a literal's tokens match it, and every other number
-given as text (weights, scalar values, and ``dimension`` and chain
-``indices``, which take ``p`` only) is read by ``linalg.read_number``, the
-library's one reader.  ``inf``/``-inf`` may appear only as a halfspace offset,
-and ``-inf`` as a scalar value.  A literal's numbers are read straight into
-integers (p, q), q = 0 for ``inf``/``-inf``: each halfspace row becomes the
-integer row (w, n, e), meaning <z, w> >= n/e, that ``canonicalize`` checks, no
-``Fraction`` between; points and rays become ``Fraction``s.  Rows as
-``UpperSet.literal`` writes them (integers, the offset ``p`` or ``p/q``, ``, ``
-between) are read in one regex pass, else as tokens.
+given as text (weights, and ``dimension`` and chain ``indices``, which take
+``p`` only) is read by ``linalg.read_number``, the library's one reader.
+``inf``/``-inf`` may appear only as a halfspace offset.  A literal's numbers
+are read straight into integers (p, q), q = 0 for ``inf``/``-inf``: each
+halfspace row becomes the integer row (w, n, e), meaning <z, w> >= n/e, that
+``canonicalize`` checks, no ``Fraction`` between; points and rays become
+``Fraction``s.  Rows as ``UpperSet.literal`` writes them (integers, the offset
+``p`` or ``p/q``, ``, `` between) are read in one regex pass, else as tokens.
 ``Workspace.functional_spec`` resolves every functional name, inline
 ``integral:MEASURE`` and ``mutant:NAME:MEASURE`` forms included.
 """
@@ -30,16 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .cone import Cone, ValidationError, checked_vector
+from .cone import Cone, ValidationError
 from .integral import ExplicitChain, ParametricChain
-from .linalg import NEG_INF, NUMBER, read_number
-from .measure_space import (
-    AtomicMeasure,
-    AtomicSpace,
-    ScalarFunction,
-    SimpleSetFunction,
-    VectorFunction,
-)
+from .linalg import NUMBER, read_number
+from .measure_space import AtomicMeasure, AtomicSpace, SimpleSetFunction
 from .upperset import UpperSet, canonicalize, cone_upper_set
 
 
@@ -176,7 +169,6 @@ def parse_set_literal(text: str, cone: Cone) -> UpperSet:
 
 @dataclass
 class FunctionalSpec:
-    name: str
     kind: str  # integral | mutant | external
     measure: str | None = None
     mutant: str | None = None
@@ -189,8 +181,6 @@ class Workspace:
     cone: Cone
     space: AtomicSpace
     measures: dict[str, AtomicMeasure] = field(default_factory=dict)
-    scalars: dict[str, ScalarFunction] = field(default_factory=dict)
-    vectors: dict[str, VectorFunction] = field(default_factory=dict)
     setfunctions: dict[str, SimpleSetFunction] = field(default_factory=dict)
     chains: dict[str, object] = field(default_factory=dict)
     functionals: dict[str, FunctionalSpec] = field(default_factory=dict)
@@ -210,12 +200,12 @@ class Workspace:
         if name in self.functionals:
             return self.functionals[name]
         if name.startswith("integral:"):
-            return FunctionalSpec(name, "integral", name.split(":", 1)[1])
+            return FunctionalSpec("integral", name.split(":", 1)[1])
         if name.startswith("mutant:"):
             parts = name.split(":")
             if len(parts) != 3:
                 raise ValidationError("inline mutant form is mutant:NAME:MEASURE")
-            return FunctionalSpec(name, "mutant", parts[2], parts[1])
+            return FunctionalSpec("mutant", parts[2], parts[1])
         raise WorkspaceError(
             f"unknown functional {name!r}; use a workspace name, integral:MEASURE "
             "or mutant:NAME:MEASURE",
@@ -285,12 +275,6 @@ def _scan_blocks(text: str, path: str) -> list[_Block]:
         current = _Block(parts[0], name, lineno, rest.strip() or None, [])
         blocks.append(current)
     return blocks
-
-
-def _scalar(text: str):
-    if text == "inf":
-        raise ValueError("unexpected inf: a scalar value is a rational or -inf")
-    return NEG_INF if text == "-inf" else read_number(text, "bad rational literal {!r}")
 
 
 def parse_workspace(path: str) -> Workspace:
@@ -380,11 +364,6 @@ def parse_workspace(path: str) -> Workspace:
     per_atom = (
         ("measure", "measure", ws.measures,
          lambda text: read_number(text, "bad rational {!r}"), AtomicMeasure, None),
-        ("scalar", "scalar function", ws.scalars,
-         _scalar, ScalarFunction, "scalar function missing atoms {}"),
-        ("vector", "vector function", ws.vectors,
-         lambda text: checked_vector(dim, parse_vector(text)), VectorFunction,
-         "vector function missing atoms {}"),
         ("setfunction", "set function", ws.setfunctions,
          lambda text: parse_set_literal(text, cone), SimpleSetFunction,
          "set function {name!r} missing atoms {}"),
@@ -421,9 +400,7 @@ def parse_workspace(path: str) -> Workspace:
         if "measure" in value:
             ws._lookup(ws.measures, value["measure"], "measure", entries["measure"][0])
         command = tuple(value.get("command", "").split())
-        ws.functionals[name] = FunctionalSpec(
-            name, kind, value.get("measure"), value.get("name"), command
-        )
+        ws.functionals[name] = FunctionalSpec(kind, value.get("measure"), value.get("name"), command)
 
     for b in blocks:
         if b.keyword in by_keyword:

@@ -74,6 +74,23 @@ def test_integrate_unknown_name(ws_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "block",
+    ["scalar xi:\n    x1: 1\n    x2: -inf\n", "vector f:\n    x1: [1, 0]\n    x2: [0, 1]\n"],
+    ids=["scalar", "vector"],
+)
+def test_a_scalar_or_vector_block_is_an_unknown_block(tmp_path, capsys, block):
+    # no command reads a scalar or vector function from a workspace, so the
+    # loader knows no such block
+    at = WS.index("setfunction F:")
+    p = tmp_path / "ws.txt"
+    p.write_text(WS[:at] + block + WS[at:])
+    code, out, err = run(capsys, "integrate", str(p), "F", "mu")
+    line = WS[:at].count("\n") + 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {p}:{line}: unknown block keyword {block.split()[0]!r}\n"
+
+
+@pytest.mark.parametrize(
     "old, new",
     [
         ("indices: 1 2 4 8", "indice: 1 2 4"),

@@ -2,7 +2,8 @@
 only the kernel's clients import from ``ddm``, no module but ``linalg`` reads
 a number with a ``Fraction(x)`` fallback, no module reads an upper set's
 ``halfspaces`` view, no module but the measure's own methods walks its
-weights, and only ``UpperSet.oplus`` calls the 3-D fan merge."""
+weights, only ``UpperSet.oplus`` calls the 3-D fan merge, and no module
+imports a name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -122,6 +123,24 @@ def fan_sum_uses(path: Path) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
+def unused_imports(path: Path) -> list[str]:
+    """'line: name' for each name that ``path`` binds by an import and never
+    reads; ``from __future__`` imports name compiler features, not bindings."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{line}: {name}" for name, line in sorted(bound.items(), key=lambda item: item[1]) if name not in read]
+
+
 def _name(func: ast.expr) -> str | None:
     """The called name of ``f(...)`` or ``m.f(...)``."""
     return getattr(func, "id", getattr(func, "attr", None))
@@ -218,3 +237,18 @@ def test_a_fan_merge_outside_oplus_is_found(tmp_path):
         "def _fan_sum(a, b):\n    return a\ntotal = _fan_sum(x, y)\n"
     )
     assert fan_sum_uses(source) == ["5: UpperSet.scale", "7: weighted_sum", "8: weighted_sum", "11: <module>"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert unused_imports(path) == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+        "from .linalg import NEG_INF, read_number\nfrom .cone import Cone, checked_vector\n"
+        "def f(c: Cone, text):\n    checked_vector = None\n    return read_number(text), os.sep\n"
+    )
+    assert unused_imports(source) == ["3: regex", "4: NEG_INF", "5: checked_vector"]

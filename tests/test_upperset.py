@@ -156,6 +156,19 @@ def test_integer_rows_take_a_normal_as_any_sequence(cone):
         assert canonicalize(cone, rows=[(w, n, e)]) == expected
 
 
+@pytest.mark.parametrize(
+    "n, e",
+    [(Fraction(1, 2), 1), (0.5, 1), (1, 0.5), (True, 1), (1, True), (0, 0), (1, -1), (-1, -2)],
+    ids=["Fraction-n", "float-n", "float-e", "bool-n", "bool-e", "0/0", "negative-e", "both-negative"],
+)
+@pytest.mark.parametrize("cone", [R2, orthant(3)], ids=["orthant2", "orthant3"])
+def test_a_row_offset_that_is_not_n_over_e_is_refused(cone, n, e):
+    # a row's offset is n/e in integers, e >= 0, and n's sign names the
+    # infinity where e = 0; no other pair has a meaning to read
+    with pytest.raises(ValidationError, match="halfspace row offset n/e needs integers"):
+        canonicalize(cone, rows=[((1,) * cone.dim, n, e)])
+
+
 def _vector_entries(cone, v, mixed):
     """Each entry point that reads an outside vector: v as a point or a normal,
     and mixed, with a negative entry, as a ray or a lineality vector."""
