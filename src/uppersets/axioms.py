@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -266,13 +265,10 @@ class SampleSet:
 # individual checks
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    axiom: str
-    status: str  # pass | fail
-    checked: int
-    skipped: int = 0
-    details: tuple[str, ...] = ()
+    def __init__(self, axiom: str, status: str, checked: int, skipped: int = 0, details: tuple[str, ...] = ()):
+        self.axiom, self.status = axiom, status  # pass | fail
+        self.checked, self.skipped, self.details = checked, skipped, details
 
     def describe(self) -> str:
         head = (
@@ -449,11 +445,9 @@ def check_interchange(phi: SetFunctional, samples: SampleSet) -> CheckResult:
 # report, runner, reconstruction
 
 
-@dataclass(frozen=True)
 class AxiomReport:
-    functional: str
-    results: tuple[CheckResult, ...]
-    header: tuple[str, ...] = ()
+    def __init__(self, functional: str, results: tuple[CheckResult, ...], header: tuple[str, ...] = ()):
+        self.functional, self.results, self.header = functional, results, header
 
     @property
     def passed(self) -> bool:
@@ -484,14 +478,13 @@ def run_axiom_checks(phi: SetFunctional, samples: SampleSet) -> AxiomReport:
     return AxiomReport(phi.name, results, tuple(samples.header_lines()))
 
 
-@dataclass(frozen=True)
 class ReconstructedMeasure:
     """The measure read off the singleton indicators, with its audit trail."""
 
-    space: AtomicSpace
-    outcomes: tuple  # per atom, extract_scalar of φ(1_x c + C)
-    measure: AtomicMeasure | None
-    failures: tuple[str, ...]  # report lines, each with its label
+    def __init__(self, space: AtomicSpace, outcomes: tuple, measure: AtomicMeasure | None, failures: tuple[str, ...]):
+        self.space, self.measure = space, measure
+        self.outcomes = outcomes  # per atom, extract_scalar of φ(1_x c + C)
+        self.failures = failures  # report lines, each with its label
 
     @property
     def weights(self) -> tuple:
@@ -609,11 +602,9 @@ def representation_suite(space: AtomicSpace, cone: Cone, seed: int = 0):
     return suite
 
 
-@dataclass(frozen=True)
 class RepresentationReport:
-    functional: str
-    checked: int
-    failures: tuple[str, ...]
+    def __init__(self, functional: str, checked: int, failures: tuple[str, ...]):
+        self.functional, self.checked, self.failures = functional, checked, failures
 
     @property
     def passed(self) -> bool:

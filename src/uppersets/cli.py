@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import sys
 
@@ -73,7 +72,7 @@ def _override_schedule(chain, spec: str):
     rate = read_number(spec, "--epsilon-schedule expects a rational number, got {!r}")
     if not isinstance(chain, ParametricChain):
         raise ValidationError("--epsilon-schedule applies only to a parametric chain")
-    return dataclasses.replace(chain, rate=rate)
+    return ParametricChain(chain.space, chain.cone, chain.indices, rate)
 
 
 def _print_integral(res, *head: str) -> int:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ddm import cone_vrep, rref_basis
-from .linalg import ValidationError, Vec, dot, format_vector, is_zero, primitive, read_number, vec
+from .linalg import ValidationError, Value, Vec, dot, format_vector, is_zero, primitive, read_number, vec
 
 MAX_DIMENSION = 8
 
@@ -49,8 +48,7 @@ def dual_cone(generators: list, dim: int | None = None) -> list[Vec]:
     return sorted(rays)  # the order of C+'s generators
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """A closed convex ordering cone C with 0 ∈ C, C ≠ R^m and int C ≠ ∅.
 
     Stored by generating rays; the dual generators (equivalently the inward
@@ -58,31 +56,27 @@ class Cone:
     is validated against them.  Immutable and safe to share.
     """
 
-    dim: int
-    generators: tuple[Vec, ...]
-    interior_point: Vec
-    dual_generators: tuple[Vec, ...] = field(init=False, compare=False)
+    FIELDS = ("dim", "generators", "interior_point")
+
+    def __init__(self, dim: int, generators: tuple[Vec, ...], interior_point: Vec):
+        self.__dict__.update(dim=dim, generators=generators, interior_point=interior_point)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", read_number(self.dim, "cone dimension {!r} is not an int", True))
-        if not 1 <= self.dim <= MAX_DIMENSION:
-            raise ValidationError(f"dimension must be in 1..{MAX_DIMENSION}, got {self.dim}")
+        dim = read_number(self.dim, "cone dimension {!r} is not an int", True)
+        if not 1 <= dim <= MAX_DIMENSION:
+            raise ValidationError(f"dimension must be in 1..{MAX_DIMENSION}, got {dim}")
         seen: dict[Vec, None] = {}
         for g in self.generators:
-            g = primitive(checked_vector(self.dim, g, "cone generator"))
+            g = primitive(checked_vector(dim, g, "cone generator"))
             if not is_zero(g):
                 seen.setdefault(g, None)
         if not seen:
             raise ValidationError("cone has no nonzero generators")
-        object.__setattr__(self, "generators", tuple(sorted(seen)))
-        c = checked_vector(self.dim, self.interior_point, "interior point")
-        object.__setattr__(self, "interior_point", c)
-        key = (self.dim, self.generators, tuple((x.numerator, x.denominator) for x in c))  # all int
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((self.dim, self.generators, c)))
-        duals = tuple(dual_cone(self.generators, self.dim))
-        object.__setattr__(self, "dual_generators", duals)
-        for g in self.generators:
+        gens = tuple(sorted(seen))
+        c = checked_vector(dim, self.interior_point, "interior point")
+        duals = tuple(dual_cone(gens, dim))
+        for g in gens:
             for w in duals:
                 if dot(g, w) < 0:
                     raise ValidationError("dual generator fails <g, w> >= 0")
@@ -92,6 +86,10 @@ class Cone:
                     f"interior point {format_vector(c)} is not interior: "
                     f"<c, {format_vector(w)}> = {dot(c, w)} is not > 0"
                 )
+        key = (dim, gens, tuple((x.numerator, x.denominator) for x in c))  # all int
+        self.__dict__.update(
+            dim=dim, generators=gens, interior_point=c, dual_generators=duals, _key=key, _hash=hash((dim, gens, c))
+        )
 
     def __hash__(self) -> int:
         return self._hash

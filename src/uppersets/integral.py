@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -25,6 +24,7 @@ from .ddm import modulo, rref_basis
 from .linalg import (
     INEXACT,
     NEG_INF,
+    Value,
     Vec,
     clear_denominators,
     dot,
@@ -49,7 +49,6 @@ from .measure_space import (
 from .upperset import UpperSet, cone_upper_set, in_dual_cone, inf_set, weighted_sum
 
 
-@dataclass(frozen=True)
 class IntegralResult:
     """The integral's value plus the support-representation certificate.
 
@@ -58,8 +57,8 @@ class IntegralResult:
     two must be equal.
     """
 
-    value: UpperSet
-    support_certificate: tuple[tuple[Vec, Fraction, Fraction], ...]
+    def __init__(self, value: UpperSet, support_certificate: tuple[tuple[Vec, Fraction, Fraction], ...]):
+        self.value, self.support_certificate = value, support_certificate
 
     def certificate_ok(self) -> bool:
         return all(lhs == rhs for _, lhs, rhs in self.support_certificate)
@@ -120,16 +119,22 @@ def integral_over(F: SimpleSetFunction, mu: AtomicMeasure, atoms) -> IntegralRes
 # selection oracle
 
 
-@dataclass(frozen=True)
 class OracleReport:
-    trials: int
-    seed: int
-    value: UpperSet
-    containment_failures: tuple = ()
-    attainment_failures: tuple = ()
-    attainment_witnesses: tuple = ()
-    upper_set_ok: bool = True
-    certificate_ok: bool = True
+    def __init__(
+        self,
+        trials: int,
+        seed: int,
+        value: UpperSet,
+        containment_failures: tuple = (),
+        attainment_failures: tuple = (),
+        attainment_witnesses: tuple = (),
+        upper_set_ok: bool = True,
+        certificate_ok: bool = True,
+    ):
+        self.trials, self.seed, self.value = trials, seed, value
+        self.containment_failures, self.attainment_failures = containment_failures, attainment_failures
+        self.attainment_witnesses = attainment_witnesses
+        self.upper_set_ok, self.certificate_ok = upper_set_ok, certificate_ok
 
     @property
     def passed(self) -> bool:
@@ -288,18 +293,17 @@ def selection_oracle(
 # decreasing chains (in the lattice order: pointwise growing sets)
 
 
-@dataclass(frozen=True)
-class ExplicitChain:
+class ExplicitChain(Value):
     """A finite nested family with its declared limit (the pointwise hull)."""
 
-    steps: tuple[SimpleSetFunction, ...]
-    limit: SimpleSetFunction
+    FIELDS = ("steps", "limit")
     mode = "explicit"
     needs_measure = False
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, steps: tuple[SimpleSetFunction, ...], limit: SimpleSetFunction):
+        if not steps:
             raise ValidationError("a chain needs at least one step")
+        self.__dict__.update(steps=steps, limit=limit)
 
     def check(self, evaluate, mu: AtomicMeasure | None) -> ChainReport:
         """The steps nest with the declared limit as their pointwise hull, and
@@ -335,8 +339,7 @@ class ExplicitChain:
         return ChainReport(self.mode, ok, tuple(lines))
 
 
-@dataclass(frozen=True)
-class ParametricChain:
+class ParametricChain(Value):
     """The harmonic family F_n ≡ (1/n)·c + C at the given indices, decreasing
     to the constant-C function.
 
@@ -347,25 +350,22 @@ class ParametricChain:
     mass·<c, w>/n when ``rate`` is None.
     """
 
-    space: AtomicSpace
-    cone: Cone
-    indices: tuple[int, ...]
-    rate: Fraction | None = None
+    FIELDS = ("space", "cone", "indices", "rate")
     mode = "parametric"
     needs_measure = True
 
-    def __post_init__(self):
+    def __init__(self, space: AtomicSpace, cone: Cone, indices: tuple[int, ...], rate: Fraction | None = None):
         error = "parametric chain index {!r} is not an integer"
-        indices = tuple(read_number(n, error, True) for n in self.indices)
+        indices = tuple(read_number(n, error, True) for n in indices)
         if not indices or any(n < 1 for n in indices):
             raise ValidationError("parametric chain indices must be positive")
         if list(indices) != sorted(set(indices)):
             raise ValidationError("parametric chain indices must be strictly increasing")
-        object.__setattr__(self, "indices", indices)
-        if self.rate is not None:
-            object.__setattr__(self, "rate", read_number(self.rate, "parametric chain rate " + INEXACT))
-            if self.rate < 0:
+        if rate is not None:
+            rate = read_number(rate, "parametric chain rate " + INEXACT)
+            if rate < 0:
                 raise ValidationError("parametric chain rate must be nonnegative")
+        self.__dict__.update(space=space, cone=cone, indices=indices, rate=rate)
 
     @functools.cached_property
     def steps(self) -> tuple[SimpleSetFunction, ...]:
@@ -411,11 +411,9 @@ class ParametricChain:
         return ChainReport(self.mode, ok, tuple(lines))
 
 
-@dataclass(frozen=True)
 class ChainReport:
-    mode: str
-    ok: bool
-    lines: tuple[str, ...]
+    def __init__(self, mode: str, ok: bool, lines: tuple[str, ...]):
+        self.mode, self.ok, self.lines = mode, ok, lines
 
     def describe(self) -> str:
         status = "pass" if self.ok else "FAIL"

@@ -11,15 +11,17 @@ denominator 1), and ``primitive`` of an all-``int`` vector is one ``gcd``.
 A number is an ``int`` (not a ``bool``), a ``Fraction`` or a string ``p`` or
 ``p/q`` in ASCII digits (``NUMBER``, the workspace's pattern); anything else,
 a float included, is refused.  Only ``read_number`` builds a ``Fraction``.
+``Value`` is the base of the library's immutable value classes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 Vec = tuple
@@ -32,6 +34,40 @@ INEXACT = "{!r} is not an int, a Fraction or a string 'p' or 'p/q'"
 
 class ValidationError(ValueError):
     """A domain invariant is violated by the given data."""
+
+
+class Value:
+    """An immutable value of the fields its class names in ``FIELDS``: equal to
+    a value of the same class with equal fields, hashed by them once and shown
+    by them.  ``__init__`` writes every field into ``self.__dict__``; assigning
+    or deleting an attribute raises ``AttributeError``."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._compared = staticmethod(attrgetter(*cls.FIELDS))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self._compared(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__name__}({fields})"
 
 
 def read_number(x, error: str, integer: bool = False) -> Fraction | int:

@@ -8,27 +8,25 @@ checker uses for memoization.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .cone import Cone, ValidationError, checked_vector
-from .linalg import INEXACT, NEG_INF, Vec, dot, format_rational, read_number, vec
+from .linalg import INEXACT, NEG_INF, Value, Vec, dot, format_rational, read_number, vec
 from .upperset import UpperSet, canonicalize, cone_upper_set, halfspace_set, point_plus_cone, sup_set
 
 
-@dataclass(frozen=True)
-class AtomicSpace:
+class AtomicSpace(Value):
     """Ordered finite list of atom identifiers; the σ-algebra is its power set."""
 
-    atoms: tuple[str, ...]
+    FIELDS = ("atoms",)
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[str, ...]):
+        if not atoms:
             raise ValidationError("a measurable space needs at least one atom")
-        if len(set(self.atoms)) != len(self.atoms):
+        if len(set(atoms)) != len(atoms):
             raise ValidationError("atom identifiers must be distinct")
+        self.__dict__["atoms"] = atoms
 
     def index(self, atom: str) -> int:
         try:
@@ -52,21 +50,19 @@ def space(*atoms: str) -> AtomicSpace:
     return AtomicSpace(tuple(atoms))
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(Value):
     """Nonnegative rational weight per atom."""
 
-    space: AtomicSpace
-    weights: tuple[Fraction, ...]
+    FIELDS = ("space", "weights")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.space):
+    def __init__(self, space: AtomicSpace, weights: tuple[Fraction, ...]):
+        if len(weights) != len(space):
             raise ValidationError("measure must assign a weight per atom")
-        ws = tuple(read_number(w, "measure weight " + INEXACT) for w in self.weights)
-        for atom, w in zip(self.space.atoms, ws):
+        ws = tuple(read_number(w, "measure weight " + INEXACT) for w in weights)
+        for atom, w in zip(space.atoms, ws):
             if w < 0:
                 raise ValidationError(f"negative weight {format_rational(w)} at atom {atom!r}")
-        object.__setattr__(self, "weights", ws)
+        self.__dict__.update(space=space, weights=ws)
 
     @staticmethod
     def from_map(space: AtomicSpace, mapping: dict) -> "AtomicMeasure":
@@ -92,19 +88,17 @@ class AtomicMeasure:
         return sum((self.weight(a) for a in subset), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
+class ScalarFunction(Value):
     """Atom-indexed exact scalars; -inf is allowed where a use site permits it."""
 
-    space: AtomicSpace
-    values: tuple
+    FIELDS = ("space", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.space):
+    def __init__(self, space: AtomicSpace, values: tuple):
+        if len(values) != len(space):
             raise ValidationError("scalar function must cover every atom")
         error = "scalar value " + INEXACT
-        vals = tuple(v if type(v) is float and v == NEG_INF else read_number(v, error) for v in self.values)
-        object.__setattr__(self, "values", vals)
+        vals = tuple(v if type(v) is float and v == NEG_INF else read_number(v, error) for v in values)
+        self.__dict__.update(space=space, values=vals)
 
     @staticmethod
     def constant(space: AtomicSpace, value) -> "ScalarFunction":
@@ -132,21 +126,19 @@ class ScalarFunction:
         return "{" + parts + "}"
 
 
-@dataclass(frozen=True)
-class VectorFunction:
+class VectorFunction(Value):
     """Atom-indexed exact vectors."""
 
-    space: AtomicSpace
-    values: tuple[Vec, ...]
+    FIELDS = ("space", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.space):
+    def __init__(self, space: AtomicSpace, values: tuple[Vec, ...]):
+        if len(values) != len(space):
             raise ValidationError("vector function must cover every atom")
-        vals = tuple(vec(v) for v in self.values)
+        vals = tuple(vec(v) for v in values)
         dims = {len(v) for v in vals}
         if len(dims) > 1:
             raise ValidationError("vector function values must share one dimension")
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(space=space, values=vals)
 
     def value(self, atom: str) -> Vec:
         return self.values[self.space.index(atom)]
@@ -157,29 +149,21 @@ class VectorFunction:
         return tuple(sum((w * v[i] for w, v in terms), Fraction(0)) for i in range(len(self.values[0])))
 
 
-@dataclass(frozen=True)
-class SimpleSetFunction:
+class SimpleSetFunction(Value):
     """Atom-indexed family of nonempty upper sets over one cone."""
 
-    space: AtomicSpace
-    values: tuple[UpperSet, ...]
+    FIELDS = ("space", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.space):
+    def __init__(self, space: AtomicSpace, values: tuple[UpperSet, ...]):
+        if len(values) != len(space):
             raise ValidationError("set function must cover every atom")
-        cones = {v.cone for v in self.values}
+        cones = {v.cone for v in values}
         if len(cones) != 1:
             raise ValidationError("set function values must share one ordering cone")
-        for atom, v in zip(self.space.atoms, self.values):
+        for atom, v in zip(space.atoms, values):
             if v.is_empty:
                 raise ValidationError(f"set function value at {atom!r} is empty")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.space, self.values))
+        self.__dict__.update(space=space, values=values)
 
     @property
     def cone(self) -> Cone:

@@ -54,7 +54,6 @@ the module is read by ``cone.checked_vector``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
@@ -67,6 +66,7 @@ from .linalg import (
     INEXACT,
     NEG_INF,
     POS_INF,
+    Value,
     Vec,
     clear_denominators,
     coprime,
@@ -101,30 +101,32 @@ def _in_dual(cone: Cone, w: Vec) -> bool:  # for a w already read
     return all(sum(map(mul, g, w)) >= 0 for g in cone.generators)
 
 
-@dataclass(frozen=True)
-class UpperSet:
+class UpperSet(Value):
     """Canonical element of the lattice of closed convex upper sets.
 
     Use the constructors (``canonicalize``, ``point_plus_cone``,
     ``halfspace_set``, ``cone_upper_set``, ``UpperSet.empty/full``) rather
     than instantiating directly; they establish the canonical form that
-    equality relies on.
+    equality relies on.  The compared fields determine the stored points,
+    rays and lineality.
     """
 
-    cone: Cone
-    kind: str
-    facets: tuple[tuple[Vec, int], ...] = ()
-    denominator: int = 1
-    numerators: tuple[Vec, ...] = field(default=(), compare=False)
-    rays: tuple[Vec, ...] = field(default=(), compare=False)
-    lineality: tuple[Vec, ...] = field(default=(), compare=False)
+    FIELDS = ("cone", "kind", "facets", "denominator")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.cone, self.kind, self.facets, self.denominator))
+    def __init__(
+        self,
+        cone: Cone,
+        kind: str,
+        facets: tuple[tuple[Vec, int], ...] = (),
+        denominator: int = 1,
+        numerators: tuple[Vec, ...] = (),
+        rays: tuple[Vec, ...] = (),
+        lineality: tuple[Vec, ...] = (),
+    ):
+        self.__dict__.update(
+            cone=cone, kind=kind, facets=facets, denominator=denominator,
+            numerators=numerators, rays=rays, lineality=lineality,
+        )
 
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:

@@ -25,7 +25,6 @@ halfspace row becomes the integer row (w, n, e), meaning <z, w> >= n/e, that
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -167,23 +166,28 @@ def parse_set_literal(text: str, cone: Cone) -> UpperSet:
     return canonicalize(cone, points=points, rays=rays, rows=rows)
 
 
-@dataclass
 class FunctionalSpec:
-    kind: str  # integral | mutant | external
-    measure: str | None = None
-    mutant: str | None = None
-    command: tuple[str, ...] = ()
+    def __init__(self, kind: str, measure: str | None = None, mutant: str | None = None, command: tuple[str, ...] = ()):
+        self.kind = kind  # integral | mutant | external
+        self.measure, self.mutant, self.command = measure, mutant, command
 
 
-@dataclass
 class Workspace:
-    path: str
-    cone: Cone
-    space: AtomicSpace
-    measures: dict[str, AtomicMeasure] = field(default_factory=dict)
-    setfunctions: dict[str, SimpleSetFunction] = field(default_factory=dict)
-    chains: dict[str, object] = field(default_factory=dict)
-    functionals: dict[str, FunctionalSpec] = field(default_factory=dict)
+    def __init__(
+        self,
+        path: str,
+        cone: Cone,
+        space: AtomicSpace,
+        measures: dict[str, AtomicMeasure] | None = None,
+        setfunctions: dict[str, SimpleSetFunction] | None = None,
+        chains: dict[str, object] | None = None,
+        functionals: dict[str, FunctionalSpec] | None = None,
+    ):
+        self.path, self.cone, self.space = path, cone, space
+        self.measures = {} if measures is None else measures
+        self.setfunctions = {} if setfunctions is None else setfunctions
+        self.chains = {} if chains is None else chains
+        self.functionals = {} if functionals is None else functionals
 
     def measure(self, name: str) -> AtomicMeasure:
         return self._lookup(self.measures, name, "measure")
@@ -241,13 +245,13 @@ _FUNCTIONAL_KEYS = {
 }
 
 
-@dataclass
 class _Block:
-    keyword: str
-    name: str | None
-    line: int
-    inline: str | None
-    entries: list[tuple[int, str, str]]  # (line, key, value)
+    def __init__(self, keyword: str, name: str | None, line: int, inline: str | None, entries: list):
+        self.keyword, self.name, self.line, self.inline = keyword, name, line, inline
+        self.entries: list[tuple[int, str, str]] = entries  # (line, key, value)
+
+
+_KEYWORDS = ("dimension", "cone", "atoms", "measure", "setfunction", "chain", "functional")
 
 
 def _scan_blocks(text: str, path: str) -> list[_Block]:
@@ -271,6 +275,8 @@ def _scan_blocks(text: str, path: str) -> list[_Block]:
         parts = head.split()
         if len(parts) not in (1, 2):
             raise WorkspaceError(f"malformed header {head!r}", path, lineno)
+        if parts[0] not in _KEYWORDS:
+            raise WorkspaceError(f"unknown block keyword {parts[0]!r}", path, lineno)
         name = parts[1] if len(parts) == 2 else None
         current = _Block(parts[0], name, lineno, rest.strip() or None, [])
         blocks.append(current)
@@ -287,14 +293,12 @@ def parse_workspace(path: str) -> Workspace:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise WorkspaceError(str(exc), path) from exc
-    blocks = _scan_blocks(text, path)
-    # each block kind the loader dispatches is popped; what is left is unknown
     by_keyword: dict[str, list[_Block]] = {}
-    for b in blocks:
+    for b in _scan_blocks(text, path):
         by_keyword.setdefault(b.keyword, []).append(b)
 
     def single(keyword: str) -> _Block:
-        found = by_keyword.pop(keyword, [])
+        found = by_keyword.get(keyword, [])
         if not found:
             raise WorkspaceError(f"missing required block {keyword!r}", path)
         if len(found) > 1:
@@ -352,7 +356,7 @@ def parse_workspace(path: str) -> Workspace:
 
     def named_blocks(keyword: str, table: dict, what: str):
         """(name, block) for each block of ``keyword``, its name not yet in ``table``."""
-        for block in by_keyword.pop(keyword, []):
+        for block in by_keyword.get(keyword, []):
             if not block.name:
                 raise WorkspaceError(f"{what} block needs a name", path, block.line)
             if block.name in table:
@@ -401,8 +405,4 @@ def parse_workspace(path: str) -> Workspace:
             ws._lookup(ws.measures, value["measure"], "measure", entries["measure"][0])
         command = tuple(value.get("command", "").split())
         ws.functionals[name] = FunctionalSpec(kind, value.get("measure"), value.get("name"), command)
-
-    for b in blocks:
-        if b.keyword in by_keyword:
-            raise WorkspaceError(f"unknown block keyword {b.keyword!r}", path, b.line)
     return ws

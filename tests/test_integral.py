@@ -2,7 +2,6 @@
 
 import contextlib
 import cProfile
-import dataclasses
 import io
 import pstats
 import random
@@ -14,6 +13,7 @@ import pytest
 from uppersets import Cone, ValidationError, ddm, integral, orthant
 from uppersets.integral import (
     ExplicitChain,
+    IntegralResult,
     ParametricChain,
     aumann_integral,
     integral_over,
@@ -412,7 +412,7 @@ def test_oracle_reports_selections_outside_a_too_small_value(values, violations,
 
     def shifted(F, mu):
         result = real(F, mu)
-        return dataclasses.replace(result, value=result.value.translate(F.cone.interior_point))
+        return IntegralResult(result.value.translate(F.cone.interior_point), result.support_certificate)
 
     monkeypatch.setattr(integral, "aumann_integral", shifted)
     f = SimpleSetFunction(X2, values)
@@ -639,7 +639,7 @@ def test_parametric_chain_builds_its_steps_once_and_lazily(monkeypatch):
 
 def test_a_schedule_rate_keeps_the_indices():
     chain = ParametricChain(X2, R2, (1, 3, 9))
-    tight = dataclasses.replace(chain, rate=Fraction(1, 3))
+    tight = ParametricChain(chain.space, chain.cone, chain.indices, rate=Fraction(1, 3))
     assert tight.indices == (1, 3, 9) and tight.rate == Fraction(1, 3)
     assert tight.schedule(3, (1, 0), MU11) == Fraction(1, 9)
     assert chain.schedule(3, (1, 0), MU11) == Fraction(2, 3)
@@ -668,7 +668,7 @@ def test_a_parametric_chain_refuses_a_negative_rate():
         ParametricChain(X2, R2, (1, 2), rate=-1)
     chain = ParametricChain(X2, R2, (1, 2), rate=0)
     with pytest.raises(ValidationError, match="^parametric chain rate must be nonnegative$"):
-        dataclasses.replace(chain, rate=Fraction(-1, 2))
+        ParametricChain(chain.space, chain.cone, chain.indices, rate=Fraction(-1, 2))
 
 
 def test_readme_library_example_prints_its_comments():

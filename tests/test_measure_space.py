@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uppersets import Cone, ValidationError, ddm, orthant
+from uppersets.integral import ExplicitChain, ParametricChain
 from uppersets.linalg import NEG_INF, POS_INF
 from uppersets.measure_space import (
     AtomicMeasure,
@@ -323,3 +324,34 @@ def test_indicator_composition_pointwise():
     for atom in X2.atoms:
         expected = f.value(atom) if atom == "x1" else cone_upper_set(R2)
         assert meet.value(atom).set_equal(expected)
+
+
+def _values():
+    """One value of each immutable value type, built afresh on each call."""
+    s = point_plus_cone(R2, (1, 2))
+    F = SimpleSetFunction(X2, (s, cone_upper_set(R2)))
+    return [
+        orthant(2),
+        s,
+        space("x1", "x2"),
+        AtomicMeasure(X2, (1, Fraction(1, 2))),
+        ScalarFunction(X2, (1, NEG_INF)),
+        VectorFunction(X2, ((1, 0), (0, 1))),
+        F,
+        ExplicitChain((F,), F),
+        ParametricChain(X2, R2, (1, 2), rate=1),
+    ]
+
+
+def test_the_value_types_are_immutable_and_equal_by_their_fields():
+    for value, twin in zip(_values(), _values()):
+        assert value == twin and hash(value) == hash(twin) and value is not twin
+        assert repr(value) == repr(twin) and repr(value).startswith(type(value).__name__ + "(")
+        with pytest.raises(AttributeError):
+            value.space = X2
+        with pytest.raises(AttributeError):
+            del value.cone
+    s = point_plus_cone(R2, (1, 2))
+    # the stored points, rays and lineality follow from the facets and are not compared
+    assert UpperSet(s.cone, s.kind, s.facets, s.denominator) == s
+    assert s != point_plus_cone(R2, (2, 1)) and s != s.facets

@@ -61,6 +61,14 @@ def test_an_external_childs_imports_load_none_of_the_parents_process_modules():
     assert fresh(code + f"print(json.dumps([m for m in {parents!r} if m in sys.modules]))", "-S") == []
 
 
+def test_no_process_imports_dataclasses():
+    # -S: no site; the CLI and an external child import neither dataclasses
+    # nor the inspect module it loads
+    code = "import uppersets.cli, uppersets.protocol\n"
+    modules = ["dataclasses", "inspect"]
+    assert fresh(code + f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))", "-S") == []
+
+
 def test_a_name_imported_from_the_package_is_not_cached_in_it():
     code = "from uppersets import canonicalize\nimport uppersets\n"
     assert fresh(code + "print(json.dumps('canonicalize' in vars(uppersets)))") is False

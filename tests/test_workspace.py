@@ -205,6 +205,10 @@ DIAGNOSTICS = {
     "unknown-keyword-vector": (
         None, "vector f:\n    x1: [1, 0]\n", ":33: unknown block keyword 'vector'"
     ),
+    # an unknown block is refused at its line, before a missing or bad known one
+    "unknown-keyword-before-missing-atoms": (
+        "atoms: x1 x2\n", "frobnicate x:\n", ":6: unknown block keyword 'frobnicate'"
+    ),
     "measure-no-name": ("measure mu:", "measure:", ":7: measure block needs a name"),
     "measure-duplicate": (None, "measure mu:\n    x1: 1\n", ":33: duplicate measure 'mu'"),
     "measure-unknown-atom": ("    x2: 2", "    x3: 2", ":9: unknown atom 'x3'"),
@@ -451,6 +455,35 @@ def test_workspace_diagnostics(tmp_path, old, new, expected):
     with pytest.raises(WorkspaceError) as err:
         parse_workspace(path)
     assert str(err.value) == path + expected
+
+
+UNKNOWN_BEFORE_A_SET = """dimension: 2
+cone:
+    generators: [1, 0] [0, 1]
+    interior_point: [1, 1]
+atoms: x1
+scalar xi:
+    x1: 1
+setfunction F:
+    x1: points: [[{point}]]
+"""
+
+
+def test_an_unknown_block_is_refused_before_a_later_bad_value(tmp_path):
+    path = write(tmp_path, UNKNOWN_BEFORE_A_SET.format(point="oops"))
+    with pytest.raises(WorkspaceError) as err:
+        parse_workspace(path)
+    assert str(err.value) == path + ":6: unknown block keyword 'scalar'"
+
+
+def test_an_unknown_block_is_refused_before_any_set_is_read(tmp_path, monkeypatch):
+    read = []
+    monkeypatch.setattr(workspace, "parse_set_literal", lambda *args: read.append(args))
+    path = write(tmp_path, UNKNOWN_BEFORE_A_SET.format(point="0, 0"))
+    with pytest.raises(WorkspaceError) as err:
+        parse_workspace(path)
+    assert str(err.value) == path + ":6: unknown block keyword 'scalar'"
+    assert read == []
 
 
 NUMBER_FIELDS = """
