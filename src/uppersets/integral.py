@@ -386,9 +386,11 @@ class ParametricChain(Value):
 
     def check(self, evaluate, mu: AtomicMeasure) -> ChainReport:
         """The images nest and meet the schedule at every facet normal of the
-        limit's image."""
+        limit's image, or at C⁺'s generators when that image is ∅ or R^d."""
         limit_integral = evaluate(self.limit)
-        normals = limit_integral.facet_normals()
+        normals, where = limit_integral.facet_normals(), "facet normals of the limit"
+        if not normals:
+            normals, where = self.cone.dual_generators, "generators of C⁺ (the limit's image has no facets)"
         lines: list[str] = []
         previous = None
         for n, F in zip(self.indices, self.steps):
@@ -405,9 +407,7 @@ class ParametricChain(Value):
                         f"exceeds schedule {format_rational(bound)}"
                     )
         ok = not lines
-        lines.append(
-            f"checked indices {list(self.indices)} at {len(normals)} facet normals of the limit"
-        )
+        lines.append(f"checked indices {list(self.indices)} at {len(normals)} {where}")
         return ChainReport(self.mode, ok, tuple(lines))
 
 

@@ -3,9 +3,9 @@ list, and named measures, set functions, chains and functionals.
 
 The grammar is block-structured: a non-indented line opens a block
 (``measure mu:``) or states a fact (``dimension: 2``); indented lines
-are ``key: value`` entries, read by one entry check; the per-atom blocks
-(measure, setfunction) load through one table and one builder, which checks
-that a set function covers every atom.  Set literals are one-liners
+are ``key: value`` entries, read by one entry check; a measure reads one
+weight per atom, an omitted atom weighing 0, and a set function one set
+literal per atom, every atom given.  Set literals are one-liners
 (``halfspaces: [[1, 1, 0]]``, ``points: [[0, 0]] rays: [[1, 1]]``, ``full``,
 ``cone``) and the canonical printed form of every set re-parses to an equal
 set.  A number is ``p`` or ``p/q`` in ASCII digits with an optional leading
@@ -173,21 +173,12 @@ class FunctionalSpec:
 
 
 class Workspace:
-    def __init__(
-        self,
-        path: str,
-        cone: Cone,
-        space: AtomicSpace,
-        measures: dict[str, AtomicMeasure] | None = None,
-        setfunctions: dict[str, SimpleSetFunction] | None = None,
-        chains: dict[str, object] | None = None,
-        functionals: dict[str, FunctionalSpec] | None = None,
-    ):
+    def __init__(self, path: str, cone: Cone, space: AtomicSpace):
         self.path, self.cone, self.space = path, cone, space
-        self.measures = {} if measures is None else measures
-        self.setfunctions = {} if setfunctions is None else setfunctions
-        self.chains = {} if chains is None else chains
-        self.functionals = {} if functionals is None else functionals
+        self.measures: dict[str, AtomicMeasure] = {}
+        self.setfunctions: dict[str, SimpleSetFunction] = {}
+        self.chains: dict[str, object] = {}
+        self.functionals: dict[str, FunctionalSpec] = {}
 
     def measure(self, name: str) -> AtomicMeasure:
         return self._lookup(self.measures, name, "measure")
@@ -363,23 +354,17 @@ def parse_workspace(path: str) -> Workspace:
                 raise WorkspaceError(f"duplicate {what} {block.name!r}", path, block.line)
             yield block.name, block
 
-    # per-atom blocks, loaded in this order: (keyword, label, table, entry
-    # parser, class, message for the atoms a block leaves out, None if they weigh 0)
-    per_atom = (
-        ("measure", "measure", ws.measures,
-         lambda text: read_number(text, "bad rational {!r}"), AtomicMeasure, None),
-        ("setfunction", "set function", ws.setfunctions,
-         lambda text: parse_set_literal(text, cone), SimpleSetFunction,
-         "set function {name!r} missing atoms {}"),
-    )
-    for keyword, label, table, parse_entry, build, missing in per_atom:
-        for name, block in named_blocks(keyword, table, label):
-            given = parse_entries(block, dict.fromkeys(space.atoms, parse_entry), "atom")
-            left_out = [a for a in space.atoms if a not in given]
-            if missing and left_out:
-                raise WorkspaceError(missing.format(left_out, name=name), path, block.line)
-            values = tuple(given.get(a, 0) for a in space.atoms)
-            table[name] = located(block.line, build, space, values)
+    weight = lambda text: read_number(text, "bad rational {!r}")
+    for name, block in named_blocks("measure", ws.measures, "measure"):
+        given = parse_entries(block, dict.fromkeys(space.atoms, weight), "atom")
+        ws.measures[name] = located(block.line, AtomicMeasure, space, tuple(given.get(a, 0) for a in space.atoms))
+
+    literal = lambda text: parse_set_literal(text, cone)
+    for name, block in named_blocks("setfunction", ws.setfunctions, "set function"):
+        given = parse_entries(block, dict.fromkeys(space.atoms, literal), "atom")
+        if left_out := [a for a in space.atoms if a not in given]:
+            raise WorkspaceError(f"set function {name!r} missing atoms {left_out}", path, block.line)
+        ws.setfunctions[name] = located(block.line, SimpleSetFunction, space, tuple(given[a] for a in space.atoms))
 
     for name, block in named_blocks("chain", ws.chains, "chain"):
         kind, entries = kind_entries(block, _CHAIN_KEYS, "'explicit' or 'harmonic-cone'")

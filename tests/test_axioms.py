@@ -215,6 +215,16 @@ def test_no_indicator_measure_skips_the_parametric_chain(samples):
     )
 
 
+def test_continuity_fails_a_parametric_chain_whose_limit_image_is_empty(samples):
+    # φ(F_n) = (3/n)c + C does not converge to φ(constant C) = ∅, which has no
+    # facets: the chain reads its supports at C⁺'s generators instead
+    phi, _ = _integral_except({(0, 0): UpperSet.empty(R2)})
+    result = check_continuity_from_above(phi, samples)
+    assert (result.status, result.checked, result.skipped) == ("fail", 2, 0)
+    assert result.details[:2] == ("parametric chain:", "n=1 normal [0, 1]: deviation inf exceeds schedule 3")
+    assert result.details[-1] == "checked indices [1, 2, 4, 8] at 2 generators of C⁺ (the limit's image has no facets)"
+
+
 def test_indicator_example_values():
     mu = AtomicMeasure.from_map(X2, {"x1": 2, "x2": 5})
     phi = integral_functional(mu)

@@ -555,6 +555,24 @@ def test_parametric_chain_reports_an_image_that_breaks_monotonicity():
     )
 
 
+@pytest.mark.parametrize("limit_image", [UpperSet.empty, UpperSet.full], ids=["empty", "full"])
+def test_a_parametric_chain_whose_limit_image_has_no_facets_reads_the_dual_generators(limit_image):
+    # the images (3/n)c + C do not converge to a limit image ∅ or R^2, which has
+    # no facet normals to read the supports at, so C⁺'s generators are read
+    mu = AtomicMeasure.from_map(X2, {"x1": 2, "x2": 1})
+    chain = ParametricChain(X2, R2, (1, 2, 4, 8))
+    report = chain.check(lambda F: limit_image(R2) if F == chain.limit else integral_value(F, mu), mu)
+    assert not report.ok
+    assert report.lines == (
+        *(
+            f"n={n} normal {w}: deviation inf exceeds schedule {bound}"
+            for n, bound in ((1, "3"), (2, "3/2"), (4, "3/4"), (8, "3/8"))
+            for w in ("[0, 1]", "[1, 0]")
+        ),
+        "checked indices [1, 2, 4, 8] at 2 generators of C⁺ (the limit's image has no facets)",
+    )
+
+
 def test_certificate_reports_all_facets():
     f = SimpleSetFunction(X2, (point_plus_cone(R2, (1, 0)), point_plus_cone(R2, (0, 1))))
     res = aumann_integral(f, MU11)

@@ -2,16 +2,19 @@
 only the kernel's clients import from ``ddm``, no module but ``linalg`` reads
 a number with a ``Fraction(x)`` fallback, no module reads an upper set's
 ``halfspaces`` view, no module but the measure's own methods walks its
-weights, only ``UpperSet.oplus`` calls the 3-D fan merge, and no module
-imports a name that it never reads."""
+weights, only ``UpperSet.oplus`` calls the 3-D fan merge, no module
+imports a name that it never reads, and every defaulted parameter is passed
+by some call."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "uppersets"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "uppersets"
 MODULES = sorted(PACKAGE.glob("*.py"))
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def private_imports(path: Path) -> list[str]:
@@ -141,6 +144,44 @@ def unused_imports(path: Path) -> list[str]:
     return [f"{line}: {name}" for name, line in sorted(bound.items(), key=lambda item: item[1]) if name not in read]
 
 
+def passed_arguments(paths: list[Path]) -> dict[str | None, set]:
+    """Per called name, what its calls in ``paths`` pass: each keyword, each
+    position from 0, and '*' for a call with ``*`` or ``**``, which may pass any."""
+    passed: dict[str | None, set] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                slots = passed.setdefault(_name(node.func), set())
+                slots.update(k.arg or "*" for k in node.keywords)
+                slots.update("*" if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args))
+    return passed
+
+
+def unpassed_options(path: Path, passed: dict[str | None, set]) -> list[str]:
+    """'line: def(parameter)' for each defaulted parameter of a ``def`` in
+    ``path`` that no call in ``passed`` passes, by keyword or by position: an
+    option that no caller uses.  A method's calls are those of its name, less
+    the ``self`` argument, and a constructor's those of its class name."""
+    found = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = [*a.posonlyargs, *a.args]
+                if cls and "staticmethod" not in map(_name, child.decorator_list):
+                    positional = positional[1:]
+                options = [(i, p.arg) for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+                options += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                slots = passed.get(cls if child.name == "__init__" else child.name, set())
+                where = f"{child.lineno}: {cls + '.' if cls else ''}{child.name}"
+                found.extend((child.lineno, f"{where}({p})") for i, p in options if not {i, p, "*"} & slots)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return [text for _, text in sorted(found)]
+
+
 def _name(func: ast.expr) -> str | None:
     """The called name of ``f(...)`` or ``m.f(...)``."""
     return getattr(func, "id", getattr(func, "attr", None))
@@ -252,3 +293,26 @@ def test_an_unused_import_is_found(tmp_path):
         "def f(c: Cone, text):\n    checked_vector = None\n    return read_number(text), os.sep\n"
     )
     assert unused_imports(source) == ["3: regex", "4: NEG_INF", "5: checked_vector"]
+
+
+@pytest.fixture(scope="module")
+def passed():
+    return passed_arguments(CALLERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_option_is_passed_by_some_call(path, passed):
+    assert unpassed_options(path, passed) == []
+
+
+def test_an_unpassed_option_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    def inner(x=0):\n        return x\n    return inner()\n"
+        "class K:\n    def __init__(self, p, q=None, r=None):\n        pass\n"
+        "    def m(self, s=1, t=2):\n        pass\n    @staticmethod\n    def n(u=1):\n        pass\n"
+        "f(0, 1, d=2)\nK(0, r=1)\nK.n()\nobj.m(**options)\n"
+    )
+    assert unpassed_options(source, passed_arguments([source])) == [
+        "1: f(c)", "1: f(e)", "2: inner(x)", "6: K.__init__(q)", "11: K.n(u)"
+    ]

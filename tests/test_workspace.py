@@ -95,6 +95,16 @@ def test_full_workspace_loads(tmp_path):
     assert ws.functionals["bad"].mutant == "nullity-pad"
 
 
+def test_a_measure_that_omits_an_atom_gives_it_weight_0(tmp_path, capsys):
+    from uppersets.cli import main
+
+    path = write(tmp_path, FULL_FEATURED.replace("    x2: 2\n", "", 1))
+    mu = parse_workspace(path).measures["mu"]
+    assert (mu.weight("x1"), mu.weight("x2")) == (1, 0)
+    assert main(["integrate", path, "F", "mu"]) == 0
+    assert "value: halfspaces: [[1, 1, 1]]" in capsys.readouterr().out.splitlines()
+
+
 def test_boundary_interior_point_rejected(tmp_path):
     bad = MINIMAL.replace("interior_point: [1, 1]", "interior_point: [1, 0]")
     with pytest.raises(WorkspaceError) as err:
